@@ -42,20 +42,14 @@ def main():
     print(f"\nempirical log-log slope of the mean gap: {slope:.3f}")
     print("(the sqrt-step theory predicts roughly -0.5 up to the log factor)")
 
-    # mini-batching: same horizon, growing batch, effective constants shift
+    # mini-batching: same horizon, growing batch; the engine steps at 1/(2 L_b sqrt(T))
     print("\nbatch size effects at T=200:")
     for b in (1, 2, 5, 10):
-        if b == 1:
-            l_eff, s_eff = problem.L, cert.sigma_star_sq
-        else:
-            eff = li.effective_constants(problem, b, cert)
-            l_eff, s_eff = eff.L_b, eff.sigma_b_sq
-        gamma = li.resolve_schedule(schedule, l_eff, 200)
-        run_schedule = schedule if b == 1 else li.ConstantStep(gamma)
-        template = li.RunConfig(T=200, seed=0, schedule=run_schedule, x0=x0, batch_size=b)
+        eff = li.effective_constants(problem, b, cert)
+        template = li.RunConfig(T=200, seed=0, schedule=schedule, x0=x0, batch_size=b)
         est = li.estimate_gap(problem, cert, template, n_seeds=args.seeds, base_seed=0,
                               workers=args.workers)
-        print(f"  b={b:>2}  L_b={l_eff:8.4f}  sigma_b^2={s_eff:8.4f}  mean gap={est.mean_gap:.3e}")
+        print(f"  b={b:>2}  L_b={eff.L_b:8.4f}  sigma_b^2={eff.sigma_b_sq:8.4f}  mean gap={est.mean_gap:.3e}")
 
 
 if __name__ == "__main__":

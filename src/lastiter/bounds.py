@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .problems import FiniteSumProblem, SolutionCertificate
-from .sgd import StepSizeSchedule, ConstantStep, PolynomialStep, resolve_schedule, schedule_to_doc
+from .sgd import StepSizeSchedule, PolynomialStep, resolve_schedule, schedule_to_doc
 
 __all__ = [
     "AbcConstants",
@@ -67,9 +67,22 @@ def _as_horizon(T, minimum: int) -> int:
     return t
 
 
+def _check_constants(L=None, D_sq=None, sigma_star_sq=None):
+    """Reject a non-finite or out-of-range bound constant; None skips a check."""
+    if L is not None:
+        _require(np.isfinite(L) and L > 0, f"smoothness constant must be positive, got {L!r}")
+    if D_sq is not None:
+        _require(np.isfinite(D_sq) and D_sq >= 0, f"D_sq must be >= 0, got {D_sq!r}")
+    if sigma_star_sq is not None:
+        _require(
+            np.isfinite(sigma_star_sq) and sigma_star_sq >= 0,
+            f"sigma_star_sq must be >= 0, got {sigma_star_sq!r}",
+        )
+
+
 def _check_scale(gamma: float, L: float):
     _require(np.isfinite(gamma) and gamma > 0, f"gamma must be positive, got {gamma!r}")
-    _require(np.isfinite(L) and L > 0, f"smoothness constant must be positive, got {L!r}")
+    _check_constants(L=L)
     gl = gamma * L
     _require(0 < gl < 1, f"gamma * L = {gl!r} must lie strictly inside (0, 1)")
     return gl
@@ -111,10 +124,7 @@ class AbcConstants:
 def abc_constants(gamma: float, L: float, sigma_star_sq: float) -> AbcConstants:
     """One-step energy coefficients for step gamma on an L-smooth family."""
     gl = _check_scale(gamma, L)
-    _require(
-        np.isfinite(sigma_star_sq) and sigma_star_sq >= 0,
-        f"sigma_star_sq must be >= 0, got {sigma_star_sq!r}",
-    )
+    _check_constants(sigma_star_sq=sigma_star_sq)
     eps = (1.0 - gl) / (1.0 + gl)
     return AbcConstants(
         a=eps,
@@ -220,11 +230,7 @@ def last_iterate_bound(gamma: float, L: float, D_sq: float, sigma_star_sq: float
     """
     T = _as_horizon(T, 3)
     gl = _check_scale(gamma, L)
-    _require(np.isfinite(D_sq) and D_sq >= 0, f"D_sq must be >= 0, got {D_sq!r}")
-    _require(
-        np.isfinite(sigma_star_sq) and sigma_star_sq >= 0,
-        f"sigma_star_sq must be >= 0, got {sigma_star_sq!r}",
-    )
+    _check_constants(D_sq=D_sq, sigma_star_sq=sigma_star_sq)
     shrink = 1.0 - gl
     tilt = float(T) ** phi(gamma, L)
     bias = 2.0 * D_sq / (gamma * shrink * T)
@@ -249,12 +255,7 @@ def polynomial_step_bound(C: float, beta: float, L: float, D_sq: float, sigma_st
     T = _as_horizon(T, 3)
     _require(np.isfinite(C) and C >= 2, f"C must be >= 2, got {C!r}")
     _require(np.isfinite(beta) and 0 < beta < 1, f"beta must lie in (0, 1), got {beta!r}")
-    _require(np.isfinite(L) and L > 0, f"smoothness constant must be positive, got {L!r}")
-    _require(np.isfinite(D_sq) and D_sq >= 0, f"D_sq must be >= 0, got {D_sq!r}")
-    _require(
-        np.isfinite(sigma_star_sq) and sigma_star_sq >= 0,
-        f"sigma_star_sq must be >= 0, got {sigma_star_sq!r}",
-    )
+    _check_constants(L=L, D_sq=D_sq, sigma_star_sq=sigma_star_sq)
     B = math.exp(2.0 / (math.e * beta * C))
     bias = 4.0 * B * C * L * D_sq / float(T) ** (1.0 - beta)
     noise = 32.0 * B * math.log(T + 1.0) * sigma_star_sq / (C * L * float(T) ** beta)
@@ -265,12 +266,7 @@ def sqrt_step_bound(C: float, L: float, D_sq: float, sigma_star_sq: float, T) ->
     """Explicit bound for gamma = 1 / (C L sqrt(T)), any C >= 2."""
     T = _as_horizon(T, 3)
     _require(np.isfinite(C) and C >= 2, f"C must be >= 2, got {C!r}")
-    _require(np.isfinite(L) and L > 0, f"smoothness constant must be positive, got {L!r}")
-    _require(np.isfinite(D_sq) and D_sq >= 0, f"D_sq must be >= 0, got {D_sq!r}")
-    _require(
-        np.isfinite(sigma_star_sq) and sigma_star_sq >= 0,
-        f"sigma_star_sq must be >= 0, got {sigma_star_sq!r}",
-    )
+    _check_constants(L=L, D_sq=D_sq, sigma_star_sq=sigma_star_sq)
     root = math.sqrt(T)
     return 9.0 * C * L * D_sq / root + 67.0 * math.log(T + 1.0) * sigma_star_sq / (C * L * root)
 
@@ -278,12 +274,7 @@ def sqrt_step_bound(C: float, L: float, D_sq: float, sigma_star_sq: float, T) ->
 def sqrt_step_bound_c2(L: float, D_sq: float, sigma_star_sq: float, T) -> float:
     """Specialized constants for gamma = 1 / (2 L sqrt(T))."""
     T = _as_horizon(T, 3)
-    _require(np.isfinite(L) and L > 0, f"smoothness constant must be positive, got {L!r}")
-    _require(np.isfinite(D_sq) and D_sq >= 0, f"D_sq must be >= 0, got {D_sq!r}")
-    _require(
-        np.isfinite(sigma_star_sq) and sigma_star_sq >= 0,
-        f"sigma_star_sq must be >= 0, got {sigma_star_sq!r}",
-    )
+    _check_constants(L=L, D_sq=D_sq, sigma_star_sq=sigma_star_sq)
     root = math.sqrt(T)
     return 17.0 * L * D_sq / root + 34.0 * math.log(T + 1.0) * sigma_star_sq / (L * root)
 
@@ -300,12 +291,7 @@ def complexity_horizon(epsilon: float, L: float, D_sq: float, sigma_star_sq: flo
     bound below epsilon.
     """
     _require(np.isfinite(epsilon) and epsilon > 0, f"epsilon must be positive, got {epsilon!r}")
-    _require(np.isfinite(L) and L > 0, f"smoothness constant must be positive, got {L!r}")
-    _require(np.isfinite(D_sq) and D_sq >= 0, f"D_sq must be >= 0, got {D_sq!r}")
-    _require(
-        np.isfinite(sigma_star_sq) and sigma_star_sq >= 0,
-        f"sigma_star_sq must be >= 0, got {sigma_star_sq!r}",
-    )
+    _check_constants(L=L, D_sq=D_sq, sigma_star_sq=sigma_star_sq)
     K = max(18.0 * L * D_sq, 67.0 * sigma_star_sq / (2.0 * L))
     target = (K / epsilon) ** 2
     if _horizon_score(3) >= target:
@@ -335,12 +321,7 @@ def complexity_beta_constant(beta: float, L: float, D_sq: float, sigma_star_sq: 
     -> 0), so smaller exponents are not reachable in this form.
     """
     _require(np.isfinite(beta) and beta > 2, f"beta must be > 2, got {beta!r}")
-    _require(np.isfinite(L) and L > 0, f"smoothness constant must be positive, got {L!r}")
-    _require(np.isfinite(D_sq) and D_sq >= 0, f"D_sq must be >= 0, got {D_sq!r}")
-    _require(
-        np.isfinite(sigma_star_sq) and sigma_star_sq >= 0,
-        f"sigma_star_sq must be >= 0, got {sigma_star_sq!r}",
-    )
+    _check_constants(L=L, D_sq=D_sq, sigma_star_sq=sigma_star_sq)
     K = max(18.0 * L * D_sq, 67.0 * sigma_star_sq / (2.0 * L))
     alpha = (1.0 - 2.0 / beta) / 2.0
     return (3.0 * K / (math.e * alpha)) ** beta
@@ -379,46 +360,27 @@ class EffectiveConstants:
     L_b: float
     sigma_b_sq: float
     batch_size: int
-    variant: str
 
 
-def effective_constants(
-    problem: FiniteSumProblem,
-    b: int,
-    cert: SolutionCertificate,
-    variant: str = "as_printed",
-) -> EffectiveConstants:
-    """Mini-batch constants (L_b, sigma_b^2) for uniform size-b subsets.
+def effective_constants(problem: FiniteSumProblem, b: int, cert: SolutionCertificate) -> EffectiveConstants:
+    """Constants (L_b, sigma_b^2) the bounds take for batch size b.
 
-    The solution variance scales exactly like the variance of a
-    without-replacement sample mean: sigma_b^2 = (n-b)/(b(n-1)) sigma*^2,
-    hitting sigma*^2 at b = 1 and 0 at b = n.
+    L_b is ``problem.batch_smoothness(b)``.  The solution variance scales
+    like the variance of a without-replacement sample mean,
+    sigma_b^2 = (n-b)/(b(n-1)) sigma*^2, hitting sigma*^2 at b = 1 and 0 at
+    b = n.
 
-    The smoothness constant interpolates between the mean smoothness L_f
-    and the max component smoothness L.  The ``as_printed`` variant weights
-    L_f by (n-b)/(b(n-1)) (so b = 1 gives L_f and b = n gives L);
-    ``swapped`` exchanges the two weights (b = 1 gives L, b = n gives L_f).
-    The two variants disagree about which limit is which; both are exposed
-    and neither is silently corrected.
+    Raises:
+        UnsupportedSamplingError: b is not a defined sampling mode for the
+            problem (see ``batch_smoothness``).
     """
     b = int(b)
-    if problem.n == 1:
-        raise ValueError("mini-batch constants need n >= 2 components")
-    if not 1 <= b <= problem.n:
-        raise ValueError(f"batch size must lie in [1, {problem.n}], got {b}")
-    if not problem.uniform_weights:
-        raise ValueError("mini-batch constants are defined for uniform weights only")
-    if variant not in ("as_printed", "swapped"):
-        raise ValueError(f"variant must be 'as_printed' or 'swapped', got {variant!r}")
-    n = problem.n
-    weight_first = (n - b) / (b * (n - 1))
-    weight_second = n * (b - 1) / (b * (n - 1))
-    if variant == "as_printed":
-        l_b = weight_first * problem.L_f + weight_second * problem.L
-    else:
-        l_b = weight_first * problem.L + weight_second * problem.L_f
-    sigma_b = weight_first * cert.sigma_star_sq
-    return EffectiveConstants(L_b=float(l_b), sigma_b_sq=float(sigma_b), batch_size=b, variant=variant)
+    l_b = problem.batch_smoothness(b)
+    sigma_b = cert.sigma_star_sq
+    if b > 1:
+        n = problem.n
+        sigma_b = (n - b) / (b * (n - 1)) * sigma_b
+    return EffectiveConstants(L_b=float(l_b), sigma_b_sq=float(sigma_b), batch_size=b)
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,13 @@ across worker counts when --deterministic-output is set.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import argparse
 import math
 import os
 import sys
 
 from . import __version__
+# The benchmark tracer (perfbench/child.py) wraps build_bound_report and effective_constants here.
 from .bounds import (
     HypothesisError,
     build_bound_report,
@@ -143,21 +142,10 @@ def _cmd_run(args) -> int:
     plan = load_run_plan(args.config)
     workers = _resolve_workers(args)
     out_dir = _ensure_out(args)
-    b = plan.template.batch_size
-    if b == 1:
-        l_eff, sigma_eff = plan.problem.L, plan.cert.sigma_star_sq
-        effective = None
-    else:
-        eff = effective_constants(plan.problem, b, plan.cert, variant=plan.l_variant)
-        l_eff, sigma_eff = eff.L_b, eff.sigma_b_sq
-        effective = {"L": eff.L_b, "sigma_sq": eff.sigma_b_sq, "variant": eff.variant}
-    report = build_bound_report(plan.schedule, l_eff, plan.d_sq, sigma_eff, plan.template.T)
     template = plan.template
-    if b > 1:
-        # The engine resolves schedules against the problem's own max
-        # smoothness; with subset sampling the step must come from the
-        # effective constant, so hand it the already-resolved value.
-        template = replace(template, schedule=ConstantStep(gamma=report.gamma))
+    b = template.batch_size
+    eff = effective_constants(plan.problem, b, plan.cert)
+    report = build_bound_report(template.schedule, eff.L_b, plan.d_sq, eff.sigma_b_sq, template.T)
     estimate = estimate_gap(
         plan.problem, plan.cert, template, plan.n_seeds, plan.base_seed,
         workers=workers, keep_per_seed=args.dump_seeds,
@@ -174,10 +162,10 @@ def _cmd_run(args) -> int:
             "batch_size": b,
             "n_seeds": plan.n_seeds,
             "base_seed": plan.base_seed,
-            "schedule": schedule_to_doc(plan.schedule),
+            "schedule": schedule_to_doc(template.schedule),
             "x0": template.x0.tolist(),
             "gamma_used": report.gamma,
-            "effective": effective,
+            "effective": {"L": eff.L_b, "sigma_sq": eff.sigma_b_sq},
         },
         "estimate": {
             "mean_gap": estimate.mean_gap,
@@ -216,7 +204,7 @@ def _cmd_sweep(args) -> int:
     out_dir = _ensure_out(args)
     rows = sweep(
         plan.entries, plan.T_grid, plan.schedules, plan.b_grid,
-        plan.n_seeds, plan.base_seed, workers=workers, l_variant=plan.l_variant,
+        plan.n_seeds, plan.base_seed, workers=workers,
     )
     csv_path = os.path.join(out_dir, "sweep.csv")
     write_csv(csv_path, SWEEP_COLUMNS,
@@ -251,7 +239,6 @@ def _cmd_sweep(args) -> int:
         "n_errors": n_errors,
         "n_seeds": plan.n_seeds,
         "base_seed": plan.base_seed,
-        "l_variant": plan.l_variant,
     }
     write_json(os.path.join(out_dir, "sweep_meta.json"), meta)
     print(f"sweep: {len(rows)} rows ({n_errors} errors) -> {csv_path}")
@@ -265,7 +252,7 @@ def _cmd_bound(args) -> int:
     if (args.gamma is None) == (args.C is None):
         raise ConfigError(["bound: give exactly one of --gamma or --C"])
     if args.gamma is not None:
-        schedule = ConstantStep(gamma=args.gamma)
+        schedule = ConstantStep(args.gamma)
     else:
         schedule = PolynomialStep(C=args.C, beta=args.beta)
     report = build_bound_report(

@@ -19,13 +19,14 @@ import numpy as np
 from .problems import (
     FiniteSumProblem,
     SolutionCertificate,
+    UnsupportedSamplingError,
     load_problem,
     make_least_squares,
     make_logistic,
 )
 from .reporting import doc_hash
 from .rng import DIRECTION_STREAM, check_seed, stream
-from .sgd import RunConfig, ScheduleError, StepSizeSchedule, resolve_schedule, schedule_from_doc
+from .sgd import RunConfig, ScheduleError, resolve_schedule, schedule_from_doc
 
 __all__ = [
     "ConfigError",
@@ -253,11 +254,9 @@ class RunPlan:
     problem: FiniteSumProblem
     cert: SolutionCertificate
     template: RunConfig
-    schedule: StepSizeSchedule
     n_seeds: int
     base_seed: int
     d_sq: float
-    l_variant: str = "as_printed"
 
 
 def load_run_plan(source) -> RunPlan:
@@ -275,13 +274,10 @@ def load_run_plan(source) -> RunPlan:
         raise ConfigError(errors)
     run = doc["run"]
     unknown = set(run) - {
-        "T", "n_seeds", "base_seed", "batch_size", "schedule", "x0", "record_stride", "l_variant",
+        "T", "n_seeds", "base_seed", "batch_size", "schedule", "x0", "record_stride",
     }
     if unknown:
         errors.append(f"run: unknown keys {sorted(unknown)}")
-    l_variant = run.get("l_variant", "as_printed")
-    if l_variant not in ("as_printed", "swapped"):
-        errors.append("run.l_variant: must be 'as_printed' or 'swapped'")
     T = run.get("T")
     if not (_is_int(T) and T >= 3):
         errors.append("run.T: bound comparison requires an integer T >= 3")
@@ -303,18 +299,20 @@ def load_run_plan(source) -> RunPlan:
     except ConfigError as exc:
         errors.extend(exc.errors)
         raise ConfigError(errors) from exc
-    if _is_int(batch_size) and batch_size > problem.n:
-        errors.append(f"run.batch_size: {batch_size} exceeds the family size n={problem.n}")
-    if _is_int(batch_size) and batch_size > 1 and not problem.uniform_weights:
-        errors.append("run.batch_size: subset sampling needs uniform weights")
+    l_b = None
+    if _is_int(batch_size) and batch_size >= 1:
+        try:
+            l_b = problem.batch_smoothness(batch_size)
+        except UnsupportedSamplingError as exc:
+            errors.append(f"run.batch_size: {exc}")
     x0 = None
     try:
         x0 = resolve_x0(run.get("x0", {"policy": "zeros"}), problem, cert)
     except ConfigError as exc:
         errors.extend(f"run.{line}" for line in exc.errors)
-    if schedule is not None and _is_int(T) and T >= 3:
+    if schedule is not None and l_b is not None and _is_int(T) and T >= 3:
         try:
-            resolve_schedule(schedule, problem.L, T)
+            resolve_schedule(schedule, l_b, T)
         except ScheduleError as exc:
             errors.append(f"run.schedule: {exc}")
     if errors:
@@ -335,11 +333,9 @@ def load_run_plan(source) -> RunPlan:
         problem=problem,
         cert=cert,
         template=template,
-        schedule=schedule,
         n_seeds=n_seeds,
         base_seed=base_seed,
         d_sq=float(np.sum((x0 - cert.x_star) ** 2)),
-        l_variant=l_variant,
     )
 
 
@@ -354,7 +350,6 @@ class SweepPlan:
     b_grid: tuple
     n_seeds: int
     base_seed: int
-    l_variant: str
 
 
 def load_sweep_plan(source) -> SweepPlan:
@@ -378,7 +373,7 @@ def load_sweep_plan(source) -> SweepPlan:
     if errors:
         raise ConfigError(errors)
     unknown = set(sweep_doc) - {
-        "T_grid", "schedules", "b_grid", "n_seeds", "base_seed", "x0", "l_variant",
+        "T_grid", "schedules", "b_grid", "n_seeds", "base_seed", "x0",
     }
     if unknown:
         errors.append(f"sweep: unknown keys {sorted(unknown)}")
@@ -403,9 +398,6 @@ def load_sweep_plan(source) -> SweepPlan:
     base_seed = sweep_doc.get("base_seed", 0)
     if not (_is_int(base_seed) and base_seed >= 0):
         errors.append("sweep.base_seed: must be a nonnegative integer")
-    l_variant = sweep_doc.get("l_variant", "as_printed")
-    if l_variant not in ("as_printed", "swapped"):
-        errors.append("sweep.l_variant: must be 'as_printed' or 'swapped'")
     entries = []
     for i, spec in enumerate(problems_spec):
         try:
@@ -434,7 +426,6 @@ def load_sweep_plan(source) -> SweepPlan:
         b_grid=tuple(int(b) for b in b_grid),
         n_seeds=n_seeds,
         base_seed=base_seed,
-        l_variant=l_variant,
     )
 
 

@@ -18,17 +18,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import (
-    effective_constants,
+from .bounds import HypothesisError, build_bound_report, effective_constants
+# Unused here, but the benchmark tracer (perfbench/child.py) wraps these names on this module.
+from .bounds import (  # noqa: F401
     last_iterate_bound,
     polynomial_step_bound,
     sqrt_step_bound,
     sqrt_step_bound_c2,
 )
-from .problems import FiniteSumProblem, SolutionCertificate, problem_to_doc
+from .problems import FiniteSumProblem, SolutionCertificate, UnsupportedSamplingError, problem_to_doc
 from .reporting import doc_hash
 from .rng import check_seed
-from .sgd import ConstantStep, PolynomialStep, RunConfig, _run, resolve_schedule, schedule_to_doc
+from .sgd import DivergenceError, RunConfig, ScheduleError, _run, schedule_to_doc
 
 __all__ = [
     "BoundVerdict",
@@ -250,49 +251,33 @@ SWEEP_COLUMNS = (
 )
 
 
-def _sweep_cell(problem_id, problem, cert, x0, T, schedule, b, n_seeds, base_seed, workers, l_variant):
-    if b == 1:
-        l_eff = problem.L
-        sigma_eff = cert.sigma_star_sq
-    else:
-        eff = effective_constants(problem, b, cert, variant=l_variant)
-        l_eff, sigma_eff = eff.L_b, eff.sigma_b_sq
-    gamma = resolve_schedule(schedule, l_eff, T)
-    # The engine resolves polynomial schedules against the problem's own max
-    # smoothness; for b > 1 rows the step must come from the effective
-    # constant instead, so hand the engine the already-resolved value.
-    run_schedule = schedule if b == 1 else ConstantStep(gamma=gamma)
+# A sweep cell that fails with one of these becomes an error row; anything
+# else is a bug and propagates.
+_CELL_ERRORS = (ScheduleError, UnsupportedSamplingError, DivergenceError, HypothesisError)
+
+
+def _sweep_cell(problem_id, problem, cert, x0, T, schedule, b, n_seeds, base_seed, workers):
     x0 = problem.check_point(x0)
-    template = RunConfig(T=T, seed=0, schedule=run_schedule, x0=x0, batch_size=b)
-    estimate = estimate_gap(problem, cert, template, n_seeds, base_seed, workers=workers)
+    eff = effective_constants(problem, b, cert)
     d_sq = float(np.sum((x0 - cert.x_star) ** 2))
-    theorem1 = last_iterate_bound(gamma, l_eff, d_sq, sigma_eff, T)
-    corollary = None
-    c_val = beta_val = None
-    if isinstance(schedule, PolynomialStep):
-        c_val, beta_val = schedule.C, schedule.beta
-        if schedule.beta == 0.5:
-            if schedule.C == 2.0:
-                corollary = sqrt_step_bound_c2(l_eff, d_sq, sigma_eff, T)
-            else:
-                corollary = sqrt_step_bound(schedule.C, l_eff, d_sq, sigma_eff, T)
-        else:
-            corollary = polynomial_step_bound(schedule.C, schedule.beta, l_eff, d_sq, sigma_eff, T).value
-    tightest = theorem1 if corollary is None else min(theorem1, corollary)
+    report = build_bound_report(schedule, eff.L_b, d_sq, eff.sigma_b_sq, T)
+    template = RunConfig(T=T, seed=0, schedule=schedule, x0=x0, batch_size=b)
+    estimate = estimate_gap(problem, cert, template, n_seeds, base_seed, workers=workers)
+    corollaries = (report.sqrt_c2, report.sqrt_general, report.polynomial)  # most specialised first
     return SweepRow(
         problem_id=problem_id,
         T=T,
         b=b,
-        C=c_val,
-        beta=beta_val,
-        gamma=gamma,
+        C=report.C,
+        beta=report.beta,
+        gamma=report.gamma,
         n_seeds=n_seeds,
         mean_gap=estimate.mean_gap,
         std_error=estimate.std_error,
         ci95_upper=estimate.ci95_upper,
-        theorem1_bound=theorem1,
-        corollary_bound=corollary,
-        satisfied=bool(estimate.ci95_upper <= tightest),
+        theorem1_bound=report.generic,
+        corollary_bound=next((c for c in corollaries if c is not None), None),
+        satisfied=bool(estimate.ci95_upper <= report.tightest()),
     )
 
 
@@ -304,7 +289,6 @@ def sweep(
     n_seeds: int,
     base_seed: int,
     workers: int = 1,
-    l_variant: str = "as_printed",
 ) -> list[SweepRow]:
     """Estimate gaps and bounds over the (problem, T, schedule, b) grid.
 
@@ -314,10 +298,12 @@ def sweep(
             (problem outermost, then T, schedule, batch size).
         n_seeds, base_seed: every cell uses seeds base_seed .. +n_seeds-1.
         workers: worker processes per cell.
-        l_variant: mini-batch smoothness variant for b > 1 cells.
 
-    A failing cell (divergence, invalid schedule, ...) does not abort the
-    sweep; its row carries the error message and empty numeric fields.
+    Each cell runs at step size and bound constants for its batch size b
+    (``effective_constants``).  A cell that fails with a domain error
+    (invalid schedule, undefined sampling, divergence, violated hypothesis)
+    does not abort the sweep; its row carries the error message and empty
+    numeric fields.  Any other exception propagates.
     """
     rows = []
     for problem_id, problem, cert, x0 in problem_entries:
@@ -327,9 +313,9 @@ def sweep(
                     try:
                         row = _sweep_cell(
                             problem_id, problem, cert, x0, int(T), schedule, int(b),
-                            int(n_seeds), base_seed, workers, l_variant,
+                            int(n_seeds), base_seed, workers,
                         )
-                    except Exception as exc:
+                    except _CELL_ERRORS as exc:
                         row = SweepRow(
                             problem_id=problem_id,
                             T=int(T),

@@ -39,6 +39,7 @@ __all__ = [
     "LogisticProblem",
     "MEMORY_BUDGET_ENTRIES",
     "SolutionCertificate",
+    "UnsupportedSamplingError",
     "certify_solution",
     "closed_form_certificate",
     "load_problem",
@@ -55,6 +56,10 @@ __all__ = [
 MEMORY_BUDGET_ENTRIES = 2**23
 
 _WEIGHT_SUM_TOL = 1e-9
+
+
+class UnsupportedSamplingError(ValueError):
+    """The requested sampling combination is not defined."""
 
 
 class GenerationError(ValueError):
@@ -174,6 +179,34 @@ class FiniteSumProblem:
         raise NotImplementedError
 
     # -- derived quantities -----------------------------------------------
+
+    def batch_smoothness(self, b: int) -> float:
+        """Expected smoothness of the gradient averaged over a sampled size-b subset.
+
+        b = 1 samples one component from the weights, so the constant is the
+        max component smoothness L.  For b > 1 it is the b-nice expected
+        smoothness of Gower et al. (SGD: General Analysis and Improved Rates,
+        ICML 2019, Prop. 3.8),
+        (n-b)/(b(n-1)) L + n(b-1)/(b(n-1)) L_f, which falls from L at b = 1
+        to the mean smoothness L_f at b = n.
+
+        Raises:
+            UnsupportedSamplingError: b lies outside [1, n], or b > 1 with
+                non-uniform weights.
+        """
+        if b == 1:
+            return self.L
+        n = self.n
+        if b < 1:
+            raise UnsupportedSamplingError(f"batch size must be >= 1, got {b}")
+        if b > n:
+            raise UnsupportedSamplingError(f"batch size {b} exceeds the family size n={n}")
+        if not self.uniform_weights:
+            raise UnsupportedSamplingError(
+                "subset sampling with non-uniform weights is not defined; "
+                "use batch_size 1 or uniform weights"
+            )
+        return (n - b) / (b * (n - 1)) * self.L + n * (b - 1) / (b * (n - 1)) * self.L_f
 
     def value(self, x) -> float:
         """Weighted mean objective f(x)."""

@@ -4,7 +4,9 @@ One update is x <- x - gamma * g_t where g_t is the gradient of a single
 component drawn from the sampling weights (batch size 1) or the average of
 the component gradients over a uniformly drawn size-b subset (without
 replacement).  All index randomness comes from the run stream of the seed,
-so a trajectory is a pure function of (problem, config).
+so a trajectory is a pure function of (problem, config).  The step size
+is the schedule resolved against ``problem.batch_smoothness(b)``, the
+smoothness constant the bounds for batch size b use.
 
 Batch gradients are accumulated over ascending component indices and
 divided once, and a batch covering every component takes the same code path
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import FiniteSumProblem, SolutionCertificate
+from .problems import FiniteSumProblem, SolutionCertificate, UnsupportedSamplingError
 from .rng import RUN_STREAM, check_seed, stream
 
 __all__ = [
@@ -48,10 +50,6 @@ _DRAW_CHUNK = 8192
 
 class ScheduleError(ValueError):
     """A step-size schedule violates its validity constraints."""
-
-
-class UnsupportedSamplingError(ValueError):
-    """The requested sampling combination is not defined."""
 
 
 class DivergenceError(RuntimeError):
@@ -237,17 +235,11 @@ def _run(
     # consume only the final gap; the iterates themselves are unaffected.
     n = problem.n
     b = config.batch_size
-    if b > n:
-        raise UnsupportedSamplingError(f"batch_size {b} exceeds the number of components {n}")
-    if b > 1 and not problem.uniform_weights:
-        raise UnsupportedSamplingError(
-            "subset sampling with non-uniform weights is not defined; "
-            "use batch_size 1 or uniform weights"
-        )
+    L_b = problem.batch_smoothness(b)  # raises for an undefined sampling mode
     seed = config.seed if seed is None else check_seed(seed)
     x = problem.check_point(config.x0).copy()
     T = config.T
-    gamma = resolve_schedule(config.schedule, problem.L, T)
+    gamma = resolve_schedule(config.schedule, L_b, T)
     stride = config.record_stride if config.record_stride > 0 else max(1, T // 100)
     if final_record_only:
         stride = T

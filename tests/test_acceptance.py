@@ -5,6 +5,7 @@ runtime budget.  The criterion lines appear in the "acceptance criteria"
 section of the pytest terminal summary.
 """
 
+import csv
 import json
 import math
 import os
@@ -229,32 +230,34 @@ def test_criterion_7_complexity_horizon():
     assert score(13) < 1.0 <= score(14)
 
 
+DETERMINISM_RUN_DOC = {
+    "problem": {"generator": "least_squares", "n": 6, "d": 3, "spread": 1.0, "seed": 5},
+    "run": {
+        "T": 50,
+        "n_seeds": 16,
+        "base_seed": 0,
+        "schedule": {"variant": "polynomial", "C": 2.0, "beta": 0.5},
+        "x0": {"policy": "offset", "distance": 1.0, "seed": 3},
+    },
+}
+DETERMINISM_SWEEP_DOC = {
+    "problems": [
+        {"generator": "least_squares", "n": 6, "d": 2, "spread": 1.0, "seed": 7, "id": "p"}
+    ],
+    "sweep": {
+        "T_grid": [10, 20],
+        "schedules": [{"variant": "polynomial", "C": 2.0, "beta": 0.5}],
+        "b_grid": [1, 2],
+        "n_seeds": 24,
+        "base_seed": 0,
+    },
+}
+
+
 @pytest.mark.criterion(
     8, "determinism: rerun output files are byte-identical and worker-independent"
 )
 def test_criterion_8_determinism(tmp_path, acceptance_note):
-    run_doc = {
-        "problem": {"generator": "least_squares", "n": 6, "d": 3, "spread": 1.0, "seed": 5},
-        "run": {
-            "T": 50,
-            "n_seeds": 16,
-            "base_seed": 0,
-            "schedule": {"variant": "polynomial", "C": 2.0, "beta": 0.5},
-            "x0": {"policy": "offset", "distance": 1.0, "seed": 3},
-        },
-    }
-    sweep_doc = {
-        "problems": [
-            {"generator": "least_squares", "n": 6, "d": 2, "spread": 1.0, "seed": 7, "id": "p"}
-        ],
-        "sweep": {
-            "T_grid": [10, 20],
-            "schedules": [{"variant": "polynomial", "C": 2.0, "beta": 0.5}],
-            "b_grid": [1, 2],
-            "n_seeds": 24,
-            "base_seed": 0,
-        },
-    }
     lemma_doc = {
         "lemmas": {
             "problems": [
@@ -275,9 +278,9 @@ def test_criterion_8_determinism(tmp_path, acceptance_note):
         }
     }
     run_cfg = tmp_path / "run.json"
-    run_cfg.write_text(json.dumps(run_doc))
+    run_cfg.write_text(json.dumps(DETERMINISM_RUN_DOC))
     sweep_cfg = tmp_path / "sweep.json"
-    sweep_cfg.write_text(json.dumps(sweep_doc))
+    sweep_cfg.write_text(json.dumps(DETERMINISM_SWEEP_DOC))
     lemma_cfg = tmp_path / "lemmas.json"
     lemma_cfg.write_text(json.dumps(lemma_doc))
 
@@ -333,3 +336,80 @@ def test_criterion_8_determinism(tmp_path, acceptance_note):
     assert set(bound_outs[0]) == {"bound.csv", "bound.json"}
     assert bound_outs[0] == bound_outs[1]
     acceptance_note(8, "run/sweep/verify-lemmas/bound outputs stable across reruns and workers")
+
+
+def _single_sample_statistics(problem, cert, x0, T, gamma, n_seeds, base_seed):
+    """(mean, std_error, ci95_upper) of b = 1 SGD with the sampling loop written out."""
+    gaps = []
+    for seed in range(base_seed, base_seed + n_seeds):
+        picks = li.stream(seed, li.RUN_STREAM).integers(0, problem.n, size=T)
+        x = x0.copy()
+        for i in picks:
+            x = x - gamma * problem.component_grad(i, x)
+        gaps.append(float(problem.value(x) - cert.inf_f))
+    state = li.reduce_moments(gaps)
+    std_error = math.sqrt(state.m2 / (state.count - 1)) / math.sqrt(state.count)
+    return state.mean, std_error, state.mean + 1.96 * std_error
+
+
+def _sqrt_c2_bounds(problem, cert, d_sq, T):
+    """Every bound of the C = 2, beta = 1/2 schedule at the family's own L and sigma*^2."""
+    L, s2 = problem.L, cert.sigma_star_sq
+    gamma = li.resolve_schedule(li.PolynomialStep(2.0, 0.5), L, T)
+    poly = li.polynomial_step_bound(2.0, 0.5, L, d_sq, s2, T)
+    return {
+        "T": T, "gamma": gamma, "L": L, "D_sq": d_sq, "sigma_star_sq": s2,
+        "phi": li.phi(gamma, L), "generic": li.last_iterate_bound(gamma, L, d_sq, s2, T),
+        "schedule_variant": "polynomial", "C": 2.0, "beta": 0.5, "B": poly.B,
+        "polynomial": poly.value, "sqrt_general": li.sqrt_step_bound(2.0, L, d_sq, s2, T),
+        "sqrt_c2": li.sqrt_step_bound_c2(L, d_sq, s2, T),
+    }
+
+
+def test_b1_outputs_use_single_sample_constants(tmp_path):
+    """b = 1 run and sweep outputs come from L and sigma*^2 of the family itself."""
+    run_cfg = tmp_path / "run.json"
+    run_cfg.write_text(json.dumps(DETERMINISM_RUN_DOC))
+    assert cli.main(["run", "--config", str(run_cfg), "--out", str(tmp_path / "r"),
+                     "--deterministic-output"]) == 0
+    doc = json.loads((tmp_path / "r" / "report.json").read_text())
+    _, problem, cert = li.build_problem(DETERMINISM_RUN_DOC["problem"])
+    spec = DETERMINISM_RUN_DOC["run"]
+    x0 = li.resolve_x0(spec["x0"], problem, cert)
+    T = spec["T"]
+    bounds = _sqrt_c2_bounds(problem, cert, float(np.sum((x0 - cert.x_star) ** 2)), T)
+    mean, se, ci95 = _single_sample_statistics(problem, cert, x0, T, bounds["gamma"],
+                                               spec["n_seeds"], spec["base_seed"])
+    tightest = min(bounds[k] for k in ("generic", "polynomial", "sqrt_general", "sqrt_c2"))
+    assert doc["bounds"] == bounds
+    assert doc["run"]["gamma_used"] == bounds["gamma"]
+    assert doc["run"]["effective"] == {"L": problem.L, "sigma_sq": cert.sigma_star_sq}
+    assert doc["run"]["x0"] == x0.tolist()
+    assert (doc["estimate"]["mean_gap"], doc["estimate"]["std_error"],
+            doc["estimate"]["ci95_upper"]) == (mean, se, ci95)
+    assert doc["verdict"] == {"bound_value": tightest, "ci95_upper": ci95,
+                              "slack_ratio": tightest / ci95, "satisfied": ci95 <= tightest}
+
+    sweep_cfg = tmp_path / "sweep.json"
+    sweep_cfg.write_text(json.dumps(DETERMINISM_SWEEP_DOC))
+    assert cli.main(["sweep", "--config", str(sweep_cfg), "--out", str(tmp_path / "s"),
+                     "--deterministic-output"]) == 0
+    with open(tmp_path / "s" / "sweep.csv", encoding="utf-8", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["b"] == "1"]
+    _, problem, cert = li.build_problem(DETERMINISM_SWEEP_DOC["problems"][0])
+    spec = DETERMINISM_SWEEP_DOC["sweep"]
+    x0 = np.zeros(problem.dimension)
+    assert [int(r["T"]) for r in rows] == spec["T_grid"]
+    for row in rows:
+        T = int(row["T"])
+        bounds = _sqrt_c2_bounds(problem, cert, float(np.sum(cert.x_star ** 2)), T)
+        mean, se, ci95 = _single_sample_statistics(problem, cert, x0, T, bounds["gamma"],
+                                                   spec["n_seeds"], spec["base_seed"])
+        tightest = min(bounds[k] for k in ("generic", "polynomial", "sqrt_general", "sqrt_c2"))
+        assert row == {
+            "problem_id": "p", "T": str(T), "b": "1", "C": "2.0", "beta": "0.5",
+            "gamma": repr(bounds["gamma"]), "n_seeds": str(spec["n_seeds"]),
+            "mean_gap": repr(mean), "std_error": repr(se), "ci95_upper": repr(ci95),
+            "theorem1_bound": repr(bounds["generic"]), "corollary_bound": repr(bounds["sqrt_c2"]),
+            "satisfied": "true" if ci95 <= tightest else "false", "error": "",
+        }

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import lastiter as li
 
@@ -210,37 +211,65 @@ def test_effective_constants_endpoints():
     problem, cert = li.make_least_squares(n=8, d=3, spread=1.0, seed=51)
     eff1 = li.effective_constants(problem, 1, cert)
     assert eff1.sigma_b_sq == cert.sigma_star_sq
-    assert eff1.L_b == problem.L_f  # the as-printed weighting starts at L_f
+    assert eff1.L_b == problem.L  # one sampled component: max smoothness
     effn = li.effective_constants(problem, problem.n, cert)
     assert effn.sigma_b_sq == 0.0
-    assert effn.L_b == problem.L
-    sw1 = li.effective_constants(problem, 1, cert, variant="swapped")
-    assert sw1.L_b == problem.L
-    swn = li.effective_constants(problem, problem.n, cert, variant="swapped")
-    assert swn.L_b == problem.L_f
+    assert effn.L_b == problem.L_f  # the whole family: mean smoothness
 
 
 def test_effective_constants_formula_and_errors():
+    # Gower et al. (ICML 2019, Prop. 3.8) b-nice expected smoothness
     problem, cert = li.make_least_squares(n=6, d=2, spread=1.5, seed=52)
     n = problem.n
     for b in range(1, n + 1):
         eff = li.effective_constants(problem, b, cert)
         w1 = (n - b) / (b * (n - 1))
         w2 = n * (b - 1) / (b * (n - 1))
-        assert abs(eff.L_b - (w1 * problem.L_f + w2 * problem.L)) < 1e-14
+        assert eff.L_b == problem.batch_smoothness(b)
+        assert abs(eff.L_b - (w1 * problem.L + w2 * problem.L_f)) < 1e-14
         assert abs(eff.sigma_b_sq - w1 * cert.sigma_star_sq) < 1e-14
-        sw = li.effective_constants(problem, b, cert, variant="swapped")
-        assert abs(sw.L_b - (w1 * problem.L + w2 * problem.L_f)) < 1e-14
-    with pytest.raises(ValueError):
-        li.effective_constants(problem, 0, cert)
-    with pytest.raises(ValueError):
-        li.effective_constants(problem, 7, cert)
-    with pytest.raises(ValueError):
-        li.effective_constants(problem, 2, cert, variant="other")
+        assert eff.batch_size == b
+    for b in (0, 7):
+        with pytest.raises(li.UnsupportedSamplingError):
+            li.effective_constants(problem, b, cert)
+    # n = 1 at b = 1 is plain single-sample SGD
     single = li.LeastSquaresProblem(np.ones((1, 1, 1)), np.zeros((1, 1)))
     single_cert = li.closed_form_certificate(single)
-    with pytest.raises(ValueError):
-        li.effective_constants(single, 1, single_cert)
+    eff = li.effective_constants(single, 1, single_cert)
+    assert eff.L_b == single.L == 1.0
+    assert eff.sigma_b_sq == single_cert.sigma_star_sq
+    # non-uniform weights: b = 1 is defined, subsets are not
+    weighted = li.LeastSquaresProblem(np.array([1.0, 2.0, 3.0]).reshape(3, 1, 1), np.zeros((3, 1)),
+                                      weights=np.array([0.5, 0.25, 0.25]))
+    assert weighted.batch_smoothness(1) == weighted.L == 9.0
+    with pytest.raises(li.UnsupportedSamplingError, match="uniform weights"):
+        weighted.batch_smoothness(2)
+
+
+def _exact_batch_smoothness(problem, b):
+    """lambda_max(Hbar^-1/2 E[H_B^2] Hbar^-1/2) for a uniform size-b subset B."""
+    n = problem.n
+    hess = np.einsum("nmi,nmj->nij", problem.design, problem.design)
+    total = hess.sum(axis=0)
+    diag = np.einsum("nij,njk->ik", hess, hess)  # sum_i H_i^2
+    cross = total @ total - diag  # sum_{i != j} H_i H_j
+    p1 = b / n
+    p2 = b * (b - 1) / (n * (n - 1))
+    second = (p1 * diag + p2 * cross) / (b * b)
+    mean = total / n
+    return float(scipy.linalg.eigh(second, mean, eigvals_only=True)[-1])
+
+
+@pytest.mark.parametrize("n, d, spread, seed", [
+    (2, 2, 1.0, 61), (6, 3, 0.5, 62), (12, 4, 2.0, 63), (20, 5, 0.0, 64),
+])
+def test_batch_smoothness_bounds_exact_constant(n, d, spread, seed):
+    problem, _ = li.make_least_squares(n=n, d=d, spread=spread, seed=seed)
+    for b in range(1, n + 1):
+        exact = _exact_batch_smoothness(problem, b)
+        assert problem.batch_smoothness(b) >= exact * (1.0 - 1e-12), (b, exact)
+    # tight for the full batch, where both are the mean smoothness
+    assert problem.batch_smoothness(n) == pytest.approx(exact, rel=1e-9)
 
 
 def test_bound_report_polynomial():

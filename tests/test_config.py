@@ -201,7 +201,7 @@ def test_load_run_plan_happy_path():
     assert plan.template.batch_size == 1
     assert plan.n_seeds == 4 and plan.base_seed == 0
     assert plan.d_sq == pytest.approx(float(np.sum(plan.cert.x_star**2)))
-    assert plan.l_variant == "as_printed"
+    assert plan.template.schedule == li.PolynomialStep(2.0, 0.5)
     assert len(plan.config_hash) == 64
 
 
@@ -246,6 +246,26 @@ def test_load_run_plan_rejects_unknown_top_level_keys():
 def test_load_run_plan_checks_schedule_window():
     with pytest.raises(li.ConfigError, match=r"\(0, 1\)"):
         li.load_run_plan(run_doc(schedule={"variant": "constant", "gamma": 100.0}))
+
+
+def test_load_run_plan_checks_schedule_window_at_batch_smoothness():
+    # L_b < L for b > 1, so a step past 1/L can still be valid for a batch
+    problem = li.build_problem(run_doc()["problem"])[1]
+    gamma = 2.0 / (problem.L + problem.batch_smoothness(6))
+    assert gamma * problem.L > 1.0 > gamma * problem.batch_smoothness(6)
+    constant = {"variant": "constant", "gamma": gamma}
+    plan = li.load_run_plan(run_doc(schedule=constant, batch_size=6))
+    assert plan.template.schedule == li.ConstantStep(gamma)
+    with pytest.raises(li.ConfigError, match=r"\(0, 1\)"):
+        li.load_run_plan(run_doc(schedule=constant))
+
+
+def test_run_and_sweep_sections_reject_unknown_keys():
+    # the batch smoothness is derived from the problem, never configured
+    with pytest.raises(li.ConfigError, match=r"run: unknown keys \['smoothness'\]"):
+        li.load_run_plan(run_doc(smoothness=1.0))
+    with pytest.raises(li.ConfigError, match=r"sweep: unknown keys \['smoothness'\]"):
+        li.load_sweep_plan(sweep_doc(smoothness=1.0))
 
 
 def test_load_run_plan_rejects_oversized_batch():

@@ -291,3 +291,58 @@ def test_sweep_estimates_match_direct_estimator():
     est = li.estimate_gap(problem, cert, config, n_seeds=50, base_seed=7)
     assert row.mean_gap == est.mean_gap
     assert row.ci95_upper == est.ci95_upper
+
+
+class BrokenBatchGradients(li.LeastSquaresProblem):
+    """A family whose batched gradient path has a programming bug."""
+
+    def component_grads_at(self, idx, x):
+        raise TypeError("unsupported operand in batched gradient")
+
+
+def test_sweep_propagates_non_domain_errors():
+    problem, cert = li.make_least_squares(n=3, d=2, spread=1.0, seed=4)
+    broken = BrokenBatchGradients(problem.design, problem.offsets)
+    with pytest.raises(TypeError, match="batched gradient"):
+        li.sweep(
+            [("broken", broken, cert, np.zeros(2))],
+            T_grid=[5],
+            schedule_grid=[li.PolynomialStep(2.0, 0.5)],
+            b_grid=[2],
+            n_seeds=2,
+            base_seed=0,
+        )
+
+
+def test_sweep_satisfied_checks_every_applicable_bound(monkeypatch):
+    import lastiter.montecarlo as mc
+
+    real_report = mc.build_bound_report
+
+    def polynomial_tightest(*args):
+        # the polynomial corollary sits below both reported columns
+        report = real_report(*args)
+        return dataclasses.replace(report, polynomial=0.5 * min(report.generic, report.sqrt_c2))
+
+    monkeypatch.setattr(mc, "build_bound_report", polynomial_tightest)
+    problem = two_quadratics()
+    cert = li.closed_form_certificate(problem)
+    schedule = li.PolynomialStep(2.0, 0.5)
+    report = polynomial_tightest(schedule, problem.L, 1.0, cert.sigma_star_sq, 10)
+
+    def row_at(ci95):
+        def fake_estimate(problem, cert, template, n_seeds, base_seed, workers=1):
+            return li.MonteCarloEstimate(
+                n_seeds=n_seeds, mean_gap=0.0, std_error=0.0, ci95_upper=ci95, T=template.T,
+                batch_size=template.batch_size, base_seed=base_seed, fingerprint="",
+            )
+
+        monkeypatch.setattr(mc, "estimate_gap", fake_estimate)
+        (row,) = li.sweep([("twoq", problem, cert, np.array([1.0]))], [10], [schedule], [1], 2, 0)
+        return row
+
+    between = row_at(0.75 * min(report.generic, report.sqrt_c2))
+    assert between.theorem1_bound == report.generic
+    assert between.corollary_bound == report.sqrt_c2
+    assert between.satisfied is False
+    assert row_at(report.polynomial).satisfied is True
