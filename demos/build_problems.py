@@ -40,13 +40,15 @@ def main():
     describe("logistic, separable with paired opposite labels", logi, logi_cert)
 
     # one component's oracle agrees with a finite difference
-    comp = problem.component(3)
+    three = np.array([3])
     x = np.full(problem.dimension, 0.25)
     h = 1e-6
     e0 = np.zeros(problem.dimension)
     e0[0] = h
-    fd = (comp.value(x + e0) - comp.value(x - e0)) / (2 * h)
-    print(f"component 3 grad[0] = {comp.grad(x)[0]:.8f}, finite diff = {fd:.8f}")
+    fd = (problem.component_values_at(three, x + e0)[0]
+          - problem.component_values_at(three, x - e0)[0]) / (2 * h)
+    grad = problem.component_grads_at(three, x)[0]
+    print(f"component 3 grad[0] = {grad[0]:.8f}, finite diff = {fd:.8f}")
 
     with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as fh:
         path = fh.name

@@ -68,7 +68,6 @@ from .montecarlo import (
 )
 from .problems import (
     CertificationError,
-    ComponentFunction,
     FiniteSumProblem,
     GenerationError,
     LeastSquaresProblem,

@@ -1,17 +1,18 @@
 """Monte Carlo gap estimation, bound comparison, and parameter sweeps.
 
-The estimator runs the SGD engine once per seed (seeds base_seed ..
-base_seed + n_seeds - 1), collects the final gaps in seed order, and
-reduces them to streaming moments (count, mean, M2) over a fixed binary
-tree that always splits a block of k values at k // 2.  Worker processes
-only distribute the per-seed runs; the reduction happens in the driver in
-canonical order, so the estimate is bitwise identical for every worker
-count, and the moment state over 2n seeds is exactly the merge of the
-states over the first and second n.
+The estimator runs seeds base_seed .. base_seed + n_seeds - 1 through the
+SGD engine in blocks of seeds advanced in lockstep, collects the final gaps
+in seed order, and reduces them to streaming moments (count, mean, M2) over
+a fixed binary tree that always splits a block of k values at k // 2.
+Worker processes each take one contiguous range of seeds; the reduction
+happens in the driver in canonical order, so the estimate is bitwise
+identical for every worker count and block size, and the moment state over
+2n seeds is exactly the merge of the states over the first and second n.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
 from dataclasses import dataclass, replace
@@ -29,7 +30,7 @@ from .bounds import (  # noqa: F401
 from .problems import FiniteSumProblem, SolutionCertificate, UnsupportedSamplingError, problem_to_doc
 from .reporting import doc_hash
 from .rng import check_seed
-from .sgd import DivergenceError, RunConfig, ScheduleError, _run, schedule_to_doc
+from .sgd import DivergenceError, RunConfig, ScheduleError, _block_rows, _run, schedule_to_doc
 
 __all__ = [
     "BoundVerdict",
@@ -101,26 +102,23 @@ class MonteCarloEstimate:
     per_seed_gaps: np.ndarray | None = None
 
 
-_WORKER_CTX = None
+def _final_gaps(problem, cert, template, lo: int, hi: int) -> np.ndarray:
+    """Final gaps of seeds lo .. hi - 1, simulated a block of seeds at a time."""
+    rows = _block_rows(problem, template.batch_size, template.T)
+    gaps = []
+    for start in range(lo, hi, rows):
+        _, X = _run(problem, template, range(start, min(start + rows, hi)))
+        gaps.append(problem.value(X) - cert.inf_f)
+    return np.concatenate(gaps)
 
 
-def _init_worker(problem, cert, template):
-    global _WORKER_CTX
-    _WORKER_CTX = (problem, cert, template)
-
-
-def _one_gap(problem, cert, template, seed: int) -> float:
-    # _run's seed override skips rebuilding and revalidating the config for
-    # every seed, and final_record_only skips the records this estimator
-    # never reads; the iterates are identical to replace(template, seed=seed).
-    trajectory = _run(problem, cert, template, seed=seed, final_record_only=True)
-    return trajectory.final_gap
-
-
-def _worker_chunk(bounds_pair):
-    lo, hi = bounds_pair
-    problem, cert, template = _WORKER_CTX
-    return [_one_gap(problem, cert, template, seed) for seed in range(lo, hi)]
+def _worker_gaps(task):
+    # A divergence comes back as a value, so the driver can raise the one
+    # of the lowest seed range whatever order the workers finish in.
+    try:
+        return _final_gaps(*task)
+    except DivergenceError as exc:
+        return exc
 
 
 def run_fingerprint(problem: FiniteSumProblem, template: RunConfig) -> str:
@@ -145,14 +143,19 @@ def estimate_gap(
     base_seed: int,
     workers: int = 1,
     keep_per_seed: bool = False,
+    pool=None,
 ) -> MonteCarloEstimate:
     """Estimate E[f(x_T) - inf f] over seeds base_seed .. base_seed + n_seeds - 1.
 
     The template's own seed is ignored; its record stride is forced to T
     since only the final gap feeds the estimator.  A diverging run aborts
-    the whole estimate with the offending seed in the error.
+    the whole estimate with the lowest diverging seed in the error.
 
-    Results are bitwise independent of ``workers``.
+    ``workers`` splits the seeds into one contiguous range per worker
+    process, run on ``pool`` if given, else on a pool opened for this call;
+    fewer than 2 * workers trajectories run in this process.  Full-batch
+    runs (b = n) consume no randomness, so one trajectory stands for every
+    seed.  Results are bitwise independent of ``workers``.
     """
     n_seeds = int(n_seeds)
     if n_seeds < 1:
@@ -161,17 +164,24 @@ def estimate_gap(
     check_seed(base_seed + n_seeds - 1)
     workers = max(1, int(workers))
     template = replace(template, record_stride=template.T)
-    lo, hi = base_seed, base_seed + n_seeds
-    if workers == 1 or n_seeds < 2 * workers:
-        gaps = [_one_gap(problem, cert, template, seed) for seed in range(lo, hi)]
+    full_batch = template.batch_size == problem.n
+    runs = 1 if full_batch else n_seeds
+    if workers == 1 or runs < 2 * workers:
+        values = _final_gaps(problem, cert, template, base_seed, base_seed + runs)
     else:
-        chunk = max(1, math.ceil(n_seeds / (workers * 8)))
-        spans = [(s, min(s + chunk, hi)) for s in range(lo, hi, chunk)]
-        with multiprocessing.Pool(
-            workers, initializer=_init_worker, initargs=(problem, cert, template)
-        ) as pool:
-            gaps = [g for part in pool.map(_worker_chunk, spans) for g in part]
-    values = np.asarray(gaps, dtype=float)
+        tasks = [(problem, cert, template, base_seed + runs * w // workers,
+                  base_seed + runs * (w + 1) // workers) for w in range(workers)]
+        if pool is None:
+            with multiprocessing.Pool(workers) as own:
+                parts = own.map(_worker_gaps, tasks)
+        else:
+            parts = pool.map(_worker_gaps, tasks)
+        for part in parts:
+            if isinstance(part, DivergenceError):
+                raise part
+        values = np.concatenate(parts)
+    if full_batch:
+        values = np.full(n_seeds, values[0])
     state = reduce_moments(values)
     if state.count > 1:
         std_error = math.sqrt(state.m2 / (state.count - 1)) / math.sqrt(state.count)
@@ -256,13 +266,13 @@ SWEEP_COLUMNS = (
 _CELL_ERRORS = (ScheduleError, UnsupportedSamplingError, DivergenceError, HypothesisError)
 
 
-def _sweep_cell(problem_id, problem, cert, x0, T, schedule, b, n_seeds, base_seed, workers):
+def _sweep_cell(problem_id, problem, cert, x0, T, schedule, b, n_seeds, base_seed, workers, pool):
     x0 = problem.check_point(x0)
     eff = effective_constants(problem, b, cert)
     d_sq = float(np.sum((x0 - cert.x_star) ** 2))
     report = build_bound_report(schedule, eff.L_b, d_sq, eff.sigma_b_sq, T)
     template = RunConfig(T=T, seed=0, schedule=schedule, x0=x0, batch_size=b)
-    estimate = estimate_gap(problem, cert, template, n_seeds, base_seed, workers=workers)
+    estimate = estimate_gap(problem, cert, template, n_seeds, base_seed, workers=workers, pool=pool)
     corollaries = (report.sqrt_c2, report.sqrt_general, report.polynomial)  # most specialised first
     return SweepRow(
         problem_id=problem_id,
@@ -297,7 +307,7 @@ def sweep(
         T_grid, schedule_grid, b_grid: swept in deterministic nested order
             (problem outermost, then T, schedule, batch size).
         n_seeds, base_seed: every cell uses seeds base_seed .. +n_seeds-1.
-        workers: worker processes per cell.
+        workers: worker processes; one pool serves every cell.
 
     Each cell runs at step size and bound constants for its batch size b
     (``effective_constants``).  A cell that fails with a domain error
@@ -305,32 +315,35 @@ def sweep(
     does not abort the sweep; its row carries the error message and empty
     numeric fields.  Any other exception propagates.
     """
+    workers = max(1, int(workers))
+    shared = workers > 1 and int(n_seeds) >= 2 * workers
     rows = []
-    for problem_id, problem, cert, x0 in problem_entries:
-        for T in T_grid:
-            for schedule in schedule_grid:
-                for b in b_grid:
-                    try:
-                        row = _sweep_cell(
-                            problem_id, problem, cert, x0, int(T), schedule, int(b),
-                            int(n_seeds), base_seed, workers,
-                        )
-                    except _CELL_ERRORS as exc:
-                        row = SweepRow(
-                            problem_id=problem_id,
-                            T=int(T),
-                            b=int(b),
-                            C=getattr(schedule, "C", None),
-                            beta=getattr(schedule, "beta", None),
-                            gamma=None,
-                            n_seeds=int(n_seeds),
-                            mean_gap=None,
-                            std_error=None,
-                            ci95_upper=None,
-                            theorem1_bound=None,
-                            corollary_bound=None,
-                            satisfied=None,
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                    rows.append(row)
+    with multiprocessing.Pool(workers) if shared else contextlib.nullcontext() as pool:
+        for problem_id, problem, cert, x0 in problem_entries:
+            for T in T_grid:
+                for schedule in schedule_grid:
+                    for b in b_grid:
+                        try:
+                            row = _sweep_cell(
+                                problem_id, problem, cert, x0, int(T), schedule, int(b),
+                                int(n_seeds), base_seed, workers, pool,
+                            )
+                        except _CELL_ERRORS as exc:
+                            row = SweepRow(
+                                problem_id=problem_id,
+                                T=int(T),
+                                b=int(b),
+                                C=getattr(schedule, "C", None),
+                                beta=getattr(schedule, "beta", None),
+                                gamma=None,
+                                n_seeds=int(n_seeds),
+                                mean_gap=None,
+                                std_error=None,
+                                ci95_upper=None,
+                                theorem1_bound=None,
+                                corollary_bound=None,
+                                satisfied=None,
+                                error=f"{type(exc).__name__}: {exc}",
+                            )
+                        rows.append(row)
     return rows

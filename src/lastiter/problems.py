@@ -4,11 +4,11 @@ A problem is a family {f_1, ..., f_n} of convex, individually smooth
 functions together with positive sampling weights summing to one.  The
 objective is the weighted mean f(x) = sum_i w_i f_i(x).  Everything the rest
 of the package consumes is produced here: exact component values and
-gradients (scalar and batched), per-component smoothness constants, the
-smoothness constant of the mean, and a solution certificate carrying the
-minimizer x*, the optimal value, the gradient second moment at the solution
-sum_i w_i ||grad f_i(x*)||^2, and the gradient-norm residual actually
-achieved.
+gradients at one point or a stack of points, per-component smoothness
+constants, the smoothness constant of the mean, and a solution certificate
+carrying the minimizer x*, the optimal value, the gradient second moment at
+the solution sum_i w_i ||grad f_i(x*)||^2, and the gradient-norm residual
+actually achieved.
 
 Two families are implemented:
 
@@ -32,7 +32,6 @@ from .rng import PROBLEM_STREAM, stream
 
 __all__ = [
     "CertificationError",
-    "ComponentFunction",
     "FiniteSumProblem",
     "GenerationError",
     "LeastSquaresProblem",
@@ -106,35 +105,19 @@ class SolutionCertificate:
             raise ValueError("sigma_star_sq must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ComponentFunction:
-    """Callable view of a single summand f_i."""
-
-    problem: "FiniteSumProblem"
-    index: int
-
-    @property
-    def dimension(self) -> int:
-        return self.problem.dimension
-
-    @property
-    def smoothness(self) -> float:
-        return float(self.problem.smoothness_components[self.index])
-
-    def value(self, x) -> float:
-        return self.problem.component_value(self.index, x)
-
-    def grad(self, x) -> np.ndarray:
-        return self.problem.component_grad(self.index, x)
-
-
 class FiniteSumProblem:
     """Weighted family of convex smooth components with an exact mean.
 
-    Subclasses provide batched component values/gradients; this base class
-    owns the weights, the smoothness constants, and the weighted mean.
-    Instances are immutable by convention and safe to share across worker
-    processes.
+    Subclasses provide the component values and gradients at a point or at
+    a stack of points; this base class owns the weights, the smoothness
+    constants, and the weighted mean.  Instances are immutable by convention
+    and safe to share across worker processes.
+
+    The component hooks take ``idx`` = None (every component), an index
+    vector (k,), or one index row per point (S, k), and ``x`` of shape (d,)
+    or (S, d); they return values of shape (..., k) and gradients of shape
+    (..., k, d).  Each row is computed by the same per-row BLAS calls
+    whatever S is, so a row's result never depends on the rows beside it.
     """
 
     kind = "abstract"
@@ -169,11 +152,9 @@ class FiniteSumProblem:
     def component_grads_at(self, idx, x) -> np.ndarray:
         raise NotImplementedError
 
-    def component_value(self, i: int, x) -> float:
-        raise NotImplementedError
-
-    def component_grad(self, i: int, x) -> np.ndarray:
-        raise NotImplementedError
+    def component_entries(self) -> int:
+        """Float64 entries the kernels hold per point and component; sizes seed blocks."""
+        return self.dimension * self.dimension
 
     def to_doc(self) -> dict:
         raise NotImplementedError
@@ -208,19 +189,34 @@ class FiniteSumProblem:
             )
         return (n - b) / (b * (n - 1)) * self.L + n * (b - 1) / (b * (n - 1)) * self.L_f
 
-    def value(self, x) -> float:
-        """Weighted mean objective f(x)."""
-        vals = self.component_values_at(None, np.asarray(x, dtype=float))
+    def value(self, x):
+        """Weighted mean objective f(x); one value per row when x is (S, d)."""
+        x = np.asarray(x, dtype=float)
+        vals = self.component_values_at(None, x)
         if self.uniform_weights:
-            return float(vals.sum() / self.n)
-        return float(self.weights @ vals)
+            out = vals.sum(axis=-1) / self.n
+        else:
+            out = np.matmul(vals[..., None, :], self.weights[:, None])[..., 0, 0]
+        return float(out) if x.ndim == 1 else out
+
+    def batch_grad(self, idx, x) -> np.ndarray:
+        """Average of the component gradients over idx (every component when None).
+
+        Gradients are summed in ascending position along the batch axis and
+        divided once; with idx = None this is the gradient of a uniformly
+        weighted mean, so the full-batch SGD step and :meth:`grad` are the
+        same computation.  A batch of one is its gradient, exactly.
+        """
+        grads = self.component_grads_at(idx, x)
+        k = grads.shape[-2]
+        return grads[..., 0, :] if k == 1 else grads.sum(axis=-2) / k
 
     def grad(self, x) -> np.ndarray:
         """Gradient of the weighted mean."""
-        grads = self.component_grads_at(None, np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
         if self.uniform_weights:
-            return grads.sum(axis=0) / self.n
-        return self.weights @ grads
+            return self.batch_grad(None, x)
+        return self.weights @ self.component_grads_at(None, x)
 
     def second_moment(self, x) -> float:
         """Gradient second moment sum_i w_i ||grad f_i(x)||^2."""
@@ -229,15 +225,6 @@ class FiniteSumProblem:
         if self.uniform_weights:
             return float(sq.sum() / self.n)
         return float(self.weights @ sq)
-
-    def component(self, i: int) -> ComponentFunction:
-        if not 0 <= i < self.n:
-            raise IndexError(f"component index {i} out of range for n={self.n}")
-        return ComponentFunction(self, i)
-
-    @property
-    def components(self) -> tuple:
-        return tuple(ComponentFunction(self, i) for i in range(self.n))
 
     def check_point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -284,20 +271,17 @@ class LeastSquaresProblem(FiniteSumProblem):
     def component_values_at(self, idx, x):
         A = self.design if idx is None else self.design[idx]
         b = self.offsets if idx is None else self.offsets[idx]
-        r = np.matmul(A, x) - b
-        return 0.5 * np.einsum("nm,nm->n", r, r)
+        r = np.matmul(A, x[..., None, :, None])[..., 0] - b
+        return 0.5 * np.einsum("...nm,...nm->...n", r, r)
 
     def component_grads_at(self, idx, x):
         H = self._hess if idx is None else self._hess[idx]
         c = self._atb if idx is None else self._atb[idx]
-        return np.matmul(H, x) - c
+        return np.matmul(H, x[..., None, :, None])[..., 0] - c
 
-    def component_value(self, i, x):
-        r = self.design[i] @ x - self.offsets[i]
-        return float(0.5 * (r @ r))
-
-    def component_grad(self, i, x):
-        return self._hess[i] @ x - self._atb[i]
+    def component_entries(self):
+        # a gathered Hessian for the gradient, a residual for the value
+        return max(self.dimension * self.dimension, self.offsets.shape[1])
 
     def to_doc(self):
         return {
@@ -338,28 +322,22 @@ class LogisticProblem(FiniteSumProblem):
         l_mean = float(0.25 * np.linalg.eigvalsh(gram)[-1])
         super().__init__(w, l_components, l_mean, d)
 
-    def component_values_at(self, idx, x):
+    def _margins(self, idx, x):
         F = self.features if idx is None else self.features[idx]
         y = self.labels if idx is None else self.labels[idx]
-        margins = y * (F @ x)
+        return F, y, y * np.matmul(F, x[..., :, None])[..., 0]
+
+    def component_values_at(self, idx, x):
+        _, _, margins = self._margins(idx, x)
         return np.logaddexp(0.0, -margins)
 
     def component_grads_at(self, idx, x):
-        F = self.features if idx is None else self.features[idx]
-        y = self.labels if idx is None else self.labels[idx]
-        margins = y * (F @ x)
+        F, y, margins = self._margins(idx, x)
         s = expit(-margins)
-        return (-(y * s))[:, None] * F
+        return (-(y * s))[..., None] * F
 
-    def component_value(self, i, x):
-        margin = self.labels[i] * float(self.features[i] @ x)
-        return float(np.logaddexp(0.0, -margin))
-
-    def component_grad(self, i, x):
-        yi = self.labels[i]
-        margin = yi * float(self.features[i] @ x)
-        s = float(expit(-margin))
-        return (-yi * s) * self.features[i]
+    def component_entries(self):
+        return self.dimension
 
     def to_doc(self):
         return {

@@ -8,10 +8,14 @@ so a trajectory is a pure function of (problem, config).  The step size
 is the schedule resolved against ``problem.batch_smoothness(b)``, the
 smoothness constant the bounds for batch size b use.
 
-Batch gradients are accumulated over ascending component indices and
-divided once, and a batch covering every component takes the same code path
-as a full-batch gradient, so batch size n reproduces deterministic gradient
-descent bit for bit.
+One engine runs every sampling mode: it advances a block of seeds in
+lockstep as an (S, d) iterate matrix, each row drawing from its own seed's
+stream.  Each row's step is computed by the same per-row calls whatever S
+is, so a block of S seeds reproduces S single-seed runs bit for bit.
+Batch gradients are summed over ascending component indices and divided
+once (``FiniteSumProblem.batch_grad``); a batch covering every component
+is the full-batch gradient itself, so batch size n reproduces
+deterministic gradient descent bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +49,14 @@ __all__ = [
 ]
 
 _DIVERGENCE_LIMIT = 1e100
-_DRAW_CHUNK = 8192
+# Indices are drawn this many steps at a time.  A mini-batch chunk is drawn
+# one Fisher-Yates column after another, so this pattern fixes which run a
+# seed maps to; single-sample draws do not depend on it.
+_DRAW_STEPS = 1024
+# Float64 entries that the intermediates of one seed block may hold, and the
+# most rows a block needs to spread the per-step overhead thin.
+_BLOCK_ENTRIES = 2**19
+_BLOCK_ROWS = 1024
 
 
 class ScheduleError(ValueError):
@@ -62,6 +73,9 @@ class DivergenceError(RuntimeError):
         )
         self.step = step
         self.seed = seed
+
+    def __reduce__(self):
+        return type(self), (self.step, self.seed)
 
 
 @dataclass(frozen=True)
@@ -205,113 +219,127 @@ class Trajectory:
         return self.records[-1].gap
 
 
-def _record(t: int, x: np.ndarray, problem, cert, keep_x: bool) -> StepRecord:
-    return StepRecord(
-        t=t,
-        gap=float(problem.value(x) - cert.inf_f),
-        x_norm=math.sqrt(x @ x),
-        x=x.copy() if keep_x else None,
-    )
-
-
-def _check_finite(x: np.ndarray, step: int, seed: int):
-    # NaN propagates through the max and fails the comparison, so this also
-    # catches non-finite iterates.
-    if not np.abs(x).max() <= _DIVERGENCE_LIMIT:
-        raise DivergenceError(step, seed)
-
-
-def _run(
-    problem: FiniteSumProblem,
-    cert: SolutionCertificate,
-    config: RunConfig,
-    seed: int | None = None,
-    final_record_only: bool = False,
-) -> Trajectory:
-    # seed overrides config.seed so seed-loop callers (the Monte Carlo
-    # estimator) can reuse one validated config instead of rebuilding it
-    # per seed; the run is identical to replace(config, seed=seed).
-    # final_record_only drops every record except t = T for callers that
-    # consume only the final gap; the iterates themselves are unaffected.
+def _sampler(problem: FiniteSumProblem, b: int):
+    """draw(rng, steps) -> (steps, b) component indices, or None at b = n."""
     n = problem.n
+    if b == n:
+        return None  # the subset is the whole family; no randomness consumed
+    if b == 1 and problem.uniform_weights:
+        return lambda rng, steps: rng.integers(0, n, size=steps)[:, None]
+    if b == 1:
+        cum_weights = problem.cum_weights
+
+        def draw(rng, steps):
+            picks = np.searchsorted(cum_weights, rng.random(size=steps), side="right")
+            return np.minimum(picks, n - 1)[:, None]
+
+        return draw
+
+    def draw(rng, steps):
+        draws = np.stack([rng.integers(0, n - k, size=steps) for k in range(b)], axis=1)
+        span = max(1, _BLOCK_ENTRIES // n)  # permutations held at once
+        return np.concatenate([_subsets(n, draws[lo : lo + span]) for lo in range(0, steps, span)])
+
+    return draw
+
+
+def _subsets(n: int, draws: np.ndarray) -> np.ndarray:
+    """Sorted size-b subsets of range(n), one per row of the (steps, b) draws.
+
+    Partial Fisher-Yates: the first b entries of a uniformly random
+    permutation form a uniform size-b subset.
+    """
+    steps, b = draws.shape
+    rows = np.arange(steps)
+    pool = np.tile(np.arange(n), (steps, 1))
+    for k in range(b):
+        j = k + draws[:, k]
+        picked = pool[rows, j]
+        pool[rows, j] = pool[:, k]
+        pool[:, k] = picked
+    return np.sort(pool[:, :b], axis=1)
+
+
+def _block_rows(problem: FiniteSumProblem, b: int, T: int) -> int:
+    """Seeds per block, so that one block's intermediates fit _BLOCK_ENTRIES.
+
+    A row holds the b gathered components of a step and their indices for
+    one draw chunk, and the n component values of its final gap.
+    """
+    per_row = (b + problem.n) * problem.component_entries() + b * min(T, _DRAW_STEPS)
+    return max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // per_row))
+
+
+def _run(problem: FiniteSumProblem, config: RunConfig, seeds, record=None):
+    """Run one trajectory per seed in lockstep; returns (gamma, final iterates (S, d)).
+
+    ``config.seed`` is ignored in favour of ``seeds``.  ``record(t, X)``, if
+    given, sees the iterates at t = 0, at every record stride and at T.  A
+    block that diverges raises DivergenceError for its lowest diverging
+    seed at that seed's first bad step, as seed-by-seed runs would.
+    """
     b = config.batch_size
     L_b = problem.batch_smoothness(b)  # raises for an undefined sampling mode
-    seed = config.seed if seed is None else check_seed(seed)
-    x = problem.check_point(config.x0).copy()
+    x0 = problem.check_point(config.x0)
     T = config.T
     gamma = resolve_schedule(config.schedule, L_b, T)
     stride = config.record_stride if config.record_stride > 0 else max(1, T // 100)
-    if final_record_only:
-        stride = T
-    keep_x = config.record_iterates
-    records = [] if final_record_only else [_record(0, x, problem, cert, keep_x)]
-    rng = stream(seed, RUN_STREAM)
+    seeds = list(seeds)
+    X = np.tile(x0, (len(seeds), 1))
+    if record is not None:
+        record(0, X)
+    draw = _sampler(problem, b)
+    rngs = [] if draw is None else [stream(seed, RUN_STREAM) for seed in seeds]
+    idx = diverged = None
+    t = 0
+    while t < T:
+        steps = min(_DRAW_STEPS, T - t)
+        if draw is not None:
+            chunk = np.empty((steps, len(rngs), b), dtype=np.intp)
+            for row, rng in enumerate(rngs):
+                chunk[:, row] = draw(rng, steps)
+        for u in range(steps):
+            if draw is not None:
+                idx = chunk[u, : len(X)]
+            X = X - gamma * problem.batch_grad(idx, X)
+            t += 1
+            # NaN fails the comparison too, so this also catches non-finite rows.
+            if not np.abs(X).max() <= _DIVERGENCE_LIMIT:
+                # Keep only the rows below the first bad one: a lower seed
+                # that goes bad later is the one seed-by-seed runs report.
+                first = int(np.argmin(np.abs(X).max(axis=1) <= _DIVERGENCE_LIMIT))
+                diverged = DivergenceError(t, seeds[first])
+                if first == 0:
+                    raise diverged
+                X, rngs = X[:first], rngs[:first]
+            if record is not None and t != T and t % stride == 0:
+                record(t, X)
+    if diverged is not None:
+        raise diverged
+    if record is not None:
+        record(T, X)
+    return gamma, X
 
-    if b == 1:
-        uniform = problem.uniform_weights
-        cum_weights = problem.cum_weights
-        buf = None
-        pos = buffered = 0
-        for t in range(T):
-            if pos == buffered:
-                buffered = min(_DRAW_CHUNK, T - t)
-                if uniform:
-                    buf = rng.integers(0, n, size=buffered)
-                else:
-                    buf = np.searchsorted(cum_weights, rng.random(size=buffered), side="right")
-                    np.minimum(buf, n - 1, out=buf)
-                pos = 0
-            i = buf[pos]
-            pos += 1
-            x = x - gamma * problem.component_grad(i, x)
-            step = t + 1
-            _check_finite(x, step, seed)
-            if step != T and step % stride == 0:
-                records.append(_record(step, x, problem, cert, keep_x))
-    elif b == n:
-        # The subset is the whole family; no randomness to consume, and the
-        # all-components gradient path keeps this bitwise equal to full GD.
-        for t in range(T):
-            grads = problem.component_grads_at(None, x)
-            x = x - gamma * (grads.sum(axis=0) / b)
-            step = t + 1
-            _check_finite(x, step, seed)
-            if step != T and step % stride == 0:
-                records.append(_record(step, x, problem, cert, keep_x))
-    else:
-        base = np.arange(n)
-        draw_buf = None
-        pos = buffered = 0
-        for t in range(T):
-            if pos == buffered:
-                buffered = min(1024, T - t)
-                draw_buf = np.empty((buffered, b), dtype=np.int64)
-                for k in range(b):
-                    draw_buf[:, k] = rng.integers(0, n - k, size=buffered)
-                pos = 0
-            draws = draw_buf[pos]
-            pos += 1
-            # Partial Fisher-Yates: the first b entries of a uniformly random
-            # permutation form a uniform size-b subset.
-            pool = base.copy()
-            for k in range(b):
-                j = k + draws[k]
-                pool[k], pool[j] = pool[j], pool[k]
-            batch = np.sort(pool[:b])
-            grads = problem.component_grads_at(batch, x)
-            x = x - gamma * (grads.sum(axis=0) / b)
-            step = t + 1
-            _check_finite(x, step, seed)
-            if step != T and step % stride == 0:
-                records.append(_record(step, x, problem, cert, keep_x))
 
-    records.append(_record(T, x, problem, cert, keep_x))
+def _trajectory(problem: FiniteSumProblem, cert: SolutionCertificate, config: RunConfig) -> Trajectory:
+    records = []
+
+    def record(t, X):
+        x = X[0]
+        records.append(StepRecord(
+            t=t,
+            gap=float(problem.value(x) - cert.inf_f),
+            x_norm=math.sqrt(x @ x),
+            x=x.copy() if config.record_iterates else None,
+        ))
+
+    gamma, X = _run(problem, config, (config.seed,), record)
     return Trajectory(
         records=tuple(records),
-        final_iterate=x.copy(),
-        seed=seed,
+        final_iterate=X[0].copy(),
+        seed=config.seed,
         gamma_used=gamma,
-        batch_size=b,
+        batch_size=config.batch_size,
     )
 
 
@@ -319,12 +347,12 @@ def sgd_run(problem: FiniteSumProblem, cert: SolutionCertificate, config: RunCon
     """Single-sample SGD for exactly T updates."""
     if config.batch_size != 1:
         raise UnsupportedSamplingError("sgd_run is the batch_size = 1 engine")
-    return _run(problem, cert, config)
+    return _trajectory(problem, cert, config)
 
 
 def minibatch_run(problem: FiniteSumProblem, cert: SolutionCertificate, config: RunConfig) -> Trajectory:
     """Mini-batch SGD over uniform size-b subsets drawn without replacement."""
-    return _run(problem, cert, config)
+    return _trajectory(problem, cert, config)
 
 
 def write_trajectory_csv(trajectory: Trajectory, path, include_x_norm: bool = False):

@@ -345,7 +345,7 @@ def _single_sample_statistics(problem, cert, x0, T, gamma, n_seeds, base_seed):
         picks = li.stream(seed, li.RUN_STREAM).integers(0, problem.n, size=T)
         x = x0.copy()
         for i in picks:
-            x = x - gamma * problem.component_grad(i, x)
+            x = x - gamma * problem.component_grads_at(np.array([i]), x)[0]
         gaps.append(float(problem.value(x) - cert.inf_f))
     state = li.reduce_moments(gaps)
     std_error = math.sqrt(state.m2 / (state.count - 1)) / math.sqrt(state.count)

@@ -8,6 +8,7 @@ import pytest
 
 import lastiter as li
 from lastiter.montecarlo import MomentState
+from lastiter.problems import FiniteSumProblem
 
 
 def two_quadratics():
@@ -111,6 +112,72 @@ def test_estimate_is_bitwise_worker_independent():
     assert serial.mean_gap == parallel.mean_gap
     assert serial.std_error == parallel.std_error
     assert serial.ci95_upper == parallel.ci95_upper
+
+
+class RowCountingLeastSquares(li.LeastSquaresProblem):
+    """Least squares that records how many points each gradient call takes."""
+
+    def component_grads_at(self, idx, x):
+        self.rows_seen.append(x.shape[0] if x.ndim == 2 else 0)
+        return super().component_grads_at(idx, x)
+
+
+def test_full_batch_estimate_simulates_one_trajectory():
+    base, cert = li.make_least_squares(n=4, d=2, spread=1.0, seed=24)
+    problem = RowCountingLeastSquares(base.design, base.offsets)
+    problem.rows_seen = []
+    config = li.RunConfig(T=9, seed=0, schedule=li.PolynomialStep(2.0, 0.5), x0=np.ones(2),
+                          batch_size=problem.n)
+    est = li.estimate_gap(problem, cert, config, n_seeds=5, base_seed=30, keep_per_seed=True)
+    assert problem.rows_seen == [1] * config.T
+    assert est.std_error == 0.0
+    for offset, gap in enumerate(est.per_seed_gaps):
+        run = li.minibatch_run(base, cert, dataclasses.replace(config, seed=30 + offset))
+        assert gap == run.final_gap
+    assert est.mean_gap == est.per_seed_gaps[0]
+
+
+class SignFlipPair(FiniteSumProblem):
+    """x -> -1e10 x or x -> 1e-10 x per step, under a claimed smoothness of 1.
+
+    Runs diverge once ten more expanding than shrinking components have been
+    drawn, so seeds diverge at different steps or not at all.
+    """
+
+    CURVATURE = np.array([2.0 * (1.0 + 1e10), 2.0 * (1.0 - 1e-10)])
+
+    def __init__(self):
+        super().__init__(np.full(2, 0.5), np.ones(2), 1.0, 1)
+
+    def component_values_at(self, idx, x):
+        c = self.CURVATURE if idx is None else self.CURVATURE[idx]
+        return 0.5 * c * x[..., :1] ** 2
+
+    def component_grads_at(self, idx, x):
+        c = self.CURVATURE if idx is None else self.CURVATURE[idx]
+        return c[..., None] * x[..., None, :]
+
+
+def test_divergence_reports_lowest_seed_for_any_worker_count():
+    problem = SignFlipPair()
+    cert = li.SolutionCertificate(
+        x_star=np.zeros(1), inf_f=0.0, sigma_star_sq=0.0,
+        grad_norm_residual=0.0, provenance="closed_form", tol=1e-8,
+    )
+    config = li.RunConfig(T=40, seed=0, schedule=li.ConstantStep(0.5), x0=np.array([2.0]))
+    first_bad = {}
+    for seed in range(60):
+        try:
+            li.sgd_run(problem, cert, dataclasses.replace(config, seed=seed))
+        except li.DivergenceError as exc:
+            first_bad[seed] = exc.step
+    lowest = min(first_bad)
+    # the stub exercises the hard case: a higher seed goes bad earlier
+    assert lowest > 0 and min(first_bad.values()) < first_bad[lowest]
+    for workers in (1, 2):
+        with pytest.raises(li.DivergenceError) as info:
+            li.estimate_gap(problem, cert, config, n_seeds=60, base_seed=0, workers=workers)
+        assert (info.value.seed, info.value.step) == (lowest, first_bad[lowest])
 
 
 def test_estimate_rejects_bad_seed_counts():
@@ -331,7 +398,7 @@ def test_sweep_satisfied_checks_every_applicable_bound(monkeypatch):
     report = polynomial_tightest(schedule, problem.L, 1.0, cert.sigma_star_sq, 10)
 
     def row_at(ci95):
-        def fake_estimate(problem, cert, template, n_seeds, base_seed, workers=1):
+        def fake_estimate(problem, cert, template, n_seeds, base_seed, workers=1, pool=None):
             return li.MonteCarloEstimate(
                 n_seeds=n_seeds, mean_gap=0.0, std_error=0.0, ci95_upper=ci95, T=template.T,
                 batch_size=template.batch_size, base_seed=base_seed, fingerprint="",
@@ -346,3 +413,23 @@ def test_sweep_satisfied_checks_every_applicable_bound(monkeypatch):
     assert between.corollary_bound == report.sqrt_c2
     assert between.satisfied is False
     assert row_at(report.polynomial).satisfied is True
+
+
+def test_sweep_opens_one_pool_for_all_cells(monkeypatch):
+    import lastiter.montecarlo as mc
+
+    opened = []
+    real_pool = mc.multiprocessing.Pool
+
+    def counting_pool(*args, **kwargs):
+        opened.append(args)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(mc.multiprocessing, "Pool", counting_pool)
+    problem = two_quadratics()
+    cert = li.closed_form_certificate(problem)
+    entries = [("twoq", problem, cert, np.array([1.0]))]
+    schedule = [li.PolynomialStep(2.0, 0.5)]
+    pooled = li.sweep(entries, [4, 8], schedule, [1, 2], n_seeds=6, base_seed=0, workers=2)
+    assert opened == [(2,)]
+    assert pooled == li.sweep(entries, [4, 8], schedule, [1, 2], n_seeds=6, base_seed=0)

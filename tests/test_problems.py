@@ -71,11 +71,13 @@ def test_gradients_match_finite_differences(maker, kwargs):
     for _ in range(3):
         x = rng.standard_normal(problem.dimension) * 0.5
         for i in (0, problem.n - 1):
-            g = problem.component_grad(i, x)
+            one = np.array([i])
+            g = problem.component_grads_at(one, x)[0]
             for j in range(problem.dimension):
                 e = np.zeros(problem.dimension)
                 e[j] = h
-                fd = (problem.component_value(i, x + e) - problem.component_value(i, x - e)) / (2 * h)
+                fd = (problem.component_values_at(one, x + e)[0]
+                      - problem.component_values_at(one, x - e)[0]) / (2 * h)
                 assert abs(g[j] - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
@@ -91,18 +93,20 @@ def test_components_convex_and_smooth(maker, kwargs):
         y = rng.standard_normal(problem.dimension)
         theta = rng.uniform()
         for i in range(problem.n):
-            comp = problem.component(i)
-            mid = comp.value(theta * x + (1 - theta) * y)
-            chord = theta * comp.value(x) + (1 - theta) * comp.value(y)
+            one = np.array([i])
+            mid = problem.component_values_at(one, theta * x + (1 - theta) * y)[0]
+            chord = (theta * problem.component_values_at(one, x)[0]
+                     + (1 - theta) * problem.component_values_at(one, y)[0])
             assert mid <= chord + 1e-10 * max(1.0, abs(chord))
-            lhs = np.linalg.norm(comp.grad(x) - comp.grad(y))
-            rhs = comp.smoothness * np.linalg.norm(x - y)
+            lhs = np.linalg.norm(problem.component_grads_at(one, x)[0]
+                                 - problem.component_grads_at(one, y)[0])
+            rhs = problem.smoothness_components[i] * np.linalg.norm(x - y)
             assert lhs <= rhs * (1 + 1e-9) + 1e-12
 
 
 def test_max_smoothness_is_max_over_components():
     problem, _ = li.make_least_squares(n=9, d=3, spread=0.7, seed=31)
-    per = [problem.component(i).smoothness for i in range(problem.n)]
+    per = [float(problem.smoothness_components[i]) for i in range(problem.n)]
     assert problem.L == max(per)
     assert problem.L > 0
     assert problem.L_f <= problem.L + 1e-12
@@ -208,7 +212,7 @@ def test_logistic_component_smoothness_formula():
     problem, _ = li.make_logistic(n=6, d=3, seed=66)
     for i in range(problem.n):
         row = problem.features[i]
-        assert abs(problem.component(i).smoothness - 0.25 * row @ row) < 1e-14
+        assert abs(problem.smoothness_components[i] - 0.25 * row @ row) < 1e-14
 
 
 def test_json_round_trip_is_bitwise():
@@ -234,7 +238,8 @@ def test_save_load_round_trip(tmp_path):
     li.save_problem(path, problem, cert)
     back, back_cert = li.load_problem(path)
     x = np.array([0.3, -1.1])
-    assert np.array_equal(problem.component_grad(2, x), back.component_grad(2, x))
+    two = np.array([2])
+    assert np.array_equal(problem.component_grads_at(two, x), back.component_grads_at(two, x))
     assert back_cert.provenance == cert.provenance
 
 
@@ -249,15 +254,25 @@ def test_check_point_validates():
 
 
 def test_component_view_matches_problem():
-    problem, _ = li.make_least_squares(n=5, d=2, spread=1.0, seed=92)
-    comp = problem.component(3)
+    """One component picked by index, alone or in a stack of points, is the full-family row."""
     x = np.array([1.0, -2.0])
-    assert comp.value(x) == problem.component_value(3, x)
-    assert np.array_equal(comp.grad(x), problem.component_grad(3, x))
-    assert comp.dimension == 2
-    assert len(problem.components) == 5
-    with pytest.raises(IndexError):
-        problem.component(5)
+    X = np.stack([x, -x, 0.5 * x])
+    three = np.array([3])
+    rows = np.array([[3], [0], [4]])
+    for problem, _ in (li.make_least_squares(n=5, d=2, spread=1.0, seed=92),
+                       li.make_logistic(n=5, d=2, seed=93)):
+        assert problem.component_values_at(three, x)[0] == problem.component_values_at(None, x)[3]
+        assert np.array_equal(problem.component_grads_at(three, x)[0],
+                              problem.component_grads_at(None, x)[3])
+        values = problem.component_values_at(rows, X)
+        grads = problem.component_grads_at(rows, X)
+        assert values.shape == (3, 1) and grads.shape == (3, 1, 2)
+        for s, (i,) in enumerate(rows):
+            assert values[s, 0] == problem.component_values_at(None, X[s])[i]
+            assert np.array_equal(grads[s, 0], problem.component_grads_at(None, X[s])[i])
+        assert np.array_equal(problem.value(X), [problem.value(row) for row in X])
+        with pytest.raises(IndexError):
+            problem.component_grads_at(np.array([5]), x)
 
 
 def test_generation_is_seed_deterministic():

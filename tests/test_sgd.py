@@ -1,11 +1,14 @@
 """SGD engine: exactness oracles, sampling laws, determinism, failure modes."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 import lastiter as li
+from lastiter import sgd
 
 
 def single_quadratic():
@@ -190,16 +193,10 @@ class UnderstatedQuadratic(li.FiniteSumProblem):
         super().__init__(np.ones(1), np.array([0.1]), 0.1, 1)
 
     def component_values_at(self, idx, x):
-        return np.array([5.0 * x[0] ** 2])
+        return 5.0 * x[..., :1] ** 2
 
     def component_grads_at(self, idx, x):
-        return np.array([[10.0 * x[0]]])
-
-    def component_value(self, i, x):
-        return 5.0 * x[0] ** 2
-
-    def component_grad(self, i, x):
-        return np.array([10.0 * x[0]])
+        return 10.0 * x[..., None, :]
 
 
 def test_divergence_reports_step_and_seed():
@@ -214,6 +211,10 @@ def test_divergence_reports_step_and_seed():
     assert info.value.seed == 42
     assert info.value.step >= 1
     assert "42" in str(info.value)
+    # pool workers hand errors back pickled
+    back = pickle.loads(pickle.dumps(info.value))
+    assert type(back) is li.DivergenceError
+    assert (back.step, back.seed, str(back)) == (info.value.step, 42, str(info.value))
 
 
 def test_schedule_validation():
@@ -299,3 +300,64 @@ def test_polynomial_schedule_resolved_against_problem_smoothness():
     cfg = li.RunConfig(T=T, seed=2, schedule=li.PolynomialStep(2.0, 0.5), x0=np.zeros(2))
     traj = li.sgd_run(problem, cert, cfg)
     assert abs(traj.gamma_used - 1.0 / (2.0 * problem.L * 7.0)) < 1e-15
+
+
+@pytest.mark.parametrize("family", ["least_squares", "logistic"])
+def test_seed_blocks_reproduce_single_seed_runs_bitwise(family):
+    if family == "least_squares":
+        problem, cert = li.make_least_squares(n=6, d=3, spread=1.0, seed=14)
+    else:
+        problem, cert = li.make_logistic(n=6, d=3, seed=15)
+    S = 16
+    for b in (1, 3, problem.n):
+        config = li.RunConfig(T=40, seed=0, schedule=li.PolynomialStep(2.0, 0.5),
+                              x0=np.ones(3), batch_size=b)
+        singles = np.stack([
+            li.minibatch_run(problem, cert, dataclasses.replace(config, seed=100 + s)).final_iterate
+            for s in range(S)
+        ])
+        _, whole = sgd._run(problem, config, range(100, 100 + S))
+        sevens = np.concatenate([sgd._run(problem, config, range(lo, min(lo + 7, 100 + S)))[1]
+                                 for lo in range(100, 100 + S, 7)])
+        assert np.array_equal(whole, singles), b
+        assert np.array_equal(sevens, singles), b
+        assert np.array_equal(problem.value(whole), [problem.value(x) for x in singles])
+
+
+def test_single_sample_seed_mapping_past_many_draw_chunks():
+    """b = 1 draws all T indices from the seed's run stream in order."""
+    problem, cert = li.make_least_squares(n=5, d=2, spread=1.0, seed=16)
+    T, gamma = 9000, 0.01 / problem.L
+    config = li.RunConfig(T=T, seed=0, schedule=li.ConstantStep(gamma), x0=np.zeros(2))
+    _, block = sgd._run(problem, config, (21, 22))
+    for row, seed in zip(block, (21, 22)):
+        x = np.zeros(2)
+        for i in li.stream(seed, li.RUN_STREAM).integers(0, problem.n, size=T):
+            x = x - gamma * problem.component_grads_at(np.array([i]), x)[0]
+        assert np.array_equal(row, x)
+
+
+def test_minibatch_seed_mapping_past_a_draw_chunk(monkeypatch):
+    """b > 1 draws 1024 steps at a time, one partial Fisher-Yates column after another."""
+    problem, cert = li.make_least_squares(n=7, d=2, spread=1.0, seed=17)
+    n, b, T, gamma = problem.n, 3, 2100, 0.05 / problem.L
+    config = li.RunConfig(T=T, seed=0, schedule=li.ConstantStep(gamma), x0=np.zeros(2),
+                          batch_size=b)
+    _, block = sgd._run(problem, config, (5, 6, 7))
+    # a tiny budget shuffles a few steps' permutations at a time: same subsets
+    monkeypatch.setattr(sgd, "_BLOCK_ENTRIES", 50)
+    assert np.array_equal(sgd._run(problem, config, (5, 6, 7))[1], block)
+    for row, seed in zip(block, (5, 6, 7)):
+        rng = li.stream(seed, li.RUN_STREAM)
+        x = np.zeros(2)
+        for start in range(0, T, 1024):
+            steps = min(1024, T - start)
+            draws = np.stack([rng.integers(0, n - k, size=steps) for k in range(b)], axis=1)
+            for step_draws in draws:
+                pool = list(range(n))
+                for k in range(b):
+                    j = k + int(step_draws[k])
+                    pool[k], pool[j] = pool[j], pool[k]
+                batch = np.array(sorted(pool[:b]))
+                x = x - gamma * (problem.component_grads_at(batch, x).sum(axis=0) / b)
+        assert np.array_equal(row, x)
