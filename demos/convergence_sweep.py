@@ -45,11 +45,14 @@ def main():
     # mini-batching: same horizon, growing batch; the engine steps at 1/(2 L_b sqrt(T))
     print("\nbatch size effects at T=200:")
     for b in (1, 2, 5, 10):
-        eff = li.effective_constants(problem, b, cert)
-        template = li.RunConfig(T=200, seed=0, schedule=schedule, x0=x0, batch_size=b)
-        est = li.estimate_gap(problem, cert, template, n_seeds=args.seeds, base_seed=0,
-                              workers=args.workers)
-        print(f"  b={b:>2}  L_b={eff.L_b:8.4f}  sigma_b^2={eff.sigma_b_sq:8.4f}  mean gap={est.mean_gap:.3e}")
+        check = li.check_cell(problem, cert, x0, 200, schedule, b, n_seeds=args.seeds,
+                              base_seed=0, workers=args.workers)
+        eff = check.effective
+        print(
+            f"  b={b:>2}  L_b={eff.L_b:8.4f}  sigma_b^2={eff.sigma_b_sq:8.4f}  "
+            f"mean gap={check.estimate.mean_gap:.3e}  bound={check.bound_value:.3e}  "
+            f"{'ok' if check.satisfied else 'VIOLATED'}"
+        )
 
 
 if __name__ == "__main__":

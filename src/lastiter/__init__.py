@@ -55,11 +55,11 @@ from .lemmas import (
 )
 from .montecarlo import (
     SWEEP_COLUMNS,
-    BoundVerdict,
+    CellCheck,
     MomentState,
     MonteCarloEstimate,
     SweepRow,
-    compare_to_bound,
+    check_cell,
     estimate_gap,
     merge_moments,
     reduce_moments,

@@ -245,6 +245,37 @@ def _check_schedule(doc, label: str, errors: list):
             errors.append(f"{label}: expected a schedule object")
 
 
+def _check_seeds(section: dict, label: str, errors: list):
+    """n_seeds and base_seed of a run or sweep section; the range must fit 64 bits."""
+    n_seeds = section.get("n_seeds")
+    if not (_is_int(n_seeds) and n_seeds >= 1):
+        errors.append(f"{label}.n_seeds: must be a positive integer")
+    base_seed = section.get("base_seed", 0)
+    if not (_is_int(base_seed) and base_seed >= 0):
+        errors.append(f"{label}.base_seed: must be a nonnegative integer")
+    elif _is_int(n_seeds) and n_seeds >= 1 and base_seed + n_seeds > 2**64:
+        errors.append(f"{label}.base_seed: seed range exceeds 64 bits")
+    return n_seeds, base_seed
+
+
+def _check_entries(specs: list, x0_policy, label: str, errors: list) -> list:
+    """(id, problem, cert, x0) per problem spec that builds; x0 is None where the policy fails."""
+    entries = []
+    for i, spec in enumerate(specs):
+        try:
+            problem_id, problem, cert = build_problem(spec, i)
+        except ConfigError as exc:
+            errors.extend(exc.errors)
+            continue
+        x0 = None
+        try:
+            x0 = resolve_x0(x0_policy, problem, cert)
+        except ConfigError as exc:
+            errors.extend(f"{label}.{line}" for line in exc.errors)
+        entries.append((problem_id, problem, cert, x0))
+    return entries
+
+
 @dataclass(frozen=True)
 class RunPlan:
     """Validated single-cell experiment: one problem, one run setting."""
@@ -256,7 +287,6 @@ class RunPlan:
     template: RunConfig
     n_seeds: int
     base_seed: int
-    d_sq: float
 
 
 def load_run_plan(source) -> RunPlan:
@@ -273,43 +303,27 @@ def load_run_plan(source) -> RunPlan:
     if errors:
         raise ConfigError(errors)
     run = doc["run"]
-    unknown = set(run) - {
-        "T", "n_seeds", "base_seed", "batch_size", "schedule", "x0", "record_stride",
-    }
+    unknown = set(run) - {"T", "n_seeds", "base_seed", "batch_size", "schedule", "x0"}
     if unknown:
         errors.append(f"run: unknown keys {sorted(unknown)}")
     T = run.get("T")
     if not (_is_int(T) and T >= 3):
         errors.append("run.T: bound comparison requires an integer T >= 3")
-    n_seeds = run.get("n_seeds")
-    if not (_is_int(n_seeds) and n_seeds >= 1):
-        errors.append("run.n_seeds: must be a positive integer")
-    base_seed = run.get("base_seed", 0)
-    if not (_is_int(base_seed) and base_seed >= 0):
-        errors.append("run.base_seed: must be a nonnegative integer")
+    n_seeds, base_seed = _check_seeds(run, "run", errors)
     batch_size = run.get("batch_size", 1)
     if not (_is_int(batch_size) and batch_size >= 1):
         errors.append("run.batch_size: must be a positive integer")
-    record_stride = run.get("record_stride", 0)
-    if not (_is_int(record_stride) and record_stride >= 0):
-        errors.append("run.record_stride: must be a nonnegative integer")
     schedule = _check_schedule(run.get("schedule"), "run.schedule", errors)
-    try:
-        problem_id, problem, cert = build_problem(doc["problem"])
-    except ConfigError as exc:
-        errors.extend(exc.errors)
-        raise ConfigError(errors) from exc
+    entries = _check_entries([doc["problem"]], run.get("x0", {"policy": "zeros"}), "run", errors)
+    if not entries:
+        raise ConfigError(errors)
+    ((problem_id, problem, cert, x0),) = entries
     l_b = None
     if _is_int(batch_size) and batch_size >= 1:
         try:
             l_b = problem.batch_smoothness(batch_size)
         except UnsupportedSamplingError as exc:
             errors.append(f"run.batch_size: {exc}")
-    x0 = None
-    try:
-        x0 = resolve_x0(run.get("x0", {"policy": "zeros"}), problem, cert)
-    except ConfigError as exc:
-        errors.extend(f"run.{line}" for line in exc.errors)
     if schedule is not None and l_b is not None and _is_int(T) and T >= 3:
         try:
             resolve_schedule(schedule, l_b, T)
@@ -317,25 +331,14 @@ def load_run_plan(source) -> RunPlan:
             errors.append(f"run.schedule: {exc}")
     if errors:
         raise ConfigError(errors)
-    if base_seed + n_seeds > 2**64:
-        raise ConfigError(["run.base_seed: seed range exceeds 64 bits"])
-    template = RunConfig(
-        T=T,
-        seed=0,
-        schedule=schedule,
-        x0=x0,
-        batch_size=batch_size,
-        record_stride=record_stride,
-    )
     return RunPlan(
         config_hash=doc_hash(doc),
         problem_id=problem_id,
         problem=problem,
         cert=cert,
-        template=template,
+        template=RunConfig(T=T, seed=0, schedule=schedule, x0=x0, batch_size=batch_size),
         n_seeds=n_seeds,
         base_seed=base_seed,
-        d_sq=float(np.sum((x0 - cert.x_star) ** 2)),
     )
 
 
@@ -392,26 +395,9 @@ def load_sweep_plan(source) -> SweepPlan:
     b_grid = sweep_doc.get("b_grid", [1])
     if not (isinstance(b_grid, list) and b_grid and all(_is_int(b) and b >= 1 for b in b_grid)):
         errors.append("sweep.b_grid: must be a nonempty list of integers >= 1")
-    n_seeds = sweep_doc.get("n_seeds")
-    if not (_is_int(n_seeds) and n_seeds >= 1):
-        errors.append("sweep.n_seeds: must be a positive integer")
-    base_seed = sweep_doc.get("base_seed", 0)
-    if not (_is_int(base_seed) and base_seed >= 0):
-        errors.append("sweep.base_seed: must be a nonnegative integer")
-    entries = []
-    for i, spec in enumerate(problems_spec):
-        try:
-            pid, problem, cert = build_problem(spec, i)
-        except ConfigError as exc:
-            errors.extend(exc.errors)
-            continue
-        try:
-            x0 = resolve_x0(sweep_doc.get("x0", {"policy": "zeros"}), problem, cert)
-        except ConfigError as exc:
-            errors.extend(f"sweep.{line}" for line in exc.errors)
-            continue
-        entries.append((pid, problem, cert, x0))
-    if not errors and isinstance(b_grid, list):
+    n_seeds, base_seed = _check_seeds(sweep_doc, "sweep", errors)
+    entries = _check_entries(problems_spec, sweep_doc.get("x0", {"policy": "zeros"}), "sweep", errors)
+    if not errors:
         smallest_n = min(problem.n for _, problem, _, _ in entries)
         for b in b_grid:
             if b > smallest_n:

@@ -1,4 +1,4 @@
-"""Monte Carlo gap estimation, bound comparison, and parameter sweeps.
+"""Monte Carlo gap estimation, cell checks against the bounds, and sweeps.
 
 The estimator runs seeds base_seed .. base_seed + n_seeds - 1 through the
 SGD engine in blocks of seeds advanced in lockstep, collects the final gaps
@@ -13,13 +13,14 @@ identical for every worker count and block size, and the moment state over
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import multiprocessing
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import HypothesisError, build_bound_report, effective_constants
+from .bounds import BoundReport, EffectiveConstants, HypothesisError, build_bound_report, effective_constants
 # Unused here, but the benchmark tracer (perfbench/child.py) wraps these names on this module.
 from .bounds import (  # noqa: F401
     last_iterate_bound,
@@ -33,11 +34,11 @@ from .rng import check_seed
 from .sgd import DivergenceError, RunConfig, ScheduleError, _block_rows, _run, schedule_to_doc
 
 __all__ = [
-    "BoundVerdict",
+    "CellCheck",
     "MomentState",
     "MonteCarloEstimate",
     "SweepRow",
-    "compare_to_bound",
+    "check_cell",
     "estimate_gap",
     "merge_moments",
     "reduce_moments",
@@ -201,24 +202,58 @@ def estimate_gap(
 
 
 @dataclass(frozen=True)
-class BoundVerdict:
-    """Comparison of an estimate's upper confidence limit against a bound."""
+class CellCheck:
+    """One cell's estimate checked against the tightest bound that applies to it."""
 
+    estimate: MonteCarloEstimate
+    bounds: BoundReport
+    effective: EffectiveConstants
     bound_value: float
-    ci95_upper: float
     slack_ratio: float
     satisfied: bool
 
 
-def compare_to_bound(estimate: MonteCarloEstimate, bound_value: float) -> BoundVerdict:
-    """Check ci95_upper <= bound and report the multiplicative slack."""
+def check_cell(
+    problem: FiniteSumProblem,
+    cert: SolutionCertificate,
+    x0,
+    T: int,
+    schedule,
+    b: int,
+    n_seeds: int,
+    base_seed: int,
+    workers: int = 1,
+    pool=None,
+    keep_per_seed: bool = False,
+) -> CellCheck:
+    """Estimate the gap of one (problem, x0, T, schedule, b) cell and check it.
+
+    The bounds take the constants for batch size b (``effective_constants``)
+    and D^2 = ||x0 - x*||^2; the cell is satisfied when ci95_upper is at most
+    the tightest applicable bound, and slack_ratio is bound / ci95_upper.
+
+    Raises:
+        HypothesisError: the tightest bound is not finite.
+        ScheduleError, UnsupportedSamplingError, DivergenceError: from the
+            bounds or the estimate.
+    """
+    x0 = problem.check_point(x0)
+    effective = effective_constants(problem, b, cert)
+    d_sq = float(np.sum((x0 - cert.x_star) ** 2))
+    bounds = build_bound_report(schedule, effective.L_b, d_sq, effective.sigma_b_sq, T)
+    bound_value = float(bounds.tightest())
     if not np.isfinite(bound_value):
-        raise ValueError(f"bound must be finite, got {bound_value!r}")
+        raise HypothesisError(f"bound must be finite, got {bound_value!r}")
+    template = RunConfig(T=T, seed=0, schedule=schedule, x0=x0, batch_size=b)
+    estimate = estimate_gap(problem, cert, template, n_seeds, base_seed, workers=workers,
+                            keep_per_seed=keep_per_seed, pool=pool)
     tiny = float(np.finfo(float).tiny)
-    return BoundVerdict(
-        bound_value=float(bound_value),
-        ci95_upper=estimate.ci95_upper,
-        slack_ratio=float(bound_value) / max(estimate.ci95_upper, tiny),
+    return CellCheck(
+        estimate=estimate,
+        bounds=bounds,
+        effective=effective,
+        bound_value=bound_value,
+        slack_ratio=bound_value / max(estimate.ci95_upper, tiny),
         satisfied=bool(estimate.ci95_upper <= bound_value),
     )
 
@@ -266,31 +301,6 @@ SWEEP_COLUMNS = (
 _CELL_ERRORS = (ScheduleError, UnsupportedSamplingError, DivergenceError, HypothesisError)
 
 
-def _sweep_cell(problem_id, problem, cert, x0, T, schedule, b, n_seeds, base_seed, workers, pool):
-    x0 = problem.check_point(x0)
-    eff = effective_constants(problem, b, cert)
-    d_sq = float(np.sum((x0 - cert.x_star) ** 2))
-    report = build_bound_report(schedule, eff.L_b, d_sq, eff.sigma_b_sq, T)
-    template = RunConfig(T=T, seed=0, schedule=schedule, x0=x0, batch_size=b)
-    estimate = estimate_gap(problem, cert, template, n_seeds, base_seed, workers=workers, pool=pool)
-    corollaries = (report.sqrt_c2, report.sqrt_general, report.polynomial)  # most specialised first
-    return SweepRow(
-        problem_id=problem_id,
-        T=T,
-        b=b,
-        C=report.C,
-        beta=report.beta,
-        gamma=report.gamma,
-        n_seeds=n_seeds,
-        mean_gap=estimate.mean_gap,
-        std_error=estimate.std_error,
-        ci95_upper=estimate.ci95_upper,
-        theorem1_bound=report.generic,
-        corollary_bound=next((c for c in corollaries if c is not None), None),
-        satisfied=bool(estimate.ci95_upper <= report.tightest()),
-    )
-
-
 def sweep(
     problem_entries: list,
     T_grid,
@@ -309,41 +319,37 @@ def sweep(
         n_seeds, base_seed: every cell uses seeds base_seed .. +n_seeds-1.
         workers: worker processes; one pool serves every cell.
 
-    Each cell runs at step size and bound constants for its batch size b
-    (``effective_constants``).  A cell that fails with a domain error
-    (invalid schedule, undefined sampling, divergence, violated hypothesis)
-    does not abort the sweep; its row carries the error message and empty
-    numeric fields.  Any other exception propagates.
+    Each cell is one ``check_cell``, at the step size and bound constants
+    for its batch size b.  A cell that fails with a domain error (invalid
+    schedule, undefined sampling, divergence, violated hypothesis, non-finite
+    bound) does not abort the sweep; its row carries the error message and
+    empty numeric fields.  Any other exception propagates.
     """
-    workers = max(1, int(workers))
-    shared = workers > 1 and int(n_seeds) >= 2 * workers
+    workers, n_seeds = max(1, int(workers)), int(n_seeds)
+    shared = workers > 1 and n_seeds >= 2 * workers
     rows = []
     with multiprocessing.Pool(workers) if shared else contextlib.nullcontext() as pool:
-        for problem_id, problem, cert, x0 in problem_entries:
-            for T in T_grid:
-                for schedule in schedule_grid:
-                    for b in b_grid:
-                        try:
-                            row = _sweep_cell(
-                                problem_id, problem, cert, x0, int(T), schedule, int(b),
-                                int(n_seeds), base_seed, workers, pool,
-                            )
-                        except _CELL_ERRORS as exc:
-                            row = SweepRow(
-                                problem_id=problem_id,
-                                T=int(T),
-                                b=int(b),
-                                C=getattr(schedule, "C", None),
-                                beta=getattr(schedule, "beta", None),
-                                gamma=None,
-                                n_seeds=int(n_seeds),
-                                mean_gap=None,
-                                std_error=None,
-                                ci95_upper=None,
-                                theorem1_bound=None,
-                                corollary_bound=None,
-                                satisfied=None,
-                                error=f"{type(exc).__name__}: {exc}",
-                            )
-                        rows.append(row)
+        grid = itertools.product(problem_entries, T_grid, schedule_grid, b_grid)
+        for (problem_id, problem, cert, x0), T, schedule, b in grid:
+            T, b = int(T), int(b)
+            row = {"problem_id": problem_id, "T": T, "b": b, "C": getattr(schedule, "C", None),
+                   "beta": getattr(schedule, "beta", None), "n_seeds": n_seeds}
+            try:
+                check = check_cell(problem, cert, x0, T, schedule, b, n_seeds, base_seed,
+                                   workers=workers, pool=pool)
+            except _CELL_ERRORS as exc:
+                rows.append(SweepRow(
+                    **row, gamma=None, mean_gap=None, std_error=None, ci95_upper=None,
+                    theorem1_bound=None, corollary_bound=None, satisfied=None,
+                    error=f"{type(exc).__name__}: {exc}",
+                ))
+                continue
+            bounds, estimate = check.bounds, check.estimate
+            corollaries = (bounds.sqrt_c2, bounds.sqrt_general, bounds.polynomial)  # most specialised first
+            rows.append(SweepRow(
+                **row, gamma=bounds.gamma, mean_gap=estimate.mean_gap, std_error=estimate.std_error,
+                ci95_upper=estimate.ci95_upper, theorem1_bound=bounds.generic,
+                corollary_bound=next((c for c in corollaries if c is not None), None),
+                satisfied=check.satisfied,
+            ))
     return rows

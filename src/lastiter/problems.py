@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .reporting import write_json
 from .rng import PROBLEM_STREAM, stream
 
 __all__ = [
@@ -585,9 +586,7 @@ def problem_from_doc(doc: dict):
 
 
 def save_problem(path, problem: FiniteSumProblem, certificate: SolutionCertificate | None = None):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem_to_doc(problem, certificate), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, problem_to_doc(problem, certificate))
 
 
 def load_problem(path):

@@ -1,5 +1,7 @@
 """End-to-end command line behavior: exit codes, files, stdout/stderr."""
 
+import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -103,19 +105,52 @@ def test_run_without_dump_seeds_writes_no_csv(tmp_path):
 
 
 def test_run_exit_two_on_violated_bound(tmp_path, capsys, monkeypatch):
-    def pessimist(estimate, bound_value):
-        return li.BoundVerdict(
-            bound_value=float(bound_value),
-            ci95_upper=estimate.ci95_upper,
-            slack_ratio=0.5,
-            satisfied=False,
-        )
+    import lastiter.montecarlo as mc
 
-    monkeypatch.setattr(cli, "compare_to_bound", pessimist)
+    real_estimate = mc.estimate_gap
+
+    def pessimist(*args, **kwargs):
+        # an upper confidence limit above every bound the run is checked against
+        return dataclasses.replace(real_estimate(*args, **kwargs), ci95_upper=1e30)
+
+    monkeypatch.setattr(mc, "estimate_gap", pessimist)
     config = write_config(tmp_path, "run.json", run_config_doc(n_seeds=2))
     code = cli.main(["run", "--config", config, "--out", str(tmp_path / "out")])
     assert code == 2
     assert "VIOLATED" in capsys.readouterr().out
+    verdict = json.loads((tmp_path / "out" / "report.json").read_text())["verdict"]
+    assert verdict["satisfied"] is False
+    assert verdict["ci95_upper"] == 1e30
+
+
+@pytest.mark.parametrize("b", [1, 3])
+def test_run_is_the_one_cell_sweep(tmp_path, b):
+    problem = {"generator": "least_squares", "n": 6, "d": 2, "spread": 1.0, "seed": 5}
+    schedule = {"variant": "polynomial", "C": 2.0, "beta": 0.5}
+    x0 = {"policy": "offset", "distance": 1.0, "seed": 3}
+    seeds = {"n_seeds": 12, "base_seed": 7}
+    run_doc = {"problem": problem,
+               "run": {"T": 40, "batch_size": b, "schedule": schedule, "x0": x0, **seeds}}
+    sweep_doc = {"problems": [problem],
+                 "sweep": {"T_grid": [40], "b_grid": [b], "schedules": [schedule], "x0": x0, **seeds}}
+    run_out, sweep_out = tmp_path / "run", tmp_path / "sweep"
+    assert cli.main(["run", "--config", write_config(tmp_path, "run.json", run_doc),
+                     "--out", str(run_out), "--deterministic-output"]) == 0
+    assert cli.main(["sweep", "--config", write_config(tmp_path, "sweep.json", sweep_doc),
+                     "--out", str(sweep_out), "--deterministic-output"]) == 0
+    report = json.loads((run_out / "report.json").read_text())
+    with open(sweep_out / "sweep.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    # repr-formatted CSV floats and JSON floats both round-trip, so == is bitwise
+    assert float(row["gamma"]) == report["run"]["gamma_used"] == report["bounds"]["gamma"]
+    for key in ("mean_gap", "std_error", "ci95_upper"):
+        assert float(row[key]) == report["estimate"][key]
+    assert float(row["theorem1_bound"]) == report["bounds"]["generic"]
+    assert float(row["corollary_bound"]) == report["bounds"]["sqrt_c2"]
+    applicable = [report["bounds"][k] for k in ("generic", "polynomial", "sqrt_general", "sqrt_c2")]
+    assert report["verdict"]["bound_value"] == min(applicable)
+    assert row["satisfied"] == "true" and report["verdict"]["satisfied"] is True
+    assert row["error"] == ""
 
 
 def test_run_config_errors_exit_one_with_details(tmp_path, capsys):
@@ -129,10 +164,12 @@ def test_run_config_errors_exit_one_with_details(tmp_path, capsys):
 
 
 def test_run_divergence_exits_one(tmp_path, capsys, monkeypatch):
+    import lastiter.montecarlo as mc
+
     def explode(*args, **kwargs):
         raise li.DivergenceError(step=7, seed=3)
 
-    monkeypatch.setattr(cli, "estimate_gap", explode)
+    monkeypatch.setattr(mc, "estimate_gap", explode)
     config = write_config(tmp_path, "run.json", run_config_doc(n_seeds=2))
     code = cli.main(["run", "--config", config, "--out", str(tmp_path / "out")])
     assert code == 1

@@ -200,7 +200,7 @@ def test_load_run_plan_happy_path():
     assert plan.template.T == 50
     assert plan.template.batch_size == 1
     assert plan.n_seeds == 4 and plan.base_seed == 0
-    assert plan.d_sq == pytest.approx(float(np.sum(plan.cert.x_star**2)))
+    assert np.array_equal(plan.template.x0, np.zeros(3))
     assert plan.template.schedule == li.PolynomialStep(2.0, 0.5)
     assert len(plan.config_hash) == 64
 
@@ -264,6 +264,9 @@ def test_run_and_sweep_sections_reject_unknown_keys():
     # the batch smoothness is derived from the problem, never configured
     with pytest.raises(li.ConfigError, match=r"run: unknown keys \['smoothness'\]"):
         li.load_run_plan(run_doc(smoothness=1.0))
+    # the estimator records only the final gap, so a stride has nothing to set
+    with pytest.raises(li.ConfigError, match=r"run: unknown keys \['record_stride'\]"):
+        li.load_run_plan(run_doc(record_stride=3))
     with pytest.raises(li.ConfigError, match=r"sweep: unknown keys \['smoothness'\]"):
         li.load_sweep_plan(sweep_doc(smoothness=1.0))
 
@@ -291,9 +294,17 @@ def test_load_run_plan_rejects_seed_range_overflow():
         li.load_run_plan(run_doc(base_seed=2**64 - 1, n_seeds=2))
 
 
+def test_load_sweep_plan_rejects_seed_range_overflow():
+    with pytest.raises(li.ConfigError, match=r"sweep\.base_seed: seed range exceeds 64 bits"):
+        li.load_sweep_plan(sweep_doc(base_seed=2**64 - 2, n_seeds=3))
+    # the last seed of the range is 2**64 - 1, which is still valid
+    assert li.load_sweep_plan(sweep_doc(base_seed=2**64 - 3, n_seeds=3)).base_seed == 2**64 - 3
+
+
 def test_load_run_plan_x0_policy_flows_through():
     plan = li.load_run_plan(run_doc(x0={"policy": "offset", "distance": 1.5, "seed": 11}))
-    assert plan.d_sq == pytest.approx(1.5**2, rel=1e-12)
+    d_sq = float(np.sum((plan.template.x0 - plan.cert.x_star) ** 2))
+    assert d_sq == pytest.approx(1.5**2, rel=1e-12)
 
 
 # -- sweep plans --------------------------------------------------------------------

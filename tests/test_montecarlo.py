@@ -1,4 +1,4 @@
-"""Moment reduction, gap estimation, bound verdicts, and sweeps."""
+"""Moment reduction, gap estimation, cell checks, and sweeps."""
 
 import dataclasses
 import math
@@ -209,29 +209,69 @@ def test_estimate_reports_the_fingerprint():
     assert est.fingerprint == li.run_fingerprint(problem, config)
 
 
-# -- bound verdicts ---------------------------------------------------------------
+# -- cell checks ------------------------------------------------------------------
 
 
-def test_compare_to_bound_verdicts():
-    problem, cert, config = estimate_template()
+def check_with_bound(monkeypatch, scale):
+    """check_cell on estimate_template() with its only bound set to scale * ci95_upper."""
+    import lastiter.montecarlo as mc
+
+    problem, cert, config = estimate_template(T=8)
     est = li.estimate_gap(problem, cert, config, n_seeds=4, base_seed=0)
-    good = li.compare_to_bound(est, est.ci95_upper * 2.0)
+
+    def scaled(*args):
+        return dataclasses.replace(li.build_bound_report(*args), generic=scale * est.ci95_upper)
+
+    monkeypatch.setattr(mc, "build_bound_report", scaled)
+    check = li.check_cell(problem, cert, config.x0, config.T, config.schedule, 1, 4, 0)
+    assert check.estimate == est
+    return check
+
+
+def test_check_cell_verdicts(monkeypatch):
+    good = check_with_bound(monkeypatch, 2.0)
     assert good.satisfied
     assert good.slack_ratio == pytest.approx(2.0, rel=1e-12)
-    bad = li.compare_to_bound(est, est.ci95_upper * 0.5)
+    bad = check_with_bound(monkeypatch, 0.5)
     assert not bad.satisfied
     assert bad.slack_ratio == pytest.approx(0.5, rel=1e-12)
-    edge = li.compare_to_bound(est, est.ci95_upper)
+    edge = check_with_bound(monkeypatch, 1.0)
+    assert edge.bound_value == edge.estimate.ci95_upper
     assert edge.satisfied
 
 
-def test_compare_to_bound_rejects_nonfinite():
-    problem, cert, config = estimate_template()
-    est = li.estimate_gap(problem, cert, config, n_seeds=2, base_seed=0)
-    with pytest.raises(ValueError):
-        li.compare_to_bound(est, math.inf)
-    with pytest.raises(ValueError):
-        li.compare_to_bound(est, math.nan)
+def test_check_cell_rejects_nonfinite_bound(monkeypatch):
+    for scale in (math.inf, math.nan):
+        with pytest.raises(li.HypothesisError, match="bound must be finite"):
+            check_with_bound(monkeypatch, scale)
+
+
+def test_check_cell_chains_constants_bounds_and_estimate():
+    problem, cert = li.make_least_squares(n=6, d=2, spread=1.0, seed=3)
+    x0 = cert.x_star + np.array([0.6, -0.8])
+    schedule = li.PolynomialStep(2.0, 0.5)
+    check = li.check_cell(problem, cert, x0, 20, schedule, 3, n_seeds=5, base_seed=2,
+                          keep_per_seed=True)
+    eff = li.effective_constants(problem, 3, cert)
+    assert check.effective == eff
+    d_sq = float(np.sum((x0 - cert.x_star) ** 2))
+    assert check.bounds == li.build_bound_report(schedule, eff.L_b, d_sq, eff.sigma_b_sq, 20)
+    template = li.RunConfig(T=20, seed=0, schedule=schedule, x0=x0, batch_size=3)
+    est = li.estimate_gap(problem, cert, template, 5, 2, keep_per_seed=True)
+    assert check.estimate.mean_gap == est.mean_gap
+    assert np.array_equal(check.estimate.per_seed_gaps, est.per_seed_gaps)
+    assert check.bound_value == check.bounds.tightest()
+    assert check.satisfied == (est.ci95_upper <= check.bounds.tightest())
+
+
+def test_sweep_turns_a_nonfinite_bound_into_an_error_row(monkeypatch):
+    import lastiter.montecarlo as mc
+
+    monkeypatch.setattr(mc, "build_bound_report",
+                        lambda *args: dataclasses.replace(li.build_bound_report(*args), generic=math.inf))
+    (row,) = li.sweep(sweep_entries(), [5], [li.ConstantStep(0.1)], [1], 2, 0)
+    assert row.error == "HypothesisError: bound must be finite, got inf"
+    assert row.satisfied is None and row.mean_gap is None
 
 
 # -- sweeps -----------------------------------------------------------------------
@@ -398,7 +438,8 @@ def test_sweep_satisfied_checks_every_applicable_bound(monkeypatch):
     report = polynomial_tightest(schedule, problem.L, 1.0, cert.sigma_star_sq, 10)
 
     def row_at(ci95):
-        def fake_estimate(problem, cert, template, n_seeds, base_seed, workers=1, pool=None):
+        def fake_estimate(problem, cert, template, n_seeds, base_seed, workers=1,
+                          keep_per_seed=False, pool=None):
             return li.MonteCarloEstimate(
                 n_seeds=n_seeds, mean_gap=0.0, std_error=0.0, ci95_upper=ci95, T=template.T,
                 batch_size=template.batch_size, base_seed=base_seed, fingerprint="",
