@@ -1,11 +1,14 @@
 """Build finite-sum problems and inspect their solution certificates.
 
-Generates a random strongly-curved least-squares family, a rank-deficient
-one whose minimizer needs the iterative certifier, and an interpolation
-logistic family, then round-trips one of them through JSON.
+Generates a least-squares family that is noisy at its minimizer, a spread-0
+least-squares family that interpolates (every component is minimized at x*),
+both certified in closed form, and a logistic family certified by the
+iterative solver, then round-trips one of them through a JSON file in a
+temporary directory that is removed afterwards.
 """
 
 import argparse
+import os
 import tempfile
 
 import numpy as np
@@ -50,13 +53,12 @@ def main():
     grad = problem.component_grads_at(three, x)[0]
     print(f"component 3 grad[0] = {grad[0]:.8f}, finite diff = {fd:.8f}")
 
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as fh:
-        path = fh.name
-    li.save_problem(path, problem, cert)
-    loaded, loaded_cert = li.load_problem(path)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.json")
+        li.save_problem(path, problem, cert)
+        loaded, loaded_cert = li.load_problem(path)
     same = np.array_equal(loaded.grad(x), problem.grad(x))
     print(f"JSON round trip reproduces gradients bitwise: {same}")
-    print(f"(document written to {path})")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ effective mini-batch constants, and the sample-complexity horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -383,6 +383,10 @@ def effective_constants(problem: FiniteSumProblem, b: int, cert: SolutionCertifi
     return EffectiveConstants(L_b=float(l_b), sigma_b_sq=float(sigma_b), batch_size=b)
 
 
+# Every bound a report can carry, in report and table order.
+_BOUND_NAMES = ("generic", "polynomial", "sqrt_general", "sqrt_c2")
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Every bound that applies to one (schedule, problem constants, T) setup."""
@@ -403,36 +407,15 @@ class BoundReport:
     sqrt_c2: float | None = None
 
     def applicable(self) -> dict:
-        """Bounds that hold for this setup, keyed by name."""
-        out = {"generic": self.generic}
-        if self.polynomial is not None:
-            out["polynomial"] = self.polynomial
-        if self.sqrt_general is not None:
-            out["sqrt_general"] = self.sqrt_general
-        if self.sqrt_c2 is not None:
-            out["sqrt_c2"] = self.sqrt_c2
-        return out
+        """Bounds that hold for this setup, keyed by name in ``_BOUND_NAMES`` order."""
+        values = {name: getattr(self, name) for name in _BOUND_NAMES}
+        return {name: value for name, value in values.items() if value is not None}
 
     def tightest(self) -> float:
         return min(self.applicable().values())
 
     def to_doc(self) -> dict:
-        return {
-            "T": self.T,
-            "gamma": self.gamma,
-            "L": self.L,
-            "D_sq": self.D_sq,
-            "sigma_star_sq": self.sigma_star_sq,
-            "phi": self.phi,
-            "generic": self.generic,
-            "schedule_variant": self.schedule_variant,
-            "C": self.C,
-            "beta": self.beta,
-            "B": self.B,
-            "polynomial": self.polynomial,
-            "sqrt_general": self.sqrt_general,
-            "sqrt_c2": self.sqrt_c2,
-        }
+        return asdict(self)
 
 
 def build_bound_report(

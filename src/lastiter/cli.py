@@ -260,12 +260,8 @@ def _cmd_bound(args) -> int:
         ("gamma", report.gamma),
         ("gamma*L", report.gamma * report.L),
         ("phi", report.phi),
-        ("generic_bound", report.generic),
     ]
-    for name in ("polynomial", "sqrt_general", "sqrt_c2"):
-        value = getattr(report, name)
-        if value is not None:
-            lines.append((f"{name}_bound", value))
+    lines += [(f"{name}_bound", value) for name, value in report.applicable().items()]
     lines.append(("tightest_bound", report.tightest()))
     horizon_needed = None
     if args.target_accuracy is not None:

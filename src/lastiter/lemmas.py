@@ -39,6 +39,29 @@ __all__ = [
 
 SLACK_TOL = -1e-9
 
+# Largest (points, n, d) stack a point-cloud check evaluates at once, in
+# float64 entries.  It bounds the battery's memory, not its speed.
+_STACK_ENTRIES = 2**15
+
+
+def _fill(problem: FiniteSumProblem, count: int, stacks, *outs) -> None:
+    """Write the arrays ``stacks(rows)`` returns into ``outs[k][rows]``, chunk by chunk.
+
+    The row slices cover range(count), each with as many points as keep a
+    (points, n, d) stack of the problem within ``_STACK_ENTRIES``, and at
+    least one.  The last slice may run past count; indexing clips it.
+    """
+    step = max(1, _STACK_ENTRIES // (problem.n * problem.dimension))
+    for start in range(0, count, step):
+        rows = slice(start, start + step)
+        for out, part in zip(outs, stacks(rows)):
+            out[rows] = part
+
+
+def _sq_norms(vectors: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms along the last axis."""
+    return np.einsum("...i,...i->...", vectors, vectors)
+
 
 @dataclass(frozen=True)
 class LemmaCheckResult:
@@ -85,32 +108,29 @@ def check_variance_transfer(
     eps_grid = np.asarray(eps_grid, dtype=float)
     if np.any(eps_grid <= 0):
         raise ValueError("eps grid must be strictly positive")
-    worst = math.inf
-    worst_point = ()
-    worst_details = {}
-    for k, x in enumerate(points):
-        lhs = problem.second_moment(x)
-        suboptimality = problem.value(x) - cert.inf_f
-        rhs = 2.0 * problem.L * (1.0 + eps_grid) * suboptimality + (
-            1.0 + 1.0 / eps_grid
-        ) * cert.sigma_star_sq
-        slacks = rhs - lhs
-        j = int(np.argmin(slacks))
-        if slacks[j] < worst:
-            worst = float(slacks[j])
-            worst_point = (k, float(eps_grid[j]))
-            worst_details = {
-                "x": x.tolist(),
-                "eps": float(eps_grid[j]),
-                "lhs": float(lhs),
-                "rhs": float(rhs[j]),
-            }
+
+    def stacks(rows):
+        return problem.second_moment(points[rows]), problem.value(points[rows])
+
+    lhs, values = np.empty(points.shape[0]), np.empty(points.shape[0])
+    _fill(problem, points.shape[0], stacks, lhs, values)
+    rhs = 2.0 * problem.L * (1.0 + eps_grid) * (values - cert.inf_f)[:, None] + (
+        1.0 + 1.0 / eps_grid
+    ) * cert.sigma_star_sq
+    slack = rhs - lhs[:, None]
+    k, j = np.unravel_index(int(np.argmin(slack)), slack.shape)
+    details = {
+        "x": points[k].tolist(),
+        "eps": float(eps_grid[j]),
+        "lhs": float(lhs[k]),
+        "rhs": float(rhs[k, j]),
+    }
     return _result(
         "variance_transfer",
-        points.shape[0] * eps_grid.size,
-        worst,
-        worst_point,
-        details={"worst": worst_details},
+        slack.size,
+        slack[k, j],
+        (int(k), float(eps_grid[j])),
+        details={"worst": details},
     )
 
 
@@ -135,34 +155,32 @@ def check_one_step_inequality(
     if x_points.shape != z_points.shape:
         raise ValueError("x and z probe arrays must have the same shape")
     consts = abc_constants(gamma, problem.L, cert.sigma_star_sq)
-    w = problem.weights
-    worst = math.inf
-    worst_point = ()
-    worst_details = {}
-    for k, (x, z) in enumerate(zip(x_points, z_points)):
-        grads = problem.component_grads_at(None, x)
-        moved = (x - gamma * grads) - z
-        moved_sq = float(w @ np.einsum("ni,ni->n", moved, moved))
-        diff = x - z
+
+    def stacks(rows):
+        x, z = x_points[rows], z_points[rows]
+        moved = (x[:, None, :] - gamma * problem.component_grads_at(None, x)) - z[:, None, :]
+        moved_sq = problem.weighted_mean(_sq_norms(moved))
         lhs = consts.a * problem.value(x) + consts.b * problem.value(z) + consts.c * cert.inf_f
-        rhs = (float(diff @ diff) - moved_sq) / (2.0 * gamma) + consts.v
-        slack = rhs - lhs
-        if slack < worst:
-            worst = float(slack)
-            worst_point = (k, float(gamma))
-            worst_details = {
-                "x": x.tolist(),
-                "z": z.tolist(),
-                "gamma": float(gamma),
-                "lhs": float(lhs),
-                "rhs": float(rhs),
-            }
+        rhs = (_sq_norms(x - z) - moved_sq) / (2.0 * gamma) + consts.v
+        return lhs, rhs
+
+    lhs, rhs = np.empty(x_points.shape[0]), np.empty(x_points.shape[0])
+    _fill(problem, x_points.shape[0], stacks, lhs, rhs)
+    slack = rhs - lhs
+    k = int(np.argmin(slack))
+    details = {
+        "x": x_points[k].tolist(),
+        "z": z_points[k].tolist(),
+        "gamma": float(gamma),
+        "lhs": float(lhs[k]),
+        "rhs": float(rhs[k]),
+    }
     return _result(
         "one_step_descent",
-        x_points.shape[0],
-        worst,
-        worst_point,
-        details={"worst": worst_details},
+        slack.size,
+        slack[k],
+        (k, float(gamma)),
+        details={"worst": details},
     )
 
 
@@ -330,33 +348,30 @@ def check_second_moment_transfer(
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < 2:
         raise ValueError("need at least two probe points")
-    w = problem.weights
     grads_star = problem.component_grads_at(None, cert.x_star)
-    worst = math.inf
-    worst_point = ()
-    count = 0
-    for k in range(points.shape[0] - 1):
-        x, y = points[k], points[k + 1]
-        gx = problem.component_grads_at(None, x)
-        gy = problem.component_grads_at(None, y)
-        gx_sq = np.einsum("ni,ni->n", gx, gx)
-        gy_sq = np.einsum("ni,ni->n", gy, gy)
-        dxy = gy - gx
-        split_slack = 2.0 * gx_sq + 2.0 * np.einsum("ni,ni->n", dxy, dxy) - gy_sq
-        count += split_slack.size
-        i = int(np.argmin(split_slack))
-        if split_slack[i] < worst:
-            worst = float(split_slack[i])
-            worst_point = ("split", k, i)
-    for k, x in enumerate(points):
-        dx = problem.component_grads_at(None, x) - grads_star
-        expected_sq = float(w @ np.einsum("ni,ni->n", dx, dx))
-        smooth_slack = (problem.value(x) - cert.inf_f) - expected_sq / (2.0 * problem.L)
-        count += 1
-        if smooth_slack < worst:
-            worst = float(smooth_slack)
-            worst_point = ("expected_smoothness", k)
-    return _result("grad_second_moment_transfer", count, worst, worst_point)
+    count = points.shape[0]
+    # split slacks (pair, component) in pair order, then one per point
+    slack = np.empty((count - 1) * problem.n + count)
+    split, smooth = slack[:-count].reshape(count - 1, problem.n), slack[-count:]
+
+    def stacks(rows):
+        x = points[rows]
+        # one point past the chunk closes the pair that spans its edge
+        grads = problem.component_grads_at(None, points[rows.start : rows.stop + 1])
+        sq = _sq_norms(grads)
+        expected_sq = problem.weighted_mean(_sq_norms(grads[: len(x)] - grads_star))
+        return (
+            2.0 * sq[:-1] + 2.0 * _sq_norms(np.diff(grads, axis=0)) - sq[1:],
+            (problem.value(x) - cert.inf_f) - expected_sq / (2.0 * problem.L),
+        )
+
+    _fill(problem, count, stacks, split, smooth)
+    j = int(np.argmin(slack))
+    if j < split.size:
+        worst_point = ("split", *divmod(j, problem.n))
+    else:
+        worst_point = ("expected_smoothness", j - split.size)
+    return _result("grad_second_moment_transfer", slack.size, slack[j], worst_point)
 
 
 # -- battery -----------------------------------------------------------------

@@ -16,7 +16,7 @@ import contextlib
 import itertools
 import math
 import multiprocessing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,9 +148,8 @@ def estimate_gap(
 ) -> MonteCarloEstimate:
     """Estimate E[f(x_T) - inf f] over seeds base_seed .. base_seed + n_seeds - 1.
 
-    The template's own seed is ignored; its record stride is forced to T
-    since only the final gap feeds the estimator.  A diverging run aborts
-    the whole estimate with the lowest diverging seed in the error.
+    The template's own seed is ignored.  A diverging run aborts the whole
+    estimate with the lowest diverging seed in the error.
 
     ``workers`` splits the seeds into one contiguous range per worker
     process, run on ``pool`` if given, else on a pool opened for this call;
@@ -164,7 +163,6 @@ def estimate_gap(
     base_seed = check_seed(base_seed)
     check_seed(base_seed + n_seeds - 1)
     workers = max(1, int(workers))
-    template = replace(template, record_stride=template.T)
     full_batch = template.batch_size == problem.n
     runs = 1 if full_batch else n_seeds
     if workers == 1 or runs < 2 * workers:

@@ -193,12 +193,14 @@ class FiniteSumProblem:
     def value(self, x):
         """Weighted mean objective f(x); one value per row when x is (S, d)."""
         x = np.asarray(x, dtype=float)
-        vals = self.component_values_at(None, x)
-        if self.uniform_weights:
-            out = vals.sum(axis=-1) / self.n
-        else:
-            out = np.matmul(vals[..., None, :], self.weights[:, None])[..., 0, 0]
+        out = self.weighted_mean(self.component_values_at(None, x))
         return float(out) if x.ndim == 1 else out
+
+    def weighted_mean(self, values) -> np.ndarray:
+        """Weighted mean over the last (component) axis of values (..., n)."""
+        if self.uniform_weights:
+            return values.sum(axis=-1) / self.n
+        return np.matmul(values[..., None, :], self.weights[:, None])[..., 0, 0]
 
     def batch_grad(self, idx, x) -> np.ndarray:
         """Average of the component gradients over idx (every component when None).
@@ -219,13 +221,12 @@ class FiniteSumProblem:
             return self.batch_grad(None, x)
         return self.weights @ self.component_grads_at(None, x)
 
-    def second_moment(self, x) -> float:
-        """Gradient second moment sum_i w_i ||grad f_i(x)||^2."""
-        grads = self.component_grads_at(None, np.asarray(x, dtype=float))
-        sq = np.einsum("ni,ni->n", grads, grads)
-        if self.uniform_weights:
-            return float(sq.sum() / self.n)
-        return float(self.weights @ sq)
+    def second_moment(self, x):
+        """Gradient second moment sum_i w_i ||grad f_i(x)||^2; one value per row when x is (S, d)."""
+        x = np.asarray(x, dtype=float)
+        grads = self.component_grads_at(None, x)
+        out = self.weighted_mean(np.einsum("...ni,...ni->...n", grads, grads))
+        return float(out) if x.ndim == 1 else out
 
     def check_point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -322,6 +322,111 @@ def test_second_moment_needs_two_points():
         li.check_second_moment_transfer(problem, cert, np.ones((1, 1)))
 
 
+# -- stacked checks against per-point loops ----------------------------------
+
+
+def row_sq(vectors):
+    return np.einsum("ni,ni->n", vectors, vectors)
+
+
+def loop_variance_transfer(problem, cert, points, eps_grid):
+    """Per-point reference: (grid size, worst slack, worst point)."""
+    worst, worst_point = math.inf, ()
+    for k, x in enumerate(points):
+        lhs = problem.second_moment(x)
+        suboptimality = problem.value(x) - cert.inf_f
+        rhs = 2.0 * problem.L * (1.0 + eps_grid) * suboptimality + (
+            1.0 + 1.0 / eps_grid
+        ) * cert.sigma_star_sq
+        slacks = rhs - lhs
+        j = int(np.argmin(slacks))
+        if slacks[j] < worst:
+            worst, worst_point = float(slacks[j]), (k, float(eps_grid[j]))
+    return len(points) * eps_grid.size, worst, worst_point
+
+
+def loop_one_step(problem, cert, gamma, xs, zs):
+    """Per-pair reference: (grid size, worst slack, worst point)."""
+    consts = li.abc_constants(gamma, problem.L, cert.sigma_star_sq)
+    worst, worst_point = math.inf, ()
+    for k, (x, z) in enumerate(zip(xs, zs)):
+        moved = (x - gamma * problem.component_grads_at(None, x)) - z
+        moved_sq = float(problem.weights @ row_sq(moved))
+        lhs = consts.a * problem.value(x) + consts.b * problem.value(z) + consts.c * cert.inf_f
+        rhs = (float((x - z) @ (x - z)) - moved_sq) / (2.0 * gamma) + consts.v
+        if rhs - lhs < worst:
+            worst, worst_point = float(rhs - lhs), (k, float(gamma))
+    return len(xs), worst, worst_point
+
+
+def loop_second_moment(problem, cert, points):
+    """Per-pair and per-point reference: (grid size, worst slack, worst point)."""
+    grads_star = problem.component_grads_at(None, cert.x_star)
+    worst, worst_point, count = math.inf, (), 0
+    for k in range(len(points) - 1):
+        gx = problem.component_grads_at(None, points[k])
+        gy = problem.component_grads_at(None, points[k + 1])
+        split = 2.0 * row_sq(gx) + 2.0 * row_sq(gy - gx) - row_sq(gy)
+        count += split.size
+        i = int(np.argmin(split))
+        if split[i] < worst:
+            worst, worst_point = float(split[i]), ("split", k, i)
+    for k, x in enumerate(points):
+        dx = problem.component_grads_at(None, x) - grads_star
+        expected_sq = float(problem.weights @ row_sq(dx))
+        smooth = (problem.value(x) - cert.inf_f) - expected_sq / (2.0 * problem.L)
+        count += 1
+        if smooth < worst:
+            worst, worst_point = float(smooth), ("expected_smoothness", k)
+    return count, worst, worst_point
+
+
+def oracle_family(kind):
+    if kind == "logistic":
+        return li.make_logistic(n=10, d=3, seed=17)
+    problem, cert = li.make_least_squares(n=9, d=3, spread=1.0, seed=41)
+    if kind == "uniform_least_squares":
+        return problem, cert
+    weights = np.random.default_rng(5).uniform(0.5, 2.0, problem.n)
+    weighted = li.LeastSquaresProblem(problem.design, problem.offsets, weights / weights.sum())
+    assert not weighted.uniform_weights
+    return weighted, li.closed_form_certificate(weighted)
+
+
+def assert_same(result, reference):
+    grid_size, worst, worst_point = reference
+    assert result.grid_size == grid_size
+    assert result.worst_point == worst_point
+    assert abs(result.worst_slack - worst) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["uniform_least_squares", "weighted_least_squares", "logistic"])
+@pytest.mark.parametrize("chunk_points", [1, 7, None], ids=["one-point", "several", "whole-cloud"])
+def test_stacked_checks_match_per_point_loops(monkeypatch, kind, chunk_points):
+    """Same grid size, worst point and worst slack as the loops, whatever the chunking."""
+    problem, cert = oracle_family(kind)
+    rng = np.random.default_rng(2024)
+    points = cert.x_star + 2.0 * rng.standard_normal((23, problem.dimension))
+    zs = cert.x_star + 2.0 * rng.standard_normal((23, problem.dimension))
+    entries = 10**9 if chunk_points is None else chunk_points * problem.n * problem.dimension
+    monkeypatch.setattr(li.lemmas, "_STACK_ENTRIES", entries)
+    eps_grid = np.geomspace(1e-3, 1e3, 7)
+    assert_same(
+        li.check_variance_transfer(problem, cert, points, eps_grid),
+        loop_variance_transfer(problem, cert, points, eps_grid),
+    )
+    for gl in (0.1, 0.9):
+        gamma = gl / problem.L
+        assert_same(
+            li.check_one_step_inequality(problem, cert, gamma, points, zs),
+            loop_one_step(problem, cert, gamma, points, zs),
+        )
+    assert_same(
+        li.check_second_moment_transfer(problem, cert, points),
+        loop_second_moment(problem, cert, points),
+    )
+
+
 # -- battery -------------------------------------------------------------------
 
 
