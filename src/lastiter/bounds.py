@@ -14,8 +14,9 @@ bounds, and the square-root case beta = 1/2 has its own sharper constants.
 
 The module also exposes the machinery those bounds are assembled from: the
 one-step energy coefficients, the tilted averaging weight sequence in both
-recursive and log-Gamma closed forms, the T**phi cap for log-horizon steps,
-effective mini-batch constants, and the sample-complexity horizon.
+recursive and log-Gamma closed forms, effective mini-batch constants, and
+the sample-complexity horizon.  Inputs outside a statement's hypotheses
+raise HypothesisError.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "WeightSequence",
     "abc_constants",
     "build_bound_report",
-    "complexity_beta_constant",
     "complexity_horizon",
     "effective_constants",
     "last_iterate_bound",
@@ -46,7 +46,6 @@ __all__ = [
     "polynomial_step_bound",
     "sqrt_step_bound",
     "sqrt_step_bound_c2",
-    "tphi_cap",
     "weight_sequence",
 ]
 
@@ -57,7 +56,7 @@ class HypothesisError(ValueError):
 
 def _require(condition: bool, message: str):
     if not condition:
-        raise ValueError(message)
+        raise HypothesisError(message)
 
 
 def _as_horizon(T, minimum: int) -> int:
@@ -300,7 +299,7 @@ def complexity_horizon(epsilon: float, L: float, D_sq: float, sigma_star_sq: flo
     while _horizon_score(hi) < target:
         hi *= 2
         if hi > 2**62:
-            raise ValueError("complexity horizon exceeds 2**62 steps; lower the accuracy demand")
+            raise HypothesisError("complexity horizon exceeds 2**62 steps; lower the accuracy demand")
     lo = hi // 2
     # invariant: score(lo) < target <= score(hi); the score is increasing.
     while hi - lo > 1:
@@ -310,47 +309,6 @@ def complexity_horizon(epsilon: float, L: float, D_sq: float, sigma_star_sq: flo
         else:
             lo = mid
     return hi
-
-
-def complexity_beta_constant(beta: float, L: float, D_sq: float, sigma_star_sq: float) -> float:
-    """Constant K'(beta) of the power-law horizon display T >= K' / epsilon**beta.
-
-    Defined for beta > 2 through alpha = (1 - 2/beta) / 2 as
-    K' = (3 K / (e alpha))**beta with the same K as
-    :func:`complexity_horizon`.  The constant blows up as beta -> 2+ (alpha
-    -> 0), so smaller exponents are not reachable in this form.
-    """
-    _require(np.isfinite(beta) and beta > 2, f"beta must be > 2, got {beta!r}")
-    _check_constants(L=L, D_sq=D_sq, sigma_star_sq=sigma_star_sq)
-    K = max(18.0 * L * D_sq, 67.0 * sigma_star_sq / (2.0 * L))
-    alpha = (1.0 - 2.0 / beta) / 2.0
-    return (3.0 * K / (math.e * alpha)) ** beta
-
-
-def tphi_cap(gamma: float, L: float, T, K: float) -> float:
-    """T**phi for a log-horizon step, certified against its cap exp(2 L K).
-
-    Requires gamma <= K / ln T; under that hypothesis the tilt factor
-    T**phi never exceeds exp(2 L K).
-
-    Raises:
-        HypothesisError: gamma exceeds K / ln T, so no cap is claimed.
-    """
-    T = _as_horizon(T, 2)
-    _require(np.isfinite(K) and K >= 0, f"K must be >= 0, got {K!r}")
-    gl = _check_scale(gamma, L)
-    limit = K / math.log(T)
-    if gamma > limit:
-        raise HypothesisError(
-            f"gamma = {gamma!r} exceeds K / ln T = {limit!r}; the tilt cap is not claimed"
-        )
-    tilt = float(T) ** (2.0 * gl / (1.0 + gl))
-    cap = math.exp(2.0 * L * K)
-    if tilt > cap * (1.0 + 1e-12):
-        raise RuntimeError(
-            f"tilt {tilt!r} exceeded its certified cap {cap!r}; arithmetic is inconsistent"
-        )
-    return tilt
 
 
 @dataclass(frozen=True)
@@ -412,7 +370,16 @@ class BoundReport:
         return {name: value for name, value in values.items() if value is not None}
 
     def tightest(self) -> float:
-        return min(self.applicable().values())
+        """Smallest applicable bound.
+
+        Raises:
+            HypothesisError: an applicable bound is not finite, so the report
+                makes no claim.
+        """
+        values = self.applicable().values()
+        for value in values:
+            _require(np.isfinite(value), f"bound must be finite, got {value!r}")
+        return min(values)
 
     def to_doc(self) -> dict:
         return asdict(self)

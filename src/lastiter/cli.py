@@ -22,6 +22,7 @@ across worker counts when --deterministic-output is set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -29,9 +30,9 @@ import sys
 from . import __version__
 from .bounds import HypothesisError, build_bound_report, complexity_horizon
 from .config import ConfigError, load_lemma_plan, load_run_plan, load_sweep_plan
-from .lemmas import BATTERY_ORDER, run_battery
+from .lemmas import BATTERY_ORDER, LemmaCheckResult, run_battery
 from .montecarlo import SWEEP_COLUMNS, check_cell, sweep
-from .problems import CertificationError, GenerationError, problem_to_doc
+from .problems import problem_to_doc
 from .reporting import fmt, jsonable, timestamp, write_csv, write_json
 from .sgd import (
     ConstantStep,
@@ -49,8 +50,9 @@ from .montecarlo import estimate_gap  # noqa: F401
 
 __all__ = ["main"]
 
-_USAGE_ERRORS = (ConfigError, ScheduleError, UnsupportedSamplingError, HypothesisError,
-                 GenerationError, CertificationError, ValueError)
+# Input faults reach main as one of these, or as an OSError or DivergenceError
+# handled apart; any other exception is a bug and keeps its traceback.
+_USAGE_ERRORS = (ConfigError, ScheduleError, UnsupportedSamplingError, HypothesisError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -299,8 +301,12 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _point_text(point) -> str:
-    return " ".join(fmt(jsonable(p)) for p in point)
+# lemmas.csv columns: every result field but the free-form details.
+_LEMMA_COLUMNS = tuple(f.name for f in dataclasses.fields(LemmaCheckResult) if f.name != "details")
+
+
+def _lemma_cell(value) -> str:
+    return " ".join(fmt(v) for v in value) if isinstance(value, list) else fmt(value)
 
 
 def _cmd_verify_lemmas(args) -> int:
@@ -310,31 +316,16 @@ def _cmd_verify_lemmas(args) -> int:
     if args.lemma:
         wanted = set(args.lemma)
         results = [r for r in results if r.lemma_id in wanted]
-    header = ("lemma_id", "grid_size", "worst_slack", "worst_point", "passed", "flagged")
-    csv_rows = [
-        (r.lemma_id, fmt(r.grid_size), fmt(float(r.worst_slack)),
-         _point_text(r.worst_point), fmt(r.passed), fmt(r.flagged))
-        for r in results
-    ]
+    rows = [jsonable(dataclasses.asdict(r)) for r in results]
     csv_path = os.path.join(out_dir, "lemmas.csv")
-    write_csv(csv_path, header, csv_rows)
+    write_csv(csv_path, _LEMMA_COLUMNS,
+              [[_lemma_cell(row[col]) for col in _LEMMA_COLUMNS] for row in rows])
     doc = {
         "schema": "lastiter-lemmas/1",
         "config_hash": plan.config_hash,
         "code_version": __version__,
         "generated_at": timestamp(args.deterministic_output),
-        "results": [
-            jsonable({
-                "lemma_id": r.lemma_id,
-                "grid_size": r.grid_size,
-                "worst_slack": r.worst_slack,
-                "worst_point": list(r.worst_point),
-                "passed": r.passed,
-                "flagged": r.flagged,
-                "details": r.details,
-            })
-            for r in results
-        ],
+        "results": rows,
     }
     write_json(os.path.join(out_dir, "lemmas.json"), doc)
     gate_failed = False

@@ -17,7 +17,9 @@ import json
 import numpy as np
 
 from .problems import (
+    CertificationError,
     FiniteSumProblem,
+    GenerationError,
     SolutionCertificate,
     UnsupportedSamplingError,
     load_problem,
@@ -85,6 +87,10 @@ def _is_num(value) -> bool:
     return (_is_int(value) or isinstance(value, float)) and np.isfinite(value)
 
 
+def _is_seed(value) -> bool:
+    return _is_int(value) and 0 <= value < 2**64
+
+
 def resolve_grid(spec, name: str = "grid") -> np.ndarray:
     """Resolve a grid definition to a 1-d array.
 
@@ -127,6 +133,10 @@ def build_problem(spec: dict, index: int = 0):
 
     Specs name a generator with its parameters, or a "file" with a
     serialized problem document (which must embed a certificate).
+
+    Raises:
+        ConfigError: the spec is malformed, or its file cannot be loaded.
+        GenerationError, CertificationError: from the generator.
     """
     if not isinstance(spec, dict):
         raise ConfigError([f"problem[{index}]: expected an object"])
@@ -134,7 +144,15 @@ def build_problem(spec: dict, index: int = 0):
         unknown = set(spec) - {"file", "id"}
         if unknown:
             raise ConfigError([f"problem[{index}]: unknown keys {sorted(unknown)}"])
-        problem, cert = load_problem(spec["file"])
+        if not isinstance(spec["file"], str):
+            raise ConfigError([f"problem[{index}].file: must be a path string"])
+        # Anything the document fails on is a fault of the file, not of the program.
+        try:
+            problem, cert = load_problem(spec["file"])
+        except KeyError as exc:
+            raise ConfigError([f"problem[{index}]: file {spec['file']!r} lacks key {exc}"]) from None
+        except (AttributeError, OSError, TypeError, ValueError) as exc:
+            raise ConfigError([f"problem[{index}]: cannot load {spec['file']!r}: {exc}"]) from None
         if cert is None:
             raise ConfigError([f"problem[{index}]: file {spec['file']!r} has no certificate"])
         return spec.get("id", f"file:{spec['file']}"), problem, cert
@@ -158,8 +176,8 @@ def build_problem(spec: dict, index: int = 0):
         errors.append(f"problem[{index}].n: must be a positive integer")
     if not (_is_int(merged.get("d")) and merged["d"] >= 1):
         errors.append(f"problem[{index}].d: must be a positive integer")
-    if not (_is_int(merged.get("seed")) and merged["seed"] >= 0):
-        errors.append(f"problem[{index}].seed: must be a nonnegative integer")
+    if not _is_seed(merged.get("seed")):
+        errors.append(f"problem[{index}].seed: must be a nonnegative integer below 2**64")
     if generator == "least_squares" and not (_is_num(merged["spread"]) and merged["spread"] >= 0):
         errors.append(f"problem[{index}].spread: must be a finite number >= 0")
     if generator == "logistic" and not (_is_num(merged["tol"]) and merged["tol"] > 0):
@@ -197,8 +215,8 @@ def resolve_x0(policy, problem: FiniteSumProblem, cert: SolutionCertificate) -> 
             errors.append("x0: offset policy takes only distance and seed")
         if not (_is_num(policy.get("distance")) and policy["distance"] >= 0):
             errors.append("x0.distance: must be a finite number >= 0")
-        if not (_is_int(policy.get("seed")) and policy["seed"] >= 0):
-            errors.append("x0.seed: must be a nonnegative integer")
+        if not _is_seed(policy.get("seed")):
+            errors.append("x0.seed: must be a nonnegative integer below 2**64")
         if errors:
             raise ConfigError(errors)
         direction = stream(policy["seed"], DIRECTION_STREAM).standard_normal(problem.dimension)
@@ -227,7 +245,7 @@ def _load_doc(source) -> dict:
         with open(source, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
                 raise ConfigError([f"config: invalid JSON ({exc})"]) from exc
     if not isinstance(doc, dict):
         raise ConfigError(["config: top level must be a JSON object"])
@@ -259,7 +277,11 @@ def _check_seeds(section: dict, label: str, errors: list):
 
 
 def _check_entries(specs: list, x0_policy, label: str, errors: list) -> list:
-    """(id, problem, cert, x0) per problem spec that builds; x0 is None where the policy fails."""
+    """(id, problem, cert, x0) per problem spec that builds.
+
+    A spec that fails to load or to generate adds a ``problem[i]`` error.
+    x0 is None where the policy fails or no policy is given.
+    """
     entries = []
     for i, spec in enumerate(specs):
         try:
@@ -267,11 +289,15 @@ def _check_entries(specs: list, x0_policy, label: str, errors: list) -> list:
         except ConfigError as exc:
             errors.extend(exc.errors)
             continue
+        except (GenerationError, CertificationError) as exc:
+            errors.append(f"problem[{i}]: {exc}")
+            continue
         x0 = None
-        try:
-            x0 = resolve_x0(x0_policy, problem, cert)
-        except ConfigError as exc:
-            errors.extend(f"{label}.{line}" for line in exc.errors)
+        if x0_policy is not None:
+            try:
+                x0 = resolve_x0(x0_policy, problem, cert)
+            except ConfigError as exc:
+                errors.extend(f"{label}.{line}" for line in exc.errors)
         entries.append((problem_id, problem, cert, x0))
     return entries
 
@@ -446,8 +472,8 @@ def resolve_lemma_grids(lemma_doc: dict) -> dict:
         errors.append("lemmas.point_radius: must be a positive number")
     else:
         grids["point_radius"] = float(merged["point_radius"])
-    if not (_is_int(merged["point_seed"]) and merged["point_seed"] >= 0):
-        errors.append("lemmas.point_seed: must be a nonnegative integer")
+    if not _is_seed(merged["point_seed"]):
+        errors.append("lemmas.point_seed: must be a nonnegative integer below 2**64")
     else:
         grids["point_seed"] = merged["point_seed"]
     if not errors:
@@ -486,12 +512,17 @@ def load_lemma_plan(source=None) -> LemmaPlan:
         errors.append("lemmas: must be an object")
     if errors:
         raise ConfigError(errors)
-    grids = resolve_lemma_grids(lemma_doc)
+    try:
+        grids = resolve_lemma_grids(lemma_doc)
+    except ConfigError as exc:
+        errors.extend(exc.errors)
     problems_spec = lemma_doc.get("problems", DEFAULT_LEMMA_CONFIG["problems"])
-    if not (isinstance(problems_spec, list) and problems_spec):
-        raise ConfigError(["lemmas.problems: must be a nonempty list"])
     entries = []
-    for i, spec in enumerate(problems_spec):
-        pid, problem, cert = build_problem(spec, i)
-        entries.append((pid, problem, cert))
-    return LemmaPlan(config_hash=doc_hash(doc), entries=tuple(entries), grids=grids)
+    if isinstance(problems_spec, list) and problems_spec:
+        entries = _check_entries(problems_spec, None, "lemmas", errors)
+    else:
+        errors.append("lemmas.problems: must be a nonempty list")
+    if errors:
+        raise ConfigError(errors)
+    return LemmaPlan(config_hash=doc_hash(doc),
+                     entries=tuple(entry[:3] for entry in entries), grids=grids)

@@ -25,6 +25,7 @@ from .problems import FiniteSumProblem, SolutionCertificate
 from .rng import POINT_STREAM, stream
 
 __all__ = [
+    "BATTERY_ORDER",
     "LemmaCheckResult",
     "SLACK_TOL",
     "check_exp_convexity",

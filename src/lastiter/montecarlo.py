@@ -16,7 +16,7 @@ import contextlib
 import itertools
 import math
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,11 +37,13 @@ __all__ = [
     "CellCheck",
     "MomentState",
     "MonteCarloEstimate",
+    "SWEEP_COLUMNS",
     "SweepRow",
     "check_cell",
     "estimate_gap",
     "merge_moments",
     "reduce_moments",
+    "run_fingerprint",
     "sweep",
 ]
 
@@ -231,7 +233,7 @@ def check_cell(
     the tightest applicable bound, and slack_ratio is bound / ci95_upper.
 
     Raises:
-        HypothesisError: the tightest bound is not finite.
+        HypothesisError: an applicable bound is not finite.
         ScheduleError, UnsupportedSamplingError, DivergenceError: from the
             bounds or the estimate.
     """
@@ -240,8 +242,6 @@ def check_cell(
     d_sq = float(np.sum((x0 - cert.x_star) ** 2))
     bounds = build_bound_report(schedule, effective.L_b, d_sq, effective.sigma_b_sq, T)
     bound_value = float(bounds.tightest())
-    if not np.isfinite(bound_value):
-        raise HypothesisError(f"bound must be finite, got {bound_value!r}")
     template = RunConfig(T=T, seed=0, schedule=schedule, x0=x0, batch_size=b)
     estimate = estimate_gap(problem, cert, template, n_seeds, base_seed, workers=workers,
                             keep_per_seed=keep_per_seed, pool=pool)
@@ -256,42 +256,28 @@ def check_cell(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SweepRow:
     """One sweep cell; numeric fields are None when the cell errored."""
 
-    problem_id: str
-    T: int
-    b: int
-    C: float | None
-    beta: float | None
-    gamma: float | None
-    n_seeds: int
-    mean_gap: float | None
-    std_error: float | None
-    ci95_upper: float | None
-    theorem1_bound: float | None
-    corollary_bound: float | None
-    satisfied: bool | None
+    problem_id: str | None = None
+    T: int | None = None
+    b: int | None = None
+    C: float | None = None
+    beta: float | None = None
+    gamma: float | None = None
+    n_seeds: int | None = None
+    mean_gap: float | None = None
+    std_error: float | None = None
+    ci95_upper: float | None = None
+    theorem1_bound: float | None = None
+    corollary_bound: float | None = None
+    satisfied: bool | None = None
     error: str | None = None
 
 
-SWEEP_COLUMNS = (
-    "problem_id",
-    "T",
-    "b",
-    "C",
-    "beta",
-    "gamma",
-    "n_seeds",
-    "mean_gap",
-    "std_error",
-    "ci95_upper",
-    "theorem1_bound",
-    "corollary_bound",
-    "satisfied",
-    "error",
-)
+# sweep.csv columns, in field order.
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 # A sweep cell that fails with one of these becomes an error row; anything
@@ -336,11 +322,7 @@ def sweep(
                 check = check_cell(problem, cert, x0, T, schedule, b, n_seeds, base_seed,
                                    workers=workers, pool=pool)
             except _CELL_ERRORS as exc:
-                rows.append(SweepRow(
-                    **row, gamma=None, mean_gap=None, std_error=None, ci95_upper=None,
-                    theorem1_bound=None, corollary_bound=None, satisfied=None,
-                    error=f"{type(exc).__name__}: {exc}",
-                ))
+                rows.append(SweepRow(**row, error=f"{type(exc).__name__}: {exc}"))
                 continue
             bounds, estimate = check.bounds, check.estimate
             corollaries = (bounds.sqrt_c2, bounds.sqrt_general, bounds.polynomial)  # most specialised first

@@ -48,7 +48,6 @@ __all__ = [
     "problem_from_doc",
     "problem_to_doc",
     "save_problem",
-    "sigma_star_sq",
 ]
 
 # Largest generated array, in float64 entries (the per-component matrices of a
@@ -56,6 +55,10 @@ __all__ = [
 MEMORY_BUDGET_ENTRIES = 2**23
 
 _WEIGHT_SUM_TOL = 1e-9
+# Residual a closed-form certificate must reach, and the gradient-descent
+# steps a numerical certificate may take to reach its own.
+_CLOSED_FORM_TOL = 1e-8
+_CERTIFY_ITER_CAP = 200_000
 
 
 class UnsupportedSamplingError(ValueError):
@@ -353,12 +356,7 @@ class LogisticProblem(FiniteSumProblem):
 # -- certification ---------------------------------------------------------
 
 
-def sigma_star_sq(problem: FiniteSumProblem, x) -> float:
-    """Gradient second moment sum_i w_i ||grad f_i(x)||^2 at the point x."""
-    return problem.second_moment(problem.check_point(x))
-
-
-def closed_form_certificate(problem: LeastSquaresProblem, tol: float = 1e-8) -> SolutionCertificate:
+def closed_form_certificate(problem: LeastSquaresProblem) -> SolutionCertificate:
     """Certificate from the normal equations of the weighted mean.
 
     Rejects a singular mean Hessian instead of returning a spurious solve.
@@ -374,42 +372,35 @@ def closed_form_certificate(problem: LeastSquaresProblem, tol: float = 1e-8) -> 
         )
     x_star = np.linalg.solve(problem.mean_hessian, problem._mean_atb)
     residual = float(np.linalg.norm(problem.grad(x_star)))
-    if residual > tol:
+    if residual > _CLOSED_FORM_TOL:
         raise GenerationError(
-            f"normal-equations residual {residual:.3e} exceeds tol {tol:.3e}; "
+            f"normal-equations residual {residual:.3e} exceeds tol {_CLOSED_FORM_TOL:.3e}; "
             "the instance is too ill-conditioned to certify in closed form"
         )
     return SolutionCertificate(
         x_star=x_star,
         inf_f=problem.value(x_star),
-        sigma_star_sq=sigma_star_sq(problem, x_star),
+        sigma_star_sq=problem.second_moment(x_star),
         grad_norm_residual=residual,
         provenance="closed_form",
-        tol=float(tol),
+        tol=_CLOSED_FORM_TOL,
     )
 
 
-def certify_solution(
-    problem: FiniteSumProblem,
-    tol: float = 1e-10,
-    iter_cap: int = 200_000,
-    x0=None,
-) -> SolutionCertificate:
-    """Certify a minimizer numerically by full-gradient descent.
+def certify_solution(problem: FiniteSumProblem, tol: float = 1e-10) -> SolutionCertificate:
+    """Certify a minimizer numerically by full-gradient descent from the origin.
 
     Runs deterministic gradient descent with step 1/L_f and a halving
-    fallback whenever the smooth-descent test fails.  Starting at a point
-    that already satisfies the tolerance returns immediately.
+    fallback whenever the smooth-descent test fails.
 
     Raises:
         CertificationError: the residual tolerance was not reached within
-            ``iter_cap`` iterations; carries the best residual seen.
+            ``_CERTIFY_ITER_CAP`` iterations, or halving the step 200 times
+            did not pass the descent test; carries the best residual seen.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if iter_cap < 0:
-        raise ValueError("iter_cap must be nonnegative")
-    x = np.zeros(problem.dimension) if x0 is None else problem.check_point(x0).copy()
+    x = np.zeros(problem.dimension)
     fx = problem.value(x)
     g = problem.grad(x)
     gg = float(g @ g)
@@ -418,9 +409,9 @@ def certify_solution(
     step = 1.0 / problem.L_f
     iterations = 0
     while residual > tol:
-        if iterations >= iter_cap:
+        if iterations >= _CERTIFY_ITER_CAP:
             raise CertificationError(
-                f"certification did not reach tol {tol:g} in {iter_cap} "
+                f"certification did not reach tol {tol:g} in {_CERTIFY_ITER_CAP} "
                 f"iterations (best residual {best:g})",
                 best_residual=best,
             )
@@ -446,7 +437,7 @@ def certify_solution(
     return SolutionCertificate(
         x_star=x,
         inf_f=fx,
-        sigma_star_sq=sigma_star_sq(problem, x),
+        sigma_star_sq=problem.second_moment(x),
         grad_norm_residual=residual,
         provenance="numerical_solve",
         tol=float(tol),

@@ -12,6 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = [
+    "DIRECTION_STREAM",
+    "POINT_STREAM",
+    "PROBLEM_STREAM",
+    "RUN_STREAM",
+    "check_seed",
+    "stream",
+]
+
 _MASK64 = (1 << 64) - 1
 
 # Purpose tags, one per randomness consumer.  Append-only: reassigning a tag

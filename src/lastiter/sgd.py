@@ -20,8 +20,6 @@ deterministic gradient descent bit for bit.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +41,6 @@ __all__ = [
     "schedule_from_doc",
     "schedule_to_doc",
     "sgd_run",
-    "suggested_step_interpolation",
-    "suggested_step_noisy",
-    "write_trajectory_csv",
 ]
 
 _DIVERGENCE_LIMIT = 1e100
@@ -131,18 +126,6 @@ def resolve_schedule(schedule: StepSizeSchedule, L: float, T: int) -> float:
     return gamma
 
 
-def suggested_step_noisy() -> PolynomialStep:
-    """Schedule preset for problems with gradient noise at the solution."""
-    return PolynomialStep(C=4.0, beta=0.5)
-
-
-def suggested_step_interpolation(L: float, T: int) -> ConstantStep:
-    """Preset 1 / (4 L ln T) for interpolation problems, as a constant step."""
-    if T < 2:
-        raise ScheduleError("the log-horizon preset needs T >= 2")
-    return ConstantStep(gamma=1.0 / (4.0 * L * math.log(T)))
-
-
 def schedule_to_doc(schedule: StepSizeSchedule) -> dict:
     if isinstance(schedule, ConstantStep):
         return {"variant": "constant", "gamma": schedule.gamma}
@@ -162,11 +145,9 @@ def schedule_from_doc(doc: dict) -> StepSizeSchedule:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One SGD run: horizon, seed, schedule, batch size, recording policy.
+    """One SGD run: horizon, seed, schedule, initial iterate, batch size, record stride.
 
-    ``record_stride = 0`` means automatic: max(1, T // 100).  ``x0`` is the
-    initial iterate.  ``record_iterates`` additionally keeps an x snapshot
-    in every record.
+    ``record_stride = 0`` means automatic: max(1, T // 100).
     """
 
     T: int
@@ -175,7 +156,6 @@ class RunConfig:
     x0: np.ndarray
     batch_size: int = 1
     record_stride: int = 0
-    record_iterates: bool = False
 
     def __post_init__(self):
         if int(self.T) < 1:
@@ -198,10 +178,10 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class StepRecord:
+    """The gap f(x_t) - inf f after step t."""
+
     t: int
     gap: float
-    x_norm: float
-    x: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -325,13 +305,7 @@ def _trajectory(problem: FiniteSumProblem, cert: SolutionCertificate, config: Ru
     records = []
 
     def record(t, X):
-        x = X[0]
-        records.append(StepRecord(
-            t=t,
-            gap=float(problem.value(x) - cert.inf_f),
-            x_norm=math.sqrt(x @ x),
-            x=x.copy() if config.record_iterates else None,
-        ))
+        records.append(StepRecord(t=t, gap=float(problem.value(X[0]) - cert.inf_f)))
 
     gamma, X = _run(problem, config, (config.seed,), record)
     return Trajectory(
@@ -354,15 +328,3 @@ def minibatch_run(problem: FiniteSumProblem, cert: SolutionCertificate, config: 
     """Mini-batch SGD over uniform size-b subsets drawn without replacement."""
     return _trajectory(problem, cert, config)
 
-
-def write_trajectory_csv(trajectory: Trajectory, path, include_x_norm: bool = False):
-    """Write recorded steps as CSV with columns t, gap and optional x_norm."""
-    header = ["t", "gap"] + (["x_norm"] if include_x_norm else [])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for rec in trajectory.records:
-            row = [rec.t, repr(rec.gap)]
-            if include_x_norm:
-                row.append(repr(rec.x_norm))
-            writer.writerow(row)

@@ -176,6 +176,18 @@ def test_run_divergence_exits_one(tmp_path, capsys, monkeypatch):
     assert "diverged at step 7" in capsys.readouterr().err
 
 
+def test_untyped_value_error_is_a_bug_and_propagates(tmp_path, monkeypatch):
+    import lastiter.montecarlo as mc
+
+    def broken(*args, **kwargs):
+        raise ValueError("a bug, not an input fault")
+
+    monkeypatch.setattr(mc, "estimate_gap", broken)
+    config = write_config(tmp_path, "run.json", run_config_doc(n_seeds=2))
+    with pytest.raises(ValueError, match="a bug"):
+        cli.main(["run", "--config", config, "--out", str(tmp_path / "out")])
+
+
 def test_run_missing_config_flag_exits_one(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["run"])

@@ -1,5 +1,7 @@
 """Config loading: grids, problem specs, x0 policies, plan validation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,48 @@ def test_build_problem_file_requires_certificate(tmp_path):
     li.save_problem(path, problem)
     with pytest.raises(li.ConfigError, match="certificate"):
         li.build_problem({"file": str(path)})
+
+
+def test_file_problem_lacking_its_problem_key_is_a_config_error(tmp_path):
+    problem, cert = li.make_least_squares(n=4, d=2, spread=1.0, seed=3)
+    doc = li.problem_to_doc(problem, cert)
+    del doc["problem"]
+    path = tmp_path / "headless.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(li.ConfigError) as info:
+        li.load_run_plan({**run_doc(), "problem": {"file": str(path)}})
+    assert info.value.errors == [f"problem[0]: file {str(path)!r} lacks key 'problem'"]
+
+
+def test_unreadable_problem_file_is_collected_with_other_errors(tmp_path):
+    path = tmp_path / "garbage.json"
+    path.write_text("not json")
+    with pytest.raises(li.ConfigError) as info:
+        li.load_run_plan({**run_doc(n_seeds=0), "problem": {"file": str(path)}})
+    errors = info.value.errors
+    assert "run.n_seeds: must be a positive integer" in errors
+    assert any(e.startswith(f"problem[0]: cannot load {str(path)!r}: Expecting value") for e in errors)
+    with pytest.raises(li.ConfigError, match="path string"):
+        li.build_problem({"file": ["not", "a", "path"]})
+
+
+def test_generator_failure_is_collected_with_other_errors():
+    doc = {"problem": {"generator": "logistic", "n": 1, "d": 2, "seed": 0}, "run": run_doc(T=2)["run"]}
+    with pytest.raises(li.ConfigError) as info:
+        li.load_run_plan(doc)
+    errors = info.value.errors
+    assert any(e.startswith("run.T:") for e in errors)
+    assert "problem[0]: need n >= 2 so both labels occur, got n=1" in errors
+
+
+def test_seeds_must_fit_64_bits():
+    spec = {"generator": "least_squares", "n": 4, "d": 2, "seed": 2**64}
+    with pytest.raises(li.ConfigError, match=r"problem\[0\]\.seed"):
+        li.load_run_plan({**run_doc(), "problem": spec})
+    with pytest.raises(li.ConfigError, match=r"run\.x0\.seed"):
+        li.load_run_plan(run_doc(x0={"policy": "offset", "distance": 1.0, "seed": 2**64}))
+    with pytest.raises(li.ConfigError, match="point_seed"):
+        li.load_lemma_plan({"lemmas": {"point_seed": 2**64}})
 
 
 # -- x0 policies ---------------------------------------------------------------
@@ -402,6 +446,19 @@ def test_lemma_grids_reject_domain_violations():
         resolve_lemma_grids({"n_points": 1})
     with pytest.raises(li.ConfigError, match="unknown keys"):
         resolve_lemma_grids({"mystery_grid": [1.0]})
+
+
+def test_lemma_plan_collects_grid_and_every_problem_error():
+    bad_problems = [
+        {"generator": "mystery"},
+        {"generator": "logistic", "n": 1, "d": 2, "seed": 0},
+    ]
+    with pytest.raises(li.ConfigError) as info:
+        li.load_lemma_plan({"lemmas": {"n_points": 1, "problems": bad_problems}})
+    errors = info.value.errors
+    assert "lemmas.n_points: must be an integer >= 2" in errors
+    assert any(e.startswith("problem[0].generator:") for e in errors)
+    assert "problem[1]: need n >= 2 so both labels occur, got n=1" in errors
 
 
 def test_lemma_plan_rejects_unknown_top_level():

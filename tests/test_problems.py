@@ -129,7 +129,7 @@ def test_mean_smoothness_tight_for_least_squares():
 
 def test_sigma_star_sq_matches_second_moment_at_minimizer():
     problem, cert = li.make_least_squares(n=8, d=2, spread=1.5, seed=33)
-    direct = li.sigma_star_sq(problem, cert.x_star)
+    direct = problem.second_moment(cert.x_star)
     assert abs(direct - cert.sigma_star_sq) < 1e-12 * max(1.0, direct)
     grads = problem.component_grads_at(None, cert.x_star)
     manual = float(np.mean(np.sum(grads**2, axis=1)))
@@ -170,6 +170,26 @@ def test_closed_form_certificate_rejects_singular():
     problem = li.LeastSquaresProblem(design, np.zeros((1, 1)))
     with pytest.raises(li.GenerationError):
         li.closed_form_certificate(problem)
+
+
+def test_certification_stops_at_the_iteration_cap(monkeypatch):
+    import lastiter.problems as problems
+
+    problem, cert = li.make_logistic(n=8, d=3, seed=44)
+    start = float(np.linalg.norm(problem.grad(np.zeros(3))))
+    monkeypatch.setattr(problems, "_CERTIFY_ITER_CAP", 3)
+    with pytest.raises(li.CertificationError, match="in 3 iterations") as info:
+        li.certify_solution(problem, tol=1e-12)
+    assert cert.grad_norm_residual < info.value.best_residual < start
+
+
+def test_certification_stalls_when_smoothness_is_understated():
+    problem, _ = li.make_logistic(n=8, d=3, seed=44)
+    problem.L_f = 1e-80  # step 1e80: 200 halvings leave it far too long to descend
+    start = float(np.linalg.norm(problem.grad(np.zeros(3))))
+    with pytest.raises(li.CertificationError, match="backtracking stalled") as info:
+        li.certify_solution(problem)
+    assert info.value.best_residual == start
 
 
 def test_certify_solution_on_logistic():
