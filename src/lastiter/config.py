@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import json
+import math
 
 import numpy as np
 
@@ -84,7 +85,13 @@ def _is_int(value) -> bool:
 
 
 def _is_num(value) -> bool:
-    return (_is_int(value) or isinstance(value, float)) and np.isfinite(value)
+    """A finite number; an integer must also fit the float range."""
+    if _is_int(value):
+        try:
+            value = float(value)
+        except OverflowError:
+            return False
+    return isinstance(value, float) and math.isfinite(value)
 
 
 def _is_seed(value) -> bool:
@@ -120,6 +127,7 @@ def resolve_grid(spec, name: str = "grid") -> np.ndarray:
         errors.append(f"{name}: log spacing needs min > 0")
     if errors:
         raise ConfigError(errors)
+    lo, hi = float(lo), float(hi)  # numpy ufuncs reject Python integers beyond int64
     if spacing == "linear":
         return np.linspace(lo, hi, count)
     values = np.logspace(np.log10(lo), np.log10(hi), count)
@@ -302,6 +310,16 @@ def _check_entries(specs: list, x0_policy, label: str, errors: list) -> list:
     return entries
 
 
+def _pinned(specs: list, entries: list) -> list:
+    """The specs, each {"file": ...} one carrying the digest of the problem it loaded.
+
+    Config hashes are taken over pinned specs, so they follow a problem
+    file's content and not only its path; the user's document is not changed.
+    """
+    return [{**spec, "digest": problem.digest()} if "file" in spec else spec
+            for spec, (_, problem, _, _) in zip(specs, entries, strict=True)]
+
+
 @dataclass(frozen=True)
 class RunPlan:
     """Validated single-cell experiment: one problem, one run setting."""
@@ -358,7 +376,7 @@ def load_run_plan(source) -> RunPlan:
     if errors:
         raise ConfigError(errors)
     return RunPlan(
-        config_hash=doc_hash(doc),
+        config_hash=doc_hash({**doc, "problem": _pinned([doc["problem"]], entries)[0]}),
         problem_id=problem_id,
         problem=problem,
         cert=cert,
@@ -431,7 +449,7 @@ def load_sweep_plan(source) -> SweepPlan:
     if errors:
         raise ConfigError(errors)
     return SweepPlan(
-        config_hash=doc_hash(doc),
+        config_hash=doc_hash({**doc, "problems": _pinned(problems_spec, entries)}),
         entries=tuple(entries),
         T_grid=tuple(int(t) for t in t_grid),
         schedules=tuple(schedules),
@@ -524,5 +542,7 @@ def load_lemma_plan(source=None) -> LemmaPlan:
         errors.append("lemmas.problems: must be a nonempty list")
     if errors:
         raise ConfigError(errors)
+    if "problems" in lemma_doc:
+        doc = {**doc, "lemmas": {**lemma_doc, "problems": _pinned(problems_spec, entries)}}
     return LemmaPlan(config_hash=doc_hash(doc),
                      entries=tuple(entry[:3] for entry in entries), grids=grids)

@@ -28,7 +28,7 @@ from .bounds import (  # noqa: F401
     sqrt_step_bound,
     sqrt_step_bound_c2,
 )
-from .problems import FiniteSumProblem, SolutionCertificate, UnsupportedSamplingError, problem_to_doc
+from .problems import FiniteSumProblem, SolutionCertificate, UnsupportedSamplingError
 from .reporting import doc_hash
 from .rng import check_seed
 from .sgd import DivergenceError, RunConfig, ScheduleError, _block_rows, _run, schedule_to_doc
@@ -125,9 +125,9 @@ def _worker_gaps(task):
 
 
 def run_fingerprint(problem: FiniteSumProblem, template: RunConfig) -> str:
-    """Hash of the problem and the run configuration minus its seed."""
+    """Hash of the problem's digest and the run configuration minus its seed."""
     doc = {
-        "problem": problem_to_doc(problem),
+        "problem": problem.digest(),
         "run": {
             "T": template.T,
             "batch_size": template.batch_size,

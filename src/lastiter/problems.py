@@ -22,6 +22,7 @@ Two families are implemented:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 
@@ -125,6 +126,8 @@ class FiniteSumProblem:
     """
 
     kind = "abstract"
+    # The arrays that define an instance, in document and digest order.
+    array_names: tuple = ()
 
     def __init__(self, weights, smoothness_components, smoothness_mean, dimension):
         w = np.asarray(weights, dtype=float)
@@ -147,6 +150,7 @@ class FiniteSumProblem:
         self.L_f = float(smoothness_mean)
         self.uniform_weights = bool(np.array_equal(w, np.full(self.n, 1.0 / self.n)))
         self.cum_weights = None if self.uniform_weights else np.cumsum(w)
+        self._digest = None
 
     # -- family hooks -----------------------------------------------------
 
@@ -161,7 +165,23 @@ class FiniteSumProblem:
         return self.dimension * self.dimension
 
     def to_doc(self) -> dict:
-        raise NotImplementedError
+        """The family tag and the defining arrays as nested lists."""
+        return {"kind": self.kind, **{name: getattr(self, name).tolist() for name in self.array_names}}
+
+    def digest(self) -> str:
+        """Hex SHA-256 over the family tag and each defining array's dtype, shape and raw bytes.
+
+        Equal digests mean bitwise-equal instances of the same family; the
+        value is computed once per instance and cached on it.
+        """
+        if self._digest is None:
+            h = hashlib.sha256(self.kind.encode())
+            for name in self.array_names:
+                array = np.ascontiguousarray(getattr(self, name))
+                h.update(f"\0{name}\0{array.dtype.str}\0{array.shape}\0".encode())
+                h.update(array.data)
+            self._digest = h.hexdigest()
+        return self._digest
 
     # -- derived quantities -----------------------------------------------
 
@@ -244,6 +264,7 @@ class LeastSquaresProblem(FiniteSumProblem):
     """f_i(x) = 0.5 ||A_i x - b_i||^2 with stacked designs A (n, m, d)."""
 
     kind = "least_squares"
+    array_names = ("design", "offsets", "weights")
 
     def __init__(self, design, offsets, weights=None):
         A = np.asarray(design, dtype=float)
@@ -288,19 +309,12 @@ class LeastSquaresProblem(FiniteSumProblem):
         # a gathered Hessian for the gradient, a residual for the value
         return max(self.dimension * self.dimension, self.offsets.shape[1])
 
-    def to_doc(self):
-        return {
-            "kind": self.kind,
-            "design": self.design.tolist(),
-            "offsets": self.offsets.tolist(),
-            "weights": self.weights.tolist(),
-        }
-
 
 class LogisticProblem(FiniteSumProblem):
     """f_i(x) = log(1 + exp(-y_i <a_i, x>)) for feature rows a_i, labels +/-1."""
 
     kind = "logistic"
+    array_names = ("features", "labels", "weights")
 
     def __init__(self, features, labels, weights=None):
         F = np.asarray(features, dtype=float)
@@ -343,14 +357,6 @@ class LogisticProblem(FiniteSumProblem):
 
     def component_entries(self):
         return self.dimension
-
-    def to_doc(self):
-        return {
-            "kind": self.kind,
-            "features": self.features.tolist(),
-            "labels": self.labels.tolist(),
-            "weights": self.weights.tolist(),
-        }
 
 
 # -- certification ---------------------------------------------------------
@@ -475,6 +481,7 @@ def make_least_squares(n: int, d: int, spread: float, seed: int):
     """
     if n < 1 or d < 1:
         raise GenerationError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    spread = float(spread)
     if not (np.isfinite(spread) and spread >= 0):
         raise GenerationError(f"spread must be finite and >= 0, got {spread!r}")
     _check_budget(n * d * d)

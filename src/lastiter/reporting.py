@@ -11,6 +11,7 @@ import csv
 import datetime
 import hashlib
 import json
+import math
 
 
 def jsonable(value):
@@ -36,11 +37,57 @@ def doc_hash(doc) -> str:
     return hashlib.sha256(canonical_dumps(doc).encode("utf-8")).hexdigest()
 
 
+# json's encoder for scalars and errors: with an indent it is the pure-Python
+# encoder that json.dump uses, so its texts and messages are json.dump's own.
+_encode = json.JSONEncoder(indent=1, allow_nan=False).encode
+
+
 def write_json(path, doc):
-    """Pretty but deterministic JSON file (sorted keys, trailing newline)."""
+    """Pretty but deterministic JSON file (sorted keys, trailing newline).
+
+    The bytes are exactly those of ``json.dump(doc, fh, sort_keys=True,
+    indent=1, allow_nan=False)`` plus a newline, written piece by piece as
+    they are encoded; a list of plain floats is encoded in one join.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1, allow_nan=False)
+        for piece in _pieces(doc, "\n"):
+            fh.write(piece)
         fh.write("\n")
+
+
+def _pieces(value, newline: str):
+    """JSON text of value in pieces; newline is the line break plus the current indent.
+
+    Empty containers and scalars are json's own text.
+    """
+    if isinstance(value, (list, tuple)) and value:
+        inner = newline + " "
+        if set(map(type, value)) == {float}:
+            if not all(map(math.isfinite, value)):
+                _encode(value)  # raises json's error for the first non-finite item
+            yield "[" + inner + ("," + inner).join(map(float.__repr__, value)) + newline + "]"
+            return
+        for i, item in enumerate(value):
+            yield ("," if i else "[") + inner
+            yield from _pieces(item, inner)
+        yield newline + "]"
+    elif isinstance(value, dict) and value:
+        inner = newline + " "
+        for i, (key, item) in enumerate(sorted(value.items())):
+            yield ("," if i else "{") + inner + _encode(_key(key)) + ": "
+            yield from _pieces(item, inner)
+        yield newline + "}"
+    else:
+        yield _encode(value)
+
+
+def _key(key) -> str:
+    """An object key as json converts it: str as is, int/float/bool/None as their JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (bool, int, float)):
+        return _encode(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def write_csv(path, header, rows):

@@ -163,6 +163,17 @@ def test_run_config_errors_exit_one_with_details(tmp_path, capsys):
     assert "run.n_seeds" in err
 
 
+def test_integer_beyond_the_float_range_is_a_config_error(tmp_path, capsys):
+    doc = run_config_doc()
+    doc["problem"]["spread"] = 10**400
+    config = write_config(tmp_path, "huge.json", doc)
+    code = cli.main(["run", "--config", config, "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "problem[0].spread: must be a finite number >= 0" in err
+    assert "Traceback" not in err
+
+
 def test_run_divergence_exits_one(tmp_path, capsys, monkeypatch):
     import lastiter.montecarlo as mc
 

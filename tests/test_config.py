@@ -194,6 +194,22 @@ def test_seeds_must_fit_64_bits():
         li.load_lemma_plan({"lemmas": {"point_seed": 2**64}})
 
 
+def test_numbers_must_fit_the_float_range():
+    spec = {"generator": "least_squares", "n": 4, "d": 2, "spread": 10**400, "seed": 1}
+    with pytest.raises(li.ConfigError) as info:
+        li.load_run_plan({**run_doc(), "problem": spec})
+    assert info.value.errors == ["problem[0].spread: must be a finite number >= 0"]
+    with pytest.raises(li.ConfigError, match="finite numbers"):
+        li.resolve_grid([1.0, -(10**400)])
+    with pytest.raises(li.ConfigError, match="min <= max"):
+        li.resolve_grid({"min": 1, "max": 10**400, "count": 3})
+    # Integers past int64 but inside the float range are numbers like any other.
+    assert np.array_equal(li.resolve_grid({"min": 10**20, "max": 10**22, "count": 3, "spacing": "log"}),
+                          np.logspace(20.0, 22.0, 3))
+    with pytest.raises(li.ConfigError, match=r"problem\[0\]: normal-equations residual"):
+        li.load_run_plan({**run_doc(), "problem": {**spec, "spread": 2**70}})
+
+
 # -- x0 policies ---------------------------------------------------------------
 
 
@@ -253,6 +269,39 @@ def test_load_run_plan_hash_tracks_content():
     assert li.load_run_plan(run_doc()).config_hash == li.load_run_plan(run_doc()).config_hash
     changed = li.load_run_plan(run_doc(T=51))
     assert changed.config_hash != li.load_run_plan(run_doc()).config_hash
+
+
+def test_generator_only_config_hashes_are_unchanged():
+    # Values of the canonical-JSON hash of the user's document, from before
+    # file problems were pinned by digest; generator specs must keep them.
+    lemma_doc = {"lemmas": {"problems": [
+        {"generator": "least_squares", "n": 5, "d": 2, "spread": 1.0, "seed": 1}]}}
+    assert li.load_run_plan(run_doc()).config_hash == (
+        "6df6cb52af68b251a2e08ad5b791b8de68ef2f3c69ec7c80704e8fd73a8541fb")
+    assert li.load_sweep_plan(sweep_doc()).config_hash == (
+        "01a24e9df2a2ad0052811263bbaedbcf158d5123f3c65c16557756af38564935")
+    assert li.load_lemma_plan(lemma_doc).config_hash == (
+        "ce69418b4d4936901332185631044f8707e4a98e8249e136b48aec919ebc06db")
+    assert li.load_lemma_plan().config_hash == (
+        "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a")
+
+
+def test_file_problem_config_hash_follows_the_file_content(tmp_path):
+    path = tmp_path / "problem.json"
+    spec = {"file": str(path)}
+    docs = {
+        li.load_run_plan: {**run_doc(), "problem": spec},
+        li.load_sweep_plan: {**sweep_doc(), "problems": [sweep_doc()["problems"][0], spec]},
+        li.load_lemma_plan: {"lemmas": {"problems": [spec]}},
+    }
+    hashes = []
+    for seed in (3, 4, 3):
+        li.save_problem(path, *li.make_least_squares(n=6, d=2, spread=1.0, seed=seed))
+        hashes.append([load(doc).config_hash for load, doc in docs.items()])
+    for first, second, again in zip(*hashes):
+        assert first != second
+        assert first == again
+    assert spec == {"file": str(path)}
 
 
 def test_load_run_plan_from_file(tmp_path):

@@ -203,6 +203,16 @@ def test_fingerprint_ignores_seed_but_tracks_config():
     assert a != li.run_fingerprint(problem, dataclasses.replace(config, x0=np.array([2.0])))
 
 
+def test_fingerprint_is_the_problem_digest_plus_run_settings():
+    problem, cert, config = estimate_template(T=8)
+    a = li.run_fingerprint(problem, config)
+    copy = li.LeastSquaresProblem(problem.design.copy(), problem.offsets.copy())
+    assert li.run_fingerprint(copy, config) == a
+    offsets = problem.offsets.copy()
+    offsets[0, 1] = 1e-300
+    assert li.run_fingerprint(li.LeastSquaresProblem(problem.design, offsets), config) != a
+
+
 def test_estimate_reports_the_fingerprint():
     problem, cert, config = estimate_template(T=3)
     est = li.estimate_gap(problem, cert, config, n_seeds=2, base_seed=5)

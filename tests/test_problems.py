@@ -1,5 +1,7 @@
 """Problem families: oracles, certificates, invariants, serialization."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,61 @@ def test_save_load_round_trip(tmp_path):
     two = np.array([2])
     assert np.array_equal(problem.component_grads_at(two, x), back.component_grads_at(two, x))
     assert back_cert.provenance == cert.provenance
+
+
+def test_save_load_round_trip_is_bitwise(tmp_path):
+    path = tmp_path / "problem.json"
+    for problem, cert in (li.make_least_squares(n=5, d=3, spread=1.0, seed=82),
+                          li.make_logistic(n=7, d=3, seed=83)):
+        li.save_problem(path, problem, cert)
+        back, back_cert = li.load_problem(path)
+        assert type(back) is type(problem)
+        for name in problem.array_names:
+            assert getattr(back, name).tobytes() == getattr(problem, name).tobytes()
+        assert back_cert.x_star.tobytes() == cert.x_star.tobytes()
+        for field in ("inf_f", "sigma_star_sq", "grad_norm_residual", "provenance", "tol"):
+            assert getattr(back_cert, field) == getattr(cert, field)
+
+
+def test_digest_tracks_every_defining_byte():
+    problem, _ = li.make_least_squares(n=4, d=3, spread=1.0, seed=5)
+    digest = problem.digest()
+    assert len(digest) == 64 and problem.digest() == digest
+    assert li.LeastSquaresProblem(problem.design.copy(), problem.offsets.copy()).digest() == digest
+    design = problem.design.copy()
+    design[1, 2, 0] = np.nextafter(design[1, 2, 0], np.inf)
+    assert li.LeastSquaresProblem(design, problem.offsets).digest() != digest
+    weights = np.array([0.1, 0.2, 0.3, 0.4])
+    assert li.LeastSquaresProblem(problem.design, problem.offsets, weights).digest() != digest
+
+
+def test_digest_separates_shapes_and_families():
+    # Both families below concatenate to the same bytes (design, offsets,
+    # weights in order), so only the shapes and the family tag tell them apart.
+    values = np.random.default_rng(3).standard_normal(8)
+    deep = li.LeastSquaresProblem(values[:6].reshape(2, 1, 3), values[6:].reshape(2, 1))
+    wide = li.LeastSquaresProblem(values[:4].reshape(2, 2, 1), values[4:].reshape(2, 2))
+    assert np.concatenate([deep.design.ravel(), deep.offsets.ravel(), deep.weights]).tobytes() == (
+        np.concatenate([wide.design.ravel(), wide.offsets.ravel(), wide.weights]).tobytes())
+    assert deep.digest() != wide.digest()
+    labels = np.array([1.0, -1.0])
+    lsq = li.LeastSquaresProblem(values[:4].reshape(2, 1, 2), labels.reshape(2, 1))
+    logistic = li.LogisticProblem(values[:4].reshape(2, 2), labels)
+    assert lsq.design.tobytes() == logistic.features.tobytes()
+    assert lsq.offsets.tobytes() == logistic.labels.tobytes()
+    assert lsq.digest() != logistic.digest()
+
+
+def test_digest_survives_pickle_and_files(tmp_path):
+    path = tmp_path / "problem.json"
+    for problem, cert in (li.make_least_squares(n=5, d=2, spread=1.0, seed=84),
+                          li.make_logistic(n=6, d=2, seed=85)):
+        fresh = pickle.loads(pickle.dumps(problem))
+        digest = problem.digest()
+        assert fresh.digest() == digest
+        assert pickle.loads(pickle.dumps(problem)).digest() == digest
+        li.save_problem(path, problem, cert)
+        assert li.load_problem(path)[0].digest() == digest
 
 
 def test_check_point_validates():
