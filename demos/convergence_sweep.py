@@ -19,9 +19,7 @@ def main():
     args = parser.parse_args()
 
     problem, cert = li.make_least_squares(n=10, d=2, spread=1.0, seed=101)
-    rng_dir = li.stream(5, li.DIRECTION_STREAM)
-    direction = rng_dir.standard_normal(problem.dimension)
-    x0 = cert.x_star + direction / np.linalg.norm(direction)
+    x0 = li.resolve_x0({"policy": "offset", "distance": 1.0, "seed": 5}, problem, cert)
 
     entries = [("ls-noisy", problem, cert, x0)]
     schedule = li.PolynomialStep(C=2.0, beta=0.5)

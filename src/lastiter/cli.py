@@ -28,7 +28,7 @@ import os
 import sys
 
 from . import __version__
-from .bounds import HypothesisError, build_bound_report, complexity_horizon
+from .bounds import BoundReport, HypothesisError, build_bound_report, complexity_horizon
 from .config import ConfigError, load_lemma_plan, load_run_plan, load_sweep_plan
 from .lemmas import BATTERY_ORDER, LemmaCheckResult, run_battery
 from .montecarlo import SWEEP_COLUMNS, check_cell, sweep
@@ -247,6 +247,10 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+# bound.csv columns, before the tightest bound: every report field but the schedule's name.
+_BOUND_COLUMNS = tuple(f.name for f in dataclasses.fields(BoundReport) if f.name != "schedule_variant")
+
+
 def _cmd_bound(args) -> int:
     if (args.gamma is None) == (args.C is None):
         raise ConfigError(["bound: give exactly one of --gamma or --C"])
@@ -294,10 +298,8 @@ def _cmd_bound(args) -> int:
             "horizon_for_target": horizon_needed,
         }
         write_json(os.path.join(args.out, "bound.json"), doc)
-        header = ("T", "gamma", "L", "D_sq", "sigma_star_sq", "phi", "generic",
-                  "C", "beta", "B", "polynomial", "sqrt_general", "sqrt_c2", "tightest")
-        row = [fmt(getattr(report, name)) for name in header[:-1]] + [fmt(report.tightest())]
-        write_csv(os.path.join(args.out, "bound.csv"), header, [row])
+        row = [fmt(getattr(report, name)) for name in _BOUND_COLUMNS] + [fmt(report.tightest())]
+        write_csv(os.path.join(args.out, "bound.csv"), (*_BOUND_COLUMNS, "tightest"), [row])
     return 0
 
 

@@ -4,13 +4,15 @@ A config file is a single JSON object.  Validation happens at load and
 collects every violated field before raising, so one round trip shows all
 problems; anything a downstream operation would reject (step-size window,
 horizon floor for bound comparison, batch size versus family size) is
-checked here first.  Grid definitions are data, not code: defaults live in
-``DEFAULT_LEMMA_CONFIG`` and a config may override any of them.
+checked here first.  Each kind of config object is declared once, as a table
+of its fields, and ``_check_object`` checks every object against its table.
+Grid definitions are data: defaults live in ``DEFAULT_LEMMA_CONFIG``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import json
 import math
@@ -18,6 +20,7 @@ import math
 import numpy as np
 
 from .problems import (
+    MEMORY_BUDGET_ENTRIES,
     CertificationError,
     FiniteSumProblem,
     GenerationError,
@@ -28,7 +31,7 @@ from .problems import (
     make_logistic,
 )
 from .reporting import doc_hash
-from .rng import DIRECTION_STREAM, check_seed, stream
+from .rng import DIRECTION_STREAM, stream
 from .sgd import RunConfig, ScheduleError, resolve_schedule, schedule_from_doc
 
 __all__ = [
@@ -69,7 +72,6 @@ DEFAULT_LEMMA_CONFIG = {
 }
 
 _GRID_KEYS = tuple(k for k in DEFAULT_LEMMA_CONFIG if k.endswith("_grid"))
-_LEMMA_SCALARS = ("n_points", "n_pairs", "point_radius", "point_seed")
 
 
 class ConfigError(ValueError):
@@ -94,8 +96,125 @@ def _is_num(value) -> bool:
     return isinstance(value, float) and math.isfinite(value)
 
 
-def _is_seed(value) -> bool:
-    return _is_int(value) and 0 <= value < 2**64
+def _at_least(lowest: int) -> Callable:
+    return lambda value: _is_int(value) and value >= lowest
+
+
+def _list_of(check: Callable) -> Callable:
+    return lambda value: isinstance(value, list) and bool(value) and all(map(check, value))
+
+
+class _Field(NamedTuple):
+    """One key of a config object: the check on its value, the rule it states, its default.
+
+    A field without a default is required: its check sees None, which only ``_ANY`` accepts.
+    """
+
+    check: Callable
+    rule: str
+    default: object = None
+
+
+_ANY = _Field(lambda value: True, "")
+_POSITIVE_INT = _Field(_at_least(1), "must be a positive integer")
+_SEED = _Field(lambda value: _is_int(value) and 0 <= value < 2**64,
+               "must be a nonnegative integer below 2**64")
+_NONNEGATIVE = _Field(lambda value: _is_num(value) and value >= 0, "must be a finite number >= 0")
+_NUMBER = _Field(_is_num, "must be a finite number")
+_X0 = _Field(lambda value: isinstance(value, dict), "expected an object", {"policy": "zeros"})
+
+
+class _Generator(NamedTuple):
+    """A problem generator: its function's name, its parameters as fields, its default-id format.
+
+    The function is looked up in this module at each call: the benchmark
+    tracer (perfbench/child.py) times builds by wrapping this module's binding.
+    """
+
+    make: str
+    fields: dict
+    id_format: str
+
+
+_GENERATORS = {
+    "least_squares": _Generator("make_least_squares", {
+        "n": _POSITIVE_INT, "d": _POSITIVE_INT, "spread": _NONNEGATIVE._replace(default=1.0), "seed": _SEED,
+    }, "least_squares-n{n}-d{d}-spread{spread:g}-seed{seed}"),
+    "logistic": _Generator("make_logistic", {
+        "n": _POSITIVE_INT, "d": _POSITIVE_INT, "seed": _SEED,
+        "tol": _Field(lambda value: _is_num(value) and value > 0, "must be a positive number", 1e-10),
+    }, "logistic-n{n}-d{d}-seed{seed}"),
+}
+_FILE_SPEC = {"file": _Field(lambda value: isinstance(value, str), "must be a path string"), "id": _ANY}
+_SCHEDULES = {"constant": {"gamma": _NUMBER}, "polynomial": {"C": _NUMBER, "beta": _NUMBER}}
+_SEED_FIELDS = {"n_seeds": _POSITIVE_INT,
+                "base_seed": _Field(_at_least(0), "must be a nonnegative integer", 0)}
+_RUN_FIELDS = {
+    "T": _Field(_at_least(3), "bound comparison requires an integer T >= 3"), **_SEED_FIELDS,
+    "batch_size": _POSITIVE_INT._replace(default=1), "schedule": _ANY, "x0": _X0,
+}
+_SWEEP_FIELDS = {
+    "T_grid": _Field(_list_of(_at_least(3)), "must be a nonempty list of integers >= 3"),
+    "schedules": _Field(_list_of(_ANY.check), "must be a nonempty list of schedule objects"),
+    "b_grid": _Field(_list_of(_at_least(1)), "must be a nonempty list of integers >= 1", [1]),
+    **_SEED_FIELDS, "x0": _X0,
+}
+_GRID_SPEC = {"min": _ANY, "max": _ANY, "count": _ANY, "spacing": _ANY._replace(default="linear")}
+# Every lemma key defaults to DEFAULT_LEMMA_CONFIG; grids are checked by
+# resolve_grid and then against their interval in _LEMMA_DOMAINS.
+_LEMMA_FIELDS = {key: _ANY._replace(default=value) for key, value in DEFAULT_LEMMA_CONFIG.items()} | {
+    key: _Field(check, rule, DEFAULT_LEMMA_CONFIG[key]) for key, check, rule in (
+        ("n_points", _at_least(2), "must be an integer >= 2"),
+        ("n_pairs", _at_least(2), "must be an integer >= 2"),
+        ("point_radius", lambda value: _is_num(value) and value > 0, "must be a positive number"),
+        ("point_seed", *_SEED[:2]),
+    )
+}
+# A weight horizon T builds arrays of T entries, so T is held to the generators' memory budget.
+_LEMMA_DOMAINS = {
+    "eps_grid": "(0, inf)", "gamma_l_grid": "(0, 1)", "weight_T_grid": f"[1, {MEMORY_BUDGET_ENTRIES}]",
+    "weight_phi_grid": "[0, 1]", "exponent_t_grid": "[1, inf)", "exponent_theta_grid": "(0, 2]",
+    "exp_convexity_a_grid": "(0, inf)", "gautschi_x_grid": "(0, inf)", "gautschi_c_grid": "[0, 1]",
+}
+
+
+def _check_object(doc, fields: dict, label: str, errors: list, select: str | None = None):
+    """Check a config object against its field table; return its values, defaults filled in.
+
+    With ``select``, ``fields`` maps each kind the object's ``select`` key may
+    name to that kind's field table.  Adds ``{label}: ...`` and
+    ``{label}.{key}: {rule}`` errors; returns None for a non-object or an
+    unknown kind, and leaves out every value that breaks its rule.
+    """
+    if not isinstance(doc, dict):
+        errors.append(f"{label}: expected an object")
+        return None
+    if select is not None:
+        kind = doc.get(select)
+        if not (isinstance(kind, str) and kind in fields):
+            expected = " or ".join(map(repr, fields))
+            errors.append(f"{label}.{select}: unknown {select} {kind!r}, expected {expected}")
+            return None
+        fields = {select: _ANY, **fields[kind]}
+    unknown = set(doc) - set(fields)
+    if unknown:
+        errors.append(f"{label}: unknown keys {sorted(unknown)}")
+    values = {}
+    for key, (check, rule, default) in fields.items():
+        value = doc.get(key, default)
+        if check(value):
+            values[key] = value
+        else:
+            errors.append(f"{label}.{key}: {rule}")
+    return values
+
+
+def _inside(values: np.ndarray, interval: str) -> bool:
+    """Whether every value lies in an interval written like "(0, 1]"."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above = values > lo if interval[0] == "(" else values >= lo
+    below = values < hi if interval[-1] == ")" else values <= hi
+    return bool(np.all(above & below))
 
 
 def resolve_grid(spec, name: str = "grid") -> np.ndarray:
@@ -111,12 +230,8 @@ def resolve_grid(spec, name: str = "grid") -> np.ndarray:
         return np.asarray(spec, dtype=float)
     if not isinstance(spec, dict):
         raise ConfigError([f"{name}: expected a list or a min/max/count/spacing object"])
-    unknown = set(spec) - {"min", "max", "count", "spacing"}
     errors = []
-    if unknown:
-        errors.append(f"{name}: unknown keys {sorted(unknown)}")
-    lo, hi, count = spec.get("min"), spec.get("max"), spec.get("count")
-    spacing = spec.get("spacing", "linear")
+    lo, hi, count, spacing = _check_object(spec, _GRID_SPEC, name, errors).values()
     if not (_is_num(lo) and _is_num(hi) and lo <= hi):
         errors.append(f"{name}: need finite min <= max")
     if not (_is_int(count) and count >= 1):
@@ -132,7 +247,7 @@ def resolve_grid(spec, name: str = "grid") -> np.ndarray:
         return np.linspace(lo, hi, count)
     values = np.logspace(np.log10(lo), np.log10(hi), count)
     if spacing == "log-int":
-        return np.unique(np.maximum(np.rint(values), np.ceil(lo)).astype(int)).astype(float)
+        return np.unique(np.maximum(np.rint(values), np.ceil(lo)))
     return values
 
 
@@ -146,61 +261,30 @@ def build_problem(spec: dict, index: int = 0):
         ConfigError: the spec is malformed, or its file cannot be loaded.
         GenerationError, CertificationError: from the generator.
     """
-    if not isinstance(spec, dict):
-        raise ConfigError([f"problem[{index}]: expected an object"])
-    if "file" in spec:
-        unknown = set(spec) - {"file", "id"}
-        if unknown:
-            raise ConfigError([f"problem[{index}]: unknown keys {sorted(unknown)}"])
-        if not isinstance(spec["file"], str):
-            raise ConfigError([f"problem[{index}].file: must be a path string"])
+    label = f"problem[{index}]"
+    errors = []
+    if isinstance(spec, dict) and "file" in spec:
+        _check_object(spec, _FILE_SPEC, label, errors)
+        if errors:
+            raise ConfigError(errors)
         # Anything the document fails on is a fault of the file, not of the program.
         try:
             problem, cert = load_problem(spec["file"])
         except KeyError as exc:
-            raise ConfigError([f"problem[{index}]: file {spec['file']!r} lacks key {exc}"]) from None
+            raise ConfigError([f"{label}: file {spec['file']!r} lacks key {exc}"]) from None
         except (AttributeError, OSError, TypeError, ValueError) as exc:
-            raise ConfigError([f"problem[{index}]: cannot load {spec['file']!r}: {exc}"]) from None
+            raise ConfigError([f"{label}: cannot load {spec['file']!r}: {exc}"]) from None
         if cert is None:
-            raise ConfigError([f"problem[{index}]: file {spec['file']!r} has no certificate"])
+            raise ConfigError([f"{label}: file {spec['file']!r} has no certificate"])
         return spec.get("id", f"file:{spec['file']}"), problem, cert
-    generator = spec.get("generator")
-    if generator == "least_squares":
-        keys = {"generator", "id", "n", "d", "spread", "seed"}
-        defaults = {"spread": 1.0}
-    elif generator == "logistic":
-        keys = {"generator", "id", "n", "d", "seed", "tol"}
-        defaults = {"tol": 1e-10}
-    else:
-        raise ConfigError(
-            [f"problem[{index}].generator: must be 'least_squares' or 'logistic', got {generator!r}"]
-        )
-    unknown = set(spec) - keys
-    errors = []
-    if unknown:
-        errors.append(f"problem[{index}]: unknown keys {sorted(unknown)}")
-    merged = {**defaults, **{k: v for k, v in spec.items() if k not in ("generator", "id")}}
-    if not (_is_int(merged.get("n")) and merged["n"] >= 1):
-        errors.append(f"problem[{index}].n: must be a positive integer")
-    if not (_is_int(merged.get("d")) and merged["d"] >= 1):
-        errors.append(f"problem[{index}].d: must be a positive integer")
-    if not _is_seed(merged.get("seed")):
-        errors.append(f"problem[{index}].seed: must be a nonnegative integer below 2**64")
-    if generator == "least_squares" and not (_is_num(merged["spread"]) and merged["spread"] >= 0):
-        errors.append(f"problem[{index}].spread: must be a finite number >= 0")
-    if generator == "logistic" and not (_is_num(merged["tol"]) and merged["tol"] > 0):
-        errors.append(f"problem[{index}].tol: must be a positive number")
+    kinds = {name: {**generator.fields, "id": _ANY} for name, generator in _GENERATORS.items()}
+    values = _check_object(spec, kinds, label, errors, select="generator")
     if errors:
         raise ConfigError(errors)
-    if generator == "least_squares":
-        problem, cert = make_least_squares(merged["n"], merged["d"], merged["spread"], merged["seed"])
-        default_id = (
-            f"least_squares-n{merged['n']}-d{merged['d']}-spread{merged['spread']:g}-seed{merged['seed']}"
-        )
-    else:
-        problem, cert = make_logistic(merged["n"], merged["d"], merged["seed"], tol=merged["tol"])
-        default_id = f"logistic-n{merged['n']}-d{merged['d']}-seed{merged['seed']}"
-    return spec.get("id", default_id), problem, cert
+    generator = _GENERATORS[values.pop("generator")]
+    del values["id"]
+    problem, cert = globals()[generator.make](**values)
+    return spec.get("id", generator.id_format.format(**values)), problem, cert
 
 
 def resolve_x0(policy, problem: FiniteSumProblem, cert: SolutionCertificate) -> np.ndarray:
@@ -210,40 +294,25 @@ def resolve_x0(policy, problem: FiniteSumProblem, cert: SolutionCertificate) -> 
     "seed": s} (x* plus r times a seeded unit direction), or
     {"policy": "explicit", "values": [...]}.
     """
+    explicit = _Field(lambda v: _list_of(_is_num)(v) and len(v) == problem.dimension,
+                      f"need a list of length {problem.dimension} of finite numbers")
+    policies = {"zeros": {}, "offset": {"distance": _NONNEGATIVE, "seed": _SEED},
+                "explicit": {"values": explicit}}
     errors = []
-    if not isinstance(policy, dict) or "policy" not in policy:
-        raise ConfigError(["x0: expected an object with a 'policy' key"])
-    kind = policy["policy"]
-    if kind == "zeros":
-        if set(policy) - {"policy"}:
-            raise ConfigError(["x0: zeros policy takes no other keys"])
-        return np.zeros(problem.dimension)
-    if kind == "offset":
-        if set(policy) - {"policy", "distance", "seed"}:
-            errors.append("x0: offset policy takes only distance and seed")
-        if not (_is_num(policy.get("distance")) and policy["distance"] >= 0):
-            errors.append("x0.distance: must be a finite number >= 0")
-        if not _is_seed(policy.get("seed")):
-            errors.append("x0.seed: must be a nonnegative integer below 2**64")
-        if errors:
-            raise ConfigError(errors)
-        direction = stream(policy["seed"], DIRECTION_STREAM).standard_normal(problem.dimension)
+    values = _check_object(policy, policies, "x0", errors, select="policy")
+    if errors:
+        raise ConfigError(errors)
+    if values["policy"] == "offset":
+        direction = stream(values["seed"], DIRECTION_STREAM).standard_normal(problem.dimension)
         norm = float(np.linalg.norm(direction))
         if norm == 0.0:
             direction = np.zeros(problem.dimension)
             direction[0] = 1.0
             norm = 1.0
-        return cert.x_star + (policy["distance"] / norm) * direction
-    if kind == "explicit":
-        if set(policy) - {"policy", "values"}:
-            raise ConfigError(["x0: explicit policy takes only values"])
-        values = policy.get("values")
-        if not isinstance(values, list) or len(values) != problem.dimension:
-            raise ConfigError([f"x0.values: need a list of length {problem.dimension}"])
-        if not all(_is_num(v) for v in values):
-            raise ConfigError(["x0.values: entries must be finite numbers"])
-        return np.asarray(values, dtype=float)
-    raise ConfigError([f"x0.policy: unknown policy {kind!r}"])
+        return cert.x_star + (values["distance"] / norm) * direction
+    if values["policy"] == "explicit":
+        return np.asarray(values["values"], dtype=float)
+    return np.zeros(problem.dimension)
 
 
 def _load_doc(source) -> dict:
@@ -261,27 +330,23 @@ def _load_doc(source) -> dict:
 
 
 def _check_schedule(doc, label: str, errors: list):
-    try:
-        return schedule_from_doc(doc) if isinstance(doc, dict) else None
-    except (ScheduleError, KeyError, TypeError, ValueError) as exc:
-        errors.append(f"{label}: {exc}")
-        return None
-    finally:
-        if not isinstance(doc, dict):
-            errors.append(f"{label}: expected a schedule object")
+    """The schedule a schedule object declares, or None after adding its errors."""
+    found = []
+    values = _check_object(doc, _SCHEDULES, label, found, select="variant")
+    if not found:
+        try:
+            return schedule_from_doc(values)
+        except ScheduleError as exc:
+            found.append(f"{label}: {exc}")
+    errors.extend(found)
+    return None
 
 
 def _check_seeds(section: dict, label: str, errors: list):
-    """n_seeds and base_seed of a run or sweep section; the range must fit 64 bits."""
-    n_seeds = section.get("n_seeds")
-    if not (_is_int(n_seeds) and n_seeds >= 1):
-        errors.append(f"{label}.n_seeds: must be a positive integer")
-    base_seed = section.get("base_seed", 0)
-    if not (_is_int(base_seed) and base_seed >= 0):
-        errors.append(f"{label}.base_seed: must be a nonnegative integer")
-    elif _is_int(n_seeds) and n_seeds >= 1 and base_seed + n_seeds > 2**64:
+    """The seeds base_seed .. base_seed + n_seeds - 1 of a run or sweep section must fit 64 bits."""
+    if "n_seeds" in section and "base_seed" in section and (
+            section["base_seed"] + section["n_seeds"] > 2**64):
         errors.append(f"{label}.base_seed: seed range exceeds 64 bits")
-    return n_seeds, base_seed
 
 
 def _check_entries(specs: list, x0_policy, label: str, errors: list) -> list:
@@ -346,31 +411,22 @@ def load_run_plan(source) -> RunPlan:
         errors.append("run: section is required and must be an object")
     if errors:
         raise ConfigError(errors)
-    run = doc["run"]
-    unknown = set(run) - {"T", "n_seeds", "base_seed", "batch_size", "schedule", "x0"}
-    if unknown:
-        errors.append(f"run: unknown keys {sorted(unknown)}")
-    T = run.get("T")
-    if not (_is_int(T) and T >= 3):
-        errors.append("run.T: bound comparison requires an integer T >= 3")
-    n_seeds, base_seed = _check_seeds(run, "run", errors)
-    batch_size = run.get("batch_size", 1)
-    if not (_is_int(batch_size) and batch_size >= 1):
-        errors.append("run.batch_size: must be a positive integer")
-    schedule = _check_schedule(run.get("schedule"), "run.schedule", errors)
-    entries = _check_entries([doc["problem"]], run.get("x0", {"policy": "zeros"}), "run", errors)
+    run = _check_object(doc["run"], _RUN_FIELDS, "run", errors)
+    _check_seeds(run, "run", errors)
+    schedule = _check_schedule(run["schedule"], "run.schedule", errors)
+    entries = _check_entries([doc["problem"]], run.get("x0"), "run", errors)
     if not entries:
         raise ConfigError(errors)
     ((problem_id, problem, cert, x0),) = entries
     l_b = None
-    if _is_int(batch_size) and batch_size >= 1:
+    if "batch_size" in run:
         try:
-            l_b = problem.batch_smoothness(batch_size)
+            l_b = problem.batch_smoothness(run["batch_size"])
         except UnsupportedSamplingError as exc:
             errors.append(f"run.batch_size: {exc}")
-    if schedule is not None and l_b is not None and _is_int(T) and T >= 3:
+    if schedule is not None and l_b is not None and "T" in run:
         try:
-            resolve_schedule(schedule, l_b, T)
+            resolve_schedule(schedule, l_b, run["T"])
         except ScheduleError as exc:
             errors.append(f"run.schedule: {exc}")
     if errors:
@@ -380,9 +436,9 @@ def load_run_plan(source) -> RunPlan:
         problem_id=problem_id,
         problem=problem,
         cert=cert,
-        template=RunConfig(T=T, seed=0, schedule=schedule, x0=x0, batch_size=batch_size),
-        n_seeds=n_seeds,
-        base_seed=base_seed,
+        template=RunConfig(T=run["T"], seed=0, schedule=schedule, x0=x0, batch_size=run["batch_size"]),
+        n_seeds=run["n_seeds"],
+        base_seed=run["base_seed"],
     )
 
 
@@ -414,36 +470,18 @@ def load_sweep_plan(source) -> SweepPlan:
     problems_spec = doc.get("problems")
     if not isinstance(problems_spec, list) or not problems_spec:
         errors.append("problems: must be a nonempty list")
-    sweep_doc = doc.get("sweep")
-    if not isinstance(sweep_doc, dict):
+    if not isinstance(doc.get("sweep"), dict):
         errors.append("sweep: section is required and must be an object")
     if errors:
         raise ConfigError(errors)
-    unknown = set(sweep_doc) - {
-        "T_grid", "schedules", "b_grid", "n_seeds", "base_seed", "x0",
-    }
-    if unknown:
-        errors.append(f"sweep: unknown keys {sorted(unknown)}")
-    t_grid = sweep_doc.get("T_grid")
-    if not (isinstance(t_grid, list) and t_grid and all(_is_int(t) and t >= 3 for t in t_grid)):
-        errors.append("sweep.T_grid: must be a nonempty list of integers >= 3")
-    schedules_doc = sweep_doc.get("schedules")
-    schedules = []
-    if not (isinstance(schedules_doc, list) and schedules_doc):
-        errors.append("sweep.schedules: must be a nonempty list of schedule objects")
-    else:
-        for j, sdoc in enumerate(schedules_doc):
-            s = _check_schedule(sdoc, f"sweep.schedules[{j}]", errors)
-            if s is not None:
-                schedules.append(s)
-    b_grid = sweep_doc.get("b_grid", [1])
-    if not (isinstance(b_grid, list) and b_grid and all(_is_int(b) and b >= 1 for b in b_grid)):
-        errors.append("sweep.b_grid: must be a nonempty list of integers >= 1")
-    n_seeds, base_seed = _check_seeds(sweep_doc, "sweep", errors)
-    entries = _check_entries(problems_spec, sweep_doc.get("x0", {"policy": "zeros"}), "sweep", errors)
+    sweep = _check_object(doc["sweep"], _SWEEP_FIELDS, "sweep", errors)
+    _check_seeds(sweep, "sweep", errors)
+    schedules = [_check_schedule(sdoc, f"sweep.schedules[{j}]", errors)
+                 for j, sdoc in enumerate(sweep.get("schedules", []))]
+    entries = _check_entries(problems_spec, sweep.get("x0"), "sweep", errors)
     if not errors:
         smallest_n = min(problem.n for _, problem, _, _ in entries)
-        for b in b_grid:
+        for b in sweep["b_grid"]:
             if b > smallest_n:
                 errors.append(f"sweep.b_grid: batch size {b} exceeds the smallest family size {smallest_n}")
     if errors:
@@ -451,11 +489,11 @@ def load_sweep_plan(source) -> SweepPlan:
     return SweepPlan(
         config_hash=doc_hash({**doc, "problems": _pinned(problems_spec, entries)}),
         entries=tuple(entries),
-        T_grid=tuple(int(t) for t in t_grid),
+        T_grid=tuple(sweep["T_grid"]),
         schedules=tuple(schedules),
-        b_grid=tuple(int(b) for b in b_grid),
-        n_seeds=n_seeds,
-        base_seed=base_seed,
+        b_grid=tuple(sweep["b_grid"]),
+        n_seeds=sweep["n_seeds"],
+        base_seed=sweep["base_seed"],
     )
 
 
@@ -471,51 +509,22 @@ class LemmaPlan:
 def resolve_lemma_grids(lemma_doc: dict) -> dict:
     """Merge a lemma config over the defaults and resolve every grid."""
     errors = []
-    unknown = set(lemma_doc) - set(DEFAULT_LEMMA_CONFIG)
-    if unknown:
-        errors.append(f"lemmas: unknown keys {sorted(unknown)}")
-    merged = {**DEFAULT_LEMMA_CONFIG, **{k: v for k, v in lemma_doc.items() if k != "problems"}}
+    merged = _check_object(lemma_doc, _LEMMA_FIELDS, "lemmas", errors)
+    if merged is None:
+        raise ConfigError(errors)
     grids = {}
     for key in _GRID_KEYS:
         try:
             grids[key] = resolve_grid(merged[key], f"lemmas.{key}")
         except ConfigError as exc:
             errors.extend(exc.errors)
-    for key in ("n_points", "n_pairs"):
-        if not (_is_int(merged[key]) and merged[key] >= 2):
-            errors.append(f"lemmas.{key}: must be an integer >= 2")
-        else:
-            grids[key] = merged[key]
-    if not (_is_num(merged["point_radius"]) and merged["point_radius"] > 0):
-        errors.append("lemmas.point_radius: must be a positive number")
-    else:
-        grids["point_radius"] = float(merged["point_radius"])
-    if not _is_seed(merged["point_seed"]):
-        errors.append("lemmas.point_seed: must be a nonnegative integer below 2**64")
-    else:
-        grids["point_seed"] = merged["point_seed"]
-    if not errors:
-        if np.any(grids["eps_grid"] <= 0):
-            errors.append("lemmas.eps_grid: entries must be positive")
-        if np.any(grids["gamma_l_grid"] <= 0) or np.any(grids["gamma_l_grid"] >= 1):
-            errors.append("lemmas.gamma_l_grid: entries must lie strictly inside (0, 1)")
-        if np.any(grids["weight_T_grid"] < 1):
-            errors.append("lemmas.weight_T_grid: entries must be >= 1")
-        if np.any((grids["weight_phi_grid"] < 0) | (grids["weight_phi_grid"] > 1)):
-            errors.append("lemmas.weight_phi_grid: entries must lie in [0, 1]")
-        if np.any(grids["exponent_t_grid"] < 1):
-            errors.append("lemmas.exponent_t_grid: entries must be >= 1")
-        if np.any((grids["exponent_theta_grid"] <= 0) | (grids["exponent_theta_grid"] > 2)):
-            errors.append("lemmas.exponent_theta_grid: entries must lie in (0, 2]")
-        if np.any(grids["exp_convexity_a_grid"] <= 0):
-            errors.append("lemmas.exp_convexity_a_grid: entries must be positive")
-        if np.any(grids["gautschi_x_grid"] <= 0):
-            errors.append("lemmas.gautschi_x_grid: entries must be positive")
-        if np.any((grids["gautschi_c_grid"] < 0) | (grids["gautschi_c_grid"] > 1)):
-            errors.append("lemmas.gautschi_c_grid: entries must lie in [0, 1]")
+    for key, interval in _LEMMA_DOMAINS.items():
+        if key in grids and not _inside(grids[key], interval):
+            errors.append(f"lemmas.{key}: entries must lie in {interval}")
     if errors:
         raise ConfigError(errors)
-    return grids
+    scalars = {key: merged[key] for key in ("n_points", "n_pairs", "point_seed")}
+    return {**grids, **scalars, "point_radius": float(merged["point_radius"])}
 
 
 def load_lemma_plan(source=None) -> LemmaPlan:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import expit
@@ -151,6 +151,14 @@ class FiniteSumProblem:
         self.uniform_weights = bool(np.array_equal(w, np.full(self.n, 1.0 / self.n)))
         self.cum_weights = None if self.uniform_weights else np.cumsum(w)
         self._digest = None
+
+    @staticmethod
+    def _weights(weights, n: int) -> np.ndarray:
+        """Sampling weights for n components, uniform when None; the shape is checked here."""
+        w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
+        if w.shape != (n,):
+            raise GenerationError(f"weights must have shape ({n},)")
+        return w
 
     # -- family hooks -----------------------------------------------------
 
@@ -283,11 +291,7 @@ class LeastSquaresProblem(FiniteSumProblem):
         self._atb = np.einsum("nmi,nm->ni", A, b)
         eigs = np.linalg.eigvalsh(self._hess)
         l_components = np.maximum(eigs[:, -1], 0.0)
-        if weights is None:
-            weights = np.full(n, 1.0 / n)
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n,):
-            raise GenerationError(f"weights must have shape ({n},)")
+        w = self._weights(weights, n)
         mean_hess = np.einsum("n,nij->ij", w, self._hess)
         l_mean = float(np.linalg.eigvalsh(mean_hess)[-1])
         super().__init__(w, l_components, l_mean, d)
@@ -332,11 +336,7 @@ class LogisticProblem(FiniteSumProblem):
         self.features = F
         self.labels = y
         l_components = 0.25 * row_sq
-        if weights is None:
-            weights = np.full(n, 1.0 / n)
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n,):
-            raise GenerationError(f"weights must have shape ({n},)")
+        w = self._weights(weights, n)
         gram = np.einsum("n,ni,nj->ij", w, F, F)
         l_mean = float(0.25 * np.linalg.eigvalsh(gram)[-1])
         super().__init__(w, l_components, l_mean, d)
@@ -539,19 +539,12 @@ def make_logistic(n: int, d: int, seed: int, tol: float = 1e-10):
 
 # -- serialization -----------------------------------------------------------
 
-
 def problem_to_doc(problem: FiniteSumProblem, certificate: SolutionCertificate | None = None) -> dict:
     """Full-fidelity JSON document for a problem and optional certificate."""
     doc = {"schema": "lastiter-problem/1", "problem": problem.to_doc()}
     if certificate is not None:
-        doc["certificate"] = {
-            "x_star": certificate.x_star.tolist(),
-            "inf_f": certificate.inf_f,
-            "sigma_star_sq": certificate.sigma_star_sq,
-            "grad_norm_residual": certificate.grad_norm_residual,
-            "provenance": certificate.provenance,
-            "tol": certificate.tol,
-        }
+        values = {f.name: getattr(certificate, f.name) for f in fields(SolutionCertificate)}
+        doc["certificate"] = {**values, "x_star": certificate.x_star.tolist()}
     return doc
 
 
@@ -564,23 +557,17 @@ def problem_from_doc(doc: dict):
         raise ValueError(f"unrecognized problem schema {doc.get('schema')!r}")
     body = doc["problem"]
     kind = body.get("kind")
-    if kind == "least_squares":
-        problem = LeastSquaresProblem(body["design"], body["offsets"], body["weights"])
-    elif kind == "logistic":
-        problem = LogisticProblem(body["features"], body["labels"], body["weights"])
-    else:
+    family = next((cls for cls in (LeastSquaresProblem, LogisticProblem) if cls.kind == kind), None)
+    if family is None:
         raise ValueError(f"unrecognized problem kind {kind!r}")
+    problem = family(**{name: body[name] for name in family.array_names})
     cert = None
     if "certificate" in doc:
         c = doc["certificate"]
-        cert = SolutionCertificate(
-            x_star=np.asarray(c["x_star"], dtype=float),
-            inf_f=float(c["inf_f"]),
-            sigma_star_sq=float(c["sigma_star_sq"]),
-            grad_norm_residual=float(c["grad_norm_residual"]),
-            provenance=c["provenance"],
-            tol=float(c["tol"]),
-        )
+        # every field is a float but the minimizer and the provenance
+        cast = {"x_star": lambda v: np.asarray(v, dtype=float), "provenance": lambda v: v}
+        cert = SolutionCertificate(**{f.name: cast.get(f.name, float)(c[f.name])
+                                      for f in fields(SolutionCertificate)})
     return problem, cert
 
 

@@ -380,6 +380,23 @@ def test_verify_lemmas_writes_battery_table(tmp_path, capsys):
     assert stdout.count("pass") >= len(li.BATTERY_ORDER) - 1
 
 
+@pytest.mark.parametrize("weight_T_grid", [
+    [1099511627776],
+    {"min": 1, "max": 1e21, "count": 3, "spacing": "log-int"},
+])
+def test_verify_lemmas_rejects_horizons_past_the_memory_budget(tmp_path, capsys, weight_T_grid):
+    doc = lemma_config_doc()
+    doc["lemmas"]["weight_T_grid"] = weight_T_grid
+    config = write_config(tmp_path, "lem.json", doc)
+    code = cli.main(["verify-lemmas", "--config", config, "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "lastiter verify-lemmas: error:",
+        f"  lemmas.weight_T_grid: entries must lie in [1, {li.MEMORY_BUDGET_ENTRIES}]",
+    ]
+
+
 def test_verify_lemmas_filter(tmp_path):
     config = write_config(tmp_path, "lem.json", lemma_config_doc())
     out = tmp_path / "out"

@@ -1,6 +1,8 @@
 """Config loading: grids, problem specs, x0 policies, plan validation."""
 
+import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +66,14 @@ def test_resolve_grid_log_int_is_unique_integers():
     assert grid[0] >= 2 and grid[-1] == 50
 
 
+def test_resolve_grid_log_int_past_int64_does_not_wrap():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = li.resolve_grid({"min": 1, "max": 1e21, "count": 3, "spacing": "log-int"})
+    assert np.array_equal(grid, np.rint(np.logspace(0.0, 21.0, 3)))
+    assert grid[0] == 1.0 and grid[-1] == 1e21
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -103,6 +113,16 @@ def test_build_problem_default_ids():
     pid2, problem2, _ = li.build_problem({"generator": "logistic", "n": 5, "d": 2, "seed": 9})
     assert pid2 == "logistic-n5-d2-seed9"
     assert problem2.n == 5
+
+
+def test_generator_rows_declare_the_generator_parameters():
+    from lastiter.config import _GENERATORS
+
+    assert {name: generator.make for name, generator in _GENERATORS.items()} == {
+        "least_squares": "make_least_squares", "logistic": "make_logistic"}
+    for generator in _GENERATORS.values():
+        parameters = inspect.signature(getattr(li, generator.make)).parameters
+        assert list(generator.fields) == list(parameters), generator.make
 
 
 def test_build_problem_custom_id_passes_through():
@@ -434,6 +454,27 @@ def test_load_sweep_plan_reports_bad_schedule_position():
     )
     with pytest.raises(li.ConfigError, match=r"schedules\[1\]"):
         li.load_sweep_plan(bad)
+
+
+BAD_SCHEDULES = [
+    ({"variant": "constant", "gamma": "0.1"}, ".gamma: must be a finite number"),
+    ({"variant": "polynomial", "C": "2", "beta": 0.5}, ".C: must be a finite number"),
+    ({"variant": "polynomial", "C": 2.0, "beta": True}, ".beta: must be a finite number"),
+    ({"variant": "constant", "gamma": 0.1, "typo": 1}, ": unknown keys ['typo']"),
+    ({"variant": "polynomial", "C": 2.0, "beta": 0.5, "typo": 1}, ": unknown keys ['typo']"),
+]
+
+
+@pytest.mark.parametrize("schedule, message", BAD_SCHEDULES, ids=[
+    "string-gamma", "string-C", "bool-beta", "constant-unknown-key", "polynomial-unknown-key"])
+def test_schedule_objects_are_checked_like_every_other_object(schedule, message):
+    with pytest.raises(li.ConfigError) as info:
+        li.load_run_plan(run_doc(schedule=schedule))
+    assert info.value.errors == ["run.schedule" + message]
+    good = {"variant": "polynomial", "C": 2.0, "beta": 0.5}
+    with pytest.raises(li.ConfigError) as info:
+        li.load_sweep_plan(sweep_doc(schedules=[good, schedule]))
+    assert info.value.errors == ["sweep.schedules[1]" + message]
 
 
 def test_load_sweep_plan_requires_sections():
