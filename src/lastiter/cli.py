@@ -69,14 +69,15 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"lastiter {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def common(p, config_required=None, dump_seeds=False, out_default="."):
+    def common(p, config_required=None, workers=False, dump_seeds=False, out_default="."):
         if config_required is not None:
             p.add_argument("--config", required=config_required, metavar="PATH",
                            help="JSON experiment config")
         p.add_argument("--out", default=out_default, metavar="DIR",
                        help="output directory" + (" (default: .)" if out_default else ""))
-        p.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="worker processes (default: LASTITER_WORKERS or 1)")
+        if workers:
+            p.add_argument("--workers", type=int, default=None, metavar="N",
+                           help="worker processes (default: LASTITER_WORKERS or 1)")
         p.add_argument("--deterministic-output", action="store_true",
                        help="omit timestamps so reruns are byte-identical")
         if dump_seeds:
@@ -85,11 +86,11 @@ def _build_parser() -> _Parser:
 
     p_run = sub.add_parser("run",
                            help="Monte Carlo estimate for one setup, checked against its bounds")
-    common(p_run, config_required=True, dump_seeds=True)
+    common(p_run, config_required=True, workers=True, dump_seeds=True)
 
     p_sweep = sub.add_parser("sweep",
                              help="estimate/bound table over a (problem, T, schedule, b) grid")
-    common(p_sweep, config_required=True)
+    common(p_sweep, config_required=True, workers=True)
 
     p_bound = sub.add_parser("bound",
                              help="evaluate the convergence bounds for given constants")

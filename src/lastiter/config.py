@@ -6,7 +6,8 @@ problems; anything a downstream operation would reject (step-size window,
 horizon floor for bound comparison, batch size versus family size) is
 checked here first.  Each kind of config object is declared once, as a table
 of its fields, and ``_check_object`` checks every object against its table.
-Grid definitions are data: defaults live in ``DEFAULT_LEMMA_CONFIG``.
+Grid definitions are data: each lemma grid's default and domain live in
+``lastiter.lemmas.LEMMA_GRIDS``.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import math
 
 import numpy as np
 
+from .lemmas import LEMMA_GRIDS, check_grid
 from .problems import (
-    MEMORY_BUDGET_ENTRIES,
     CertificationError,
     FiniteSumProblem,
     GenerationError,
@@ -59,19 +60,8 @@ DEFAULT_LEMMA_CONFIG = {
     "n_pairs": 100,
     "point_radius": 2.0,
     "point_seed": 2718,
-    "eps_grid": {"min": 1e-3, "max": 1e3, "count": 7, "spacing": "log"},
-    "gamma_l_grid": [0.1, 0.5, 0.9],
-    "weight_T_grid": {"min": 2, "max": 5000, "count": 48, "spacing": "log-int"},
-    "weight_phi_grid": {"min": 0.01, "max": 1.0, "count": 34, "spacing": "linear"},
-    "exponent_t_grid": {"min": 1.0, "max": 1e4, "count": 400, "spacing": "log"},
-    "exponent_theta_grid": {"min": 1e-3, "max": 2.0, "count": 25, "spacing": "log"},
-    "exp_convexity_x_grid": {"min": 0.0, "max": 10.0, "count": 41, "spacing": "linear"},
-    "exp_convexity_a_grid": {"min": 1e-3, "max": 10.0, "count": 40, "spacing": "log"},
-    "gautschi_x_grid": {"min": 0.1, "max": 1e4, "count": 80, "spacing": "log"},
-    "gautschi_c_grid": {"min": 0.0, "max": 1.0, "count": 41, "spacing": "linear"},
+    **{key: grid.default for key, grid in LEMMA_GRIDS.items()},
 }
-
-_GRID_KEYS = tuple(k for k in DEFAULT_LEMMA_CONFIG if k.endswith("_grid"))
 
 
 class ConfigError(ValueError):
@@ -161,7 +151,7 @@ _SWEEP_FIELDS = {
 }
 _GRID_SPEC = {"min": _ANY, "max": _ANY, "count": _ANY, "spacing": _ANY._replace(default="linear")}
 # Every lemma key defaults to DEFAULT_LEMMA_CONFIG; grids are checked by
-# resolve_grid and then against their interval in _LEMMA_DOMAINS.
+# resolve_grid and then against their row of LEMMA_GRIDS.
 _LEMMA_FIELDS = {key: _ANY._replace(default=value) for key, value in DEFAULT_LEMMA_CONFIG.items()} | {
     key: _Field(check, rule, DEFAULT_LEMMA_CONFIG[key]) for key, check, rule in (
         ("n_points", _at_least(2), "must be an integer >= 2"),
@@ -169,12 +159,6 @@ _LEMMA_FIELDS = {key: _ANY._replace(default=value) for key, value in DEFAULT_LEM
         ("point_radius", lambda value: _is_num(value) and value > 0, "must be a positive number"),
         ("point_seed", *_SEED[:2]),
     )
-}
-# A weight horizon T builds arrays of T entries, so T is held to the generators' memory budget.
-_LEMMA_DOMAINS = {
-    "eps_grid": "(0, inf)", "gamma_l_grid": "(0, 1)", "weight_T_grid": f"[1, {MEMORY_BUDGET_ENTRIES}]",
-    "weight_phi_grid": "[0, 1]", "exponent_t_grid": "[1, inf)", "exponent_theta_grid": "(0, 2]",
-    "exp_convexity_a_grid": "(0, inf)", "gautschi_x_grid": "(0, inf)", "gautschi_c_grid": "[0, 1]",
 }
 
 
@@ -207,14 +191,6 @@ def _check_object(doc, fields: dict, label: str, errors: list, select: str | Non
         else:
             errors.append(f"{label}.{key}: {rule}")
     return values
-
-
-def _inside(values: np.ndarray, interval: str) -> bool:
-    """Whether every value lies in an interval written like "(0, 1]"."""
-    lo, hi = (float(end) for end in interval[1:-1].split(","))
-    above = values > lo if interval[0] == "(" else values >= lo
-    below = values < hi if interval[-1] == ")" else values <= hi
-    return bool(np.all(above & below))
 
 
 def resolve_grid(spec, name: str = "grid") -> np.ndarray:
@@ -513,14 +489,13 @@ def resolve_lemma_grids(lemma_doc: dict) -> dict:
     if merged is None:
         raise ConfigError(errors)
     grids = {}
-    for key in _GRID_KEYS:
+    for key in LEMMA_GRIDS:
         try:
-            grids[key] = resolve_grid(merged[key], f"lemmas.{key}")
+            grids[key] = check_grid(key, resolve_grid(merged[key], f"lemmas.{key}"))
         except ConfigError as exc:
             errors.extend(exc.errors)
-    for key, interval in _LEMMA_DOMAINS.items():
-        if key in grids and not _inside(grids[key], interval):
-            errors.append(f"lemmas.{key}: entries must lie in {interval}")
+        except ValueError as exc:
+            errors.append(f"lemmas.{exc}")
     if errors:
         raise ConfigError(errors)
     scalars = {key: merged[key] for key in ("n_points", "n_pairs", "point_seed")}

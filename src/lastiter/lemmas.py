@@ -3,7 +3,8 @@
 Each check evaluates one inequality on a grid and reports the worst slack
 (rhs - lhs for a claim lhs <= rhs), the point attaining it, and whether the
 slack stays above -1e-9.  A failure therefore points at the exact grid
-point a human should re-derive.
+point a human should re-derive.  ``LEMMA_GRIDS`` declares each grid's
+default and domain once; config and every check hold grids to it.
 
 One check is special: the exponent simplification
 3 + 2(t**theta - 1)/theta <= 4 t**theta ln(t+1) genuinely fails at its
@@ -15,22 +16,26 @@ point where it holds, and batteries never gate on it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import poch
 
 from .bounds import abc_constants, weight_sequence
-from .problems import FiniteSumProblem, SolutionCertificate
+from .problems import MEMORY_BUDGET_ENTRIES, FiniteSumProblem, SolutionCertificate
 from .rng import POINT_STREAM, stream
 
 __all__ = [
     "BATTERY_ORDER",
+    "LEMMA_GRIDS",
     "LemmaCheckResult",
     "SLACK_TOL",
     "check_exp_convexity",
     "check_exponent_inequality",
     "check_gautschi",
+    "check_grid",
     "check_one_step_inequality",
     "check_second_moment_transfer",
     "check_variance_transfer",
@@ -39,6 +44,62 @@ __all__ = [
 ]
 
 SLACK_TOL = -1e-9
+
+
+class _Grid(NamedTuple):
+    """A battery grid: its default spec, the interval its entries lie in, and whether they are integers."""
+
+    default: object
+    domain: str
+    integer: bool = False
+
+
+# Each domain is where its check gives finite slacks that are exact to
+# SLACK_TOL: rounding cannot take a slack that is >= 0 below SLACK_TOL.  For the
+# grids of the problem-dependent checks (eps, gamma L) that holds on problems and
+# point clouds of the default scale.  What sets the ends: below gamma L = 1e-4
+# and theta = 1e-4 the slack cancels into rounding noise, and gamma L near 1
+# rounds to 1; t <= 1e150 keeps t**theta finite; the exp chord slack is
+# absolute on sides of size e**a, and x is probed on [0, a] only; subnormal x
+# underflow the Gamma ratio.  A weight horizon T builds arrays of T entries, so
+# T is held to the generators' memory budget.
+LEMMA_GRIDS = {
+    "eps_grid": _Grid({"min": 1e-3, "max": 1e3, "count": 7, "spacing": "log"}, "[1e-100, 1e100]"),
+    "gamma_l_grid": _Grid([0.1, 0.5, 0.9], "[1e-4, 0.9999]"),
+    "weight_T_grid": _Grid({"min": 2, "max": 5000, "count": 48, "spacing": "log-int"},
+                           f"[1, {MEMORY_BUDGET_ENTRIES}]", integer=True),
+    "weight_phi_grid": _Grid({"min": 0.01, "max": 1.0, "count": 34, "spacing": "linear"}, "[0, 1]"),
+    "exponent_t_grid": _Grid({"min": 1.0, "max": 1e4, "count": 400, "spacing": "log"}, "[1, 1e150]"),
+    "exponent_theta_grid": _Grid({"min": 1e-3, "max": 2.0, "count": 25, "spacing": "log"}, "[1e-4, 2]"),
+    "exp_convexity_x_grid": _Grid({"min": 0.0, "max": 10.0, "count": 41, "spacing": "linear"}, "[0, 12]"),
+    "exp_convexity_a_grid": _Grid({"min": 1e-3, "max": 10.0, "count": 40, "spacing": "log"}, "(0, 12]"),
+    "gautschi_x_grid": _Grid({"min": 0.1, "max": 1e4, "count": 80, "spacing": "log"}, "[1e-300, inf)"),
+    "gautschi_c_grid": _Grid({"min": 0.0, "max": 1.0, "count": 41, "spacing": "linear"}, "[0, 1]"),
+}
+
+
+def check_grid(key: str, values) -> np.ndarray:
+    """``values`` as a float array, after checking them against ``LEMMA_GRIDS[key]``.
+
+    Raises:
+        ValueError: ``"{key}: entries must lie in {domain}"``, or ``"{key}:
+            entries must be integers"`` for an integer grid.
+    """
+    values = np.asarray(values, dtype=float)
+    grid = LEMMA_GRIDS[key]
+    lo, hi = map(float, grid.domain[1:-1].split(","))
+    above = operator.gt if grid.domain[0] == "(" else operator.ge
+    below = operator.lt if grid.domain[-1] == ")" else operator.le
+    # Compared as Python floats: check_weight_bounds checks one scalar T per
+    # call, where numpy's overhead on a scalar is a visible share of the check.
+    # NaN fails both comparisons.
+    entries = values.ravel().tolist()
+    if not all(above(v, lo) and below(v, hi) for v in entries):
+        raise ValueError(f"{key}: entries must lie in {grid.domain}")
+    if grid.integer and not all(v.is_integer() for v in entries):
+        raise ValueError(f"{key}: entries must be integers")
+    return values
+
 
 # Largest (points, n, d) stack a point-cloud check evaluates at once, in
 # float64 entries.  It bounds the battery's memory, not its speed.
@@ -83,6 +144,8 @@ class LemmaCheckResult:
 
 
 def _result(lemma_id, grid_size, worst_slack, worst_point, flagged=False, details=None):
+    if not math.isfinite(worst_slack):
+        raise FloatingPointError(f"{lemma_id}: worst slack {worst_slack} at {worst_point} is not finite")
     return LemmaCheckResult(
         lemma_id=lemma_id,
         grid_size=int(grid_size),
@@ -106,9 +169,7 @@ def check_variance_transfer(
     weights.  Evaluated at every (point, eps) pair.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    eps_grid = np.asarray(eps_grid, dtype=float)
-    if np.any(eps_grid <= 0):
-        raise ValueError("eps grid must be strictly positive")
+    eps_grid = check_grid("eps_grid", eps_grid)
 
     def stacks(rows):
         return problem.second_moment(points[rows]), problem.value(points[rows])
@@ -196,9 +257,11 @@ def check_weight_bounds(T: int, phi_value: float) -> LemmaCheckResult:
       (limit 2 (1 + ln T) at phi = 0); the looser constant-3 form is
       recorded in the details;
     * chain: (alpha_T + sum_t alpha_t) / alpha_{T-1} <= 4 T**phi ln(T+1).
+
+    T must lie in the domain of ``weight_T_grid``; ``weight_sequence``
+    refuses phi outside [0, 1].
     """
-    if not 0.0 <= phi_value <= 1.0:
-        raise ValueError(f"phi must lie in [0, 1], got {phi_value!r}")
+    check_grid("weight_T_grid", T)
     seq = weight_sequence(T, phi_value - 1.0)
     T = seq.T
     alpha = seq.alphas
@@ -238,12 +301,8 @@ def check_exponent_inequality(t_grid: np.ndarray, theta_grid: np.ndarray) -> Lem
     details report the boundary values, the largest first-valid t across
     the theta grid, and whether the inequality holds from there on.
     """
-    t = np.asarray(t_grid, dtype=float)
-    theta = np.asarray(theta_grid, dtype=float)
-    if np.any(t < 1.0):
-        raise ValueError("t grid must satisfy t >= 1")
-    if np.any(theta <= 0) or np.any(theta > 2):
-        raise ValueError("theta grid must lie in (0, 2]")
+    t = check_grid("exponent_t_grid", t_grid)
+    theta = check_grid("exponent_theta_grid", theta_grid)
     power = t[:, None] ** theta[None, :]
     lhs = 3.0 + 2.0 * (power - 1.0) / theta[None, :]
     rhs = 4.0 * power * np.log(t + 1.0)[:, None]
@@ -286,15 +345,13 @@ def check_exp_convexity(x_grid: np.ndarray, a_grid: np.ndarray) -> LemmaCheckRes
     For every a in the grid the probe set is the x grid restricted to
     [0, a] plus both endpoints, where the bound is tight.
     """
-    x_grid = np.asarray(x_grid, dtype=float)
-    a_grid = np.asarray(a_grid, dtype=float)
-    if np.any(a_grid <= 0):
-        raise ValueError("a grid must be strictly positive")
+    x_grid = check_grid("exp_convexity_x_grid", x_grid)
+    a_grid = check_grid("exp_convexity_a_grid", a_grid)
     worst = math.inf
     worst_point = ()
     count = 0
     for a in a_grid:
-        xs = np.unique(np.concatenate(([0.0, a], x_grid[(x_grid >= 0.0) & (x_grid <= a)])))
+        xs = np.unique(np.concatenate(([0.0, a], x_grid[x_grid <= a])))
         slack = xs * np.expm1(a) / a + 1.0 - np.exp(xs)
         count += xs.size
         j = int(np.argmin(slack))
@@ -308,16 +365,14 @@ def check_gautschi(x_grid: np.ndarray, c_grid: np.ndarray) -> LemmaCheckResult:
     """Check x**(1-c) <= Gamma(x+1)/Gamma(x+c) <= (x+1)**(1-c) in log form.
 
     Valid for x > 0 and c in [0, 1].  Slacks are measured on the log of the
-    Gamma ratio (via gammaln), which keeps the check absolute-tolerance
-    friendly for large x where the plain ratio grows like x.
+    Gamma ratio, which keeps the check absolute-tolerance friendly for large
+    x where the plain ratio grows like x.  The ratio is the Pochhammer symbol
+    (x+c)_(1-c): a difference of two gammaln values loses their size, about
+    x ln x, to cancellation.
     """
-    x = np.asarray(x_grid, dtype=float)
-    c = np.asarray(c_grid, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("x grid must be strictly positive")
-    if np.any((c < 0) | (c > 1)):
-        raise ValueError("c grid must lie in [0, 1]")
-    log_ratio = gammaln(x[:, None] + 1.0) - gammaln(x[:, None] + c[None, :])
+    x = check_grid("gautschi_x_grid", x_grid)
+    c = check_grid("gautschi_c_grid", c_grid)
+    log_ratio = np.log(poch(x[:, None] + c[None, :], 1.0 - c[None, :]))
     one_minus_c = (1.0 - c)[None, :]
     lower_slack = log_ratio - one_minus_c * np.log(x)[:, None]
     upper_slack = one_minus_c * np.log(x + 1.0)[:, None] - log_ratio
@@ -388,12 +443,12 @@ BATTERY_ORDER = (
 )
 
 
-def _merge(lemma_id: str, parts: list) -> LemmaCheckResult:
-    """Combine per-source results of the same check into one battery row."""
+def _merge(parts: list) -> LemmaCheckResult:
+    """Combine (label, result) parts of the same check into one battery row."""
     total = sum(r.grid_size for (_, r) in parts)
     label, worst = min(parts, key=lambda item: item[1].worst_slack)
     return LemmaCheckResult(
-        lemma_id=lemma_id,
+        lemma_id=worst.lemma_id,
         grid_size=total,
         worst_slack=worst.worst_slack,
         worst_point=(label,) + worst.worst_point,
@@ -430,29 +485,31 @@ def run_battery(problem_entries: list, grids: dict) -> list[LemmaCheckResult]:
         (label, check_variance_transfer(problem, cert, clouds[label], grids["eps_grid"]))
         for label, problem, cert in problem_entries
     ]
+    gamma_ls = check_grid("gamma_l_grid", grids["gamma_l_grid"])
     one_step_parts = []
     for label, problem, cert in problem_entries:
         xs, zs = pair_clouds[label]
-        for gl in grids["gamma_l_grid"]:
+        for gl in gamma_ls:
             gamma = float(gl) / problem.L
             one_step_parts.append(
                 (f"{label}:gl={gl:g}", check_one_step_inequality(problem, cert, gamma, xs, zs))
             )
+    phis = check_grid("weight_phi_grid", grids["weight_phi_grid"])
     weight_parts = [
-        (f"T={int(T)}", check_weight_bounds(int(T), float(p)))
+        (f"T={T:.0f}", check_weight_bounds(T, float(p)))
         for T in grids["weight_T_grid"]
-        for p in grids["weight_phi_grid"]
+        for p in phis
     ]
     second_parts = [
         (label, check_second_moment_transfer(problem, cert, clouds[label]))
         for label, problem, cert in problem_entries
     ]
     return [
-        _merge("variance_transfer", variance_parts),
-        _merge("one_step_descent", one_step_parts),
-        _merge("weight_bounds", weight_parts),
+        _merge(variance_parts),
+        _merge(one_step_parts),
+        _merge(weight_parts),
         check_exponent_inequality(grids["exponent_t_grid"], grids["exponent_theta_grid"]),
         check_exp_convexity(grids["exp_convexity_x_grid"], grids["exp_convexity_a_grid"]),
         check_gautschi(grids["gautschi_x_grid"], grids["gautschi_c_grid"]),
-        _merge("grad_second_moment_transfer", second_parts),
+        _merge(second_parts),
     ]

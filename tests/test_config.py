@@ -532,6 +532,8 @@ def test_lemma_grids_reject_domain_violations():
         resolve_lemma_grids({"eps_grid": [-1.0, 1.0]})
     with pytest.raises(li.ConfigError, match="exponent_theta_grid"):
         resolve_lemma_grids({"exponent_theta_grid": [0.5, 3.0]})
+    with pytest.raises(li.ConfigError, match="lemmas.weight_T_grid: entries must be integers"):
+        resolve_lemma_grids({"weight_T_grid": [2.5]})
     with pytest.raises(li.ConfigError, match="n_points"):
         resolve_lemma_grids({"n_points": 1})
     with pytest.raises(li.ConfigError, match="unknown keys"):

@@ -1,5 +1,6 @@
 """Inequality checks: recomputation oracles, grids, and battery assembly."""
 
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy.special import gammaln
 
 import lastiter as li
+import lastiter.cli as cli
 
 
 def two_quadratics():
@@ -77,6 +79,13 @@ def test_variance_transfer_holds_on_random_clouds():
         assert res.grid_size == 40 * 7
         k, eps = res.worst_point
         assert 0 <= k < 40 and eps in eps_grid
+
+
+def test_non_finite_slack_raises_instead_of_passing():
+    problem = two_quadratics()
+    cert = li.closed_form_certificate(problem)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError, match="not finite"):
+        li.check_variance_transfer(problem, cert, np.full((1, 1), 1e200), np.array([1.0]))
 
 
 def test_variance_transfer_rejects_nonpositive_eps():
@@ -488,3 +497,37 @@ def test_battery_multiple_problems_merge():
     results = {r.lemma_id: r for r in li.run_battery(entries, small_grids())}
     assert results["variance_transfer"].grid_size == 2 * 12 * 3
     assert results["variance_transfer"].worst_point[0] in ("ls8", "logit")
+
+
+# -- grid domains ----------------------------------------------------------------
+
+
+def domain_ends(key):
+    """[(inside, outside) at the low end, (inside, outside) at the high end] of a grid's domain."""
+    domain = li.LEMMA_GRIDS[key].domain
+    lo, hi = (float(end) for end in domain[1:-1].split(","))
+    low = (np.nextafter(lo, math.inf), lo) if domain[0] == "(" else (lo, np.nextafter(lo, -math.inf))
+    high = (np.nextafter(hi, -math.inf), hi) if domain[-1] == ")" else (hi, np.nextafter(hi, math.inf))
+    return [low, high]
+
+
+@pytest.mark.parametrize("key", list(li.LEMMA_GRIDS))
+def test_grid_domain_is_enforced_and_evaluable_at_both_ends(tmp_path, key):
+    """Just outside the domain is refused by config and by the checks; both ends run clean."""
+    ends = domain_ends(key)
+    for _, outside in ends:
+        with pytest.raises(li.ConfigError, match=f"lemmas.{key}:"):
+            li.load_lemma_plan({"lemmas": {key: [outside]}})
+        with pytest.raises(ValueError, match=f"^{key}: entries must lie in "):
+            li.run_battery(small_entries(), small_grids(**{key: np.array([outside])}))
+    grids = small_grids(**{key: [inside for inside, _ in ends]})
+    problems = [{"generator": "least_squares", "n": 8, "d": 3, "spread": 1.0, "seed": 314}]
+    config = tmp_path / "lemmas.json"
+    config.write_text(json.dumps({"lemmas": {
+        "problems": problems, **{name: np.asarray(value).tolist() for name, value in grids.items()},
+    }}))
+    out = tmp_path / "out"
+    assert cli.main(["verify-lemmas", "--config", str(config), "--out", str(out)]) == 0
+    for row in json.loads((out / "lemmas.json").read_text())["results"]:
+        assert math.isfinite(row["worst_slack"]), row
+        assert row["passed"] or row["flagged"], row
