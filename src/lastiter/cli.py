@@ -14,9 +14,9 @@ Subcommands::
                            [--out DIR] [--deterministic-output]
 
 Exit codes: 0 success, 1 usage/config/runtime error, 2 a checked bound or
-lemma was violated.  Worker count comes from --workers, else the
-LASTITER_WORKERS environment variable, else 1; outputs are byte-identical
-across worker counts when --deterministic-output is set.
+lemma was violated.  --workers sets the worker process count (default 1);
+outputs are byte-identical across worker counts when --deterministic-output
+is set.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=out_default, metavar="DIR",
                        help="output directory" + (" (default: .)" if out_default else ""))
         if workers:
-            p.add_argument("--workers", type=int, default=None, metavar="N",
-                           help="worker processes (default: LASTITER_WORKERS or 1)")
+            p.add_argument("--workers", type=int, default=1, metavar="N",
+                           help="worker processes (default: 1)")
         p.add_argument("--deterministic-output", action="store_true",
                        help="omit timestamps so reruns are byte-identical")
         if dump_seeds:
@@ -119,20 +119,9 @@ def _build_parser() -> _Parser:
 
 
 def _resolve_workers(args) -> int:
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError(["--workers: must be a positive integer"])
-        return args.workers
-    env = os.environ.get("LASTITER_WORKERS", "").strip()
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigError([f"LASTITER_WORKERS: not an integer: {env!r}"]) from None
-        if value < 1:
-            raise ConfigError(["LASTITER_WORKERS: must be a positive integer"])
-        return value
-    return 1
+    if args.workers < 1:
+        raise ConfigError(["--workers: must be a positive integer"])
+    return args.workers
 
 
 def _ensure_out(args) -> str:
@@ -148,7 +137,7 @@ def _cmd_run(args) -> int:
     b = template.batch_size
     check = check_cell(
         plan.problem, plan.cert, template.x0, template.T, template.schedule, b,
-        plan.n_seeds, plan.base_seed, workers=workers, keep_per_seed=args.dump_seeds,
+        plan.n_seeds, plan.base_seed, workers=workers,
     )
     estimate, report, eff = check.estimate, check.bounds, check.effective
     doc = {

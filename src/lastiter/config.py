@@ -58,7 +58,6 @@ DEFAULT_LEMMA_CONFIG = {
     ],
     "n_points": 200,
     "n_pairs": 100,
-    "point_radius": 2.0,
     "point_seed": 2718,
     **{key: grid.default for key, grid in LEMMA_GRIDS.items()},
 }
@@ -111,6 +110,7 @@ _SEED = _Field(lambda value: _is_int(value) and 0 <= value < 2**64,
                "must be a nonnegative integer below 2**64")
 _NONNEGATIVE = _Field(lambda value: _is_num(value) and value >= 0, "must be a finite number >= 0")
 _NUMBER = _Field(_is_num, "must be a finite number")
+_NONEMPTY_LIST = _Field(_list_of(_ANY.check), "must be a nonempty list")
 _X0 = _Field(lambda value: isinstance(value, dict), "expected an object", {"policy": "zeros"})
 
 
@@ -150,16 +150,21 @@ _SWEEP_FIELDS = {
     **_SEED_FIELDS, "x0": _X0,
 }
 _GRID_SPEC = {"min": _ANY, "max": _ANY, "count": _ANY, "spacing": _ANY._replace(default="linear")}
-# Every lemma key defaults to DEFAULT_LEMMA_CONFIG; grids are checked by
-# resolve_grid and then against their row of LEMMA_GRIDS.
+# Every lemma key defaults to DEFAULT_LEMMA_CONFIG; each key of LEMMA_GRIDS is
+# then held to its domain there, a grid after resolve_grid.
 _LEMMA_FIELDS = {key: _ANY._replace(default=value) for key, value in DEFAULT_LEMMA_CONFIG.items()} | {
     key: _Field(check, rule, DEFAULT_LEMMA_CONFIG[key]) for key, check, rule in (
+        ("problems", *_NONEMPTY_LIST[:2]),
         ("n_points", _at_least(2), "must be an integer >= 2"),
         ("n_pairs", _at_least(2), "must be an integer >= 2"),
-        ("point_radius", lambda value: _is_num(value) and value > 0, "must be a positive number"),
+        ("point_radius", *_NUMBER[:2]),
         ("point_seed", *_SEED[:2]),
     )
 }
+_SECTION = _Field(lambda value: isinstance(value, dict), "section is required and must be an object")
+_RUN_CONFIG = {"problem": _Field(lambda value: value is not None, "section is required"), "run": _SECTION}
+_SWEEP_CONFIG = {"problems": _NONEMPTY_LIST, "sweep": _SECTION}
+_LEMMA_CONFIG = {"lemmas": _SECTION._replace(rule="must be an object", default={})}
 
 
 def _check_object(doc, fields: dict, label: str, errors: list, select: str | None = None):
@@ -291,7 +296,8 @@ def resolve_x0(policy, problem: FiniteSumProblem, cert: SolutionCertificate) -> 
     return np.zeros(problem.dimension)
 
 
-def _load_doc(source) -> dict:
+def _load_config(source, fields: dict) -> tuple[dict, dict]:
+    """A config document (path or parsed dict) and its sections, top level checked against ``fields``."""
     if isinstance(source, dict):
         doc = source
     else:
@@ -300,9 +306,11 @@ def _load_doc(source) -> dict:
                 doc = json.load(fh)
             except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
                 raise ConfigError([f"config: invalid JSON ({exc})"]) from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(["config: top level must be a JSON object"])
-    return doc
+    errors = []
+    sections = _check_object(doc, fields, "config", errors)
+    if errors:
+        raise ConfigError(errors)
+    return doc, sections
 
 
 def _check_schedule(doc, label: str, errors: list):
@@ -376,21 +384,12 @@ class RunPlan:
 
 def load_run_plan(source) -> RunPlan:
     """Validate a run config (path or parsed dict) into a RunPlan."""
-    doc = _load_doc(source)
+    doc, sections = _load_config(source, _RUN_CONFIG)
     errors = []
-    unknown = set(doc) - {"problem", "run"}
-    if unknown:
-        errors.append(f"config: unknown top-level keys {sorted(unknown)}")
-    if "problem" not in doc:
-        errors.append("problem: section is required")
-    if "run" not in doc or not isinstance(doc.get("run"), dict):
-        errors.append("run: section is required and must be an object")
-    if errors:
-        raise ConfigError(errors)
-    run = _check_object(doc["run"], _RUN_FIELDS, "run", errors)
+    run = _check_object(sections["run"], _RUN_FIELDS, "run", errors)
     _check_seeds(run, "run", errors)
     schedule = _check_schedule(run["schedule"], "run.schedule", errors)
-    entries = _check_entries([doc["problem"]], run.get("x0"), "run", errors)
+    entries = _check_entries([sections["problem"]], run.get("x0"), "run", errors)
     if not entries:
         raise ConfigError(errors)
     ((problem_id, problem, cert, x0),) = entries
@@ -408,7 +407,7 @@ def load_run_plan(source) -> RunPlan:
     if errors:
         raise ConfigError(errors)
     return RunPlan(
-        config_hash=doc_hash({**doc, "problem": _pinned([doc["problem"]], entries)[0]}),
+        config_hash=doc_hash({**doc, "problem": _pinned([sections["problem"]], entries)[0]}),
         problem_id=problem_id,
         problem=problem,
         cert=cert,
@@ -438,19 +437,10 @@ def load_sweep_plan(source) -> SweepPlan:
     depend on a particular (problem, T, schedule, b) combination are left
     to the sweep itself, which records them in the row.
     """
-    doc = _load_doc(source)
+    doc, sections = _load_config(source, _SWEEP_CONFIG)
+    problems_spec = sections["problems"]
     errors = []
-    unknown = set(doc) - {"problems", "sweep"}
-    if unknown:
-        errors.append(f"config: unknown top-level keys {sorted(unknown)}")
-    problems_spec = doc.get("problems")
-    if not isinstance(problems_spec, list) or not problems_spec:
-        errors.append("problems: must be a nonempty list")
-    if not isinstance(doc.get("sweep"), dict):
-        errors.append("sweep: section is required and must be an object")
-    if errors:
-        raise ConfigError(errors)
-    sweep = _check_object(doc["sweep"], _SWEEP_FIELDS, "sweep", errors)
+    sweep = _check_object(sections["sweep"], _SWEEP_FIELDS, "sweep", errors)
     _check_seeds(sweep, "sweep", errors)
     schedules = [_check_schedule(sdoc, f"sweep.schedules[{j}]", errors)
                  for j, sdoc in enumerate(sweep.get("schedules", []))]
@@ -482,51 +472,51 @@ class LemmaPlan:
     grids: dict
 
 
-def resolve_lemma_grids(lemma_doc: dict) -> dict:
-    """Merge a lemma config over the defaults and resolve every grid."""
-    errors = []
+def _check_lemmas(lemma_doc, errors: list) -> dict | None:
+    """A lemma section's values over the defaults, each key of LEMMA_GRIDS resolved and held to its domain.
+
+    Adds ``lemmas...`` errors and leaves out every value that breaks its rule;
+    returns None for a non-object.
+    """
     merged = _check_object(lemma_doc, _LEMMA_FIELDS, "lemmas", errors)
     if merged is None:
-        raise ConfigError(errors)
-    grids = {}
+        return None
     for key in LEMMA_GRIDS:
+        if key not in merged:  # broke its field rule
+            continue
+        value = merged.pop(key)
         try:
-            grids[key] = check_grid(key, resolve_grid(merged[key], f"lemmas.{key}"))
+            if key == "point_radius":  # the one number among the grids
+                merged[key] = float(check_grid(key, value))
+            else:
+                merged[key] = check_grid(key, resolve_grid(value, f"lemmas.{key}"))
         except ConfigError as exc:
             errors.extend(exc.errors)
         except ValueError as exc:
             errors.append(f"lemmas.{exc}")
+    return merged
+
+
+def resolve_lemma_grids(lemma_doc: dict) -> dict:
+    """Merge a lemma config over the defaults and resolve every grid."""
+    errors = []
+    merged = _check_lemmas(lemma_doc, errors)
     if errors:
         raise ConfigError(errors)
-    scalars = {key: merged[key] for key in ("n_points", "n_pairs", "point_seed")}
-    return {**grids, **scalars, "point_radius": float(merged["point_radius"])}
+    del merged["problems"]
+    return merged
 
 
 def load_lemma_plan(source=None) -> LemmaPlan:
     """Validate a lemma config into a LemmaPlan; None means pure defaults."""
-    doc = _load_doc(source) if source is not None else {}
+    doc, sections = _load_config({} if source is None else source, _LEMMA_CONFIG)
     errors = []
-    unknown = set(doc) - {"lemmas"}
-    if unknown:
-        errors.append(f"config: unknown top-level keys {sorted(unknown)}")
-    lemma_doc = doc.get("lemmas", {})
-    if not isinstance(lemma_doc, dict):
-        errors.append("lemmas: must be an object")
+    grids = _check_lemmas(sections["lemmas"], errors)
+    problems_spec = grids.pop("problems", [])
+    entries = _check_entries(problems_spec, None, "lemmas", errors)
     if errors:
         raise ConfigError(errors)
-    try:
-        grids = resolve_lemma_grids(lemma_doc)
-    except ConfigError as exc:
-        errors.extend(exc.errors)
-    problems_spec = lemma_doc.get("problems", DEFAULT_LEMMA_CONFIG["problems"])
-    entries = []
-    if isinstance(problems_spec, list) and problems_spec:
-        entries = _check_entries(problems_spec, None, "lemmas", errors)
-    else:
-        errors.append("lemmas.problems: must be a nonempty list")
-    if errors:
-        raise ConfigError(errors)
-    if "problems" in lemma_doc:
-        doc = {**doc, "lemmas": {**lemma_doc, "problems": _pinned(problems_spec, entries)}}
+    if "problems" in sections["lemmas"]:
+        doc = {**doc, "lemmas": {**sections["lemmas"], "problems": _pinned(problems_spec, entries)}}
     return LemmaPlan(config_hash=doc_hash(doc),
                      entries=tuple(entry[:3] for entry in entries), grids=grids)

@@ -3,8 +3,9 @@
 Each check evaluates one inequality on a grid and reports the worst slack
 (rhs - lhs for a claim lhs <= rhs), the point attaining it, and whether the
 slack stays above -1e-9.  A failure therefore points at the exact grid
-point a human should re-derive.  ``LEMMA_GRIDS`` declares each grid's
-default and domain once; config and every check hold grids to it.
+point a human should re-derive.  ``LEMMA_GRIDS`` declares the default and
+domain of each grid and of the probe-point radius once; config and every
+check hold them to it.
 
 One check is special: the exponent simplification
 3 + 2(t**theta - 1)/theta <= 4 t**theta ln(t+1) genuinely fails at its
@@ -47,7 +48,7 @@ SLACK_TOL = -1e-9
 
 
 class _Grid(NamedTuple):
-    """A battery grid: its default spec, the interval its entries lie in, and whether they are integers."""
+    """A battery grid or number: its default, the interval its entries lie in, and whether they are integers."""
 
     default: object
     domain: str
@@ -56,16 +57,21 @@ class _Grid(NamedTuple):
 
 # Each domain is where its check gives finite slacks that are exact to
 # SLACK_TOL: rounding cannot take a slack that is >= 0 below SLACK_TOL.  For the
-# grids of the problem-dependent checks (eps, gamma L) that holds on problems and
-# point clouds of the default scale.  What sets the ends: below gamma L = 1e-4
-# and theta = 1e-4 the slack cancels into rounding noise, and gamma L near 1
-# rounds to 1; t <= 1e150 keeps t**theta finite; the exp chord slack is
-# absolute on sides of size e**a, and x is probed on [0, a] only; subnormal x
-# underflow the Gamma ratio.  A weight horizon T builds arrays of T entries, so
-# T is held to the generators' memory budget.
+# keys the problem-dependent checks read (eps, gamma L, point radius) that holds
+# on the default problems with each of those keys anywhere in its domain.  What
+# sets the ends: gamma L >= 1e-300 keeps gamma = gamma L / L a normal float for L
+# up to 1e7, and gamma L near 1 rounds to 1; at gamma L near 0 a logistic
+# family's one-step slack tends to a convexity gap that vanishes for pairs inside
+# one saturated region, while the rounding of its terms, which grow like the
+# radius, reaches 2e-10 at radius 1e6 and 2e-9 at 1e7; below theta = 1e-4 the
+# slack cancels into rounding noise; t <= 1e150 keeps t**theta finite; the exp
+# chord slack is absolute on sides of size e**a, and x is probed on [0, a] only;
+# subnormal x underflow the Gamma ratio.  A weight horizon T builds arrays of T
+# entries, so T is held to the generators' memory budget.  ``point_radius`` is a
+# number, not a grid.
 LEMMA_GRIDS = {
     "eps_grid": _Grid({"min": 1e-3, "max": 1e3, "count": 7, "spacing": "log"}, "[1e-100, 1e100]"),
-    "gamma_l_grid": _Grid([0.1, 0.5, 0.9], "[1e-4, 0.9999]"),
+    "gamma_l_grid": _Grid([0.1, 0.5, 0.9], "[1e-300, 0.9999]"),
     "weight_T_grid": _Grid({"min": 2, "max": 5000, "count": 48, "spacing": "log-int"},
                            f"[1, {MEMORY_BUDGET_ENTRIES}]", integer=True),
     "weight_phi_grid": _Grid({"min": 0.01, "max": 1.0, "count": 34, "spacing": "linear"}, "[0, 1]"),
@@ -75,6 +81,7 @@ LEMMA_GRIDS = {
     "exp_convexity_a_grid": _Grid({"min": 1e-3, "max": 10.0, "count": 40, "spacing": "log"}, "(0, 12]"),
     "gautschi_x_grid": _Grid({"min": 0.1, "max": 1e4, "count": 80, "spacing": "log"}, "[1e-300, inf)"),
     "gautschi_c_grid": _Grid({"min": 0.0, "max": 1.0, "count": 41, "spacing": "linear"}, "[0, 1]"),
+    "point_radius": _Grid(2.0, "(0, 1e6]"),
 }
 
 
@@ -210,7 +217,10 @@ def check_one_step_inequality(
         a f(x) + b f(z) + c inf f
             <= (||x - z||^2 - E||x - gamma grad f_i(x) - z||^2) / (2 gamma) + v
 
-    for every zipped (x, z) pair.
+    for every zipped (x, z) pair.  The right side is evaluated in the
+    expanded form E<grad f_i(x), x - z> - (gamma/2) E||grad f_i(x)||^2 + v,
+    which equals it without the cancellation of two O(||x - z||^2) terms
+    that dividing by a small gamma would magnify.
     """
     x_points = np.atleast_2d(np.asarray(x_points, dtype=float))
     z_points = np.atleast_2d(np.asarray(z_points, dtype=float))
@@ -220,10 +230,10 @@ def check_one_step_inequality(
 
     def stacks(rows):
         x, z = x_points[rows], z_points[rows]
-        moved = (x[:, None, :] - gamma * problem.component_grads_at(None, x)) - z[:, None, :]
-        moved_sq = problem.weighted_mean(_sq_norms(moved))
+        grads = problem.component_grads_at(None, x)
+        inner = problem.weighted_mean(np.einsum("pnd,pd->pn", grads, x - z))
         lhs = consts.a * problem.value(x) + consts.b * problem.value(z) + consts.c * cert.inf_f
-        rhs = (_sq_norms(x - z) - moved_sq) / (2.0 * gamma) + consts.v
+        rhs = inner - 0.5 * gamma * problem.weighted_mean(_sq_norms(grads)) + consts.v
         return lhs, rhs
 
     lhs, rhs = np.empty(x_points.shape[0]), np.empty(x_points.shape[0])
@@ -472,14 +482,15 @@ def run_battery(problem_entries: list, grids: dict) -> list[LemmaCheckResult]:
     """
     if not problem_entries:
         raise ValueError("the battery needs at least one problem entry")
+    radius = float(check_grid("point_radius", grids["point_radius"]))
     rng = stream(grids["point_seed"], POINT_STREAM)
     clouds = {}
     pair_clouds = {}
     for label, problem, cert in problem_entries:
         shape = (grids["n_points"], problem.dimension)
-        clouds[label] = cert.x_star + grids["point_radius"] * rng.standard_normal(shape)
+        clouds[label] = cert.x_star + radius * rng.standard_normal(shape)
         pair_shape = (2, grids["n_pairs"], problem.dimension)
-        pair_clouds[label] = cert.x_star + grids["point_radius"] * rng.standard_normal(pair_shape)
+        pair_clouds[label] = cert.x_star + radius * rng.standard_normal(pair_shape)
 
     variance_parts = [
         (label, check_variance_transfer(problem, cert, clouds[label], grids["eps_grid"]))

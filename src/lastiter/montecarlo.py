@@ -2,12 +2,11 @@
 
 The estimator runs seeds base_seed .. base_seed + n_seeds - 1 through the
 SGD engine in blocks of seeds advanced in lockstep, collects the final gaps
-in seed order, and reduces them to streaming moments (count, mean, M2) over
-a fixed binary tree that always splits a block of k values at k // 2.
-Worker processes each take one contiguous range of seeds; the reduction
-happens in the driver in canonical order, so the estimate is bitwise
-identical for every worker count and block size, and the moment state over
-2n seeds is exactly the merge of the states over the first and second n.
+in seed order, and reduces them once, in the driver.  Worker processes each
+take one contiguous range of seeds, and the driver joins their gaps in seed
+order, so the gap sequence is bitwise the same for every worker count and
+block size; the reduction takes exactly rounded sums over that sequence, so
+the estimate is too.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import contextlib
 import itertools
 import math
 import multiprocessing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,74 +34,51 @@ from .sgd import DivergenceError, RunConfig, ScheduleError, _block_rows, _run, s
 
 __all__ = [
     "CellCheck",
-    "MomentState",
     "MonteCarloEstimate",
     "SWEEP_COLUMNS",
     "SweepRow",
     "check_cell",
     "estimate_gap",
-    "merge_moments",
     "reduce_moments",
     "run_fingerprint",
     "sweep",
 ]
 
 
-@dataclass(frozen=True)
-class MomentState:
-    """Streaming first/second moment state: count, mean, sum of squared deviations."""
+def reduce_moments(values) -> tuple[float, float]:
+    """(mean, standard error of the mean) of a nonempty value sequence.
 
-    count: int
-    mean: float
-    m2: float
-
-
-def merge_moments(left: MomentState, right: MomentState) -> MomentState:
-    """Combine two disjoint moment states (pairwise update form)."""
-    if left.count == 0:
-        return right
-    if right.count == 0:
-        return left
-    count = left.count + right.count
-    delta = right.mean - left.mean
-    mean = left.mean + delta * (right.count / count)
-    m2 = left.m2 + right.m2 + delta * delta * (left.count * right.count / count)
-    return MomentState(count=count, mean=mean, m2=m2)
-
-
-def reduce_moments(values) -> MomentState:
-    """Moments of a value sequence over the canonical binary merge tree.
-
-    A block of k values always splits at k // 2, so the state over values
-    [0, 2n) is exactly merge(state[0, n), state[n, 2n)) and the result never
-    depends on how the values were computed or partitioned.
+    Both come from exactly rounded sums (``math.fsum``), the mean's over the
+    deviations from the first value and the spread's over the deviations
+    from the mean, so they depend on the sequence alone, not on how it was
+    computed or split, and a constant sequence gives its own value and a
+    standard error of exactly 0.0.
     """
     values = np.asarray(values, dtype=float)
-
-    def block(lo: int, hi: int) -> MomentState:
-        if hi - lo == 1:
-            return MomentState(count=1, mean=float(values[lo]), m2=0.0)
-        mid = lo + (hi - lo) // 2
-        return merge_moments(block(lo, mid), block(mid, hi))
-
-    if values.size == 0:
-        return MomentState(count=0, mean=0.0, m2=0.0)
-    return block(0, values.size)
+    n = values.size
+    if n == 0:
+        raise ValueError("reduce_moments needs at least one value")
+    first = float(values[0])
+    mean = first + math.fsum((values - first).tolist()) / n
+    if n == 1:
+        return mean, 0.0
+    m2 = math.fsum(((values - mean) ** 2).tolist())
+    return mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
-    """Sample statistics of the final gap over seeded runs."""
+    """Sample statistics of the final gap over seeded runs, and the gaps in seed order.
+
+    Estimates compare equal by their statistics and fingerprint.
+    """
 
     n_seeds: int
     mean_gap: float
     std_error: float
     ci95_upper: float
-    T: int
-    batch_size: int
-    base_seed: int
     fingerprint: str
-    per_seed_gaps: np.ndarray | None = None
+    per_seed_gaps: np.ndarray = field(compare=False)
 
 
 def _final_gaps(problem, cert, template, lo: int, hi: int) -> np.ndarray:
@@ -145,7 +121,6 @@ def estimate_gap(
     n_seeds: int,
     base_seed: int,
     workers: int = 1,
-    keep_per_seed: bool = False,
     pool=None,
 ) -> MonteCarloEstimate:
     """Estimate E[f(x_T) - inf f] over seeds base_seed .. base_seed + n_seeds - 1.
@@ -183,21 +158,14 @@ def estimate_gap(
         values = np.concatenate(parts)
     if full_batch:
         values = np.full(n_seeds, values[0])
-    state = reduce_moments(values)
-    if state.count > 1:
-        std_error = math.sqrt(state.m2 / (state.count - 1)) / math.sqrt(state.count)
-    else:
-        std_error = 0.0
+    mean, std_error = reduce_moments(values)
     return MonteCarloEstimate(
         n_seeds=n_seeds,
-        mean_gap=state.mean,
+        mean_gap=mean,
         std_error=std_error,
-        ci95_upper=state.mean + 1.96 * std_error,
-        T=template.T,
-        batch_size=template.batch_size,
-        base_seed=base_seed,
+        ci95_upper=mean + 1.96 * std_error,
         fingerprint=run_fingerprint(problem, template),
-        per_seed_gaps=values if keep_per_seed else None,
+        per_seed_gaps=values,
     )
 
 
@@ -224,7 +192,6 @@ def check_cell(
     base_seed: int,
     workers: int = 1,
     pool=None,
-    keep_per_seed: bool = False,
 ) -> CellCheck:
     """Estimate the gap of one (problem, x0, T, schedule, b) cell and check it.
 
@@ -243,8 +210,7 @@ def check_cell(
     bounds = build_bound_report(schedule, effective.L_b, d_sq, effective.sigma_b_sq, T)
     bound_value = float(bounds.tightest())
     template = RunConfig(T=T, seed=0, schedule=schedule, x0=x0, batch_size=b)
-    estimate = estimate_gap(problem, cert, template, n_seeds, base_seed, workers=workers,
-                            keep_per_seed=keep_per_seed, pool=pool)
+    estimate = estimate_gap(problem, cert, template, n_seeds, base_seed, workers=workers, pool=pool)
     tiny = float(np.finfo(float).tiny)
     return CellCheck(
         estimate=estimate,

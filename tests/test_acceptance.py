@@ -347,9 +347,8 @@ def _single_sample_statistics(problem, cert, x0, T, gamma, n_seeds, base_seed):
         for i in picks:
             x = x - gamma * problem.component_grads_at(np.array([i]), x)[0]
         gaps.append(float(problem.value(x) - cert.inf_f))
-    state = li.reduce_moments(gaps)
-    std_error = math.sqrt(state.m2 / (state.count - 1)) / math.sqrt(state.count)
-    return state.mean, std_error, state.mean + 1.96 * std_error
+    mean, std_error = li.reduce_moments(gaps)
+    return mean, std_error, mean + 1.96 * std_error
 
 
 def _sqrt_c2_bounds(problem, cert, d_sq, T):

@@ -227,27 +227,6 @@ def test_workers_flag_must_be_positive(tmp_path, capsys):
     assert "--workers" in capsys.readouterr().err
 
 
-def test_workers_env_must_be_an_integer(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LASTITER_WORKERS", "abc")
-    config = write_config(tmp_path, "run.json", run_config_doc(n_seeds=2))
-    code = cli.main(["run", "--config", config, "--out", str(tmp_path / "o")])
-    assert code == 1
-    assert "LASTITER_WORKERS" in capsys.readouterr().err
-
-
-def test_workers_env_feeds_the_run(tmp_path, monkeypatch):
-    monkeypatch.setenv("LASTITER_WORKERS", "2")
-    config = write_config(tmp_path, "run.json", run_config_doc())
-    out_env = tmp_path / "env"
-    assert cli.main(["run", "--config", config, "--out", str(out_env),
-                     "--deterministic-output"]) == 0
-    monkeypatch.delenv("LASTITER_WORKERS")
-    out_one = tmp_path / "one"
-    assert cli.main(["run", "--config", config, "--out", str(out_one),
-                     "--deterministic-output"]) == 0
-    assert (out_env / "report.json").read_bytes() == (out_one / "report.json").read_bytes()
-
-
 # -- sweep -------------------------------------------------------------------------
 
 

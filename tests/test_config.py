@@ -352,7 +352,7 @@ def test_load_run_plan_collects_all_violations():
 def test_load_run_plan_rejects_unknown_top_level_keys():
     doc = run_doc()
     doc["extra"] = True
-    with pytest.raises(li.ConfigError, match="unknown top-level keys"):
+    with pytest.raises(li.ConfigError, match=r"config: unknown keys \['extra'\]"):
         li.load_run_plan(doc)
 
 
@@ -554,7 +554,7 @@ def test_lemma_plan_collects_grid_and_every_problem_error():
 
 
 def test_lemma_plan_rejects_unknown_top_level():
-    with pytest.raises(li.ConfigError, match="top-level"):
+    with pytest.raises(li.ConfigError, match=r"config: unknown keys \['lemma'\]"):
         li.load_lemma_plan({"lemma": {}})
 
 

@@ -129,6 +129,23 @@ def test_one_step_holds_on_random_pairs():
         assert res.grid_size == 30
 
 
+def test_one_step_is_exact_at_small_step():
+    """At gamma L = 1e-12 the worst slack agrees with the expanded right side written out."""
+    problem, cert = li.make_least_squares(n=20, d=5, spread=1.0, seed=11)
+    gamma = 1e-12 / problem.L
+    rng = np.random.default_rng(11)
+    xs = cert.x_star + 2.0 * rng.standard_normal((100, problem.dimension))
+    zs = cert.x_star + 2.0 * rng.standard_normal((100, problem.dimension))
+    consts = li.abc_constants(gamma, problem.L, cert.sigma_star_sq)
+    slacks = [
+        float(problem.grad(x) @ (x - z)) - 0.5 * gamma * problem.second_moment(x) + consts.v
+        - (consts.a * problem.value(x) + consts.b * problem.value(z) + consts.c * cert.inf_f)
+        for x, z in zip(xs, zs)
+    ]
+    res = li.check_one_step_inequality(problem, cert, gamma, xs, zs)
+    assert abs(res.worst_slack - min(slacks)) <= 1e-12
+
+
 def test_one_step_rejects_mismatched_shapes():
     problem = two_quadratics()
     cert = li.closed_form_certificate(problem)
@@ -515,19 +532,26 @@ def domain_ends(key):
 def test_grid_domain_is_enforced_and_evaluable_at_both_ends(tmp_path, key):
     """Just outside the domain is refused by config and by the checks; both ends run clean."""
     ends = domain_ends(key)
-    for _, outside in ends:
+    if key == "point_radius":  # one number, so each end runs on its own
+        outsides = [outside for _, outside in ends]
+        insides = [inside for inside, _ in ends]
+    else:
+        outsides = [[outside] for _, outside in ends]
+        insides = [[inside for inside, _ in ends]]
+    for value in outsides:
         with pytest.raises(li.ConfigError, match=f"lemmas.{key}:"):
-            li.load_lemma_plan({"lemmas": {key: [outside]}})
+            li.load_lemma_plan({"lemmas": {key: value}})
         with pytest.raises(ValueError, match=f"^{key}: entries must lie in "):
-            li.run_battery(small_entries(), small_grids(**{key: np.array([outside])}))
-    grids = small_grids(**{key: [inside for inside, _ in ends]})
+            li.run_battery(small_entries(), small_grids(**{key: value}))
     problems = [{"generator": "least_squares", "n": 8, "d": 3, "spread": 1.0, "seed": 314}]
-    config = tmp_path / "lemmas.json"
-    config.write_text(json.dumps({"lemmas": {
-        "problems": problems, **{name: np.asarray(value).tolist() for name, value in grids.items()},
-    }}))
-    out = tmp_path / "out"
-    assert cli.main(["verify-lemmas", "--config", str(config), "--out", str(out)]) == 0
-    for row in json.loads((out / "lemmas.json").read_text())["results"]:
-        assert math.isfinite(row["worst_slack"]), row
-        assert row["passed"] or row["flagged"], row
+    for value in insides:
+        grids = small_grids(**{key: value})
+        config = tmp_path / "lemmas.json"
+        config.write_text(json.dumps({"lemmas": {
+            "problems": problems, **{name: np.asarray(v).tolist() for name, v in grids.items()},
+        }}))
+        out = tmp_path / "out"
+        assert cli.main(["verify-lemmas", "--config", str(config), "--out", str(out)]) == 0
+        for row in json.loads((out / "lemmas.json").read_text())["results"]:
+            assert math.isfinite(row["worst_slack"]), row
+            assert row["passed"] or row["flagged"], row

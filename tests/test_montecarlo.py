@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import lastiter as li
-from lastiter.montecarlo import MomentState
 from lastiter.problems import FiniteSumProblem
 
 
@@ -19,58 +18,27 @@ def two_quadratics():
     return li.LeastSquaresProblem(design, np.zeros((2, 2)))
 
 
-def manual_tree_state(values):
-    """Reference binary-tree reduction, written independently of the module."""
-    values = np.asarray(values, dtype=float)
-
-    def rec(block):
-        if block.size == 1:
-            return MomentState(count=1, mean=float(block[0]), m2=0.0)
-        mid = block.size // 2
-        return li.merge_moments(rec(block[:mid]), rec(block[mid:]))
-
-    return rec(values)
-
-
-# -- moment state --------------------------------------------------------------
+# -- moment reduction ----------------------------------------------------------
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 7, 8, 100, 257])
 def test_reduce_moments_matches_numpy(size):
     rng = np.random.default_rng(size)
     values = rng.standard_normal(size) * 3.0 + 1.0
-    state = li.reduce_moments(values)
-    assert state.count == size
-    assert state.mean == pytest.approx(float(np.mean(values)), rel=1e-13)
+    mean, std_error = li.reduce_moments(values)
+    assert type(mean) is float and type(std_error) is float
+    assert mean == pytest.approx(float(np.mean(values)), rel=1e-13)
     if size > 1:
-        var = state.m2 / (state.count - 1)
+        var = std_error**2 * size
         assert var == pytest.approx(float(np.var(values, ddof=1)), rel=1e-12)
     else:
-        assert state.m2 == 0.0
+        assert std_error == 0.0
 
 
-@pytest.mark.parametrize("size", [1, 2, 5, 16, 33])
-def test_reduce_moments_is_the_canonical_tree(size):
-    rng = np.random.default_rng(1000 + size)
-    values = rng.standard_normal(size)
-    assert li.reduce_moments(values) == manual_tree_state(values)
-
-
-def test_merge_of_halves_is_bitwise_identical_to_full_reduce():
-    rng = np.random.default_rng(42)
-    for n in (1, 4, 10, 64):
-        values = rng.standard_normal(2 * n)
-        whole = li.reduce_moments(values)
-        merged = li.merge_moments(li.reduce_moments(values[:n]), li.reduce_moments(values[n:]))
-        assert whole == merged  # exact dataclass equality, no tolerance
-
-
-def test_merge_with_empty_state_is_identity():
-    empty = li.reduce_moments(np.array([]))
-    assert empty == MomentState(count=0, mean=0.0, m2=0.0)
-    state = li.reduce_moments(np.array([2.0, 4.0]))
-    assert li.merge_moments(empty, state) == state
-    assert li.merge_moments(state, empty) == state
+@pytest.mark.parametrize("value, size", [(0.1, 3), (1 / 3, 7), (0.7, 96)])
+def test_reduce_moments_of_a_constant_sequence_is_exact(value, size):
+    # a plain sum / n misses these: sum([0.1] * 3) / 3 == 0.10000000000000002
+    assert li.reduce_moments(np.full(size, value)) == (value, 0.0)
 
 
 # -- gap estimation -------------------------------------------------------------
@@ -89,29 +57,36 @@ def test_estimate_single_seed_has_zero_spread():
     assert est.n_seeds == 1
     assert est.std_error == 0.0
     assert est.ci95_upper == est.mean_gap
-    assert est.per_seed_gaps is None
     direct = li.minibatch_run(problem, cert, dataclasses.replace(config, seed=17)).final_gap
     assert est.mean_gap == direct
+    assert est.per_seed_gaps.tolist() == [direct]
 
 
 def test_estimate_keeps_per_seed_gaps_in_seed_order():
     problem, cert, config = estimate_template()
-    est = li.estimate_gap(problem, cert, config, n_seeds=6, base_seed=3, keep_per_seed=True)
+    est = li.estimate_gap(problem, cert, config, n_seeds=6, base_seed=3)
     assert est.per_seed_gaps.shape == (6,)
     for offset, gap in enumerate(est.per_seed_gaps):
         run = li.minibatch_run(problem, cert, dataclasses.replace(config, seed=3 + offset))
         assert gap == run.final_gap
-    state = li.reduce_moments(est.per_seed_gaps)
-    assert est.mean_gap == state.mean
+    assert (est.mean_gap, est.std_error) == li.reduce_moments(est.per_seed_gaps)
 
 
-def test_estimate_is_bitwise_worker_independent():
+def test_estimate_is_bitwise_worker_independent(monkeypatch):
     problem, cert, config = estimate_template(T=4)
-    serial = li.estimate_gap(problem, cert, config, n_seeds=12, base_seed=0)
-    parallel = li.estimate_gap(problem, cert, config, n_seeds=12, base_seed=0, workers=2)
-    assert serial.mean_gap == parallel.mean_gap
-    assert serial.std_error == parallel.std_error
-    assert serial.ci95_upper == parallel.ci95_upper
+    default_rows = li.sgd._BLOCK_ROWS
+    for n_seeds in (12, 13):
+        serial = li.estimate_gap(problem, cert, config, n_seeds=n_seeds, base_seed=0)
+        # blocks of 2 seeds leave a part block at the end of odd worker ranges
+        for workers, block_rows in ((2, default_rows), (3, default_rows), (1, 2), (3, 2)):
+            with monkeypatch.context() as patch:
+                patch.setattr(li.sgd, "_BLOCK_ROWS", block_rows)
+                other = li.estimate_gap(problem, cert, config, n_seeds=n_seeds, base_seed=0,
+                                        workers=workers)
+            assert np.array_equal(serial.per_seed_gaps, other.per_seed_gaps)
+            assert serial.mean_gap == other.mean_gap
+            assert serial.std_error == other.std_error
+            assert serial.ci95_upper == other.ci95_upper
 
 
 class RowCountingLeastSquares(li.LeastSquaresProblem):
@@ -128,7 +103,7 @@ def test_full_batch_estimate_simulates_one_trajectory():
     problem.rows_seen = []
     config = li.RunConfig(T=9, seed=0, schedule=li.PolynomialStep(2.0, 0.5), x0=np.ones(2),
                           batch_size=problem.n)
-    est = li.estimate_gap(problem, cert, config, n_seeds=5, base_seed=30, keep_per_seed=True)
+    est = li.estimate_gap(problem, cert, config, n_seeds=5, base_seed=30)
     assert problem.rows_seen == [1] * config.T
     assert est.std_error == 0.0
     for offset, gap in enumerate(est.per_seed_gaps):
@@ -260,14 +235,13 @@ def test_check_cell_chains_constants_bounds_and_estimate():
     problem, cert = li.make_least_squares(n=6, d=2, spread=1.0, seed=3)
     x0 = cert.x_star + np.array([0.6, -0.8])
     schedule = li.PolynomialStep(2.0, 0.5)
-    check = li.check_cell(problem, cert, x0, 20, schedule, 3, n_seeds=5, base_seed=2,
-                          keep_per_seed=True)
+    check = li.check_cell(problem, cert, x0, 20, schedule, 3, n_seeds=5, base_seed=2)
     eff = li.effective_constants(problem, 3, cert)
     assert check.effective == eff
     d_sq = float(np.sum((x0 - cert.x_star) ** 2))
     assert check.bounds == li.build_bound_report(schedule, eff.L_b, d_sq, eff.sigma_b_sq, 20)
     template = li.RunConfig(T=20, seed=0, schedule=schedule, x0=x0, batch_size=3)
-    est = li.estimate_gap(problem, cert, template, 5, 2, keep_per_seed=True)
+    est = li.estimate_gap(problem, cert, template, 5, 2)
     assert check.estimate.mean_gap == est.mean_gap
     assert np.array_equal(check.estimate.per_seed_gaps, est.per_seed_gaps)
     assert check.bound_value == check.bounds.tightest()
@@ -448,11 +422,10 @@ def test_sweep_satisfied_checks_every_applicable_bound(monkeypatch):
     report = polynomial_tightest(schedule, problem.L, 1.0, cert.sigma_star_sq, 10)
 
     def row_at(ci95):
-        def fake_estimate(problem, cert, template, n_seeds, base_seed, workers=1,
-                          keep_per_seed=False, pool=None):
+        def fake_estimate(problem, cert, template, n_seeds, base_seed, workers=1, pool=None):
             return li.MonteCarloEstimate(
-                n_seeds=n_seeds, mean_gap=0.0, std_error=0.0, ci95_upper=ci95, T=template.T,
-                batch_size=template.batch_size, base_seed=base_seed, fingerprint="",
+                n_seeds=n_seeds, mean_gap=0.0, std_error=0.0, ci95_upper=ci95, fingerprint="",
+                per_seed_gaps=np.zeros(n_seeds),
             )
 
         monkeypatch.setattr(mc, "estimate_gap", fake_estimate)
