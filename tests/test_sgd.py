@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,16 +269,34 @@ def test_polynomial_schedule_resolved_against_problem_smoothness():
     assert abs(traj.gamma_used - 1.0 / (2.0 * problem.L * 7.0)) < 1e-15
 
 
-@pytest.mark.parametrize("family", ["least_squares", "logistic"])
+def weighted_least_squares():
+    base, _ = li.make_least_squares(n=6, d=3, spread=1.0, seed=14)
+    weights = np.arange(1.0, 7.0) / 21.0
+    problem = li.LeastSquaresProblem(base.design, base.offsets, weights=weights)
+    return problem, li.closed_form_certificate(problem)
+
+
+def single_runs(problem, config, seeds):
+    """Final iterates of seed-by-seed runs; single runs keep the per-seed generator."""
+    assert not sgd._takes_pass(problem, 1, config.batch_size, config.T)
+    return np.stack([sgd._run(problem, config, (seed,))[1][0] for seed in seeds])
+
+
+@pytest.mark.parametrize("family", ["least_squares", "logistic", "weighted_least_squares"])
 def test_seed_blocks_reproduce_single_seed_runs_bitwise(family):
     if family == "least_squares":
         problem, cert = li.make_least_squares(n=6, d=3, spread=1.0, seed=14)
-    else:
+    elif family == "logistic":
         problem, cert = li.make_logistic(n=6, d=3, seed=15)
-    S = 16
-    for b in (1, 3, problem.n):
+    else:
+        problem, cert = weighted_least_squares()
+    S = sgd._PASS_ROWS + 16
+    for b in (1, 3, problem.n) if problem.uniform_weights else (1,):
         config = li.RunConfig(T=40, seed=0, schedule=li.PolynomialStep(2.0, 0.5),
                               x0=np.ones(3), batch_size=b)
+        # for uniform b = 1 the whole block takes the Philox pass, blocks of seven the generators
+        assert sgd._takes_pass(problem, S, b, config.T) == (b == 1 and problem.uniform_weights)
+        assert not sgd._takes_pass(problem, 7, b, config.T)
         singles = np.stack([
             li.minibatch_run(problem, cert, dataclasses.replace(config, seed=100 + s)).final_iterate
             for s in range(S)
@@ -288,6 +307,139 @@ def test_seed_blocks_reproduce_single_seed_runs_bitwise(family):
         assert np.array_equal(whole, singles), b
         assert np.array_equal(sevens, singles), b
         assert np.array_equal(problem.value(whole), [problem.value(x) for x in singles])
+
+
+def test_pass_rows_flagged_for_redraw_come_from_their_generators(monkeypatch):
+    problem, cert = li.make_least_squares(n=5, d=2, spread=1.0, seed=18)
+    config = li.RunConfig(T=30, seed=0, schedule=li.PolynomialStep(2.0, 0.5), x0=np.ones(2))
+    seeds = range(200, 200 + sgd._PASS_ROWS + 8)
+    flagged = [0, 5, len(seeds) - 1]
+    block_integers = sgd._block_integers
+
+    def forced(seeds, purpose, bounds):
+        draws, redraw = block_integers(seeds, purpose, bounds)
+        draws[flagged] = 0  # wrong draws that the fallback must replace
+        redraw[flagged] = True
+        return draws, redraw
+
+    monkeypatch.setattr(sgd, "_block_integers", forced)
+    streams = []
+    monkeypatch.setattr(sgd, "stream", lambda seed, purpose: streams.append(seed) or li.stream(seed, purpose))
+    _, block = sgd._run(problem, config, seeds)
+    assert streams == [seeds[row] for row in flagged]
+    assert np.array_equal(block, single_runs(problem, config, seeds))
+
+
+class UnderstatedPair(li.FiniteSumProblem):
+    """f_0 = 5 x^2 and f_1 = 0 claiming smoothness 0.1: each draw of f_0 multiplies x by -49."""
+
+    def __init__(self):
+        super().__init__(np.full(2, 0.5), np.full(2, 0.1), 0.1, 1)
+
+    def component_values_at(self, idx, x):
+        idx = np.arange(2) if idx is None else idx
+        return 5.0 * x[..., :1] ** 2 * (idx == 0)
+
+    def component_grads_at(self, idx, x):
+        idx = np.arange(2) if idx is None else idx
+        return 10.0 * x[..., None, :] * (idx == 0)[..., None]
+
+
+def test_diverging_pass_block_reports_its_lowest_seed_at_its_first_bad_step():
+    problem = UnderstatedPair()
+    config = li.RunConfig(T=110, seed=0, schedule=li.ConstantStep(5.0), x0=np.array([1.0]))
+    seeds = range(300, 300 + sgd._PASS_ROWS + 32)
+    assert sgd._takes_pass(problem, len(seeds), 1, config.T)
+    first_bad = {}
+    for seed in seeds:
+        try:
+            sgd._run(problem, config, (seed,))
+        except li.DivergenceError as exc:
+            first_bad[seed] = exc.step
+    lowest = min(first_bad)
+    # a higher seed goes bad first, so the block must keep running past it
+    assert min(first_bad.values()) < first_bad[lowest] and lowest != seeds[0]
+    with pytest.raises(li.DivergenceError) as info:
+        sgd._run(problem, config, seeds)
+    assert (info.value.seed, info.value.step) == (lowest, first_bad[lowest])
+
+
+def test_pass_block_with_the_largest_seed_matches_single_runs():
+    problem, cert = li.make_least_squares(n=6, d=3, spread=1.0, seed=14)
+    config = li.RunConfig(T=20, seed=0, schedule=li.PolynomialStep(2.0, 0.5), x0=np.ones(3))
+    seeds = range(2**64 - sgd._PASS_ROWS - 3, 2**64)
+    assert np.array_equal(sgd._run(problem, config, seeds)[1], single_runs(problem, config, seeds))
+
+
+def test_blocks_take_the_pass_only_where_it_is_cheaper(monkeypatch):
+    """The pass serves blocks of many seeds with short uniform single-sample streams."""
+    problem, cert = li.make_least_squares(n=10, d=2, spread=1.0, seed=19)
+    weighted, weighted_cert = weighted_least_squares()
+    streams = []
+    monkeypatch.setattr(sgd, "stream", lambda seed, purpose: streams.append(seed) or li.stream(seed, purpose))
+
+    def stream_calls(S, T, b=1, family=problem):
+        streams.clear()
+        config = li.RunConfig(T=T, seed=0, schedule=li.PolynomialStep(2.0, 0.5),
+                              x0=np.zeros(family.dimension), batch_size=b)
+        if S == 1:
+            li.minibatch_run(family, cert if family is problem else weighted_cert, config)
+        else:
+            sgd._run(family, config, range(S))
+        return len(streams)
+
+    assert stream_calls(1000, 5) == 0
+    assert stream_calls(sgd._PASS_ROWS, sgd._PASS_DRAWS) == 0
+    assert stream_calls(1, 5) == 1
+    assert stream_calls(sgd._PASS_ROWS - 1, 5) == sgd._PASS_ROWS - 1
+    assert stream_calls(64, sgd._PASS_DRAWS + 1) == 64
+    assert stream_calls(64, 5, b=2) == 64
+    assert stream_calls(64, 5, family=weighted) == 64
+    assert stream_calls(64, 5, b=problem.n) == 0  # full batches draw nothing
+
+
+def parent_block_rows(problem, b, T):
+    """Seeds per block without the pass: the gathered components, a chunk of indices, the final gap."""
+    per_row = (b + problem.n) * problem.component_entries() + b * min(T, sgd._DRAW_STEPS)
+    return max(1, min(sgd._BLOCK_ROWS, sgd._BLOCK_ENTRIES // per_row))
+
+
+@pytest.mark.parametrize("n, b, T", [(1000, 2, 256), (100, 2, 200), (1000, 1, sgd._PASS_DRAWS + 1),
+                                     (6, 3, 40), (6, 6, 40)])
+def test_block_rows_without_the_pass_are_unchanged(n, b, T):
+    problem, _ = li.make_logistic(n=n, d=4, seed=20)
+    assert not sgd._takes_pass(problem, sgd._BLOCK_ROWS, b, T)
+    assert sgd._block_rows(problem, b, T) == parent_block_rows(problem, b, T)
+    weighted, _ = weighted_least_squares()
+    assert sgd._block_rows(weighted, 1, 5) == parent_block_rows(weighted, 1, 5)
+
+
+@pytest.mark.parametrize("n", [6, 1000])
+def test_block_rows_bound_the_memory_of_a_pass(n):
+    problem, _ = li.make_least_squares(n=n, d=3, spread=1.0, seed=14)
+    for T in (1, 5, 8, 9, 40, sgd._PASS_DRAWS):
+        rows = sgd._block_rows(problem, 1, T)
+        assert sgd._takes_pass(problem, rows, 1, T) and rows <= parent_block_rows(problem, 1, T)
+        tracemalloc.start()
+        try:
+            sgd._block_integers(list(range(rows)), li.RUN_STREAM, np.full(T, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * sgd._PASS_ENTRIES * 8 * -(-T // 8) * rows, (T, rows, peak)
+        # the pass's temporaries fit beside the rest of the block's intermediates
+        per_row = (1 + n) * problem.component_entries() + T
+        assert peak + 8 * per_row * rows <= 8 * sgd._BLOCK_ENTRIES, (T, rows, peak)
+
+
+def test_block_too_small_for_the_pass_temporaries_keeps_the_generators(monkeypatch):
+    problem, _ = li.make_least_squares(n=6, d=3, spread=1.0, seed=14)
+    T = sgd._PASS_DRAWS
+    per_row = (1 + problem.n) * problem.component_entries() + T
+    monkeypatch.setattr(sgd, "_BLOCK_ENTRIES", sgd._PASS_ROWS * per_row)
+    # the block without the temporaries would take the pass, with them it could not
+    assert parent_block_rows(problem, 1, T) == sgd._PASS_ROWS
+    assert sgd._block_rows(problem, 1, T) == sgd._PASS_ROWS - 1
 
 
 def test_single_sample_seed_mapping_past_many_draw_chunks():
