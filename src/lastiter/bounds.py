@@ -13,9 +13,9 @@ Specializing gamma = 1 / (C L T**beta) gives explicit-constant horizon
 bounds, and the square-root case beta = 1/2 has its own sharper constants.
 
 The module also exposes the machinery those bounds are assembled from: the
-one-step energy coefficients, the tilted averaging weight sequence in both
-recursive and log-Gamma closed forms, effective mini-batch constants, and
-the sample-complexity horizon.  Inputs outside a statement's hypotheses
+one-step energy coefficients, the tilted averaging weight sequence and the
+residuals of its defining relation, effective mini-batch constants, and the
+sample-complexity horizon.  Inputs outside a statement's hypotheses
 raise HypothesisError.
 """
 
@@ -25,7 +25,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .problems import FiniteSumProblem, SolutionCertificate
 from .sgd import StepSizeSchedule, PolynomialStep, resolve_schedule, schedule_to_doc
@@ -159,18 +158,6 @@ class WeightSequence:
         if not -1 <= t <= self.T:
             raise IndexError(f"t must lie in [-1, {self.T}], got {t}")
         return float(self.alphas[t + 1])
-
-    def closed_form(self) -> np.ndarray:
-        """alpha_0..alpha_{T-1} through log-Gamma instead of the recursion."""
-        t = np.arange(self.T, dtype=float)
-        p = self.phi
-        log_alpha = (
-            gammaln(self.T + 2.0)
-            - gammaln(self.T + 1.0 + p)
-            + gammaln(self.T - t + p)
-            - gammaln(self.T - t + 1.0)
-        )
-        return np.exp(log_alpha)
 
     def defining_residuals(self) -> np.ndarray:
         """Relative residuals of a alpha_t = -b (alpha_t - alpha_{t-1})(T-t+1).

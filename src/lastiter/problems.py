@@ -27,7 +27,6 @@ import json
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import expit
 
 from .reporting import write_json
 from .rng import PROBLEM_STREAM, stream
@@ -352,7 +351,10 @@ class LogisticProblem(FiniteSumProblem):
 
     def component_grads_at(self, idx, x):
         F, y, margins = self._margins(idx, x)
-        s = expit(-margins)
+        # the logistic sigmoid of -margins; exp overflows to inf past a margin
+        # of about 709, where the sigmoid is exactly 0 as it should be
+        with np.errstate(over="ignore"):
+            s = 1.0 / (1.0 + np.exp(margins))
         return (-(y * s))[..., None] * F
 
     def component_entries(self):

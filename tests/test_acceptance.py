@@ -89,14 +89,14 @@ def test_criterion_1_lemma_battery(acceptance_note):
 @pytest.mark.criterion(
     2, "weight recursion, log-Gamma closed form, and defining relation agree to 1e-10"
 )
-def test_criterion_2_weight_dual_representation(acceptance_note):
+def test_criterion_2_weight_dual_representation(acceptance_note, weight_closed_form):
     start = time.monotonic()
     worst_rel = 0.0
     worst_res = 0.0
     for phi in (0.01, 0.5, 0.99):
         for T in range(1, 5001):
             seq = li.weight_sequence(T, phi - 1.0)
-            closed = seq.closed_form()
+            closed = weight_closed_form(seq)
             recursion = seq.alphas[1 : T + 1]
             rel = float(np.max(np.abs(closed - recursion) / np.abs(closed)))
             res = float(np.max(seq.defining_residuals()))
@@ -106,7 +106,7 @@ def test_criterion_2_weight_dual_representation(acceptance_note):
     for T in (3, 10, 31, 100, 316, 1000, 3162, 5000):
         for phi in np.linspace(0.01, 0.99, 25):
             seq = li.weight_sequence(T, float(phi) - 1.0)
-            closed = seq.closed_form()
+            closed = weight_closed_form(seq)
             recursion = seq.alphas[1 : T + 1]
             worst_rel = max(
                 worst_rel, float(np.max(np.abs(closed - recursion) / np.abs(closed)))

@@ -1,7 +1,10 @@
 """The public surface: one declaration per module, re-exported whole by the package."""
 
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import lastiter as li
@@ -15,7 +18,8 @@ REMOVED = (
     "suggested_step_interpolation",
     "sigma_star_sq",
 )
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def module_all(name):
@@ -77,3 +81,14 @@ def test_readme_api_list_names_exist():
             for part in dotted.split("."):
                 assert hasattr(target, part), f"{module_name}: {dotted}"
                 target = getattr(target, part)
+
+
+def test_command_line_imports_no_scipy():
+    """The package runs on numpy and the standard library; scipy is for tests only."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import lastiter.cli, sys; assert 'scipy' not in sys.modules"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr

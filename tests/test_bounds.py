@@ -63,11 +63,11 @@ def test_weight_sequence_monotone_and_validated():
         li.weight_sequence(0, -0.5)
 
 
-def test_weight_closed_form_and_residuals():
+def test_weight_closed_form_and_residuals(weight_closed_form):
     for T in (3, 50, 997):
         for phi_value in (0.05, 0.5, 0.95):
             ws = li.weight_sequence(T, phi_value - 1.0)
-            closed = ws.closed_form()
+            closed = weight_closed_form(ws)
             recursion = ws.alphas[1 : T + 1]
             rel = np.max(np.abs(closed - recursion) / recursion)
             assert rel <= 1e-10

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+import scipy.special
 
 import lastiter as li
 import lastiter.cli as cli
+from lastiter.lemmas import _log_poch
 
 
 def two_quadratics():
@@ -262,7 +263,7 @@ def test_exp_convexity_rejects_nonpositive_a():
 
 def test_gautschi_oracle_at_x2_c_half():
     """Gamma(3)/Gamma(2.5) must land between sqrt(2) and sqrt(3)."""
-    ratio = math.exp(gammaln(3.0) - gammaln(2.5))
+    ratio = math.exp(math.lgamma(3.0) - math.lgamma(2.5))
     assert math.sqrt(2.0) < ratio < math.sqrt(3.0)
     res = li.check_gautschi(np.array([2.0]), np.array([0.5]))
     assert res.grid_size == 2
@@ -286,6 +287,37 @@ def test_gautschi_tight_at_c_equal_one():
     # ratio and both envelopes are identically 1, slack is exactly 0
     assert abs(res.worst_slack) <= 1e-12
     assert res.passed
+
+
+def test_log_poch_matches_cephes_poch():
+    """x over gautschi_x_grid's whole domain, c over [0, 1] with both ends.
+
+    filterwarnings = error turns an overflow or log(0) warning at either end
+    into a failure.
+    """
+    x = np.concatenate((
+        np.geomspace(1e-300, 1e-3, 60),
+        np.geomspace(1e-3, 1e4, 120),
+        np.geomspace(1e4, 1e308, 60),
+        [np.nextafter(1e4, 0.0), np.nextafter(1e4, np.inf), np.finfo(float).max],
+    ))
+    c = np.concatenate((np.linspace(0.0, 1.0, 41), [1e-17, 1e-9, 1.0 - 1e-12, 1.0 - 1e-17]))
+    a, m = x[:, None] + c[None, :], 1.0 - c[None, :]
+    ours = _log_poch(a, m)
+    assert np.all(np.isfinite(ours))
+    assert np.array_equal(ours[:, 0], np.log(x))  # c = 0: the exact integer step
+    assert np.all(ours[:, 40] == 0.0)  # c = 1: the empty product
+    reference = np.log(scipy.special.poch(a, m))
+    assert np.max(np.abs(ours - reference)) <= 1e-10
+    assert li.check_gautschi(x, c).passed
+
+
+def test_gautschi_on_the_default_grids():
+    x = li.resolve_grid(li.LEMMA_GRIDS["gautschi_x_grid"].default)
+    c = li.resolve_grid(li.LEMMA_GRIDS["gautschi_c_grid"].default)
+    res = li.check_gautschi(x, c)
+    assert res.worst_slack == 0.0
+    assert res.worst_point == (0.1, 0.0, "lower")
 
 
 def test_gautschi_grid_validation():

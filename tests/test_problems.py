@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+import scipy.special
 
 import lastiter as li
 
@@ -235,6 +236,19 @@ def test_logistic_component_smoothness_formula():
     for i in range(problem.n):
         row = problem.features[i]
         assert abs(problem.smoothness_components[i] - 0.25 * row @ row) < 1e-14
+
+
+def test_logistic_gradient_at_extreme_margins():
+    """Margins of +/-1e3 and +/-1e6, as radius-1e6 probe points give, stay quiet and exact."""
+    problem = li.LogisticProblem([[1.0, 0.0], [1.0, 0.0], [0.5, 2.0]], [1.0, -1.0, 1.0])
+    scales = np.concatenate(([1e3, -1e3, 1e6, -1e6, 0.0], np.linspace(-40.0, 40.0, 81)))
+    points = scales[:, None] * np.array([1.0, 0.25])
+    # filterwarnings = error turns an overflow warning into a failure
+    grads = problem.component_grads_at(None, points)
+    assert np.all(np.isfinite(grads))
+    margins = problem.labels * (points @ problem.features.T)
+    expected = -(problem.labels * scipy.special.expit(-margins))[..., None] * problem.features
+    np.testing.assert_array_max_ulp(grads, expected, maxulp=4)
 
 
 def test_json_round_trip_is_bitwise():
