@@ -145,7 +145,8 @@ def _cmd_run(args) -> int:
         "config_hash": plan.config_hash,
         "code_version": __version__,
         "generated_at": timestamp(args.deterministic_output),
-        "problem": {"id": plan.problem_id, **problem_to_doc(plan.problem, plan.cert)},
+        "problem": {"id": plan.problem_id, **problem_to_doc(plan.problem),
+                    "certificate": jsonable(dataclasses.asdict(plan.cert))},
         "run": {
             "T": template.T,
             "batch_size": b,

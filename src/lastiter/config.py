@@ -54,7 +54,7 @@ DEFAULT_LEMMA_CONFIG = {
     "problems": [
         {"generator": "least_squares", "n": 20, "d": 5, "spread": 1.0, "seed": 11},
         {"generator": "least_squares", "n": 16, "d": 3, "spread": 0.0, "seed": 12},
-        {"generator": "logistic", "n": 24, "d": 4, "seed": 13, "tol": 1e-10},
+        {"generator": "logistic", "n": 24, "d": 4, "seed": 13},
     ],
     "n_points": 200,
     "n_pairs": 100,
@@ -130,10 +130,8 @@ _GENERATORS = {
     "least_squares": _Generator("make_least_squares", {
         "n": _POSITIVE_INT, "d": _POSITIVE_INT, "spread": _NONNEGATIVE._replace(default=1.0), "seed": _SEED,
     }, "least_squares-n{n}-d{d}-spread{spread:g}-seed{seed}"),
-    "logistic": _Generator("make_logistic", {
-        "n": _POSITIVE_INT, "d": _POSITIVE_INT, "seed": _SEED,
-        "tol": _Field(lambda value: _is_num(value) and value > 0, "must be a positive number", 1e-10),
-    }, "logistic-n{n}-d{d}-seed{seed}"),
+    "logistic": _Generator("make_logistic", {"n": _POSITIVE_INT, "d": _POSITIVE_INT, "seed": _SEED},
+                           "logistic-n{n}-d{d}-seed{seed}"),
 }
 _FILE_SPEC = {"file": _Field(lambda value: isinstance(value, str), "must be a path string"), "id": _ANY}
 _SCHEDULES = {"constant": {"gamma": _NUMBER}, "polynomial": {"C": _NUMBER, "beta": _NUMBER}}
@@ -235,12 +233,13 @@ def resolve_grid(spec, name: str = "grid") -> np.ndarray:
 def build_problem(spec: dict, index: int = 0):
     """Build (problem_id, problem, certificate) from a problem spec object.
 
-    Specs name a generator with its parameters, or a "file" with a
-    serialized problem document (which must embed a certificate).
+    Specs name a generator with its parameters, or a "file" with a problem
+    document saved by ``save_problem``; either way the family's certifier
+    derives the certificate from the arrays.
 
     Raises:
         ConfigError: the spec is malformed, or its file cannot be loaded.
-        GenerationError, CertificationError: from the generator.
+        GenerationError, CertificationError: from the generator or the certifier.
     """
     label = f"problem[{index}]"
     errors = []
@@ -255,8 +254,6 @@ def build_problem(spec: dict, index: int = 0):
             raise ConfigError([f"{label}: file {spec['file']!r} lacks key {exc}"]) from None
         except (AttributeError, OSError, TypeError, ValueError) as exc:
             raise ConfigError([f"{label}: cannot load {spec['file']!r}: {exc}"]) from None
-        if cert is None:
-            raise ConfigError([f"{label}: file {spec['file']!r} has no certificate"])
         return spec.get("id", f"file:{spec['file']}"), problem, cert
     kinds = {name: {**generator.fields, "id": _ANY} for name, generator in _GENERATORS.items()}
     values = _check_object(spec, kinds, label, errors, select="generator")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +50,8 @@ __all__ = [
     "save_problem",
 ]
 
-# Largest generated array, in float64 entries (the per-component matrices of a
-# least-squares family have n*d*d of them).
+# Largest array a family may hold or form, in float64 entries (the
+# per-component Hessians of a least-squares family have n*d*d of them).
 MEMORY_BUDGET_ENTRIES = 2**23
 
 _WEIGHT_SUM_TOL = 1e-9
@@ -79,7 +79,7 @@ class CertificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolutionCertificate:
-    """Certified minimizer data for a finite-sum problem.
+    """Certified minimizer data, derived from a problem's arrays by its family's certifier.
 
     Attributes:
         x_star: the certified minimizer.
@@ -87,7 +87,7 @@ class SolutionCertificate:
         sigma_star_sq: gradient second moment sum_i w_i ||grad f_i(x*)||^2.
         grad_norm_residual: ||grad f(x_star)|| actually measured.
         provenance: "closed_form" or "numerical_solve".
-        tol: the residual tolerance the certificate was held to.
+        tol: the residual its certifier held it to.
     """
 
     x_star: np.ndarray
@@ -96,17 +96,6 @@ class SolutionCertificate:
     grad_norm_residual: float
     provenance: str
     tol: float
-
-    def __post_init__(self):
-        if self.provenance not in ("closed_form", "numerical_solve"):
-            raise ValueError(f"unknown certificate provenance {self.provenance!r}")
-        if not self.grad_norm_residual <= self.tol:
-            raise ValueError(
-                f"certificate residual {self.grad_norm_residual:g} exceeds "
-                f"its tolerance {self.tol:g}"
-            )
-        if self.sigma_star_sq < 0:
-            raise ValueError("sigma_star_sq must be nonnegative")
 
 
 class FiniteSumProblem:
@@ -279,6 +268,7 @@ class LeastSquaresProblem(FiniteSumProblem):
         if A.ndim != 3:
             raise GenerationError("design must have shape (n, m, d)")
         n, m, d = A.shape
+        _check_budget(n * max(m, d) * d)  # the design, or the Hessian stack (n, d, d)
         if b.shape != (n, m):
             raise GenerationError(f"offsets must have shape ({n}, {m}), got {b.shape}")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
@@ -325,6 +315,7 @@ class LogisticProblem(FiniteSumProblem):
         if F.ndim != 2:
             raise GenerationError("features must have shape (n, d)")
         n, d = F.shape
+        _check_budget(max(n, d) * d)  # the features, or the Gram matrix (d, d)
         if y.shape != (n,) or not np.all(np.isin(y, (-1.0, 1.0))):
             raise GenerationError("labels must be a length-n vector of +/-1")
         if not np.all(np.isfinite(F)):
@@ -486,7 +477,7 @@ def make_least_squares(n: int, d: int, spread: float, seed: int):
     spread = float(spread)
     if not (np.isfinite(spread) and spread >= 0):
         raise GenerationError(f"spread must be finite and >= 0, got {spread!r}")
-    _check_budget(n * d * d)
+    _check_budget(n * d * d)  # as the constructor will, before drawing the design
     rng = stream(seed, PROBLEM_STREAM)
     design = rng.standard_normal((n, d, d)) / np.sqrt(d)
     center = rng.standard_normal(d)
@@ -496,7 +487,7 @@ def make_least_squares(n: int, d: int, spread: float, seed: int):
     return problem, closed_form_certificate(problem)
 
 
-def make_logistic(n: int, d: int, seed: int, tol: float = 1e-10):
+def make_logistic(n: int, d: int, seed: int):
     """Generate a logistic family with a numerically certified minimizer.
 
     Rows come in pairs sharing a direction with opposite labels and
@@ -509,7 +500,6 @@ def make_logistic(n: int, d: int, seed: int, tol: float = 1e-10):
         n: number of rows, >= 2 (both labels must be representable).
         d: dimension, >= 1.
         seed: 64-bit stream seed.
-        tol: gradient-norm tolerance for certification.
 
     Returns:
         (problem, certificate) with ``numerical_solve`` provenance.
@@ -518,7 +508,7 @@ def make_logistic(n: int, d: int, seed: int, tol: float = 1e-10):
         raise GenerationError(f"need n >= 2 so both labels occur, got n={n}")
     if d < 1:
         raise GenerationError(f"need d >= 1, got d={d}")
-    _check_budget(n * d)
+    _check_budget(max(n, d) * d)  # as the constructor will, before drawing the features
     rng = stream(seed, PROBLEM_STREAM)
     k = n // 2
     directions = rng.standard_normal((k, d))
@@ -536,24 +526,21 @@ def make_logistic(n: int, d: int, seed: int, tol: float = 1e-10):
         features[-1] = rng.uniform(0.5, 2.0) * directions[0]
         labels[-1] = 1.0
     problem = LogisticProblem(features, labels)
-    return problem, certify_solution(problem, tol=tol)
+    return problem, certify_solution(problem)
 
 
 # -- serialization -----------------------------------------------------------
 
-def problem_to_doc(problem: FiniteSumProblem, certificate: SolutionCertificate | None = None) -> dict:
-    """Full-fidelity JSON document for a problem and optional certificate."""
-    doc = {"schema": "lastiter-problem/1", "problem": problem.to_doc()}
-    if certificate is not None:
-        values = {f.name: getattr(certificate, f.name) for f in fields(SolutionCertificate)}
-        doc["certificate"] = {**values, "x_star": certificate.x_star.tolist()}
-    return doc
+def problem_to_doc(problem: FiniteSumProblem) -> dict:
+    """Full-fidelity JSON document of a problem: its family tag and defining arrays."""
+    return {"schema": "lastiter-problem/1", "problem": problem.to_doc()}
 
 
 def problem_from_doc(doc: dict):
     """Rebuild (problem, certificate) from :func:`problem_to_doc` output.
 
-    The certificate slot is ``None`` when the document has none.
+    The family's certifier derives the certificate from the arrays, as the
+    generators do; a document with any other key is refused.
     """
     if doc.get("schema") != "lastiter-problem/1":
         raise ValueError(f"unrecognized problem schema {doc.get('schema')!r}")
@@ -562,19 +549,18 @@ def problem_from_doc(doc: dict):
     family = next((cls for cls in (LeastSquaresProblem, LogisticProblem) if cls.kind == kind), None)
     if family is None:
         raise ValueError(f"unrecognized problem kind {kind!r}")
+    unknown = sorted((set(doc) - {"schema", "problem"}) | (set(body) - {"kind", *family.array_names}))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}: a problem document holds arrays only, "
+                         "and certificates are derived from the arrays")
     problem = family(**{name: body[name] for name in family.array_names})
-    cert = None
-    if "certificate" in doc:
-        c = doc["certificate"]
-        # every field is a float but the minimizer and the provenance
-        cast = {"x_star": lambda v: np.asarray(v, dtype=float), "provenance": lambda v: v}
-        cert = SolutionCertificate(**{f.name: cast.get(f.name, float)(c[f.name])
-                                      for f in fields(SolutionCertificate)})
-    return problem, cert
+    if family is LeastSquaresProblem:
+        return problem, closed_form_certificate(problem)
+    return problem, certify_solution(problem)
 
 
-def save_problem(path, problem: FiniteSumProblem, certificate: SolutionCertificate | None = None):
-    write_json(path, problem_to_doc(problem, certificate))
+def save_problem(path, problem: FiniteSumProblem):
+    write_json(path, problem_to_doc(problem))
 
 
 def load_problem(path):

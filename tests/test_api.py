@@ -1,11 +1,14 @@
 """The public surface: one declaration per module, re-exported whole by the package."""
 
 import importlib
+import inspect
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import lastiter as li
 
@@ -53,6 +56,17 @@ def test_removed_names_are_gone():
             assert name not in module_all(module)
     assert "record_iterates" not in li.RunConfig.__dataclass_fields__
     assert set(li.StepRecord.__dataclass_fields__) == {"t", "gap"}
+
+
+def test_certificates_have_no_tolerance_knob():
+    """A family's certificate depends on its arrays alone, so no caller picks the logistic tol."""
+    assert list(inspect.signature(li.make_logistic).parameters) == ["n", "d", "seed"]
+    assert list(inspect.signature(li.save_problem).parameters) == ["path", "problem"]
+    assert list(inspect.signature(li.problem_to_doc).parameters) == ["problem"]
+    assert "__post_init__" not in vars(li.SolutionCertificate)
+    with pytest.raises(li.ConfigError) as info:
+        li.build_problem({"generator": "logistic", "n": 4, "d": 2, "seed": 1, "tol": 1e-10})
+    assert info.value.errors == ["problem[0]: unknown keys ['tol']"]
 
 
 def readme_api_list():

@@ -174,6 +174,44 @@ def test_integer_beyond_the_float_range_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_run_refuses_a_file_with_a_forged_certificate(tmp_path, capsys):
+    """A certificate comes from the arrays: a file that carries its own is refused, not trusted."""
+    problem, cert = li.make_least_squares(n=10, d=2, spread=1.0, seed=101)
+    forged = {**li.problem_to_doc(problem), "certificate": {
+        "x_star": (cert.x_star + 3.0).tolist(), "inf_f": cert.inf_f - 5.0,
+        "sigma_star_sq": cert.sigma_star_sq * 1e6, "grad_norm_residual": 0.0,
+        "provenance": "closed_form", "tol": 1e-8,
+    }}
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(forged))
+    doc = run_config_doc(T=400, n_seeds=200, x0={"policy": "zeros"})
+    doc["problem"] = {"file": str(path)}
+    config = write_config(tmp_path, "run.json", doc)
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"problem[0]: cannot load {str(path)!r}: unknown keys ['certificate']" in err
+    assert "certificates are derived from the arrays" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_certificate_of_a_file_is_the_generators(tmp_path):
+    doc = run_config_doc(n_seeds=4)
+    spec = {"generator": "logistic", "n": 6, "d": 3, "seed": 8}
+    reports = []
+    for name, problem_spec in (("generated", spec), ("file", {"file": str(tmp_path / "p.json")})):
+        if name == "file":
+            li.save_problem(tmp_path / "p.json", li.make_logistic(6, 3, 8)[0])
+        config = write_config(tmp_path, f"{name}.json", {**doc, "problem": problem_spec})
+        out = tmp_path / name
+        assert cli.main(["run", "--config", config, "--out", str(out), "--deterministic-output"]) == 0
+        reports.append(json.loads((out / "report.json").read_text())["problem"])
+    generated, loaded = reports
+    assert loaded["certificate"] == generated["certificate"]
+    assert loaded["problem"] == generated["problem"]
+    assert set(generated["certificate"]) == {
+        "x_star", "inf_f", "sigma_star_sq", "grad_norm_residual", "provenance", "tol"}
+
+
 def test_run_divergence_exits_one(tmp_path, capsys, monkeypatch):
     import lastiter.montecarlo as mc
 

@@ -155,7 +155,7 @@ def test_build_problem_rejects_bool_disguised_as_int():
 def test_build_problem_from_file_round_trip(tmp_path):
     problem, cert = li.make_least_squares(n=5, d=2, spread=1.0, seed=3)
     path = tmp_path / "prob.json"
-    li.save_problem(path, problem, cert)
+    li.save_problem(path, problem)
     pid, loaded, loaded_cert = li.build_problem({"file": str(path)})
     assert pid == f"file:{path}"
     assert loaded.n == 5
@@ -164,17 +164,28 @@ def test_build_problem_from_file_round_trip(tmp_path):
     assert pid2 == "from-disk"
 
 
-def test_build_problem_file_requires_certificate(tmp_path):
-    problem, _ = li.make_least_squares(n=4, d=2, spread=1.0, seed=3)
-    path = tmp_path / "nocert.json"
-    li.save_problem(path, problem)
-    with pytest.raises(li.ConfigError, match="certificate"):
-        li.build_problem({"file": str(path)})
+def test_file_problem_over_the_memory_budget_is_a_config_error(tmp_path):
+    # a 5100-entry design whose Hessian stack would hold 8.67M entries
+    problem = {"kind": "least_squares", "design": [[[0.0] * 1700]] * 3,
+               "offsets": [[0.0]] * 3, "weights": [1 / 3] * 3}
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps({"schema": "lastiter-problem/1", "problem": problem}))
+    with pytest.raises(li.ConfigError) as info:
+        li.load_run_plan({**run_doc(), "problem": {"file": str(path)}})
+    assert info.value.errors == [f"problem[0]: cannot load {str(path)!r}: instance needs "
+                                 f"8670000 float64 entries, over the {li.MEMORY_BUDGET_ENTRIES} budget"]
+
+
+def test_logistic_spec_over_the_memory_budget_is_a_config_error():
+    # 5800 feature entries, but a d*d = 8.41M-entry Gram matrix
+    doc = {**run_doc(), "problem": {"generator": "logistic", "n": 2, "d": 2900, "seed": 0}}
+    with pytest.raises(li.ConfigError, match=r"problem\[0\]: instance needs 8410000 float64 entries"):
+        li.load_run_plan(doc)
 
 
 def test_file_problem_lacking_its_problem_key_is_a_config_error(tmp_path):
-    problem, cert = li.make_least_squares(n=4, d=2, spread=1.0, seed=3)
-    doc = li.problem_to_doc(problem, cert)
+    problem, _ = li.make_least_squares(n=4, d=2, spread=1.0, seed=3)
+    doc = li.problem_to_doc(problem)
     del doc["problem"]
     path = tmp_path / "headless.json"
     path.write_text(json.dumps(doc))
@@ -316,7 +327,7 @@ def test_file_problem_config_hash_follows_the_file_content(tmp_path):
     }
     hashes = []
     for seed in (3, 4, 3):
-        li.save_problem(path, *li.make_least_squares(n=6, d=2, spread=1.0, seed=seed))
+        li.save_problem(path, li.make_least_squares(n=6, d=2, spread=1.0, seed=seed)[0])
         hashes.append([load(doc).config_hash for load, doc in docs.items()])
     for first, second, again in zip(*hashes):
         assert first != second
@@ -393,9 +404,8 @@ def test_load_run_plan_rejects_nonuniform_batch(tmp_path):
     design = np.ones((3, 1, 1))
     offsets = np.array([[0.0], [1.0], [-1.0]])
     problem = li.LeastSquaresProblem(design, offsets, weights=np.array([0.5, 0.25, 0.25]))
-    cert = li.closed_form_certificate(problem)
     path = tmp_path / "weighted.json"
-    li.save_problem(path, problem, cert)
+    li.save_problem(path, problem)
     doc = run_doc(batch_size=2)
     doc["problem"] = {"file": str(path)}
     with pytest.raises(li.ConfigError, match="uniform weights"):

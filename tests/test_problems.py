@@ -208,17 +208,18 @@ def test_certify_solution_on_logistic():
         assert problem.value(probe) >= cert.inf_f - 1e-9
 
 
-def test_certificate_residual_gate():
-    with pytest.raises(ValueError):
-        li.SolutionCertificate(
-            x_star=np.zeros(1), inf_f=0.0, sigma_star_sq=0.0,
-            grad_norm_residual=1e-3, provenance="numerical_solve", tol=1e-8,
-        )
-
-
 def test_memory_budget_guard():
     with pytest.raises(li.GenerationError):
         li.make_least_squares(n=1, d=3000, spread=1.0, seed=1)
+    # The constructors count the arrays they form, not only their inputs:
+    # 5100 design entries, but an n*d*d = 8.67M-entry Hessian stack
+    with pytest.raises(li.GenerationError, match="8670000 float64 entries"):
+        li.LeastSquaresProblem(np.zeros((3, 1, 1700)), np.zeros((3, 1)))
+    # 5800 feature entries, but a d*d = 8.41M-entry Gram matrix
+    with pytest.raises(li.GenerationError, match="8410000 float64 entries"):
+        li.make_logistic(2, 2900, 0)
+    with pytest.raises(li.GenerationError, match="8410000 float64 entries"):
+        li.LogisticProblem(np.ones((2, 2900)), [1.0, -1.0])
 
 
 def test_logistic_generator_structure():
@@ -258,7 +259,9 @@ def test_json_round_trip_is_bitwise():
         (li.make_logistic, dict(n=6, d=2, seed=72)),
     ):
         problem, cert = maker(**kwargs)
-        doc = li.problem_to_doc(problem, cert)
+        doc = li.problem_to_doc(problem)
+        assert set(doc) == {"schema", "problem"}
+        assert set(doc["problem"]) == {"kind", *problem.array_names}
         back, back_cert = li.problem_from_doc(doc)
         x = rng.standard_normal(problem.dimension)
         assert np.array_equal(problem.grad(x), back.grad(x))
@@ -271,7 +274,7 @@ def test_json_round_trip_is_bitwise():
 def test_save_load_round_trip(tmp_path):
     problem, cert = li.make_least_squares(n=4, d=2, spread=0.5, seed=81)
     path = tmp_path / "problem.json"
-    li.save_problem(path, problem, cert)
+    li.save_problem(path, problem)
     back, back_cert = li.load_problem(path)
     x = np.array([0.3, -1.1])
     two = np.array([2])
@@ -280,10 +283,12 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_save_load_round_trip_is_bitwise(tmp_path):
+    """A file holds arrays only; the certificate re-derived on load is the generator's, bit for bit."""
     path = tmp_path / "problem.json"
     for problem, cert in (li.make_least_squares(n=5, d=3, spread=1.0, seed=82),
                           li.make_logistic(n=7, d=3, seed=83)):
-        li.save_problem(path, problem, cert)
+        li.save_problem(path, problem)
+        assert "certificate" not in path.read_text()
         back, back_cert = li.load_problem(path)
         assert type(back) is type(problem)
         for name in problem.array_names:
@@ -324,14 +329,30 @@ def test_digest_separates_shapes_and_families():
 
 def test_digest_survives_pickle_and_files(tmp_path):
     path = tmp_path / "problem.json"
-    for problem, cert in (li.make_least_squares(n=5, d=2, spread=1.0, seed=84),
-                          li.make_logistic(n=6, d=2, seed=85)):
+    for problem, _ in (li.make_least_squares(n=5, d=2, spread=1.0, seed=84),
+                       li.make_logistic(n=6, d=2, seed=85)):
         fresh = pickle.loads(pickle.dumps(problem))
         digest = problem.digest()
         assert fresh.digest() == digest
         assert pickle.loads(pickle.dumps(problem)).digest() == digest
-        li.save_problem(path, problem, cert)
+        li.save_problem(path, problem)
         assert li.load_problem(path)[0].digest() == digest
+
+
+def test_documents_with_unknown_keys_are_refused():
+    problem, cert = li.make_least_squares(n=4, d=2, spread=1.0, seed=86)
+    doc = li.problem_to_doc(problem)
+    forged = {**doc, "certificate": {"x_star": (cert.x_star + 3).tolist(), "inf_f": cert.inf_f - 5}}
+    with pytest.raises(ValueError, match=r"unknown keys \['certificate'\].*derived from the arrays"):
+        li.problem_from_doc(forged)
+    extra = {**doc, "problem": {**doc["problem"], "x_star": cert.x_star.tolist()}}
+    with pytest.raises(ValueError, match=r"unknown keys \['x_star'\]"):
+        li.problem_from_doc(extra)
+    logistic = li.problem_to_doc(li.make_logistic(n=4, d=2, seed=87)[0])
+    # a body holds its own family's arrays, not another family's
+    crossed = {**logistic, "problem": {**logistic["problem"], "design": [[[1.0]]]}}
+    with pytest.raises(ValueError, match=r"unknown keys \['design'\]"):
+        li.problem_from_doc(crossed)
 
 
 def test_check_point_validates():
