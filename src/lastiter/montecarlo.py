@@ -2,11 +2,13 @@
 
 The estimator runs seeds base_seed .. base_seed + n_seeds - 1 through the
 SGD engine in blocks of seeds advanced in lockstep, collects the final gaps
-in seed order, and reduces them once, in the driver.  Worker processes each
-take one contiguous range of seeds, and the driver joins their gaps in seed
-order, so the gap sequence is bitwise the same for every worker count and
-block size; the reduction takes exactly rounded sums over that sequence, so
-the estimate is too.
+in seed order, and reduces them once, in the driver.  With worker processes,
+one pool takes a whole job up front: the seed blocks of every cell of a
+sweep (or of the one cell of a run), longest horizon first, with no barrier
+between cells.  The driver joins each cell's gaps in seed order, and a row
+of a block does not depend on the block's other rows, so the gap sequence is
+bitwise the same for every worker count and block size; the reduction takes
+exactly rounded sums over that sequence, so the estimate is too.
 """
 
 from __future__ import annotations
@@ -91,13 +93,95 @@ def _final_gaps(problem, cert, template, lo: int, hi: int) -> np.ndarray:
     return np.concatenate(gaps)
 
 
+# The (problem, cert) pairs of the job a pool worker serves.  The pool's
+# initializer sets them once per worker (inherited under fork), so a task
+# carries an entry index instead of its problem.
+_entries: list = []
+
+
+def _init_worker(entries):
+    global _entries
+    _entries = entries
+
+
 def _worker_gaps(task):
     # A divergence comes back as a value, so the driver can raise the one
-    # of the lowest seed range whatever order the workers finish in.
+    # of the lowest seed block whatever order the workers finish in.
+    entry, template, lo, hi = task
+    problem, cert = _entries[entry]
     try:
-        return _final_gaps(*task)
+        return _final_gaps(problem, cert, template, lo, hi)
     except DivergenceError as exc:
         return exc
+
+
+def _split(lo: int, hi: int, unit: int, pieces: int) -> list:
+    """Cut lo .. hi - 1 into at most ``pieces`` nonempty ranges of whole ``unit``s."""
+    units = -(-(hi - lo) // unit)
+    pieces = min(pieces, units)
+    cuts = [min(lo + units * g // pieces * unit, hi) for g in range(pieces + 1)] if pieces else []
+    return list(zip(cuts, cuts[1:]))
+
+
+@contextlib.contextmanager
+def _pool_job(entries, cells, workers: int):
+    """Submit every cell's seed ranges to one pool; yield each cell's pending parts.
+
+    ``cells`` holds one (entry, template, lo, hi) per cell, where ``entry``
+    indexes the (problem, cert) pairs of ``entries`` and lo .. hi - 1 are the
+    seeds to run.  A task is a run of whole seed blocks (``_block_rows``)
+    of one cell, and a cell's blocks go to at most ``workers`` tasks: a
+    block costs about as much per step at a few rows as at many, and each
+    task costs a round trip to a worker.  A job with fewer blocks than
+    workers instead splits each cell's seeds into ``workers`` ranges.  Tasks
+    are submitted longest horizon first, since a cell's cost grows with T,
+    and the pool has no more processes than tasks.  Per cell, the parts come
+    in seed order.
+    Yields None, and opens no pool, for one worker or fewer than
+    2 * workers runs in all: such a job runs in this process.
+    """
+    if workers < 2 or sum(hi - lo for _, _, lo, hi in cells) < 2 * workers:
+        yield None
+        return
+    units = [_block_rows(entries[entry][0], template.batch_size, template.T)
+             for entry, template, _, _ in cells]
+    if sum(-(-(hi - lo) // rows) for rows, (_, _, lo, hi) in zip(units, cells)) < workers:
+        units = [1] * len(cells)
+    ranges = [_split(lo, hi, unit, workers) for unit, (_, _, lo, hi) in zip(units, cells)]
+    tasks = [(c, k) for c, spans in enumerate(ranges) for k in range(len(spans))]
+    tasks.sort(key=lambda task: -cells[task[0]][1].T)
+    parts = [[None] * len(spans) for spans in ranges]
+    with multiprocessing.Pool(min(workers, len(tasks)), initializer=_init_worker,
+                              initargs=(entries,)) as pool:
+        for c, k in tasks:
+            entry, template, _, _ = cells[c]
+            parts[c][k] = pool.apply_async(_worker_gaps, ((entry, template, *ranges[c][k]),))
+        yield parts
+
+
+def _join(parts) -> np.ndarray:
+    """One cell's gaps from its pending parts, waited for in seed order.
+
+    The first part that diverged is raised, so the cell reports the
+    divergence of its lowest block whichever block finished first.
+    """
+    gaps = []
+    for pending in parts:
+        part = pending.get()
+        if isinstance(part, DivergenceError):
+            raise part
+        gaps.append(part)
+    return np.concatenate(gaps)
+
+
+# Cells a sweep has submitted to its pool, by _cell_key: estimate_gap takes
+# a cell's pending parts from here instead of simulating the cell itself.
+_submitted: dict = {}
+
+
+def _cell_key(problem, cert, template: RunConfig, n_seeds: int, base_seed: int) -> tuple:
+    return (id(problem), id(cert), template.T, template.batch_size, template.schedule,
+            template.x0.tobytes(), n_seeds, base_seed)
 
 
 def run_fingerprint(problem: FiniteSumProblem, template: RunConfig) -> str:
@@ -121,41 +205,36 @@ def estimate_gap(
     n_seeds: int,
     base_seed: int,
     workers: int = 1,
-    pool=None,
 ) -> MonteCarloEstimate:
     """Estimate E[f(x_T) - inf f] over seeds base_seed .. base_seed + n_seeds - 1.
 
     The template's own seed is ignored.  A diverging run aborts the whole
     estimate with the lowest diverging seed in the error.
 
-    ``workers`` splits the seeds into one contiguous range per worker
-    process, run on ``pool`` if given, else on a pool opened for this call;
-    fewer than 2 * workers trajectories run in this process.  Full-batch
-    runs (b = n) consume no randomness, so one trajectory stands for every
-    seed.  Results are bitwise independent of ``workers``.
+    ``workers`` worker processes run the seed blocks (see ``_pool_job``);
+    fewer than 2 * workers trajectories run in this process.  Inside a
+    ``sweep`` the cell's blocks are already running on the sweep's pool,
+    and this waits for them.  Either way the gaps are joined in seed order.
+    Full-batch runs (b = n) consume no randomness, so one trajectory stands
+    for every seed.  Results are bitwise independent of ``workers``.
     """
     n_seeds = int(n_seeds)
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     base_seed = check_seed(base_seed)
     check_seed(base_seed + n_seeds - 1)
-    workers = max(1, int(workers))
     full_batch = template.batch_size == problem.n
     runs = 1 if full_batch else n_seeds
-    if workers == 1 or runs < 2 * workers:
-        values = _final_gaps(problem, cert, template, base_seed, base_seed + runs)
+    submitted = _submitted.get(_cell_key(problem, cert, template, n_seeds, base_seed))
+    if submitted is not None:
+        values = _join(submitted)
     else:
-        tasks = [(problem, cert, template, base_seed + runs * w // workers,
-                  base_seed + runs * (w + 1) // workers) for w in range(workers)]
-        if pool is None:
-            with multiprocessing.Pool(workers) as own:
-                parts = own.map(_worker_gaps, tasks)
-        else:
-            parts = pool.map(_worker_gaps, tasks)
-        for part in parts:
-            if isinstance(part, DivergenceError):
-                raise part
-        values = np.concatenate(parts)
+        cell = (0, template, base_seed, base_seed + runs)
+        with _pool_job([(problem, cert)], [cell], int(workers)) as parts:
+            if parts is None:
+                values = _final_gaps(problem, cert, template, base_seed, base_seed + runs)
+            else:
+                values = _join(parts[0])
     if full_batch:
         values = np.full(n_seeds, values[0])
     mean, std_error = reduce_moments(values)
@@ -191,7 +270,6 @@ def check_cell(
     n_seeds: int,
     base_seed: int,
     workers: int = 1,
-    pool=None,
 ) -> CellCheck:
     """Estimate the gap of one (problem, x0, T, schedule, b) cell and check it.
 
@@ -210,7 +288,7 @@ def check_cell(
     bounds = build_bound_report(schedule, effective.L_b, d_sq, effective.sigma_b_sq, T)
     bound_value = float(bounds.tightest())
     template = RunConfig(T=T, seed=0, schedule=schedule, x0=x0, batch_size=b)
-    estimate = estimate_gap(problem, cert, template, n_seeds, base_seed, workers=workers, pool=pool)
+    estimate = estimate_gap(problem, cert, template, n_seeds, base_seed, workers=workers)
     tiny = float(np.finfo(float).tiny)
     return CellCheck(
         estimate=estimate,
@@ -267,35 +345,53 @@ def sweep(
         T_grid, schedule_grid, b_grid: swept in deterministic nested order
             (problem outermost, then T, schedule, batch size).
         n_seeds, base_seed: every cell uses seeds base_seed .. +n_seeds-1.
-        workers: worker processes; one pool serves every cell.
+        workers: worker processes.  One pool takes every cell's seed blocks
+            up front, longest horizon first, and each cell's gaps are
+            joined in seed order, so the rows do not depend on ``workers``.
 
-    Each cell is one ``check_cell``, at the step size and bound constants
-    for its batch size b.  A cell that fails with a domain error (invalid
-    schedule, undefined sampling, divergence, violated hypothesis, non-finite
-    bound) does not abort the sweep; its row carries the error message and
-    empty numeric fields.  Any other exception propagates.
+    Each cell is one ``check_cell``, in grid order, at the step size and
+    bound constants for its batch size b; its ``estimate_gap`` waits for the
+    cell's blocks on the pool.  A cell that fails with a domain error
+    (invalid schedule, undefined sampling, divergence, violated hypothesis,
+    non-finite bound) does not abort the sweep; its row carries the error
+    message and empty numeric fields.  Any other exception propagates.
     """
     workers, n_seeds = max(1, int(workers)), int(n_seeds)
-    shared = workers > 1 and n_seeds >= 2 * workers
+    grid = [(entry, int(T), schedule, int(b)) for entry, T, schedule, b
+            in itertools.product(range(len(problem_entries)), T_grid, schedule_grid, b_grid)]
+    cells = {}  # by _cell_key, so a repeated cell runs once
+    for entry, T, schedule, b in grid:
+        _, problem, cert, x0 = problem_entries[entry]
+        try:
+            template = RunConfig(T=T, seed=0, schedule=schedule, x0=problem.check_point(x0), batch_size=b)
+        except ValueError:
+            continue  # the cell's check_cell raises this again, before estimate_gap
+        runs = 1 if b == problem.n else n_seeds
+        cells.setdefault(_cell_key(problem, cert, template, n_seeds, base_seed),
+                         (entry, template, base_seed, base_seed + runs))
+    entries = [(problem, cert) for _, problem, cert, _ in problem_entries]
     rows = []
-    with multiprocessing.Pool(workers) if shared else contextlib.nullcontext() as pool:
-        grid = itertools.product(problem_entries, T_grid, schedule_grid, b_grid)
-        for (problem_id, problem, cert, x0), T, schedule, b in grid:
-            T, b = int(T), int(b)
-            row = {"problem_id": problem_id, "T": T, "b": b, "C": getattr(schedule, "C", None),
-                   "beta": getattr(schedule, "beta", None), "n_seeds": n_seeds}
-            try:
-                check = check_cell(problem, cert, x0, T, schedule, b, n_seeds, base_seed,
-                                   workers=workers, pool=pool)
-            except _CELL_ERRORS as exc:
-                rows.append(SweepRow(**row, error=f"{type(exc).__name__}: {exc}"))
-                continue
-            bounds, estimate = check.bounds, check.estimate
-            corollaries = (bounds.sqrt_c2, bounds.sqrt_general, bounds.polynomial)  # most specialised first
-            rows.append(SweepRow(
-                **row, gamma=bounds.gamma, mean_gap=estimate.mean_gap, std_error=estimate.std_error,
-                ci95_upper=estimate.ci95_upper, theorem1_bound=bounds.generic,
-                corollary_bound=next((c for c in corollaries if c is not None), None),
-                satisfied=check.satisfied,
-            ))
+    with _pool_job(entries, list(cells.values()), workers) as parts:
+        _submitted.update(zip(cells, parts or ()))
+        try:
+            for entry, T, schedule, b in grid:
+                problem_id, problem, cert, x0 = problem_entries[entry]
+                row = {"problem_id": problem_id, "T": T, "b": b, "C": getattr(schedule, "C", None),
+                       "beta": getattr(schedule, "beta", None), "n_seeds": n_seeds}
+                try:
+                    check = check_cell(problem, cert, x0, T, schedule, b, n_seeds, base_seed,
+                                       workers=workers)
+                except _CELL_ERRORS as exc:
+                    rows.append(SweepRow(**row, error=f"{type(exc).__name__}: {exc}"))
+                    continue
+                bounds, estimate = check.bounds, check.estimate
+                corollaries = (bounds.sqrt_c2, bounds.sqrt_general, bounds.polynomial)  # most specialised first
+                rows.append(SweepRow(
+                    **row, gamma=bounds.gamma, mean_gap=estimate.mean_gap, std_error=estimate.std_error,
+                    ci95_upper=estimate.ci95_upper, theorem1_bound=bounds.generic,
+                    corollary_bound=next((c for c in corollaries if c is not None), None),
+                    satisfied=check.satisfied,
+                ))
+        finally:
+            _submitted.clear()
     return rows

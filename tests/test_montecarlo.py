@@ -1,6 +1,7 @@
 """Moment reduction, gap estimation, cell checks, and sweeps."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -394,15 +395,17 @@ class BrokenBatchGradients(li.LeastSquaresProblem):
 def test_sweep_propagates_non_domain_errors():
     problem, cert = li.make_least_squares(n=3, d=2, spread=1.0, seed=4)
     broken = BrokenBatchGradients(problem.design, problem.offsets)
-    with pytest.raises(TypeError, match="batched gradient"):
-        li.sweep(
-            [("broken", broken, cert, np.zeros(2))],
-            T_grid=[5],
-            schedule_grid=[li.PolynomialStep(2.0, 0.5)],
-            b_grid=[2],
-            n_seeds=2,
-            base_seed=0,
-        )
+    for workers in (1, 2):  # at 2 workers the error is raised inside a pool worker
+        with pytest.raises(TypeError, match="batched gradient"):
+            li.sweep(
+                [("broken", broken, cert, np.zeros(2))],
+                T_grid=[5],
+                schedule_grid=[li.PolynomialStep(2.0, 0.5)],
+                b_grid=[2],
+                n_seeds=4,
+                base_seed=0,
+                workers=workers,
+            )
 
 
 def test_sweep_satisfied_checks_every_applicable_bound(monkeypatch):
@@ -422,7 +425,7 @@ def test_sweep_satisfied_checks_every_applicable_bound(monkeypatch):
     report = polynomial_tightest(schedule, problem.L, 1.0, cert.sigma_star_sq, 10)
 
     def row_at(ci95):
-        def fake_estimate(problem, cert, template, n_seeds, base_seed, workers=1, pool=None):
+        def fake_estimate(problem, cert, template, n_seeds, base_seed, workers=1):
             return li.MonteCarloEstimate(
                 n_seeds=n_seeds, mean_gap=0.0, std_error=0.0, ci95_upper=ci95, fingerprint="",
                 per_seed_gaps=np.zeros(n_seeds),
@@ -457,3 +460,88 @@ def test_sweep_opens_one_pool_for_all_cells(monkeypatch):
     pooled = li.sweep(entries, [4, 8], schedule, [1, 2], n_seeds=6, base_seed=0, workers=2)
     assert opened == [(2,)]
     assert pooled == li.sweep(entries, [4, 8], schedule, [1, 2], n_seeds=6, base_seed=0)
+
+
+def test_sweep_rows_are_worker_independent(monkeypatch):
+    problem = two_quadratics()
+    flip = SignFlipPair()
+    flip_cert = li.SolutionCertificate(
+        x_star=np.zeros(1), inf_f=0.0, sigma_star_sq=0.0,
+        grad_norm_residual=0.0, provenance="closed_form", tol=1e-8,
+    )
+    entries = [("twoq", problem, li.closed_form_certificate(problem), np.array([1.0])),
+               ("flip", flip, flip_cert, np.array([2.0]))]
+    schedules = [li.ConstantStep(10.0), li.ConstantStep(0.5), li.PolynomialStep(2.0, 0.5)]
+    # blocks of 2 seeds: every b < n cell is 4 blocks; b = 2 is full batch, b = 3 > n
+    monkeypatch.setattr(li.sgd, "_BLOCK_ROWS", 2)
+    rows = {workers: li.sweep(entries, [4, 40], schedules, [1, 2, 3], n_seeds=8, base_seed=0,
+                              workers=workers)
+            for workers in (1, 2, 3)}
+    assert rows[1] == rows[2] == rows[3]
+    grid = itertools.product(["twoq", "flip"], [4, 40], ["10", "0.5", "poly"], [1, 2, 3])
+    errors = dict(zip(grid, (r.error for r in rows[1])))
+    assert errors["twoq", 4, "10", 1].startswith("ScheduleError")
+    assert errors["twoq", 4, "poly", 3].startswith("UnsupportedSamplingError")
+    full = [r for r in rows[1] if r.b == 2 and r.error is None]
+    assert full and all(r.std_error == 0.0 for r in full)
+    # the lowest diverging seed sits in the second block, and a higher
+    # block goes bad earlier
+    config = li.RunConfig(T=40, seed=0, schedule=schedules[1], x0=np.array([2.0]))
+    first_bad = {}
+    for seed in range(8):
+        try:
+            li.sgd_run(flip, flip_cert, dataclasses.replace(config, seed=seed))
+        except li.DivergenceError as exc:
+            first_bad[seed] = exc.step
+    lowest = min(first_bad)
+    assert lowest >= 2 and min(first_bad.values()) < first_bad[lowest]
+    expected = li.DivergenceError(first_bad[lowest], lowest)
+    assert errors["flip", 40, "0.5", 1] == f"DivergenceError: {expected}"
+
+
+class PickleCountingLeastSquares(li.LeastSquaresProblem):
+    """Least squares that records every time it is pickled."""
+
+    pickles = []
+
+    def __getstate__(self):
+        self.pickles.append(1)
+        return super().__getstate__()
+
+
+def test_pool_gets_each_problem_once_and_no_more_processes_than_tasks(monkeypatch):
+    import lastiter.montecarlo as mc
+
+    opened, submitted = [], []
+    real_pool = mc.multiprocessing.Pool
+
+    def counting_pool(processes, **kwargs):
+        pool = real_pool(processes, **kwargs)
+        real_submit = pool.apply_async
+
+        def submit(*args, **kw):
+            submitted.append(args)
+            return real_submit(*args, **kw)
+
+        pool.apply_async = submit
+        opened.append(processes)
+        return pool
+
+    monkeypatch.setattr(mc.multiprocessing, "Pool", counting_pool)
+    base, cert = li.make_least_squares(n=4, d=2, spread=1.0, seed=5)
+    problem = PickleCountingLeastSquares(base.design, base.offsets)
+    entries = [("ls", problem, cert, np.zeros(2))]
+    schedule = [li.PolynomialStep(2.0, 0.5)]
+    with monkeypatch.context() as patch:
+        patch.setattr(li.sgd, "_BLOCK_ROWS", 2)
+        pooled = li.sweep(entries, [3, 5], schedule, [1, 2], n_seeds=8, base_seed=0, workers=2)
+        # four cells of four blocks each, two tasks of two blocks per cell
+        assert (opened, len(submitted)) == ([2], 8)
+        assert len(problem.pickles) <= 2
+        assert pooled == li.sweep(entries, [3, 5], schedule, [1, 2], n_seeds=8, base_seed=0)
+    # one cell of one block: the seeds split into one range per worker
+    del submitted[:]
+    config = li.RunConfig(T=3, seed=0, schedule=schedule[0], x0=np.zeros(2))
+    li.estimate_gap(problem, cert, config, n_seeds=6, base_seed=0, workers=3)
+    assert (opened[1:], len(submitted)) == ([3], 3)
+    assert len(problem.pickles) <= 2 + 3
