@@ -275,15 +275,17 @@ class LeastSquaresProblem(FiniteSumProblem):
             raise GenerationError("design and offsets must be finite")
         self.design = A
         self.offsets = b
-        # Per-component quadratic data: gradient of f_i is H_i x - c_i.
-        self._hess = np.einsum("nmi,nmj->nij", A, A)
+        # Per-component quadratic data: gradient of f_i is H_i x - c_i.  The
+        # product of A_i with its own transpose goes to BLAS syrk, which
+        # computes one triangle and mirrors it, so each H_i is exactly symmetric.
+        self._hess = np.matmul(A.transpose(0, 2, 1), A)
         self._atb = np.einsum("nmi,nm->ni", A, b)
         eigs = np.linalg.eigvalsh(self._hess)
         l_components = np.maximum(eigs[:, -1], 0.0)
         w = self._weights(weights, n)
         mean_hess = np.einsum("n,nij->ij", w, self._hess)
-        l_mean = float(np.linalg.eigvalsh(mean_hess)[-1])
-        super().__init__(w, l_components, l_mean, d)
+        self._mean_eigs = np.linalg.eigvalsh(mean_hess)
+        super().__init__(w, l_components, float(self._mean_eigs[-1]), d)
         self.mean_hessian = mean_hess
         self._mean_atb = w @ self._atb
 
@@ -355,21 +357,49 @@ class LogisticProblem(FiniteSumProblem):
 # -- certification ---------------------------------------------------------
 
 
+def _cholesky_solve(H: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Solve H x = c for symmetric positive definite H without BLAS or LAPACK.
+
+    A threaded BLAS splits its sums differently at each thread count, so a
+    LAPACK solve moves in the last bits with it.  Here every step is an
+    elementwise numpy product followed by a pairwise sum along one row: the
+    dot-product (left-looking) Cholesky factor H = G G^T, one column per
+    step, then forward and back substitution, one entry per step.  The
+    result depends on H and c only.
+    """
+    d = H.shape[0]
+    G = np.zeros((d, d))
+    for j in range(d):
+        col = H[j:, j] - (G[j:, :j] * G[j, :j]).sum(axis=1)
+        G[j:, j] = col / np.sqrt(col[0])
+    y = np.zeros(d)
+    for k in range(d):
+        y[k] = (c[k] - (G[k, :k] * y[:k]).sum()) / G[k, k]
+    x = np.zeros(d)
+    for k in range(d - 1, -1, -1):
+        x[k] = (y[k] - (G[k + 1:, k] * x[k + 1:]).sum()) / G[k, k]
+    return x
+
+
 def closed_form_certificate(problem: LeastSquaresProblem) -> SolutionCertificate:
     """Certificate from the normal equations of the weighted mean.
 
-    Rejects a singular mean Hessian instead of returning a spurious solve.
+    Rejects a singular mean Hessian, judged by the eigenvalues the problem
+    computed for its smoothness constant, instead of returning a spurious
+    solve.  The normal equations are solved by a Cholesky factorization
+    written in elementwise numpy (no BLAS or LAPACK call), so the minimizer
+    and everything derived from it keep their bits at any BLAS thread count.
     """
     if not isinstance(problem, LeastSquaresProblem):
         raise TypeError("closed-form certification only applies to least squares")
-    eigs = np.linalg.eigvalsh(problem.mean_hessian)
+    eigs = problem._mean_eigs
     if eigs[-1] <= 0 or eigs[0] <= 1e-12 * eigs[-1]:
         raise GenerationError(
             "mean Hessian is numerically singular "
             f"(eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]); "
             "the mean has no unique minimizer"
         )
-    x_star = np.linalg.solve(problem.mean_hessian, problem._mean_atb)
+    x_star = _cholesky_solve(problem.mean_hessian, problem._mean_atb)
     residual = float(np.linalg.norm(problem.grad(x_star)))
     if residual > _CLOSED_FORM_TOL:
         raise GenerationError(

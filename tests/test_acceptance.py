@@ -9,7 +9,10 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,6 +339,64 @@ def test_criterion_8_determinism(tmp_path, acceptance_note):
     assert set(bound_outs[0]) == {"bound.csv", "bound.json"}
     assert bound_outs[0] == bound_outs[1]
     acceptance_note(8, "run/sweep/verify-lemmas/bound outputs stable across reruns and workers")
+
+
+# One process per thread count runs every command, so numpy is imported twice, not once per command.
+_RUN_COMMANDS = """
+import json, sys
+import lastiter.cli as cli
+for argv in json.loads(sys.argv[1]):
+    if cli.main(argv) != 0:
+        sys.exit(f"{argv} failed")
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """--deterministic-output files are byte-identical at 1 and 2 OpenBLAS threads.
+
+    The families are sized so that their BLAS calls (the Hessian stack,
+    the mean offsets, the weighted gradient and the logistic margins) are
+    large enough for OpenBLAS to split them across threads.
+    """
+    design = np.random.default_rng(11).standard_normal((160, 1, 64))
+    weights = np.random.default_rng(12).uniform(0.5, 1.5, 160)
+    li.save_problem(tmp_path / "weighted-problem.json", li.LeastSquaresProblem(
+        design, design[:, :, 0] + 0.5, weights=weights / math.fsum(weights)))
+
+    def run_doc(problem, b):
+        return {"problem": problem, "run": {
+            "T": 20, "n_seeds": 8, "base_seed": 0, "batch_size": b,
+            "schedule": {"variant": "polynomial", "C": 2.0, "beta": 0.5},
+            "x0": {"policy": "offset", "distance": 1.0, "seed": 3},
+        }}
+
+    wide = {"generator": "least_squares", "n": 8, "d": 128, "spread": 1.0, "seed": 7}
+    commands = {
+        "ls-b1": ("run", run_doc(wide, 1)),
+        "ls-b4": ("run", run_doc(wide, 4)),
+        "weighted": ("run", run_doc({"file": str(tmp_path / "weighted-problem.json")}, 1)),
+        "logistic": ("run", run_doc({"generator": "logistic", "n": 1000, "d": 50, "seed": 3}, 8)),
+        "criterion-8-run": ("run", DETERMINISM_RUN_DOC),
+        "criterion-8-sweep": ("sweep", DETERMINISM_SWEEP_DOC),
+    }
+    for name, (_, doc) in commands.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = {}
+    for threads in ("1", "2"):
+        argvs = [[command, "--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / threads / name),
+                  "--deterministic-output", *(["--dump-seeds"] if command == "run" else [])]
+                 for name, (command, _) in commands.items()]
+        proc = subprocess.run([sys.executable, "-c", _RUN_COMMANDS, json.dumps(argvs)],
+                              env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs[threads] = {p.relative_to(tmp_path / threads).as_posix(): p.read_bytes()
+                            for p in sorted((tmp_path / threads).rglob("*")) if p.is_file()}
+    assert len(outputs["1"]) == 2 * 5 + 3
+    moved = sorted(name for name in outputs["1"] if outputs["1"][name] != outputs["2"][name])
+    assert moved == []
 
 
 def _single_sample_statistics(problem, cert, x0, T, gamma, n_seeds, base_seed):

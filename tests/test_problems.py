@@ -175,6 +175,45 @@ def test_closed_form_certificate_rejects_singular():
         li.closed_form_certificate(problem)
 
 
+@pytest.mark.parametrize("shape", [(10, 2, 2), (6, 1, 5), (4, 3, 7), (3, 9, 4), (2, 64, 64)])
+def test_hessian_stack_is_symmetric_and_per_component(shape):
+    design = np.random.default_rng(sum(shape)).standard_normal(shape)
+    problem = li.LeastSquaresProblem(design, np.zeros(shape[:2]))
+    hess = problem._hess
+    assert np.array_equal(hess, hess.transpose(0, 2, 1))
+    for i in range(shape[0]):
+        assert np.array_equal(hess[i], design[i].T @ design[i])
+
+
+def test_hessian_stack_is_within_the_dot_product_rounding_bound():
+    """|fl(A^T A) - A^T A| <= gamma_m sum_k |a_ki||a_kj|, gamma_m = m u / (1 - m u) (Higham 2002, 3.1)."""
+    from fractions import Fraction
+
+    n, m, d = 3, 5, 4
+    design = np.random.default_rng(5).standard_normal((n, m, d)) * np.logspace(-3, 3, d)
+    hess = li.LeastSquaresProblem(design, np.zeros((n, m)))._hess
+    u = Fraction(1, 2**53)
+    gamma_m = m * u / (1 - m * u)
+    for c in range(n):
+        a = [[Fraction(float(v)) for v in row] for row in design[c]]
+        for i in range(d):
+            for j in range(d):
+                exact = sum(a[k][i] * a[k][j] for k in range(m))
+                scale = sum(abs(a[k][i] * a[k][j]) for k in range(m))
+                assert abs(Fraction(float(hess[c, i, j])) - exact) <= gamma_m * scale
+
+
+@pytest.mark.parametrize("n,d", [(8, 128), (30, 12), (5, 3)])
+def test_closed_form_minimizer_agrees_with_a_lapack_solve(n, d):
+    problem, cert = li.make_least_squares(n=n, d=d, spread=1.0, seed=n + d)
+    reference = np.linalg.solve(problem.mean_hessian, problem._mean_atb)
+    condition = problem._mean_eigs[-1] / problem._mean_eigs[0]
+    # both solves are backward stable, so they agree to the forward error bound
+    tol = 8 * d * np.finfo(float).eps * condition * np.linalg.norm(reference)
+    assert np.linalg.norm(cert.x_star - reference) <= tol
+    assert cert.grad_norm_residual <= 1e-8
+
+
 def test_certification_stops_at_the_iteration_cap(monkeypatch):
     import lastiter.problems as problems
 
