@@ -32,7 +32,6 @@ from .bounds import BoundReport, HypothesisError, build_bound_report, complexity
 from .config import ConfigError, load_lemma_plan, load_run_plan, load_sweep_plan
 from .lemmas import BATTERY_ORDER, LemmaCheckResult, run_battery
 from .montecarlo import SWEEP_COLUMNS, check_cell, sweep
-from .problems import problem_to_doc
 from .reporting import fmt, jsonable, timestamp, write_csv, write_json
 from .sgd import (
     ConstantStep,
@@ -133,10 +132,10 @@ def _cmd_run(args) -> int:
     plan = load_run_plan(args.config)
     workers = _resolve_workers(args)
     out_dir = _ensure_out(args)
-    template = plan.template
+    template, problem = plan.template, plan.problem
     b = template.batch_size
     check = check_cell(
-        plan.problem, plan.cert, template.x0, template.T, template.schedule, b,
+        problem, plan.cert, template.x0, template.T, template.schedule, b,
         plan.n_seeds, plan.base_seed, workers=workers,
     )
     estimate, report, eff = check.estimate, check.bounds, check.effective
@@ -145,7 +144,11 @@ def _cmd_run(args) -> int:
         "config_hash": plan.config_hash,
         "code_version": __version__,
         "generated_at": timestamp(args.deterministic_output),
-        "problem": {"id": plan.problem_id, **problem_to_doc(plan.problem),
+        # problem_to_doc's document with the arrays themselves, which write_json
+        # writes row by row instead of holding them as nested lists
+        "problem": {"id": plan.problem_id, "schema": "lastiter-problem/1",
+                    "problem": {"kind": problem.kind,
+                                **{name: getattr(problem, name) for name in problem.array_names}},
                     "certificate": jsonable(dataclasses.asdict(plan.cert))},
         "run": {
             "T": template.T,
@@ -175,11 +178,9 @@ def _cmd_run(args) -> int:
     write_json(report_path, doc)
     if args.dump_seeds:
         seeds_path = os.path.join(out_dir, "seeds.csv")
-        rows = [
-            (fmt(plan.base_seed + i), fmt(float(g)))
-            for i, g in enumerate(estimate.per_seed_gaps)
-        ]
-        write_csv(seeds_path, ("seed", "gap"), rows)
+        gaps = estimate.per_seed_gaps.tolist()
+        seeds = range(plan.base_seed, plan.base_seed + len(gaps))
+        write_csv(seeds_path, ("seed", "gap"), zip(map(str, seeds), map(float.__repr__, gaps)))
     status = "satisfied" if check.satisfied else "VIOLATED"
     print(f"run: problem={plan.problem_id} T={template.T} b={b} seeds={plan.n_seeds}")
     print(f"run: mean_gap={estimate.mean_gap:.6e} ci95_upper={estimate.ci95_upper:.6e}")

@@ -226,7 +226,9 @@ def resolve_grid(spec, name: str = "grid") -> np.ndarray:
         return np.linspace(lo, hi, count)
     values = np.logspace(np.log10(lo), np.log10(hi), count)
     if spacing == "log-int":
-        return np.unique(np.maximum(np.rint(values), np.ceil(lo)))
+        # np.unique's own sort-and-mask, without the numpy.ma import it costs
+        values = np.sort(np.maximum(np.rint(values), np.ceil(lo)))
+        return values[np.concatenate(([True], values[1:] != values[:-1]))]
     return values
 
 

@@ -202,10 +202,18 @@ def check_variance_transfer(
     )
 
 
+def _grid_values(name: str, values) -> tuple:
+    """A scalar or a nonempty 1-D grid as a tuple of Python floats."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim > 1 or values.size == 0:
+        raise ValueError(f"{name} must be a scalar or a nonempty 1-D array")
+    return tuple(values.ravel().tolist())
+
+
 def check_one_step_inequality(
     problem: FiniteSumProblem,
     cert: SolutionCertificate,
-    gamma: float,
+    gamma,
     x_points: np.ndarray,
     z_points: np.ndarray,
 ) -> LemmaCheckResult:
@@ -216,47 +224,59 @@ def check_one_step_inequality(
         a f(x) + b f(z) + c inf f
             <= (||x - z||^2 - E||x - gamma grad f_i(x) - z||^2) / (2 gamma) + v
 
-    for every zipped (x, z) pair.  The right side is evaluated in the
-    expanded form E<grad f_i(x), x - z> - (gamma/2) E||grad f_i(x)||^2 + v,
-    which equals it without the cancellation of two O(||x - z||^2) terms
-    that dividing by a small gamma would magnify.
+    for every zipped (x, z) pair and every step size in ``gamma``, a scalar
+    or a 1-D grid.  The right side is evaluated in the expanded form
+    E<grad f_i(x), x - z> - (gamma/2) E||grad f_i(x)||^2 + v, which equals it
+    without the cancellation of two O(||x - z||^2) terms that dividing by a
+    small gamma would magnify.  f(x), f(z) and both expectations do not
+    depend on gamma, so each pair is evaluated once for the whole grid.
+
+    The grid size is (steps x pairs), and the worst point (pair, gamma) is
+    the first minimum in step-major order: the row a call per step size,
+    merged in grid order, would report.
     """
     x_points = np.atleast_2d(np.asarray(x_points, dtype=float))
     z_points = np.atleast_2d(np.asarray(z_points, dtype=float))
     if x_points.shape != z_points.shape:
         raise ValueError("x and z probe arrays must have the same shape")
-    consts = abc_constants(gamma, problem.L, cert.sigma_star_sq)
+    gammas = _grid_values("gamma", gamma)
+    consts = [abc_constants(g, problem.L, cert.sigma_star_sq) for g in gammas]
+    a, b, c, v = (np.array([getattr(k, name) for k in consts])[:, None] for name in "abcv")
+    half_gamma = 0.5 * np.array(gammas)[:, None]
 
     def stacks(rows):
         x, z = x_points[rows], z_points[rows]
         grads = problem.component_grads_at(None, x)
         inner = problem.weighted_mean(np.einsum("pnd,pd->pn", grads, x - z))
-        lhs = consts.a * problem.value(x) + consts.b * problem.value(z) + consts.c * cert.inf_f
-        rhs = inner - 0.5 * gamma * problem.weighted_mean(_sq_norms(grads)) + consts.v
-        return lhs, rhs
+        return (problem.value(x), problem.value(z), inner,
+                problem.weighted_mean(_sq_norms(grads)))
 
-    lhs, rhs = np.empty(x_points.shape[0]), np.empty(x_points.shape[0])
-    _fill(problem, x_points.shape[0], stacks, lhs, rhs)
+    count = x_points.shape[0]
+    fx, fz, inner, sq_mean = (np.empty(count) for _ in range(4))
+    _fill(problem, count, stacks, fx, fz, inner, sq_mean)
+    # (step, pair) layout: the flat argmin is the first minimum in step-major order
+    lhs = a * fx + b * fz + c * cert.inf_f
+    rhs = inner - half_gamma * sq_mean + v
     slack = rhs - lhs
-    k = int(np.argmin(slack))
+    j, k = np.unravel_index(int(np.argmin(slack)), slack.shape)
     details = {
         "x": x_points[k].tolist(),
         "z": z_points[k].tolist(),
-        "gamma": float(gamma),
-        "lhs": float(lhs[k]),
-        "rhs": float(rhs[k]),
+        "gamma": gammas[j],
+        "lhs": float(lhs[j, k]),
+        "rhs": float(rhs[j, k]),
     }
     return _result(
         "one_step_descent",
         slack.size,
-        slack[k],
-        (k, float(gamma)),
+        slack[j, k],
+        (int(k), gammas[j]),
         details={"worst": details},
     )
 
 
-def check_weight_bounds(T: int, phi_value: float) -> LemmaCheckResult:
-    """Check the weight-sequence growth bounds for one (T, phi) pair.
+def check_weight_bounds(T: int, phi_value) -> LemmaCheckResult:
+    """Check the weight-sequence growth bounds at horizon T for each phi in ``phi_value``.
 
     Three claims about alpha from :func:`lastiter.bounds.weight_sequence`
     with ratio_ab = phi - 1:
@@ -267,37 +287,46 @@ def check_weight_bounds(T: int, phi_value: float) -> LemmaCheckResult:
       recorded in the details;
     * chain: (alpha_T + sum_t alpha_t) / alpha_{T-1} <= 4 T**phi ln(T+1).
 
-    T must lie in the domain of ``weight_T_grid``; ``weight_sequence``
-    refuses phi outside [0, 1].
+    ``phi_value`` is a scalar or a 1-D grid; each phi builds its own weight
+    sequence.  The grid size is 3 per phi, and the worst point
+    (T, phi, claim) is the first minimum in phi order, then claim order.
+    T must lie in the domain of ``weight_T_grid`` and is checked once;
+    ``weight_sequence`` refuses phi outside [0, 1].
     """
     check_grid("weight_T_grid", T)
-    seq = weight_sequence(T, phi_value - 1.0)
-    T = seq.T
-    alpha = seq.alphas
-    alpha_last = alpha[T]
-    total = float(alpha[1 : T + 1].sum())
-    ratio_sum = total / alpha_last
-    lower_slack = alpha_last - 0.5 * (T + 1.0) ** (1.0 - phi_value)
-    if phi_value > 0:
-        sum_envelope = 1.0 + (T**phi_value - 1.0) / phi_value
-    else:
-        sum_envelope = 1.0 + math.log(T)
-    sum_slack = 2.0 * sum_envelope - ratio_sum
-    chain = (alpha[T + 1] + total) / alpha_last
-    chain_slack = 4.0 * T**phi_value * math.log(T + 1.0) - chain
-    named = {"lower": lower_slack, "sum": sum_slack, "chain": chain_slack}
-    worst_name = min(named, key=named.get)
-    details = {
-        "lower_slack": float(lower_slack),
-        "sum_slack": float(sum_slack),
-        "sum_slack_constant3": float(3.0 * sum_envelope - ratio_sum),
-        "chain_slack": float(chain_slack),
-    }
+    phis = _grid_values("phi_value", phi_value)
+    worst_slacks, rows = [], []
+    for phi in phis:
+        seq = weight_sequence(T, phi - 1.0)
+        T = seq.T
+        alpha = seq.alphas
+        alpha_last = alpha[T]
+        total = float(alpha[1 : T + 1].sum())
+        ratio_sum = total / alpha_last
+        lower_slack = alpha_last - 0.5 * (T + 1.0) ** (1.0 - phi)
+        if phi > 0:
+            sum_envelope = 1.0 + (T**phi - 1.0) / phi
+        else:
+            sum_envelope = 1.0 + math.log(T)
+        sum_slack = 2.0 * sum_envelope - ratio_sum
+        chain = (alpha[T + 1] + total) / alpha_last
+        chain_slack = 4.0 * T**phi * math.log(T + 1.0) - chain
+        named = {"lower": lower_slack, "sum": sum_slack, "chain": chain_slack}
+        worst_name = min(named, key=named.get)
+        worst_slacks.append(named[worst_name])
+        rows.append((worst_name, {
+            "lower_slack": float(lower_slack),
+            "sum_slack": float(sum_slack),
+            "sum_slack_constant3": float(3.0 * sum_envelope - ratio_sum),
+            "chain_slack": float(chain_slack),
+        }))
+    j = int(np.argmin(worst_slacks))
+    worst_name, details = rows[j]
     return _result(
         "weight_bounds",
-        3,
-        named[worst_name],
-        (T, float(phi_value), worst_name),
+        3 * len(phis),
+        worst_slacks[j],
+        (T, phis[j], worst_name),
         details=details,
     )
 
@@ -360,7 +389,9 @@ def check_exp_convexity(x_grid: np.ndarray, a_grid: np.ndarray) -> LemmaCheckRes
     worst_point = ()
     count = 0
     for a in a_grid:
-        xs = np.unique(np.concatenate(([0.0, a], x_grid[x_grid <= a])))
+        # np.unique's own sort-and-mask, without the numpy.ma import it costs
+        xs = np.sort(np.concatenate(([0.0, a], x_grid[x_grid <= a])))
+        xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
         slack = xs * np.expm1(a) / a + 1.0 - np.exp(xs)
         count += xs.size
         j = int(np.argmin(slack))
@@ -527,17 +558,15 @@ def run_battery(problem_entries: list, grids: dict) -> list[LemmaCheckResult]:
     gamma_ls = check_grid("gamma_l_grid", grids["gamma_l_grid"])
     one_step_parts = []
     for label, problem, cert in problem_entries:
-        xs, zs = pair_clouds[label]
-        for gl in gamma_ls:
-            gamma = float(gl) / problem.L
-            one_step_parts.append(
-                (f"{label}:gl={gl:g}", check_one_step_inequality(problem, cert, gamma, xs, zs))
-            )
+        gammas = gamma_ls / problem.L
+        result = check_one_step_inequality(problem, cert, gammas, *pair_clouds[label])
+        # the first step size equal to the worst one is the grid entry it came from
+        gl = gamma_ls[gammas.tolist().index(result.worst_point[1])]
+        one_step_parts.append((f"{label}:gl={gl:g}", result))
     phis = check_grid("weight_phi_grid", grids["weight_phi_grid"])
     weight_parts = [
-        (f"T={T:.0f}", check_weight_bounds(T, float(p)))
+        (f"T={T:.0f}", check_weight_bounds(T, phis))
         for T in grids["weight_T_grid"]
-        for p in phis
     ]
     second_parts = [
         (label, check_second_moment_transfer(problem, cert, clouds[label]))

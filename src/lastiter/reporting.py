@@ -13,6 +13,8 @@ import hashlib
 import json
 import math
 
+import numpy as np
+
 
 def jsonable(value):
     """Recursively convert numpy scalars and arrays to plain JSON values."""
@@ -47,7 +49,9 @@ def write_json(path, doc):
 
     The bytes are exactly those of ``json.dump(doc, fh, sort_keys=True,
     indent=1, allow_nan=False)`` plus a newline, written piece by piece as
-    they are encoded; a list of plain floats is encoded in one join.
+    they are encoded; a list of plain floats is encoded in one join.  An
+    ndarray is written as its ``.tolist()`` would be, one innermost row at a
+    time, so no nested list of the whole array is built.
     """
     with open(path, "w", encoding="utf-8") as fh:
         for piece in _pieces(doc, "\n"):
@@ -60,6 +64,8 @@ def _pieces(value, newline: str):
 
     Empty containers and scalars are json's own text.
     """
+    if isinstance(value, np.ndarray):
+        value = value.tolist() if value.ndim < 2 else list(value)
     if isinstance(value, (list, tuple)) and value:
         inner = newline + " "
         if set(map(type, value)) == {float}:
@@ -95,8 +101,7 @@ def write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(header))
-        for row in rows:
-            writer.writerow(list(row))
+        writer.writerows(rows)
 
 
 def fmt(value) -> str:

@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -97,12 +98,34 @@ def test_readme_api_list_names_exist():
                 target = getattr(target, part)
 
 
-def test_command_line_imports_no_scipy():
-    """The package runs on numpy and the standard library; scipy is for tests only."""
+def run_python(code, *args):
+    """Run code in a fresh interpreter that imports lastiter from this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import lastiter.cli, sys; assert 'scipy' not in sys.modules"],
-        capture_output=True, text=True, timeout=120, env=env,
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=120, env=env,
+    )
+
+
+def test_command_line_imports_no_scipy():
+    """The package runs on numpy and the standard library; scipy is for tests only."""
+    proc = run_python("import lastiter.cli, sys; assert 'scipy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_lemmas_imports_no_numpy_ma(tmp_path):
+    """np.unique imports numpy.ma (12-20 ms); the log-int grids and the chord check avoid it."""
+    config = tmp_path / "lemmas.json"
+    config.write_text(json.dumps({"lemmas": {
+        "problems": [{"generator": "least_squares", "n": 5, "d": 2, "spread": 1.0, "seed": 1}],
+        "n_points": 8,
+        "n_pairs": 4,
+    }}))
+    proc = run_python(
+        "import sys, lastiter.cli\n"
+        "code = lastiter.cli.main(['verify-lemmas', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy.ma' not in sys.modules\n",
+        str(config), str(tmp_path / "out"),
     )
     assert proc.returncode == 0, proc.stderr

@@ -96,6 +96,19 @@ def test_run_writes_report_and_exits_zero(tmp_path, capsys):
     assert "report.json" in stdout
 
 
+def test_seeds_csv_holds_each_seed_and_its_gap(tmp_path, monkeypatch):
+    """One row per seed from base_seed on, the gap as its full repr, CRLF rows."""
+    checks = []
+    check_cell = cli.check_cell
+    monkeypatch.setattr(cli, "check_cell", lambda *a, **k: checks.append(check_cell(*a, **k)) or checks[-1])
+    config = write_config(tmp_path, "run.json", run_config_doc(n_seeds=6, base_seed=40))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", config, "--out", str(out), "--dump-seeds"]) == 0
+    gaps = checks[0].estimate.per_seed_gaps
+    rows = "".join(f"{40 + i},{float(g)!r}\r\n" for i, g in enumerate(gaps))
+    assert (out / "seeds.csv").read_bytes() == ("seed,gap\r\n" + rows).encode()
+
+
 def test_run_without_dump_seeds_writes_no_csv(tmp_path):
     config = write_config(tmp_path, "run.json", run_config_doc(n_seeds=2))
     out = tmp_path / "out"

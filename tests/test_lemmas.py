@@ -1,5 +1,6 @@
 """Inequality checks: recomputation oracles, grids, and battery assembly."""
 
+import dataclasses
 import json
 import math
 
@@ -10,6 +11,7 @@ import scipy.special
 import lastiter as li
 import lastiter.cli as cli
 from lastiter.lemmas import _log_poch
+from lastiter.rng import POINT_STREAM, stream
 
 
 def two_quadratics():
@@ -546,6 +548,113 @@ def test_battery_multiple_problems_merge():
     results = {r.lemma_id: r for r in li.run_battery(entries, small_grids())}
     assert results["variance_transfer"].grid_size == 2 * 12 * 3
     assert results["variance_transfer"].worst_point[0] in ("ls8", "logit")
+
+
+# -- grid-valued checks --------------------------------------------------------
+
+
+def merged_parts(parts):
+    """The result one call over a whole grid must give: parts merged in grid order."""
+    worst = min(parts, key=lambda r: r.worst_slack)
+    return dataclasses.replace(
+        worst,
+        grid_size=sum(r.grid_size for r in parts),
+        passed=all(r.passed for r in parts),
+    )
+
+
+def test_one_step_grid_call_agrees_with_scalar_calls():
+    problem, cert = li.make_logistic(n=10, d=3, seed=17)
+    rng = np.random.default_rng(7)
+    xs, zs = cert.x_star + 2.0 * rng.standard_normal((2, 25, problem.dimension))
+    gammas = np.array([0.9, 0.1, 0.5, 0.1, 1e-6]) / problem.L
+    parts = [li.check_one_step_inequality(problem, cert, float(g), xs, zs) for g in gammas]
+    assert li.check_one_step_inequality(problem, cert, gammas, xs, zs) == merged_parts(parts)
+    assert li.check_one_step_inequality(problem, cert, gammas[1:2], xs, zs) == parts[1]
+
+
+def test_weight_grid_call_agrees_with_scalar_calls():
+    phis = np.array([0.3, 1.0, 0.0, 0.97, 1.0])
+    for T in (3, 50, 997):
+        parts = [li.check_weight_bounds(T, float(phi)) for phi in phis]
+        assert li.check_weight_bounds(T, phis) == merged_parts(parts)
+        assert li.check_weight_bounds(T, phis[2:3]) == parts[2]
+
+
+@pytest.mark.parametrize("bad", [np.ones((2, 2)) * 0.5, np.array([])])
+def test_grid_checks_reject_empty_and_2d_grids(bad):
+    problem, cert = li.make_least_squares(n=8, d=3, spread=1.0, seed=314)
+    with pytest.raises(ValueError, match="^gamma must be a scalar or a nonempty 1-D array"):
+        li.check_one_step_inequality(problem, cert, bad / problem.L, np.ones((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="^phi_value must be a scalar or a nonempty 1-D array"):
+        li.check_weight_bounds(10, bad)
+
+
+def several_problems():
+    return small_entries() + [
+        ("logit", *li.make_logistic(n=10, d=3, seed=17)),
+        ("flat", *li.make_least_squares(n=5, d=2, spread=0.0, seed=8)),
+    ]
+
+
+def battery_pair_clouds(entries, grids):
+    """The (x, z) clouds run_battery draws for each problem."""
+    rng = stream(grids["point_seed"], POINT_STREAM)
+    radius = grids["point_radius"]
+    pairs = {}
+    for label, problem, cert in entries:
+        rng.standard_normal((grids["n_points"], problem.dimension))  # the point cloud
+        pairs[label] = cert.x_star + radius * rng.standard_normal((2, grids["n_pairs"], problem.dimension))
+    return pairs
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    # repeated entries and phi = 1, whose lower slack 1/2 ties at every T
+    {"gamma_l_grid": np.array([0.75, 0.05, 0.25, 0.05]),
+     "weight_T_grid": np.array([10.0, 3.0, 3.0, 100.0]),
+     "weight_phi_grid": np.array([0.5, 1.0, 0.0, 1.0])},
+], ids=["small", "ties"])
+def test_battery_grid_rows_match_one_call_per_grid_point(overrides):
+    """The one-step and weight rows equal merging one call per gamma L and per (T, phi)."""
+    entries, grids = several_problems(), small_grids(**overrides)
+    pairs = battery_pair_clouds(entries, grids)
+    one_step = [
+        (f"{label}:gl={gl:g}", li.check_one_step_inequality(problem, cert, float(gl) / problem.L, *pairs[label]))
+        for label, problem, cert in entries
+        for gl in grids["gamma_l_grid"]
+    ]
+    weights = [
+        (f"T={T:.0f}", li.check_weight_bounds(T, float(phi)))
+        for T in grids["weight_T_grid"]
+        for phi in grids["weight_phi_grid"]
+    ]
+    rows = {r.lemma_id: r for r in li.run_battery(entries, grids)}
+    assert rows["one_step_descent"] == li.lemmas._merge(one_step)
+    assert rows["weight_bounds"] == li.lemmas._merge(weights)
+
+
+def test_battery_evaluates_each_probe_pair_once(monkeypatch):
+    """One chunked pass over the pair cloud per problem, whatever the gamma L grid."""
+    chunk_points = 3
+    grids = small_grids(gamma_l_grid=np.array([0.1, 0.5, 0.9]))
+    check = li.lemmas.check_one_step_inequality
+    chunks = []
+
+    def one_step(problem, *args):
+        grads_at = problem.component_grads_at
+        with monkeypatch.context() as m:
+            m.setattr(problem, "component_grads_at", lambda idx, x: chunks.append(len(x)) or grads_at(idx, x))
+            return check(problem, *args)
+
+    monkeypatch.setattr(li.lemmas, "check_one_step_inequality", one_step)
+    for entry in several_problems():
+        problem = entry[1]
+        monkeypatch.setattr(li.lemmas, "_STACK_ENTRIES", chunk_points * problem.n * problem.dimension)
+        chunks.clear()
+        li.run_battery([entry], grids)
+        assert len(chunks) == math.ceil(grids["n_pairs"] / chunk_points)
+        assert sum(chunks) == grids["n_pairs"]
 
 
 # -- grid domains ----------------------------------------------------------------

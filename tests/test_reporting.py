@@ -65,6 +65,33 @@ def test_non_finite_floats_raise_json_error(tmp_path, bad):
     assert str(got.value) == str(expected.value)
 
 
+ARRAYS = [
+    np.array(0.1),
+    np.array([]),
+    np.zeros((3, 0)),
+    np.zeros((0, 3)),
+    np.array([-0.0, 5e-324, 1e16, 1e-7, 0.1, -2.5e300]),
+    np.random.default_rng(3).standard_normal((2, 3, 4)),
+    np.arange(6).reshape(2, 3),
+]
+
+
+@pytest.mark.parametrize("array", ARRAYS, ids=range(len(ARRAYS)))
+def test_arrays_write_as_their_lists(tmp_path, array):
+    doc = {"a": array, "b": [array, 1.0]}
+    listed = {"a": array.tolist(), "b": [array.tolist(), 1.0]}
+    assert written(tmp_path, doc) == json_text(listed).encode("utf-8")
+
+
+def test_non_finite_arrays_raise_json_error(tmp_path):
+    bad = np.array([[0.0, 1.0], [2.0, np.nan]])
+    with pytest.raises(ValueError) as expected:
+        json_text(bad.tolist())
+    with pytest.raises(ValueError) as got:
+        written(tmp_path, {"a": bad})
+    assert str(got.value) == str(expected.value)
+
+
 @pytest.mark.parametrize("bad", [{(1, 2): 3}, [np.int64(3)], {"a": object()}, {1: "x", "b": 2}])
 def test_unencodable_values_raise_json_error(tmp_path, bad):
     with pytest.raises(TypeError) as expected:
@@ -93,3 +120,6 @@ def test_report_document_matches_json_dump(tmp_path):
     doc = json.loads(report)
     assert report == json_text(doc).encode("utf-8")
     assert written(tmp_path, doc) == report
+    problem, _ = li.make_logistic(n=6, d=2, seed=4)
+    embedded = {key: doc["problem"][key] for key in ("schema", "problem")}
+    assert embedded == li.problem_to_doc(problem)
