@@ -45,9 +45,9 @@ def main():
     for b in (1, 2, 5, 10):
         check = li.check_cell(problem, cert, x0, 200, schedule, b, n_seeds=args.seeds,
                               base_seed=0, workers=args.workers)
-        eff = check.effective
+        bounds = check.bounds
         print(
-            f"  b={b:>2}  L_b={eff.L_b:8.4f}  sigma_b^2={eff.sigma_b_sq:8.4f}  "
+            f"  b={b:>2}  L_b={bounds.L:8.4f}  sigma_b^2={bounds.sigma_star_sq:8.4f}  "
             f"mean gap={check.estimate.mean_gap:.3e}  bound={check.bound_value:.3e}  "
             f"{'ok' if check.satisfied else 'VIOLATED'}"
         )

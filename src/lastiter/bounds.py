@@ -105,7 +105,6 @@ class AbcConstants:
     b: float
     c: float
     v: float
-    epsilon: float
     gamma: float
     L: float
     sigma_star_sq: float
@@ -129,7 +128,6 @@ def abc_constants(gamma: float, L: float, sigma_star_sq: float) -> AbcConstants:
         b=-1.0,
         c=gl * (1.0 + eps),
         v=gamma * sigma_star_sq / (1.0 - gl),
-        epsilon=eps,
         gamma=gamma,
         L=L,
         sigma_star_sq=sigma_star_sq,

@@ -32,7 +32,7 @@ from .bounds import BoundReport, HypothesisError, build_bound_report, complexity
 from .config import ConfigError, load_lemma_plan, load_run_plan, load_sweep_plan
 from .lemmas import BATTERY_ORDER, LemmaCheckResult, run_battery
 from .montecarlo import SWEEP_COLUMNS, check_cell, sweep
-from .reporting import fmt, jsonable, timestamp, write_csv, write_json
+from .reporting import fmt, timestamp, write_csv, write_json
 from .sgd import (
     ConstantStep,
     DivergenceError,
@@ -138,7 +138,7 @@ def _cmd_run(args) -> int:
         problem, plan.cert, template.x0, template.T, template.schedule, b,
         plan.n_seeds, plan.base_seed, workers=workers,
     )
-    estimate, report, eff = check.estimate, check.bounds, check.effective
+    estimate, report = check.estimate, check.bounds
     doc = {
         "schema": "lastiter-report/1",
         "config_hash": plan.config_hash,
@@ -149,7 +149,7 @@ def _cmd_run(args) -> int:
         "problem": {"id": plan.problem_id, "schema": "lastiter-problem/1",
                     "problem": {"kind": problem.kind,
                                 **{name: getattr(problem, name) for name in problem.array_names}},
-                    "certificate": jsonable(dataclasses.asdict(plan.cert))},
+                    "certificate": dataclasses.asdict(plan.cert)},
         "run": {
             "T": template.T,
             "batch_size": b,
@@ -158,7 +158,7 @@ def _cmd_run(args) -> int:
             "schedule": schedule_to_doc(template.schedule),
             "x0": template.x0.tolist(),
             "gamma_used": report.gamma,
-            "effective": {"L": eff.L_b, "sigma_sq": eff.sigma_b_sq},
+            "effective": {"L": report.L, "sigma_sq": report.sigma_star_sq},
         },
         "estimate": {
             "mean_gap": estimate.mean_gap,
@@ -182,9 +182,10 @@ def _cmd_run(args) -> int:
         seeds = range(plan.base_seed, plan.base_seed + len(gaps))
         write_csv(seeds_path, ("seed", "gap"), zip(map(str, seeds), map(float.__repr__, gaps)))
     status = "satisfied" if check.satisfied else "VIOLATED"
+    slack = "n/a" if check.slack_ratio is None else f"{check.slack_ratio:.3f}"
     print(f"run: problem={plan.problem_id} T={template.T} b={b} seeds={plan.n_seeds}")
     print(f"run: mean_gap={estimate.mean_gap:.6e} ci95_upper={estimate.ci95_upper:.6e}")
-    print(f"run: bound={check.bound_value:.6e} slack_ratio={check.slack_ratio:.3f} {status}")
+    print(f"run: bound={check.bound_value:.6e} slack_ratio={slack} {status}")
     print(f"run: wrote {report_path}")
     return 0 if check.satisfied else 2
 
@@ -300,7 +301,7 @@ _LEMMA_COLUMNS = tuple(f.name for f in dataclasses.fields(LemmaCheckResult) if f
 
 
 def _lemma_cell(value) -> str:
-    return " ".join(fmt(v) for v in value) if isinstance(value, list) else fmt(value)
+    return " ".join(fmt(v) for v in value) if isinstance(value, tuple) else fmt(value)
 
 
 def _cmd_verify_lemmas(args) -> int:
@@ -310,7 +311,7 @@ def _cmd_verify_lemmas(args) -> int:
     if args.lemma:
         wanted = set(args.lemma)
         results = [r for r in results if r.lemma_id in wanted]
-    rows = [jsonable(dataclasses.asdict(r)) for r in results]
+    rows = [dataclasses.asdict(r) for r in results]
     csv_path = os.path.join(out_dir, "lemmas.csv")
     write_csv(csv_path, _LEMMA_COLUMNS,
               [[_lemma_cell(row[col]) for col in _LEMMA_COLUMNS] for row in rows])
@@ -344,16 +345,13 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except DivergenceError as exc:
+    except (DivergenceError, OSError) as exc:
         print(f"lastiter {args.command}: {exc}", file=sys.stderr)
         return 1
     except _USAGE_ERRORS as exc:
         print(f"lastiter {args.command}: error:", file=sys.stderr)
         for line in str(exc).splitlines():
             print(f"  {line}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"lastiter {args.command}: {exc}", file=sys.stderr)
         return 1
 
 

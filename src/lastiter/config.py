@@ -46,7 +46,6 @@ __all__ = [
     "load_run_plan",
     "load_sweep_plan",
     "resolve_grid",
-    "resolve_lemma_grids",
     "resolve_x0",
 ]
 
@@ -493,16 +492,6 @@ def _check_lemmas(lemma_doc, errors: list) -> dict | None:
             errors.extend(exc.errors)
         except ValueError as exc:
             errors.append(f"lemmas.{exc}")
-    return merged
-
-
-def resolve_lemma_grids(lemma_doc: dict) -> dict:
-    """Merge a lemma config over the defaults and resolve every grid."""
-    errors = []
-    merged = _check_lemmas(lemma_doc, errors)
-    if errors:
-        raise ConfigError(errors)
-    del merged["problems"]
     return merged
 
 

@@ -533,8 +533,8 @@ def run_battery(problem_entries: list, grids: dict) -> list[LemmaCheckResult]:
     Args:
         problem_entries: list of (label, problem, certificate) triples for
             the problem-dependent checks.
-        grids: resolved grid arrays and scalars; see
-            ``lastiter.config.resolve_lemma_grids`` for the expected keys.
+        grids: resolved grid arrays and scalars, as in the ``grids`` of
+            ``lastiter.config.load_lemma_plan``.
 
     Returns:
         One result per check, in ``BATTERY_ORDER``.

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .bounds import BoundReport, EffectiveConstants, HypothesisError, build_bound_report, effective_constants
+from .bounds import BoundReport, HypothesisError, build_bound_report, effective_constants
 # Unused here, but the benchmark tracer (perfbench/child.py) wraps these names on this module.
 from .bounds import (  # noqa: F401
     last_iterate_bound,
@@ -254,9 +254,8 @@ class CellCheck:
 
     estimate: MonteCarloEstimate
     bounds: BoundReport
-    effective: EffectiveConstants
     bound_value: float
-    slack_ratio: float
+    slack_ratio: float | None
     satisfied: bool
 
 
@@ -275,7 +274,9 @@ def check_cell(
 
     The bounds take the constants for batch size b (``effective_constants``)
     and D^2 = ||x0 - x*||^2; the cell is satisfied when ci95_upper is at most
-    the tightest applicable bound, and slack_ratio is bound / ci95_upper.
+    the tightest applicable bound.  slack_ratio is bound / ci95_upper, or None
+    when that is not a finite positive number (ci95_upper <= 0, as rounding
+    noise on a converged run can give).
 
     Raises:
         HypothesisError: an applicable bound is not finite.
@@ -289,13 +290,12 @@ def check_cell(
     bound_value = float(bounds.tightest())
     template = RunConfig(T=T, seed=0, schedule=schedule, x0=x0, batch_size=b)
     estimate = estimate_gap(problem, cert, template, n_seeds, base_seed, workers=workers)
-    tiny = float(np.finfo(float).tiny)
+    ratio = bound_value / estimate.ci95_upper if estimate.ci95_upper > 0 else math.nan
     return CellCheck(
         estimate=estimate,
         bounds=bounds,
-        effective=effective,
         bound_value=bound_value,
-        slack_ratio=bound_value / max(estimate.ci95_upper, tiny),
+        slack_ratio=ratio if 0 < ratio < math.inf else None,
         satisfied=bool(estimate.ci95_upper <= bound_value),
     )
 

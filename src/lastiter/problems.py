@@ -55,9 +55,10 @@ __all__ = [
 MEMORY_BUDGET_ENTRIES = 2**23
 
 _WEIGHT_SUM_TOL = 1e-9
-# Residual a closed-form certificate must reach, and the gradient-descent
-# steps a numerical certificate may take to reach its own.
+# Residuals a closed-form and a numerical certificate must reach, and the
+# gradient-descent steps a numerical certificate may take to reach its own.
 _CLOSED_FORM_TOL = 1e-8
+_NUMERICAL_TOL = 1e-10
 _CERTIFY_ITER_CAP = 200_000
 
 
@@ -159,10 +160,6 @@ class FiniteSumProblem:
     def component_entries(self) -> int:
         """Float64 entries the kernels hold per point and component; sizes seed blocks."""
         return self.dimension * self.dimension
-
-    def to_doc(self) -> dict:
-        """The family tag and the defining arrays as nested lists."""
-        return {"kind": self.kind, **{name: getattr(self, name).tolist() for name in self.array_names}}
 
     def digest(self) -> str:
         """Hex SHA-256 over the family tag and each defining array's dtype, shape and raw bytes.
@@ -416,19 +413,18 @@ def closed_form_certificate(problem: LeastSquaresProblem) -> SolutionCertificate
     )
 
 
-def certify_solution(problem: FiniteSumProblem, tol: float = 1e-10) -> SolutionCertificate:
+def certify_solution(problem: FiniteSumProblem) -> SolutionCertificate:
     """Certify a minimizer numerically by full-gradient descent from the origin.
 
     Runs deterministic gradient descent with step 1/L_f and a halving
-    fallback whenever the smooth-descent test fails.
+    fallback whenever the smooth-descent test fails, until the gradient norm
+    is at most the fixed tolerance ``_NUMERICAL_TOL`` (1e-10).
 
     Raises:
         CertificationError: the residual tolerance was not reached within
             ``_CERTIFY_ITER_CAP`` iterations, or halving the step 200 times
             did not pass the descent test; carries the best residual seen.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     x = np.zeros(problem.dimension)
     fx = problem.value(x)
     g = problem.grad(x)
@@ -437,10 +433,10 @@ def certify_solution(problem: FiniteSumProblem, tol: float = 1e-10) -> SolutionC
     best = residual
     step = 1.0 / problem.L_f
     iterations = 0
-    while residual > tol:
+    while residual > _NUMERICAL_TOL:
         if iterations >= _CERTIFY_ITER_CAP:
             raise CertificationError(
-                f"certification did not reach tol {tol:g} in {_CERTIFY_ITER_CAP} "
+                f"certification did not reach tol {_NUMERICAL_TOL:g} in {_CERTIFY_ITER_CAP} "
                 f"iterations (best residual {best:g})",
                 best_residual=best,
             )
@@ -469,7 +465,7 @@ def certify_solution(problem: FiniteSumProblem, tol: float = 1e-10) -> SolutionC
         sigma_star_sq=problem.second_moment(x),
         grad_norm_residual=residual,
         provenance="numerical_solve",
-        tol=float(tol),
+        tol=_NUMERICAL_TOL,
     )
 
 
@@ -563,7 +559,8 @@ def make_logistic(n: int, d: int, seed: int):
 
 def problem_to_doc(problem: FiniteSumProblem) -> dict:
     """Full-fidelity JSON document of a problem: its family tag and defining arrays."""
-    return {"schema": "lastiter-problem/1", "problem": problem.to_doc()}
+    arrays = {name: getattr(problem, name).tolist() for name in problem.array_names}
+    return {"schema": "lastiter-problem/1", "problem": {"kind": problem.kind, **arrays}}
 
 
 def problem_from_doc(doc: dict):

@@ -16,19 +16,6 @@ import math
 import numpy as np
 
 
-def jsonable(value):
-    """Recursively convert numpy scalars and arrays to plain JSON values."""
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if hasattr(value, "tolist"):
-        return jsonable(value.tolist())
-    if hasattr(value, "item"):
-        return value.item()
-    return value
-
-
 def canonical_dumps(doc) -> str:
     """Deterministic JSON text for a document (sorted keys, fixed separators)."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)

@@ -21,6 +21,7 @@ REMOVED = (
     "suggested_step_noisy",
     "suggested_step_interpolation",
     "sigma_star_sq",
+    "resolve_lemma_grids",
 )
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -57,6 +58,10 @@ def test_removed_names_are_gone():
             assert name not in module_all(module)
     assert "record_iterates" not in li.RunConfig.__dataclass_fields__
     assert set(li.StepRecord.__dataclass_fields__) == {"t", "gap"}
+    assert "effective" not in li.CellCheck.__dataclass_fields__
+    assert "epsilon" not in li.AbcConstants.__dataclass_fields__
+    assert not hasattr(li.FiniteSumProblem, "to_doc")
+    assert not hasattr(importlib.import_module("lastiter.reporting"), "jsonable")
 
 
 def test_certificates_have_no_tolerance_knob():
@@ -64,6 +69,7 @@ def test_certificates_have_no_tolerance_knob():
     assert list(inspect.signature(li.make_logistic).parameters) == ["n", "d", "seed"]
     assert list(inspect.signature(li.save_problem).parameters) == ["path", "problem"]
     assert list(inspect.signature(li.problem_to_doc).parameters) == ["problem"]
+    assert list(inspect.signature(li.certify_solution).parameters) == ["problem"]
     assert "__post_init__" not in vars(li.SolutionCertificate)
     with pytest.raises(li.ConfigError) as info:
         li.build_problem({"generator": "logistic", "n": 4, "d": 2, "seed": 1, "tol": 1e-10})

@@ -136,6 +136,24 @@ def test_run_exit_two_on_violated_bound(tmp_path, capsys, monkeypatch):
     assert verdict["ci95_upper"] == 1e30
 
 
+def test_run_writes_null_slack_ratio_when_ci95_upper_is_not_positive(tmp_path, capsys):
+    """An interpolating family converges at 0.9/L until rounding noise leaves ci95_upper < 0."""
+    doc = {
+        "problem": {"generator": "least_squares", "n": 8, "d": 3, "spread": 0.0, "seed": 5},
+        "run": {"T": 3000, "n_seeds": 20, "base_seed": 0,
+                "schedule": {"variant": "constant", "gamma": 0.3032392823445212},
+                "x0": {"policy": "offset", "distance": 1.0, "seed": 1}},
+    }
+    config = write_config(tmp_path, "run.json", doc)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", config, "--out", str(out), "--deterministic-output"]) == 0
+    verdict = json.loads((out / "report.json").read_text())["verdict"]
+    assert verdict["ci95_upper"] <= 0 < verdict["bound_value"]
+    assert verdict["slack_ratio"] is None
+    assert verdict["satisfied"] is True
+    assert "slack_ratio=n/a satisfied" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("b", [1, 3])
 def test_run_is_the_one_cell_sweep(tmp_path, b):
     problem = {"generator": "least_squares", "n": 6, "d": 2, "spread": 1.0, "seed": 5}

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lastiter as li
-from lastiter.config import DEFAULT_LEMMA_CONFIG, resolve_lemma_grids
+from lastiter.config import DEFAULT_LEMMA_CONFIG
 
 
 def run_doc(**run_overrides):
@@ -537,17 +537,17 @@ def test_lemma_grid_overrides_merge_over_defaults():
 
 def test_lemma_grids_reject_domain_violations():
     with pytest.raises(li.ConfigError, match="gamma_l_grid"):
-        resolve_lemma_grids({"gamma_l_grid": [0.5, 1.5]})
+        li.load_lemma_plan({"lemmas": {"gamma_l_grid": [0.5, 1.5]}})
     with pytest.raises(li.ConfigError, match="eps_grid"):
-        resolve_lemma_grids({"eps_grid": [-1.0, 1.0]})
+        li.load_lemma_plan({"lemmas": {"eps_grid": [-1.0, 1.0]}})
     with pytest.raises(li.ConfigError, match="exponent_theta_grid"):
-        resolve_lemma_grids({"exponent_theta_grid": [0.5, 3.0]})
+        li.load_lemma_plan({"lemmas": {"exponent_theta_grid": [0.5, 3.0]}})
     with pytest.raises(li.ConfigError, match="lemmas.weight_T_grid: entries must be integers"):
-        resolve_lemma_grids({"weight_T_grid": [2.5]})
+        li.load_lemma_plan({"lemmas": {"weight_T_grid": [2.5]}})
     with pytest.raises(li.ConfigError, match="n_points"):
-        resolve_lemma_grids({"n_points": 1})
+        li.load_lemma_plan({"lemmas": {"n_points": 1}})
     with pytest.raises(li.ConfigError, match="unknown keys"):
-        resolve_lemma_grids({"mystery_grid": [1.0]})
+        li.load_lemma_plan({"lemmas": {"mystery_grid": [1.0]}})
 
 
 def test_lemma_plan_collects_grid_and_every_problem_error():

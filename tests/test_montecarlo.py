@@ -232,13 +232,28 @@ def test_check_cell_rejects_nonfinite_bound(monkeypatch):
             check_with_bound(monkeypatch, scale)
 
 
+@pytest.mark.parametrize("ci95_upper", [-9.7e-33, 0.0, 5e-324])
+def test_slack_ratio_is_none_unless_finite_and_positive(monkeypatch, ci95_upper):
+    """A converged run's ci95_upper can round to <= 0, or be so small the ratio overflows."""
+    import lastiter.montecarlo as mc
+
+    real_estimate = mc.estimate_gap
+    monkeypatch.setattr(mc, "estimate_gap", lambda *args, **kwargs: dataclasses.replace(
+        real_estimate(*args, **kwargs), ci95_upper=ci95_upper))
+    problem, cert, config = estimate_template(T=8)
+    check = li.check_cell(problem, cert, config.x0, config.T, config.schedule, 1, 4, 0)
+    assert check.bound_value > 0
+    assert check.slack_ratio is None
+    assert check.satisfied
+
+
 def test_check_cell_chains_constants_bounds_and_estimate():
     problem, cert = li.make_least_squares(n=6, d=2, spread=1.0, seed=3)
     x0 = cert.x_star + np.array([0.6, -0.8])
     schedule = li.PolynomialStep(2.0, 0.5)
     check = li.check_cell(problem, cert, x0, 20, schedule, 3, n_seeds=5, base_seed=2)
     eff = li.effective_constants(problem, 3, cert)
-    assert check.effective == eff
+    assert (check.bounds.L, check.bounds.sigma_star_sq) == (eff.L_b, eff.sigma_b_sq)
     d_sq = float(np.sum((x0 - cert.x_star) ** 2))
     assert check.bounds == li.build_bound_report(schedule, eff.L_b, d_sq, eff.sigma_b_sq, 20)
     template = li.RunConfig(T=20, seed=0, schedule=schedule, x0=x0, batch_size=3)

@@ -221,7 +221,7 @@ def test_certification_stops_at_the_iteration_cap(monkeypatch):
     start = float(np.linalg.norm(problem.grad(np.zeros(3))))
     monkeypatch.setattr(problems, "_CERTIFY_ITER_CAP", 3)
     with pytest.raises(li.CertificationError, match="in 3 iterations") as info:
-        li.certify_solution(problem, tol=1e-12)
+        li.certify_solution(problem)
     assert cert.grad_norm_residual < info.value.best_residual < start
 
 
@@ -236,10 +236,11 @@ def test_certification_stalls_when_smoothness_is_understated():
 
 def test_certify_solution_on_logistic():
     problem, _ = li.make_logistic(n=8, d=3, seed=44)
-    cert = li.certify_solution(problem, tol=1e-9)
+    cert = li.certify_solution(problem)
     assert cert.provenance == "numerical_solve"
-    assert cert.grad_norm_residual <= 1e-9
-    assert np.linalg.norm(problem.grad(cert.x_star)) <= 1e-9
+    assert cert.tol == 1e-10
+    assert cert.grad_norm_residual <= 1e-10
+    assert np.linalg.norm(problem.grad(cert.x_star)) <= 1e-10
     # certified objective value is the attained minimum up to first order
     rng = np.random.default_rng(3)
     for _ in range(10):
