@@ -190,6 +190,10 @@ def _cmd_run(args) -> int:
     return 0 if check.satisfied else 2
 
 
+# sweep columns that sweep_loglog.csv writes as log10_{name}
+_LOGLOG_COLUMNS = ("T", "mean_gap", "ci95_upper", "theorem1_bound", "corollary_bound")
+
+
 def _cmd_sweep(args) -> int:
     plan = load_sweep_plan(args.config)
     workers = _resolve_workers(args)
@@ -201,25 +205,17 @@ def _cmd_sweep(args) -> int:
     csv_path = os.path.join(out_dir, "sweep.csv")
     write_csv(csv_path, SWEEP_COLUMNS,
               [[fmt(getattr(row, col)) for col in SWEEP_COLUMNS] for row in rows])
-    loglog_header = (
-        "problem_id", "b", "C", "beta", "log10_T", "log10_mean_gap",
-        "log10_ci95_upper", "log10_theorem1_bound", "log10_corollary_bound",
-    )
     loglog_rows = []
     for row in rows:
         if row.error is not None or not row.mean_gap or row.mean_gap <= 0:
             continue
-
-        def log10(value):
-            return repr(math.log10(value)) if value is not None and value > 0 else ""
-
+        values = (getattr(row, name) for name in _LOGLOG_COLUMNS)
         loglog_rows.append((
             row.problem_id, fmt(row.b), fmt(row.C), fmt(row.beta),
-            repr(math.log10(row.T)), log10(row.mean_gap), log10(row.ci95_upper),
-            log10(row.theorem1_bound), log10(row.corollary_bound),
+            *(repr(math.log10(v)) if v is not None and v > 0 else "" for v in values),
         ))
-    loglog_path = os.path.join(out_dir, "sweep_loglog.csv")
-    write_csv(loglog_path, loglog_header, loglog_rows)
+    loglog_header = ("problem_id", "b", "C", "beta", *(f"log10_{name}" for name in _LOGLOG_COLUMNS))
+    write_csv(os.path.join(out_dir, "sweep_loglog.csv"), loglog_header, loglog_rows)
     n_errors = sum(1 for row in rows if row.error is not None)
     meta = {
         "schema": "lastiter-sweep-meta/1",

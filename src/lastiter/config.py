@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .lemmas import LEMMA_GRIDS, check_grid
+from .lemmas import LEMMA_GRIDS, _sorted_unique, check_grid
 from .problems import (
     CertificationError,
     FiniteSumProblem,
@@ -225,9 +225,7 @@ def resolve_grid(spec, name: str = "grid") -> np.ndarray:
         return np.linspace(lo, hi, count)
     values = np.logspace(np.log10(lo), np.log10(hi), count)
     if spacing == "log-int":
-        # np.unique's own sort-and-mask, without the numpy.ma import it costs
-        values = np.sort(np.maximum(np.rint(values), np.ceil(lo)))
-        return values[np.concatenate(([True], values[1:] != values[:-1]))]
+        return _sorted_unique(np.maximum(np.rint(values), np.ceil(lo)))
     return values
 
 

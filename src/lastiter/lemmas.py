@@ -126,6 +126,12 @@ def _fill(problem: FiniteSumProblem, count: int, stacks, *outs) -> None:
             out[rows] = part
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """np.unique of a nonempty array: its own sort-and-mask, without the numpy.ma import it costs."""
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
 def _sq_norms(vectors: np.ndarray) -> np.ndarray:
     """Squared Euclidean norms along the last axis."""
     return np.einsum("...i,...i->...", vectors, vectors)
@@ -337,7 +343,9 @@ def check_exponent_inequality(t_grid: np.ndarray, theta_grid: np.ndarray) -> Lem
     The claim fails at t = 1 for every theta: the left side is exactly 3
     while the right side is 4 ln 2.  The result is therefore flagged; the
     details report the boundary values, the largest first-valid t across
-    the theta grid, and whether the inequality holds from there on.
+    the theta grid, and whether the inequality holds from there on.  When
+    no theta has a valid t, ``first_valid_t_max`` is None (JSON null) and
+    ``holds_beyond_first_valid`` is false.
     """
     t = check_grid("exponent_t_grid", t_grid)
     theta = check_grid("exponent_theta_grid", theta_grid)
@@ -349,23 +357,16 @@ def check_exponent_inequality(t_grid: np.ndarray, theta_grid: np.ndarray) -> Lem
     i, j = np.unravel_index(flat, slack.shape)
     worst = float(slack[i, j])
     ok = slack >= SLACK_TOL
-    first_valid = np.full(theta.size, math.nan)
-    holds_beyond = True
-    for col in range(theta.size):
-        idx = np.nonzero(ok[:, col])[0]
-        if idx.size == 0:
-            holds_beyond = False
-            continue
-        first_valid[col] = t[idx[0]]
-        if not ok[idx[0] :, col].all():
-            holds_beyond = False
+    found = ok.any(axis=0)
+    first_valid = t[ok.argmax(axis=0)[found]]
     details = {
         "boundary_t": 1.0,
         "boundary_lhs": 3.0,
         "boundary_rhs": 4.0 * math.log(2.0),
         "boundary_slack": 4.0 * math.log(2.0) - 3.0,
-        "first_valid_t_max": float(np.nanmax(first_valid)),
-        "holds_beyond_first_valid": bool(holds_beyond),
+        "first_valid_t_max": float(first_valid.max()) if first_valid.size else None,
+        # a column holds from its first valid t on if no later t fails
+        "holds_beyond_first_valid": bool(found.all() and (np.logical_or.accumulate(ok, axis=0) == ok).all()),
     }
     return _result(
         "exponent_inequality",
@@ -389,9 +390,7 @@ def check_exp_convexity(x_grid: np.ndarray, a_grid: np.ndarray) -> LemmaCheckRes
     worst_point = ()
     count = 0
     for a in a_grid:
-        # np.unique's own sort-and-mask, without the numpy.ma import it costs
-        xs = np.sort(np.concatenate(([0.0, a], x_grid[x_grid <= a])))
-        xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
+        xs = _sorted_unique(np.concatenate(([0.0, a], x_grid[x_grid <= a])))
         slack = xs * np.expm1(a) / a + 1.0 - np.exp(xs)
         count += xs.size
         j = int(np.argmin(slack))
@@ -530,6 +529,10 @@ def _merge(parts: list) -> LemmaCheckResult:
 def run_battery(problem_entries: list, grids: dict) -> list[LemmaCheckResult]:
     """Run every check over its grid and every supplied problem.
 
+    Probe points are drawn from one stream, one problem at a time: its
+    point cloud, then its pair cloud; its three cloud checks run before the
+    next problem's draw.
+
     Args:
         problem_entries: list of (label, problem, certificate) triples for
             the problem-dependent checks.
@@ -542,35 +545,23 @@ def run_battery(problem_entries: list, grids: dict) -> list[LemmaCheckResult]:
     if not problem_entries:
         raise ValueError("the battery needs at least one problem entry")
     radius = float(check_grid("point_radius", grids["point_radius"]))
-    rng = stream(grids["point_seed"], POINT_STREAM)
-    clouds = {}
-    pair_clouds = {}
-    for label, problem, cert in problem_entries:
-        shape = (grids["n_points"], problem.dimension)
-        clouds[label] = cert.x_star + radius * rng.standard_normal(shape)
-        pair_shape = (2, grids["n_pairs"], problem.dimension)
-        pair_clouds[label] = cert.x_star + radius * rng.standard_normal(pair_shape)
-
-    variance_parts = [
-        (label, check_variance_transfer(problem, cert, clouds[label], grids["eps_grid"]))
-        for label, problem, cert in problem_entries
-    ]
     gamma_ls = check_grid("gamma_l_grid", grids["gamma_l_grid"])
-    one_step_parts = []
+    rng = stream(grids["point_seed"], POINT_STREAM)
+    variance_parts, one_step_parts, second_parts = [], [], []
     for label, problem, cert in problem_entries:
+        points = cert.x_star + radius * rng.standard_normal((grids["n_points"], problem.dimension))
+        pairs = cert.x_star + radius * rng.standard_normal((2, grids["n_pairs"], problem.dimension))
+        variance_parts.append((label, check_variance_transfer(problem, cert, points, grids["eps_grid"])))
         gammas = gamma_ls / problem.L
-        result = check_one_step_inequality(problem, cert, gammas, *pair_clouds[label])
+        result = check_one_step_inequality(problem, cert, gammas, *pairs)
         # the first step size equal to the worst one is the grid entry it came from
         gl = gamma_ls[gammas.tolist().index(result.worst_point[1])]
         one_step_parts.append((f"{label}:gl={gl:g}", result))
+        second_parts.append((label, check_second_moment_transfer(problem, cert, points)))
     phis = check_grid("weight_phi_grid", grids["weight_phi_grid"])
     weight_parts = [
         (f"T={T:.0f}", check_weight_bounds(T, phis))
         for T in grids["weight_T_grid"]
-    ]
-    second_parts = [
-        (label, check_second_moment_transfer(problem, cert, clouds[label]))
-        for label, problem, cert in problem_entries
     ]
     return [
         _merge(variance_parts),

@@ -224,6 +224,48 @@ def test_exponent_inequality_holds_away_from_boundary():
     assert res.details["first_valid_t_max"] == 2.0
 
 
+def exponent_bookkeeping_by_loop(t, theta):
+    """(first_valid_t_max, holds_beyond_first_valid, column kinds), one theta column at a time."""
+    power = t[:, None] ** theta[None, :]
+    slack = 4.0 * power * np.log(t + 1.0)[:, None] - (3.0 + 2.0 * (power - 1.0) / theta[None, :])
+    first_valid, holds, kinds = [], True, set()
+    for ok in (slack >= li.SLACK_TOL).T:
+        idx = np.flatnonzero(ok)
+        if idx.size == 0:
+            holds = False
+            kinds.add("never valid")
+            continue
+        first_valid.append(float(t[idx[0]]))
+        if not ok[idx[0]:].all():
+            holds = False
+            kinds.add("valid then invalid")
+        else:
+            kinds.add("valid from the first entry" if idx[0] == 0 else "valid only later")
+    return (max(first_valid) if first_valid else None), holds, kinds
+
+
+@pytest.mark.parametrize("t, theta, kinds", [
+    ([1.5, 1.2, 1.8], [2.0, 0.3, 0.1, 0.01],
+     {"valid from the first entry", "valid only later", "never valid", "valid then invalid"}),
+    ([1.0, 100.0, 1.5], [1e-3, 2.0], {"valid only later", "valid then invalid"}),
+])
+def test_exponent_inequality_bookkeeping_matches_a_column_loop(t, theta, kinds):
+    """The first valid t and the holds-beyond flag agree with a per-column loop, on unsorted grids."""
+    t, theta = np.array(t), np.array(theta)
+    first_valid_max, holds, seen = exponent_bookkeeping_by_loop(t, theta)
+    assert seen == kinds
+    details = li.check_exponent_inequality(t, theta).details
+    assert details["first_valid_t_max"] == first_valid_max
+    assert details["holds_beyond_first_valid"] is holds
+
+
+def test_exponent_inequality_without_a_valid_t_reports_null():
+    """No theta has a valid t at t = 1 alone: no max over an empty set, and no NaN in the details."""
+    details = li.check_exponent_inequality(np.array([1.0]), np.array([0.5])).details
+    assert details["first_valid_t_max"] is None
+    assert details["holds_beyond_first_valid"] is False
+
+
 def test_exponent_inequality_grid_validation():
     with pytest.raises(ValueError):
         li.check_exponent_inequality(np.array([0.5, 2.0]), np.array([1.0]))
@@ -671,14 +713,14 @@ def domain_ends(key):
 
 @pytest.mark.parametrize("key", list(li.LEMMA_GRIDS))
 def test_grid_domain_is_enforced_and_evaluable_at_both_ends(tmp_path, key):
-    """Just outside the domain is refused by config and by the checks; both ends run clean."""
+    """Just outside the domain is refused by config and by the checks; both ends run clean, together and alone."""
     ends = domain_ends(key)
     if key == "point_radius":  # one number, so each end runs on its own
         outsides = [outside for _, outside in ends]
         insides = [inside for inside, _ in ends]
     else:
         outsides = [[outside] for _, outside in ends]
-        insides = [[inside for inside, _ in ends]]
+        insides = [[inside for inside, _ in ends]] + [[inside] for inside, _ in ends]
     for value in outsides:
         with pytest.raises(li.ConfigError, match=f"lemmas.{key}:"):
             li.load_lemma_plan({"lemmas": {key: value}})
