@@ -138,24 +138,26 @@ def abc_constants(gamma: float, L: float, sigma_star_sq: float) -> AbcConstants:
 class WeightSequence:
     """Tilted averaging weights alpha_{-1..T} for a horizon T.
 
-    ``alphas[k]`` stores alpha_{k-1}: alpha_{-1} = 1, then
+    ``alphas[..., k]`` stores alpha_{k-1}: alpha_{-1} = 1, then
     alpha_t = alpha_{t-1} (T - t + 1) / (T - t + 1 + ratio_ab) for
     t = 0..T-1, and alpha_T repeats alpha_{T-1}.  The growth exponent is
-    phi = 1 + ratio_ab.
+    phi = 1 + ratio_ab.  Built from a 1-D array of ratios, ``alphas`` holds
+    one row per ratio, and every method works row by row on the last axis.
     """
 
     T: int
-    ratio_ab: float
+    ratio_ab: float | np.ndarray
     alphas: np.ndarray
 
     @property
-    def phi(self) -> float:
+    def phi(self) -> float | np.ndarray:
         return 1.0 + self.ratio_ab
 
-    def alpha(self, t: int) -> float:
+    def alpha(self, t: int) -> float | np.ndarray:
         if not -1 <= t <= self.T:
             raise IndexError(f"t must lie in [-1, {self.T}], got {t}")
-        return float(self.alphas[t + 1])
+        value = self.alphas[..., t + 1]
+        return float(value) if value.ndim == 0 else value
 
     def defining_residuals(self) -> np.ndarray:
         """Relative residuals of a alpha_t = -b (alpha_t - alpha_{t-1})(T-t+1).
@@ -167,12 +169,12 @@ class WeightSequence:
         the subtracted difference instead would charge the weights for
         cancellation the recursion never performs.
         """
-        a = -self.ratio_ab
+        a = -np.asarray(self.ratio_ab)[..., None]
         t = np.arange(self.T, dtype=float)
         count = self.T - t + 1.0
-        term_new = self.alphas[1 : self.T + 1] * count
-        term_old = self.alphas[0 : self.T] * count
-        term_step = a * self.alphas[1 : self.T + 1]
+        term_new = self.alphas[..., 1 : self.T + 1] * count
+        term_old = self.alphas[..., 0 : self.T] * count
+        term_step = a * self.alphas[..., 1 : self.T + 1]
         residual = np.abs(term_new - term_old - term_step)
         scale = np.maximum(
             np.maximum(np.abs(term_new), np.abs(term_old)),
@@ -181,25 +183,29 @@ class WeightSequence:
         return residual / scale
 
 
-def weight_sequence(T, ratio_ab: float) -> WeightSequence:
+def weight_sequence(T, ratio_ab) -> WeightSequence:
     """Build the averaging weight sequence for horizon T and ratio a/b.
 
     ratio_ab must lie in [-1, 0]; the endpoints give the arithmetic-mean
     regime (phi = 0) and the uniform regime (phi = 1, all weights equal).
+    A 1-D array of ratios builds one row of weights per ratio, each equal
+    bit for bit to the sequence of that ratio alone.
     """
     T = _as_horizon(T, 1)
-    _require(
-        np.isfinite(ratio_ab) and -1.0 <= ratio_ab <= 0.0,
-        f"ratio_ab must lie in [-1, 0], got {ratio_ab!r}",
-    )
+    ratios = np.array(ratio_ab, dtype=float)
+    if ratios.ndim > 1:
+        raise HypothesisError(f"ratio_ab must be a scalar or a 1-D array, got shape {ratios.shape}")
+    # NaN fails both comparisons; the message is built only on failure
+    if not ((ratios >= -1.0) & (ratios <= 0.0)).all():
+        raise HypothesisError(f"ratio_ab must lie in [-1, 0], got {ratio_ab!r}")
     t = np.arange(T, dtype=float)
     count = T - t + 1.0
-    core = np.cumprod(count / (count + ratio_ab))
-    alphas = np.empty(T + 2)
-    alphas[0] = 1.0
-    alphas[1 : T + 1] = core
-    alphas[T + 1] = core[-1]
-    return WeightSequence(T=T, ratio_ab=float(ratio_ab), alphas=alphas)
+    core = np.cumprod(count / (count + ratios[..., None]), axis=-1)
+    alphas = np.empty(ratios.shape + (T + 2,))
+    alphas[..., 0] = 1.0
+    alphas[..., 1 : T + 1] = core
+    alphas[..., T + 1] = core[..., -1]
+    return WeightSequence(T=T, ratio_ab=float(ratios) if ratios.ndim == 0 else ratios, alphas=alphas)
 
 
 def last_iterate_bound(gamma: float, L: float, D_sq: float, sigma_star_sq: float, T) -> float:

@@ -107,23 +107,21 @@ def check_grid(key: str, values) -> np.ndarray:
     return values
 
 
-# Largest (points, n, d) stack a point-cloud check evaluates at once, in
-# float64 entries.  It bounds the battery's memory, not its speed.
+# Largest (points, n, d) stack a point-cloud check evaluates at once, and
+# largest weight batch, in float64 entries.  It bounds the battery's memory,
+# not its speed.
 _STACK_ENTRIES = 2**15
 
 
-def _fill(problem: FiniteSumProblem, count: int, stacks, *outs) -> None:
-    """Write the arrays ``stacks(rows)`` returns into ``outs[k][rows]``, chunk by chunk.
+def _chunks(problem: FiniteSumProblem, count: int) -> list[slice]:
+    """Row slices covering range(count), chunk by chunk.
 
-    The row slices cover range(count), each with as many points as keep a
-    (points, n, d) stack of the problem within ``_STACK_ENTRIES``, and at
-    least one.  The last slice may run past count; indexing clips it.
+    Each slice has as many points as keep a (points, n, d) stack of the
+    problem within ``_STACK_ENTRIES``, and at least one.  The last slice may
+    run past count; indexing clips it.
     """
     step = max(1, _STACK_ENTRIES // (problem.n * problem.dimension))
-    for start in range(0, count, step):
-        rows = slice(start, start + step)
-        for out, part in zip(outs, stacks(rows)):
-            out[rows] = part
+    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -135,6 +133,46 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
 def _sq_norms(vectors: np.ndarray) -> np.ndarray:
     """Squared Euclidean norms along the last axis."""
     return np.einsum("...i,...i->...", vectors, vectors)
+
+
+class _Cloud(NamedTuple):
+    """A point cloud evaluated once for both cloud checks."""
+
+    points: np.ndarray  # (S, d)
+    second_moment: np.ndarray  # E||grad f_i(x)||^2 per point
+    values: np.ndarray  # f(x) per point
+    # split slacks (pair, component) in pair order, then one
+    # expected-smoothness slack per point
+    slack: np.ndarray
+
+
+def _evaluate_cloud(problem: FiniteSumProblem, cert: SolutionCertificate, points) -> _Cloud:
+    """Evaluate every point of ``points`` once for the variance and second-moment checks.
+
+    The points go in ``_chunks``; each chunk's gradients also take the
+    point past its end, which closes the split pair that spans the edge.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    count, n = points.shape[0], problem.n
+    grads_star = problem.component_grads_at(None, cert.x_star)
+    second_moment, values = np.empty(count), np.empty(count)
+    slack = np.empty((count - 1) * n + count)
+    split, smooth = slack[:-count].reshape(count - 1, n), slack[-count:]
+    for rows in _chunks(problem, count):
+        x = points[rows]
+        grads = problem.component_grads_at(None, points[rows.start : rows.stop + 1])
+        sq = _sq_norms(grads)
+        second_moment[rows] = problem.weighted_mean(sq[: len(x)])
+        values[rows] = problem.value(x)
+        split[rows] = 2.0 * sq[:-1] + 2.0 * _sq_norms(np.diff(grads, axis=0)) - sq[1:]
+        expected_sq = problem.weighted_mean(_sq_norms(grads[: len(x)] - grads_star))
+        smooth[rows] = (values[rows] - cert.inf_f) - expected_sq / (2.0 * problem.L)
+    return _Cloud(points, second_moment, values, slack)
+
+
+def _cloud(problem: FiniteSumProblem, cert: SolutionCertificate, points) -> _Cloud:
+    """``points`` if it is already an evaluated cloud, else its evaluation."""
+    return points if isinstance(points, _Cloud) else _evaluate_cloud(problem, cert, points)
 
 
 @dataclass(frozen=True)
@@ -178,23 +216,19 @@ def check_variance_transfer(
     """Check E||grad f_i(x)||^2 <= 2L(1+eps)(f(x) - inf f) + (1 + 1/eps) sigma*^2.
 
     L is the max component smoothness; the expectation is over the sampling
-    weights.  Evaluated at every (point, eps) pair.
+    weights.  Evaluated at every (point, eps) pair.  ``points`` is an (S, d)
+    array, or the cloud ``run_battery`` has already evaluated.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     eps_grid = check_grid("eps_grid", eps_grid)
-
-    def stacks(rows):
-        return problem.second_moment(points[rows]), problem.value(points[rows])
-
-    lhs, values = np.empty(points.shape[0]), np.empty(points.shape[0])
-    _fill(problem, points.shape[0], stacks, lhs, values)
+    cloud = _cloud(problem, cert, points)
+    lhs, values = cloud.second_moment, cloud.values
     rhs = 2.0 * problem.L * (1.0 + eps_grid) * (values - cert.inf_f)[:, None] + (
         1.0 + 1.0 / eps_grid
     ) * cert.sigma_star_sq
     slack = rhs - lhs[:, None]
     k, j = np.unravel_index(int(np.argmin(slack)), slack.shape)
     details = {
-        "x": points[k].tolist(),
+        "x": cloud.points[k].tolist(),
         "eps": float(eps_grid[j]),
         "lhs": float(lhs[k]),
         "rhs": float(rhs[k, j]),
@@ -250,16 +284,14 @@ def check_one_step_inequality(
     a, b, c, v = (np.array([getattr(k, name) for k in consts])[:, None] for name in "abcv")
     half_gamma = 0.5 * np.array(gammas)[:, None]
 
-    def stacks(rows):
-        x, z = x_points[rows], z_points[rows]
-        grads = problem.component_grads_at(None, x)
-        inner = problem.weighted_mean(np.einsum("pnd,pd->pn", grads, x - z))
-        return (problem.value(x), problem.value(z), inner,
-                problem.weighted_mean(_sq_norms(grads)))
-
     count = x_points.shape[0]
     fx, fz, inner, sq_mean = (np.empty(count) for _ in range(4))
-    _fill(problem, count, stacks, fx, fz, inner, sq_mean)
+    for rows in _chunks(problem, count):
+        x, z = x_points[rows], z_points[rows]
+        grads = problem.component_grads_at(None, x)
+        fx[rows], fz[rows] = problem.value(x), problem.value(z)
+        inner[rows] = problem.weighted_mean(np.einsum("pnd,pd->pn", grads, x - z))
+        sq_mean[rows] = problem.weighted_mean(_sq_norms(grads))
     # (step, pair) layout: the flat argmin is the first minimum in step-major order
     lhs = a * fx + b * fz + c * cert.inf_f
     rhs = inner - half_gamma * sq_mean + v
@@ -293,39 +325,44 @@ def check_weight_bounds(T: int, phi_value) -> LemmaCheckResult:
       recorded in the details;
     * chain: (alpha_T + sum_t alpha_t) / alpha_{T-1} <= 4 T**phi ln(T+1).
 
-    ``phi_value`` is a scalar or a 1-D grid; each phi builds its own weight
-    sequence.  The grid size is 3 per phi, and the worst point
-    (T, phi, claim) is the first minimum in phi order, then claim order.
-    T must lie in the domain of ``weight_T_grid`` and is checked once;
-    ``weight_sequence`` refuses phi outside [0, 1].
+    ``phi_value`` is a scalar or a 1-D grid.  Its weight sequences are built
+    in batches of at most max(1, ``_STACK_ENTRIES`` // (T + 2)) phis, one row
+    per phi.  The slack arithmetic stays in Python floats: numpy's
+    vectorized pow and log can differ from them in the last bit.  The grid
+    size is 3 per phi, and the worst point (T, phi, claim) is the first
+    minimum in phi order, then claim order.  T must lie in the domain of
+    ``weight_T_grid`` and is checked once; ``weight_sequence`` refuses phi
+    outside [0, 1].
     """
     check_grid("weight_T_grid", T)
+    T = int(T)
     phis = _grid_values("phi_value", phi_value)
+    step = max(1, _STACK_ENTRIES // (T + 2))
     worst_slacks, rows = [], []
-    for phi in phis:
-        seq = weight_sequence(T, phi - 1.0)
-        T = seq.T
-        alpha = seq.alphas
-        alpha_last = alpha[T]
-        total = float(alpha[1 : T + 1].sum())
-        ratio_sum = total / alpha_last
-        lower_slack = alpha_last - 0.5 * (T + 1.0) ** (1.0 - phi)
-        if phi > 0:
-            sum_envelope = 1.0 + (T**phi - 1.0) / phi
-        else:
-            sum_envelope = 1.0 + math.log(T)
-        sum_slack = 2.0 * sum_envelope - ratio_sum
-        chain = (alpha[T + 1] + total) / alpha_last
-        chain_slack = 4.0 * T**phi * math.log(T + 1.0) - chain
-        named = {"lower": lower_slack, "sum": sum_slack, "chain": chain_slack}
-        worst_name = min(named, key=named.get)
-        worst_slacks.append(named[worst_name])
-        rows.append((worst_name, {
-            "lower_slack": float(lower_slack),
-            "sum_slack": float(sum_slack),
-            "sum_slack_constant3": float(3.0 * sum_envelope - ratio_sum),
-            "chain_slack": float(chain_slack),
-        }))
+    for start in range(0, len(phis), step):
+        batch = phis[start : start + step]
+        alphas = weight_sequence(T, np.array(batch) - 1.0).alphas
+        # alpha_{T-1}, sum_t alpha_t and alpha_T of each row, as Python floats
+        columns = zip(alphas[:, T].tolist(), alphas[:, 1 : T + 1].sum(axis=1).tolist(), alphas[:, T + 1].tolist())
+        for phi, (alpha_last, total, alpha_next) in zip(batch, columns):
+            ratio_sum = total / alpha_last
+            lower_slack = alpha_last - 0.5 * (T + 1.0) ** (1.0 - phi)
+            if phi > 0:
+                sum_envelope = 1.0 + (T**phi - 1.0) / phi
+            else:
+                sum_envelope = 1.0 + math.log(T)
+            sum_slack = 2.0 * sum_envelope - ratio_sum
+            chain = (alpha_next + total) / alpha_last
+            chain_slack = 4.0 * T**phi * math.log(T + 1.0) - chain
+            named = {"lower": lower_slack, "sum": sum_slack, "chain": chain_slack}
+            worst_name = min(named, key=named.get)
+            worst_slacks.append(named[worst_name])
+            rows.append((worst_name, {
+                "lower_slack": lower_slack,
+                "sum_slack": sum_slack,
+                "sum_slack_constant3": 3.0 * sum_envelope - ratio_sum,
+                "chain_slack": chain_slack,
+            }))
     j = int(np.argmin(worst_slacks))
     worst_name, details = rows[j]
     return _result(
@@ -468,33 +505,20 @@ def check_second_moment_transfer(
       ||grad f_i(y)||^2 <= 2 ||grad f_i(x)||^2 + 2 ||grad f_i(y) - grad f_i(x)||^2;
     * expected smoothness, per point:
       E||grad f_i(x) - grad f_i(x*)||^2 / (2L) <= f(x) - inf f.
+
+    ``points`` is an (S, d) array with S >= 2, or the cloud ``run_battery``
+    has already evaluated.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[0] < 2:
+    cloud = _cloud(problem, cert, points)
+    if cloud.points.shape[0] < 2:
         raise ValueError("need at least two probe points")
-    grads_star = problem.component_grads_at(None, cert.x_star)
-    count = points.shape[0]
-    # split slacks (pair, component) in pair order, then one per point
-    slack = np.empty((count - 1) * problem.n + count)
-    split, smooth = slack[:-count].reshape(count - 1, problem.n), slack[-count:]
-
-    def stacks(rows):
-        x = points[rows]
-        # one point past the chunk closes the pair that spans its edge
-        grads = problem.component_grads_at(None, points[rows.start : rows.stop + 1])
-        sq = _sq_norms(grads)
-        expected_sq = problem.weighted_mean(_sq_norms(grads[: len(x)] - grads_star))
-        return (
-            2.0 * sq[:-1] + 2.0 * _sq_norms(np.diff(grads, axis=0)) - sq[1:],
-            (problem.value(x) - cert.inf_f) - expected_sq / (2.0 * problem.L),
-        )
-
-    _fill(problem, count, stacks, split, smooth)
+    slack = cloud.slack
+    split_size = (cloud.points.shape[0] - 1) * problem.n
     j = int(np.argmin(slack))
-    if j < split.size:
+    if j < split_size:
         worst_point = ("split", *divmod(j, problem.n))
     else:
-        worst_point = ("expected_smoothness", j - split.size)
+        worst_point = ("expected_smoothness", j - split_size)
     return _result("grad_second_moment_transfer", slack.size, slack[j], worst_point)
 
 
@@ -530,8 +554,10 @@ def run_battery(problem_entries: list, grids: dict) -> list[LemmaCheckResult]:
     """Run every check over its grid and every supplied problem.
 
     Probe points are drawn from one stream, one problem at a time: its
-    point cloud, then its pair cloud; its three cloud checks run before the
-    next problem's draw.
+    point cloud, then its pair cloud.  The point cloud is evaluated once,
+    for the variance and second-moment checks, and dropped before the
+    one-step check runs on the pairs; all three run before the next
+    problem's draw.
 
     Args:
         problem_entries: list of (label, problem, certificate) triples for
@@ -551,13 +577,15 @@ def run_battery(problem_entries: list, grids: dict) -> list[LemmaCheckResult]:
     for label, problem, cert in problem_entries:
         points = cert.x_star + radius * rng.standard_normal((grids["n_points"], problem.dimension))
         pairs = cert.x_star + radius * rng.standard_normal((2, grids["n_pairs"], problem.dimension))
-        variance_parts.append((label, check_variance_transfer(problem, cert, points, grids["eps_grid"])))
+        cloud = _evaluate_cloud(problem, cert, points)
+        variance_parts.append((label, check_variance_transfer(problem, cert, cloud, grids["eps_grid"])))
+        second_parts.append((label, check_second_moment_transfer(problem, cert, cloud)))
+        del cloud
         gammas = gamma_ls / problem.L
         result = check_one_step_inequality(problem, cert, gammas, *pairs)
         # the first step size equal to the worst one is the grid entry it came from
         gl = gamma_ls[gammas.tolist().index(result.worst_point[1])]
         one_step_parts.append((f"{label}:gl={gl:g}", result))
-        second_parts.append((label, check_second_moment_transfer(problem, cert, points)))
     phis = check_grid("weight_phi_grid", grids["weight_phi_grid"])
     weight_parts = [
         (f"T={T:.0f}", check_weight_bounds(T, phis))

@@ -63,6 +63,32 @@ def test_weight_sequence_monotone_and_validated():
         li.weight_sequence(0, -0.5)
 
 
+def test_weight_sequence_array_rows_match_scalar_calls():
+    """An array of ratios builds one row per ratio, each the scalar sequence bit for bit."""
+    ratios = np.array([-1.0, -0.73, -0.5, -1e-3, 0.0])
+    for T in (1, 2, 5000):
+        batch = li.weight_sequence(T, ratios)
+        assert batch.T == T
+        assert batch.alphas.shape == (ratios.size, T + 2)
+        assert np.array_equal(batch.ratio_ab, ratios)
+        assert np.array_equal(batch.phi, 1.0 + ratios)
+        for t in (-1, 0, T):
+            assert np.array_equal(batch.alpha(t), batch.alphas[:, t + 1])
+        residuals = batch.defining_residuals()
+        for row, ratio in enumerate(ratios.tolist()):
+            single = li.weight_sequence(T, ratio)
+            assert type(single.ratio_ab) is float
+            assert single.alphas.tobytes() == batch.alphas[row].tobytes()
+            assert single.defining_residuals().tobytes() == residuals[row].tobytes()
+            assert all(single.alpha(t) == batch.alpha(t)[row] for t in (-1, 0, T))
+    assert type(li.weight_sequence(3, np.float64(-0.5)).ratio_ab) is float
+    for bad in ([-0.5, 0.1], [-1.5, -0.5], [-0.5, math.nan]):
+        with pytest.raises(li.HypothesisError, match=r"^ratio_ab must lie in \[-1, 0\]"):
+            li.weight_sequence(5, np.array(bad))
+    with pytest.raises(li.HypothesisError):
+        li.weight_sequence(5, -0.5 * np.ones((2, 2)))
+
+
 def test_weight_closed_form_and_residuals(weight_closed_form):
     for T in (3, 50, 997):
         for phi_value in (0.05, 0.5, 0.95):

@@ -699,6 +699,90 @@ def test_battery_evaluates_each_probe_pair_once(monkeypatch):
         assert sum(chunks) == grids["n_pairs"]
 
 
+def test_battery_evaluates_each_point_cloud_once(monkeypatch):
+    """The variance and second-moment checks share one chunked pass over each point cloud.
+
+    Each chunk's gradients also take the point past its end, so the
+    gradient rows may exceed the cloud by one per chunk, and no more.
+    """
+    chunk_points = 5
+    grids = small_grids(n_points=23)
+    chunks = math.ceil(grids["n_points"] / chunk_points)
+    check = li.lemmas.check_one_step_inequality
+    on_pairs = []
+
+    def one_step(*args):  # rows of the pair cloud are not counted
+        on_pairs.append(True)
+        try:
+            return check(*args)
+        finally:
+            on_pairs.pop()
+
+    def counting(rows, key, hook):
+        def counted(idx, x):
+            if not on_pairs and np.ndim(x) == 2:  # x* alone is one (d,) point
+                rows[key] += len(x)
+            return hook(idx, x)
+        return counted
+
+    monkeypatch.setattr(li.lemmas, "check_one_step_inequality", one_step)
+    for entry in several_problems():
+        problem = entry[1]
+        rows = {"grads": 0, "values": 0}
+        monkeypatch.setattr(problem, "component_grads_at", counting(rows, "grads", problem.component_grads_at))
+        monkeypatch.setattr(problem, "component_values_at", counting(rows, "values", problem.component_values_at))
+        monkeypatch.setattr(li.lemmas, "_STACK_ENTRIES", chunk_points * problem.n * problem.dimension)
+        li.run_battery([entry], grids)
+        assert grids["n_points"] <= rows["grads"] <= grids["n_points"] + chunks, rows
+        assert grids["n_points"] <= rows["values"] <= grids["n_points"] + chunks, rows
+
+
+def test_battery_rows_do_not_depend_on_chunk_or_batch_sizes(monkeypatch):
+    """The same rows with one point per chunk, 7 points, the default and one chunk for everything.
+
+    ``_STACK_ENTRIES`` also sizes the weight batches, from one phi per batch
+    to the whole phi grid at once.
+    """
+    grids = small_grids(
+        n_points=17,
+        weight_T_grid=np.array([1.0, 2.0, 10.0, 40.0, 5000.0]),
+        weight_phi_grid=np.linspace(0.0, 1.0, 13),
+    )
+    default = li.lemmas._STACK_ENTRIES
+    for entry in several_problems():
+        problem = entry[1]
+        rows = []
+        for entries in (problem.n * problem.dimension, 7 * problem.n * problem.dimension, default, 10**9):
+            monkeypatch.setattr(li.lemmas, "_STACK_ENTRIES", entries)
+            rows.append(li.run_battery([entry], grids))
+        assert all(other == rows[0] for other in rows[1:])
+
+
+@pytest.mark.parametrize("stack_entries", [1, 100, None], ids=["one-entry", "small", "default"])
+def test_weight_batches_stay_within_the_stack_bound(monkeypatch, stack_entries):
+    """Each weight batch holds at most max(_STACK_ENTRIES, T + 2) entries, max(1, _STACK_ENTRIES // (T + 2)) phis."""
+    if stack_entries is not None:
+        monkeypatch.setattr(li.lemmas, "_STACK_ENTRIES", stack_entries)
+    bound = li.lemmas._STACK_ENTRIES
+    build = li.lemmas.weight_sequence
+    sizes = []
+
+    def recording(T, ratio_ab):
+        seq = build(T, ratio_ab)
+        sizes.append(seq.alphas.size)
+        return seq
+
+    monkeypatch.setattr(li.lemmas, "weight_sequence", recording)
+    phis = np.linspace(0.0, 1.0, 34)
+    for T in (1, 2, 30, 5000, 40000):
+        sizes.clear()
+        li.check_weight_bounds(T, phis)
+        per_batch = max(1, bound // (T + 2))
+        assert len(sizes) == math.ceil(phis.size / per_batch)
+        assert max(sizes) <= max(bound, T + 2)
+        assert sum(sizes) == phis.size * (T + 2)
+
+
 # -- grid domains ----------------------------------------------------------------
 
 
