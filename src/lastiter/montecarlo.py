@@ -16,7 +16,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import multiprocessing
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -30,7 +29,7 @@ from .bounds import (  # noqa: F401
     sqrt_step_bound_c2,
 )
 from .problems import FiniteSumProblem, SolutionCertificate, UnsupportedSamplingError
-from .reporting import doc_hash
+from .reporting import _fork_pool, doc_hash
 from .rng import check_seed
 from .sgd import DivergenceError, RunConfig, ScheduleError, _block_rows, _run, schedule_to_doc
 
@@ -151,8 +150,7 @@ def _pool_job(entries, cells, workers: int):
     tasks = [(c, k) for c, spans in enumerate(ranges) for k in range(len(spans))]
     tasks.sort(key=lambda task: -cells[task[0]][1].T)
     parts = [[None] * len(spans) for spans in ranges]
-    with multiprocessing.Pool(min(workers, len(tasks)), initializer=_init_worker,
-                              initargs=(entries,)) as pool:
+    with _fork_pool(min(workers, len(tasks)), _init_worker, (entries,)) as pool:
         for c, k in tasks:
             entry, template, _, _ = cells[c]
             parts[c][k] = pool.apply_async(_worker_gaps, ((entry, template, *ranges[c][k]),))

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
@@ -294,6 +295,59 @@ def test_workers_flag_must_be_positive(tmp_path, capsys):
                      "--workers", "0"])
     assert code == 1
     assert "--workers" in capsys.readouterr().err
+
+
+def test_workers_default_to_the_usable_cpus(monkeypatch):
+    for command in ("run", "sweep"):
+        args = cli._build_parser().parse_args([command, "--config", "c.json"])
+        assert args.workers == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._build_parser().parse_args(["run", "--config", "c.json"]).workers == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._build_parser().parse_args(["sweep", "--config", "c.json"]).workers == 1
+
+
+@pytest.mark.parametrize("command, doc, outputs", [
+    ("run", run_config_doc(), ["report.json"]),
+    ("sweep", sweep_config_doc(), ["sweep.csv", "sweep_loglog.csv", "sweep_meta.json"]),
+])
+def test_default_workers_write_the_bytes_of_one_worker(tmp_path, command, doc, outputs):
+    config = write_config(tmp_path, "config.json", doc)
+    base = [command, "--config", config, "--deterministic-output", "--out"]
+    assert cli.main(base + [str(tmp_path / "one"), "--workers", "1"]) == 0
+    assert cli.main(base + [str(tmp_path / "default")]) == 0
+    for name in outputs:
+        assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+def test_run_forks_its_pools_whatever_the_start_method(tmp_path):
+    # a design large enough for the writer's pool, and seeds for the estimate's
+    doc = run_config_doc(n_seeds=8)
+    doc["problem"] = {"generator": "least_squares", "n": 16, "d": 64, "spread": 1.0, "seed": 5}
+    config = write_config(tmp_path, "run.json", doc)
+    argv = ["run", "--config", config, "--workers", "2", "--deterministic-output", "--out"]
+    assert cli.main(argv + [str(tmp_path / "here")]) == 0
+    # spawn is the default, and a spawned worker fails the run; forks are counted
+    script = (
+        "import multiprocessing, sys\n"
+        "from multiprocessing import context\n"
+        "multiprocessing.set_start_method('spawn', force=True)\n"
+        "def spawn(process): raise AssertionError('a pool worker was spawned')\n"
+        "def fork(process, popen=context.ForkProcess._Popen):\n"
+        "    print('forked', file=sys.stderr)\n"
+        "    return popen(process)\n"
+        "context.SpawnProcess._Popen = staticmethod(spawn)\n"
+        "context.ForkProcess._Popen = staticmethod(fork)\n"
+        "from lastiter.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, *argv, str(tmp_path / "spawn")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("forked") == 4  # two workers for the estimate, two for the writer
+    assert (tmp_path / "spawn" / "report.json").read_bytes() == \
+        (tmp_path / "here" / "report.json").read_bytes()
 
 
 # -- sweep -------------------------------------------------------------------------

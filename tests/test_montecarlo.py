@@ -461,19 +461,19 @@ def test_sweep_opens_one_pool_for_all_cells(monkeypatch):
     import lastiter.montecarlo as mc
 
     opened = []
-    real_pool = mc.multiprocessing.Pool
+    real_pool = mc._fork_pool
 
-    def counting_pool(*args, **kwargs):
-        opened.append(args)
-        return real_pool(*args, **kwargs)
+    def counting_pool(processes, *args):
+        opened.append(processes)
+        return real_pool(processes, *args)
 
-    monkeypatch.setattr(mc.multiprocessing, "Pool", counting_pool)
+    monkeypatch.setattr(mc, "_fork_pool", counting_pool)
     problem = two_quadratics()
     cert = li.closed_form_certificate(problem)
     entries = [("twoq", problem, cert, np.array([1.0]))]
     schedule = [li.PolynomialStep(2.0, 0.5)]
     pooled = li.sweep(entries, [4, 8], schedule, [1, 2], n_seeds=6, base_seed=0, workers=2)
-    assert opened == [(2,)]
+    assert opened == [2]
     assert pooled == li.sweep(entries, [4, 8], schedule, [1, 2], n_seeds=6, base_seed=0)
 
 
@@ -528,10 +528,10 @@ def test_pool_gets_each_problem_once_and_no_more_processes_than_tasks(monkeypatc
     import lastiter.montecarlo as mc
 
     opened, submitted = [], []
-    real_pool = mc.multiprocessing.Pool
+    real_pool = mc._fork_pool
 
-    def counting_pool(processes, **kwargs):
-        pool = real_pool(processes, **kwargs)
+    def counting_pool(processes, *args):
+        pool = real_pool(processes, *args)
         real_submit = pool.apply_async
 
         def submit(*args, **kw):
@@ -542,7 +542,7 @@ def test_pool_gets_each_problem_once_and_no_more_processes_than_tasks(monkeypatc
         opened.append(processes)
         return pool
 
-    monkeypatch.setattr(mc.multiprocessing, "Pool", counting_pool)
+    monkeypatch.setattr(mc, "_fork_pool", counting_pool)
     base, cert = li.make_least_squares(n=4, d=2, spread=1.0, seed=5)
     problem = PickleCountingLeastSquares(base.design, base.offsets)
     entries = [("ls", problem, cert, np.zeros(2))]

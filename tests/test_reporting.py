@@ -7,16 +7,20 @@ import pytest
 
 import lastiter as li
 import lastiter.cli as cli
+import lastiter.reporting as reporting
 from lastiter.reporting import write_json
+
+WORKERS = (1, 2, 3)
+BIG = reporting._PARALLEL_ENTRIES
 
 
 def json_text(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=1, allow_nan=False) + "\n"
 
 
-def written(tmp_path, doc) -> bytes:
+def written(tmp_path, doc, workers=1) -> bytes:
     path = tmp_path / "doc.json"
-    write_json(path, doc)
+    write_json(path, doc, workers)
     return path.read_bytes()
 
 
@@ -46,7 +50,8 @@ CORPUS = [
 
 @pytest.mark.parametrize("doc", CORPUS, ids=range(len(CORPUS)))
 def test_writer_matches_json_dump(tmp_path, doc):
-    assert written(tmp_path, doc) == json_text(doc).encode("utf-8")
+    for workers in WORKERS:
+        assert written(tmp_path, doc, workers) == json_text(doc).encode("utf-8")
 
 
 @pytest.mark.parametrize("bad", [
@@ -80,7 +85,46 @@ ARRAYS = [
 def test_arrays_write_as_their_lists(tmp_path, array):
     doc = {"a": array, "b": [array, 1.0]}
     listed = {"a": array.tolist(), "b": [array.tolist(), 1.0]}
-    assert written(tmp_path, doc) == json_text(listed).encode("utf-8")
+    for workers in WORKERS:
+        assert written(tmp_path, doc, workers) == json_text(listed).encode("utf-8")
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The process counts of the pools the writer opens."""
+    opened = []
+    real_pool = reporting._fork_pool
+
+    def counting_pool(processes, *args):
+        opened.append(processes)
+        return real_pool(processes, *args)
+
+    monkeypatch.setattr(reporting, "_fork_pool", counting_pool)
+    return opened
+
+
+LARGE_ARRAYS = {
+    "below": np.random.default_rng(4).standard_normal((2, BIG // 2 - 1)),
+    "at": np.random.default_rng(5).standard_normal((2, BIG // 2)),
+    "above_3d": np.random.default_rng(6).standard_normal((5, 128, BIG // 512)),
+    "ints": np.arange(BIG + 6).reshape(-1, 2),
+    "empty_rows": np.zeros((4, 0, BIG)),
+    "flat": np.random.default_rng(7).standard_normal(BIG + 1),
+}
+
+
+@pytest.mark.parametrize("name", LARGE_ARRAYS)
+def test_large_arrays_match_at_every_worker_count(tmp_path, pools, name):
+    array = LARGE_ARRAYS[name]
+    doc = {"a": array, "b": [array[:1], 1.0]}
+    expected = json_text({"a": array.tolist(), "b": [array[:1].tolist(), 1.0]}).encode("utf-8")
+    for workers in WORKERS:
+        del pools[:]
+        assert written(tmp_path, doc, workers) == expected
+        forked = workers > 1 and array.ndim > 1 and array.size >= BIG
+        # no more processes than outer rows, and only the whole array is split
+        assert pools == ([min(workers, len(array))] if forked else [])
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
 def test_non_finite_arrays_raise_json_error(tmp_path):
@@ -90,6 +134,25 @@ def test_non_finite_arrays_raise_json_error(tmp_path):
     with pytest.raises(ValueError) as got:
         written(tmp_path, {"a": bad})
     assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_failed_write_leaves_the_previous_file_and_no_temporary(tmp_path, pools, workers):
+    bad = np.zeros((4, BIG // 4))
+    bad[2, 7] = np.nan  # in the third task, formatted by a pool worker when workers > 1
+    with pytest.raises(ValueError) as expected:
+        json_text(bad.tolist())
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError) as got:
+        write_json(path, {"a": bad}, workers)
+    assert str(got.value) == str(expected.value)
+    assert len(pools) == (workers > 1)
+    assert list(tmp_path.iterdir()) == []
+    write_json(path, [1.0])
+    with pytest.raises(ValueError):
+        write_json(path, {"a": bad}, workers)
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+    assert path.read_bytes() == json_text([1.0]).encode("utf-8")
 
 
 @pytest.mark.parametrize("bad", [{(1, 2): 3}, [np.int64(3)], {"a": object()}, {1: "x", "b": 2}])
@@ -108,18 +171,35 @@ def test_problem_documents_match_json_dump(tmp_path):
         assert written(tmp_path, doc) == json_text(doc).encode("utf-8")
 
 
-def test_report_document_matches_json_dump(tmp_path):
+def check_report(tmp_path, problem, workers):
+    """Run one small job and check report.json against json.dump; return the document."""
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
-        "problem": {"generator": "logistic", "n": 6, "d": 2, "seed": 4},
+        "problem": problem,
         "run": {"T": 10, "n_seeds": 3, "schedule": {"variant": "polynomial", "C": 2.0, "beta": 0.5}},
     }))
     out = tmp_path / "out"
-    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert cli.main(["run", "--config", str(config), "--out", str(out), "--workers", str(workers)]) == 0
     report = (out / "report.json").read_bytes()
     doc = json.loads(report)
     assert report == json_text(doc).encode("utf-8")
     assert written(tmp_path, doc) == report
+    return doc
+
+
+def test_report_document_matches_json_dump(tmp_path):
+    doc = check_report(tmp_path, {"generator": "logistic", "n": 6, "d": 2, "seed": 4}, 1)
     problem, _ = li.make_logistic(n=6, d=2, seed=4)
+    embedded = {key: doc["problem"][key] for key in ("schema", "problem")}
+    assert embedded == li.problem_to_doc(problem)
+
+
+def test_large_report_document_matches_json_dump(tmp_path, pools):
+    n, d = 16, 64
+    assert n * d * d >= BIG  # the design is formatted on the workers
+    doc = check_report(tmp_path, {"generator": "least_squares", "n": n, "d": d, "spread": 1.0,
+                                  "seed": 4}, 2)
+    assert pools == [2]
+    problem, _ = li.make_least_squares(n=n, d=d, spread=1.0, seed=4)
     embedded = {key: doc["problem"][key] for key in ("schema", "problem")}
     assert embedded == li.problem_to_doc(problem)
