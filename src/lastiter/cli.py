@@ -14,10 +14,10 @@ Subcommands::
                            [--out DIR] [--deterministic-output]
 
 Exit codes: 0 success, 1 usage/config/runtime error, 2 a checked bound or
-lemma was violated.  --workers sets the worker process count (default: the
-CPUs this process may run on); run also formats the report's large arrays on
-its workers.  Outputs are byte-identical across worker counts when
---deterministic-output is set.
+lemma was violated.  --workers sets the Monte Carlo worker process count
+(default 1); outputs are byte-identical across worker counts when
+--deterministic-output is set.  JSON files format their large arrays on
+forked processes, one per usable CPU, with the same bytes.
 """
 
 from __future__ import annotations
@@ -64,14 +64,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, or all of them where affinity is unknown."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lastiter", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"lastiter {__version__}")
@@ -84,8 +76,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=out_default, metavar="DIR",
                        help="output directory" + (" (default: .)" if out_default else ""))
         if workers:
-            p.add_argument("--workers", type=int, default=_usable_cpus(), metavar="N",
-                           help="worker processes (default: the usable CPUs, %(default)s)")
+            p.add_argument("--workers", type=int, default=1, metavar="N",
+                           help="worker processes (default: 1)")
         p.add_argument("--deterministic-output", action="store_true",
                        help="omit timestamps so reruns are byte-identical")
         if dump_seeds:
@@ -184,7 +176,7 @@ def _cmd_run(args) -> int:
         },
     }
     report_path = os.path.join(out_dir, "report.json")
-    write_json(report_path, doc, workers)
+    write_json(report_path, doc)
     if args.dump_seeds:
         seeds_path = os.path.join(out_dir, "seeds.csv")
         gaps = estimate.per_seed_gaps.tolist()

@@ -16,6 +16,8 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import multiprocessing
+import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -29,7 +31,7 @@ from .bounds import (  # noqa: F401
     sqrt_step_bound_c2,
 )
 from .problems import FiniteSumProblem, SolutionCertificate, UnsupportedSamplingError
-from .reporting import _fork_pool, doc_hash
+from .reporting import doc_hash
 from .rng import check_seed
 from .sgd import DivergenceError, RunConfig, ScheduleError, _block_rows, _run, schedule_to_doc
 
@@ -90,6 +92,32 @@ def _final_gaps(problem, cert, template, lo: int, hi: int) -> np.ndarray:
         _, X = _run(problem, template, range(start, min(start + rows, hi)))
         gaps.append(problem.value(X) - cert.inf_f)
     return np.concatenate(gaps)
+
+
+# The start method of every process pool: fork where the platform has it, so
+# the workers inherit what the pool's initializer is given (a job's problems,
+# a report's array) instead of receiving it pickled, whatever the default
+# start method; elsewhere (None) the platform's default.
+_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+
+
+def _fork_pool(processes: int, initializer, initargs):
+    """A process pool started with ``_START_METHOD``."""
+    return multiprocessing.get_context(_START_METHOD).Pool(processes, initializer, initargs)
+
+
+def _fork_cpus() -> int:
+    """The processes a pool may fork: the CPUs this process may run on.
+
+    1 where the platform cannot fork, and in a daemonic process (such as a
+    pool worker), which may not have children.
+    """
+    if _START_METHOD is None or multiprocessing.current_process().daemon:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 # The (problem, cert) pairs of the job a pool worker serves.  The pool's

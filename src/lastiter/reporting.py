@@ -14,7 +14,6 @@ import datetime
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 
 import numpy as np
@@ -35,33 +34,26 @@ def doc_hash(doc) -> str:
 _encode = json.JSONEncoder(indent=1, allow_nan=False).encode
 
 
-# Entries from which write_json formats an ndarray on its workers: opening
-# and closing a forked pool costs about as much as formatting this many floats
-# in one process.
-_PARALLEL_ENTRIES = 1 << 16
+# Entries of an ndarray that write_json gives each forked process at the
+# least: a pool of two broke even at about twice this many (opening and
+# closing it costs about as much as formatting them in one process), and each
+# further process must bring as many entries again.
+_PROCESS_ENTRIES = 1 << 15
 
 
-def _fork_pool(processes: int, initializer=None, initargs=()):
-    """A process pool whose workers are forked, whatever the default start method.
-
-    The workers inherit the parent's memory, so the initializer's arguments
-    (a job's problems, a report's array) are not pickled to each of them, as
-    they would be under spawn or forkserver.
-    """
-    return multiprocessing.get_context("fork").Pool(processes, initializer, initargs)
-
-
-def write_json(path, doc, workers: int = 1):
+def write_json(path, doc):
     """Pretty but deterministic JSON file (sorted keys, trailing newline).
 
     The bytes are exactly those of ``json.dump(doc, fh, sort_keys=True,
     indent=1, allow_nan=False)`` plus a newline, written piece by piece as
     they are encoded; a list of plain floats is encoded in one join.  An
     ndarray is written as its ``.tolist()`` would be, one innermost row at a
-    time, so no nested list of the whole array is built.  With ``workers``
-    above 1, an ndarray of at least ``_PARALLEL_ENTRIES`` entries and two or
-    more outer rows is formatted by outer rows on that many forked processes
-    and written in row order, so the bytes do not depend on ``workers``.
+    time, so no nested list of the whole array is built.  An ndarray of two
+    or more dimensions and at least ``2 * _PROCESS_ENTRIES`` entries is
+    formatted by outer rows on forked processes, one per usable CPU but no
+    more than one per ``_PROCESS_ENTRIES`` entries, and written in row
+    order, so the bytes do not depend on the process count.  Where the
+    platform cannot fork, it is formatted in this process.
     The text goes to a temporary file beside ``path`` that replaces ``path``
     once it is complete, so an error leaves no partial file.
     """
@@ -69,7 +61,7 @@ def write_json(path, doc, workers: int = 1):
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            for piece in _pieces(doc, "\n", workers):
+            for piece in _pieces(doc, "\n", True):
                 fh.write(piece)
             fh.write("\n")
         os.replace(tmp, path)
@@ -79,14 +71,15 @@ def write_json(path, doc, workers: int = 1):
         raise
 
 
-def _pieces(value, newline: str, workers: int = 1):
+def _pieces(value, newline: str, fork: bool = False):
     """JSON text of value in pieces; newline is the line break plus the current indent.
 
-    Empty containers and scalars are json's own text.
+    Empty containers and scalars are json's own text.  With ``fork``, large
+    ndarrays go to ``_forked_rows``.
     """
     if isinstance(value, np.ndarray):
-        if workers > 1 and value.ndim > 1 and len(value) > 1 and value.size >= _PARALLEL_ENTRIES:
-            yield from _forked_rows(value, newline, workers)
+        if fork and value.ndim > 1 and value.size >= 2 * _PROCESS_ENTRIES:
+            yield from _forked_rows(value, newline)
             return
         value = value.tolist() if value.ndim < 2 else list(value)
     if isinstance(value, (list, tuple)) and value:
@@ -98,13 +91,13 @@ def _pieces(value, newline: str, workers: int = 1):
             return
         for i, item in enumerate(value):
             yield ("," if i else "[") + inner
-            yield from _pieces(item, inner, workers)
+            yield from _pieces(item, inner, fork)
         yield newline + "]"
     elif isinstance(value, dict) and value:
         inner = newline + " "
         for i, (key, item) in enumerate(sorted(value.items())):
             yield ("," if i else "{") + inner + _encode(_key(key)) + ": "
-            yield from _pieces(item, inner, workers)
+            yield from _pieces(item, inner, fork)
         yield newline + "}"
     else:
         yield _encode(value)
@@ -131,24 +124,41 @@ def _rows_text(span) -> str:
     return ("," + inner).join("".join(_pieces(row, inner)) for row in array[slice(*span)])
 
 
-def _forked_rows(array, newline: str, workers: int):
-    """_pieces of a 2+-d array whose outer rows are formatted on forked workers.
+def _forked_rows(array, newline: str):
+    """_pieces of a nonempty 2+-d array whose outer rows are formatted on forked processes.
 
     A task is one outer row, or as many as make ``_TASK_ENTRIES`` entries.
-    At most ``workers`` tasks are in flight, and their texts are yielded in
-    row order as they arrive.
+    The pool has one process per usable CPU, but no more than tasks or than
+    one per ``_PROCESS_ENTRIES`` entries; with fewer than two, or where the
+    platform cannot fork, the array is formatted in this process.  At most
+    one task per process is in flight, and the texts are yielded in row
+    order as they arrive.
     """
+    from .montecarlo import _fork_cpus, _fork_pool  # montecarlo imports this module
+
     inner, n = newline + " ", len(array)
     step = max(1, _TASK_ENTRIES // array[0].size)
     spans = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-    with _fork_pool(min(workers, len(spans)), _init_rows, (array, inner)) as pool:
-        pending = collections.deque(pool.apply_async(_rows_text, (span,)) for span in spans[:workers])
-        for k in range(len(spans)):
-            text = pending.popleft().get()
-            if k + workers < len(spans):
-                pending.append(pool.apply_async(_rows_text, (spans[k + workers],)))
-            yield ("," if k else "[") + inner
-            yield text
+    processes = min(_fork_cpus(), len(spans), array.size // _PROCESS_ENTRIES)
+    if processes < 2:
+        yield from _pieces(array, newline)
+        return
+    with _fork_pool(processes, _init_rows, (array, inner)) as pool:
+        pending = collections.deque(pool.apply_async(_rows_text, (span,)) for span in spans[:processes])
+        try:
+            for k in range(len(spans)):
+                text = pending.popleft().get()
+                if k + processes < len(spans):
+                    pending.append(pool.apply_async(_rows_text, (spans[k + processes],)))
+                yield ("," if k else "[") + inner
+                yield text
+        except (Exception, GeneratorExit):
+            # Leaving the block kills the workers, and one killed while sending
+            # a row's text keeps the result queue's lock, so the pool never
+            # shuts down: let the rows in flight arrive first.
+            for result in pending:
+                result.wait()
+            raise
     yield newline + "]"
 
 

@@ -477,6 +477,36 @@ def test_sweep_opens_one_pool_for_all_cells(monkeypatch):
     assert pooled == li.sweep(entries, [4, 8], schedule, [1, 2], n_seeds=6, base_seed=0)
 
 
+def test_pools_fork_where_the_platform_can(monkeypatch):
+    import multiprocessing
+    import os
+
+    import lastiter.montecarlo as mc
+
+    can_fork = "fork" in multiprocessing.get_all_start_methods()
+    assert mc._START_METHOD == ("fork" if can_fork else None)
+    if can_fork and hasattr(os, "sched_getaffinity"):
+        assert mc._fork_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert mc._fork_cpus() == (3 if can_fork else 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert mc._fork_cpus() == 1
+    # where the platform cannot fork: no forked writer, and pools of the default start method
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(mc, "_START_METHOD", None)
+    assert mc._fork_cpus() == 1
+    methods, real_context = [], multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method=None: methods.append(method) or real_context(method))
+    problem = two_quadratics()
+    cert = li.closed_form_certificate(problem)
+    config = li.RunConfig(T=4, seed=0, schedule=li.PolynomialStep(2.0, 0.5), x0=np.array([1.0]))
+    pooled = li.estimate_gap(problem, cert, config, n_seeds=4, base_seed=0, workers=2)
+    assert methods == [None]
+    assert pooled == li.estimate_gap(problem, cert, config, n_seeds=4, base_seed=0)
+
+
 def test_sweep_rows_are_worker_independent(monkeypatch):
     problem = two_quadratics()
     flip = SignFlipPair()

@@ -1,26 +1,33 @@
 """The JSON writer: byte-identical to json.dump, with json's errors."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 import lastiter as li
 import lastiter.cli as cli
+import lastiter.montecarlo as mc
 import lastiter.reporting as reporting
 from lastiter.reporting import write_json
 
-WORKERS = (1, 2, 3)
-BIG = reporting._PARALLEL_ENTRIES
+CPUS = (1, 2, 3)
+PER = reporting._PROCESS_ENTRIES
+BIG = 2 * PER  # the fewest entries the writer forks for
 
 
 def json_text(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=1, allow_nan=False) + "\n"
 
 
-def written(tmp_path, doc, workers=1) -> bytes:
+def written(tmp_path, doc, cpus=None) -> bytes:
+    """write_json's bytes, the writer seeing ``cpus`` usable CPUs (the host's if None)."""
     path = tmp_path / "doc.json"
-    write_json(path, doc, workers)
+    with pytest.MonkeyPatch.context() as patch:
+        if cpus is not None:
+            patch.setattr(mc, "_fork_cpus", lambda: cpus)
+        write_json(path, doc)
     return path.read_bytes()
 
 
@@ -50,8 +57,8 @@ CORPUS = [
 
 @pytest.mark.parametrize("doc", CORPUS, ids=range(len(CORPUS)))
 def test_writer_matches_json_dump(tmp_path, doc):
-    for workers in WORKERS:
-        assert written(tmp_path, doc, workers) == json_text(doc).encode("utf-8")
+    for cpus in CPUS:
+        assert written(tmp_path, doc, cpus) == json_text(doc).encode("utf-8")
 
 
 @pytest.mark.parametrize("bad", [
@@ -85,46 +92,73 @@ ARRAYS = [
 def test_arrays_write_as_their_lists(tmp_path, array):
     doc = {"a": array, "b": [array, 1.0]}
     listed = {"a": array.tolist(), "b": [array.tolist(), 1.0]}
-    for workers in WORKERS:
-        assert written(tmp_path, doc, workers) == json_text(listed).encode("utf-8")
+    for cpus in CPUS:
+        assert written(tmp_path, doc, cpus) == json_text(listed).encode("utf-8")
 
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The process counts of the pools the writer opens."""
+    """The process counts of the pools the writer opens.
+
+    A pool terminated with a task in flight fails the test: a worker killed
+    while sending its text would leave the pool unable to shut down.
+    """
     opened = []
-    real_pool = reporting._fork_pool
+    real_pool = mc._fork_pool
 
     def counting_pool(processes, *args):
         opened.append(processes)
-        return real_pool(processes, *args)
+        pool = real_pool(processes, *args)
+        submitted, submit, terminate = [], pool.apply_async, pool.terminate
 
-    monkeypatch.setattr(reporting, "_fork_pool", counting_pool)
+        def apply_async(*args):
+            submitted.append(submit(*args))
+            return submitted[-1]
+
+        def checked_terminate():
+            assert all(result.ready() for result in submitted), "terminated with a task in flight"
+            terminate()
+
+        pool.apply_async, pool.terminate = apply_async, checked_terminate
+        return pool
+
+    monkeypatch.setattr(mc, "_fork_pool", counting_pool)
     return opened
 
 
+# Each array, and the most processes the writer may fork for it (under 2: none).
 LARGE_ARRAYS = {
-    "below": np.random.default_rng(4).standard_normal((2, BIG // 2 - 1)),
-    "at": np.random.default_rng(5).standard_normal((2, BIG // 2)),
-    "above_3d": np.random.default_rng(6).standard_normal((5, 128, BIG // 512)),
-    "ints": np.arange(BIG + 6).reshape(-1, 2),
-    "empty_rows": np.zeros((4, 0, BIG)),
-    "flat": np.random.default_rng(7).standard_normal(BIG + 1),
+    "below": (np.random.default_rng(4).standard_normal((2, PER - 1)), 1),
+    "at": (np.random.default_rng(5).standard_normal((2, PER)), 2),
+    "three_rows": (np.random.default_rng(8).standard_normal((3, PER)), 3),
+    "two_rows": (np.random.default_rng(9).standard_normal((2, 3 * PER // 2)), 2),
+    "above_3d": (np.random.default_rng(6).standard_normal((5, 128, BIG // 512)), 2),
+    "ints": (np.arange(BIG + 6).reshape(-1, 2), 2),
+    "empty_rows": (np.zeros((4, 0, BIG)), 1),
+    "flat": (np.random.default_rng(7).standard_normal(BIG + 1), 1),
 }
 
 
 @pytest.mark.parametrize("name", LARGE_ARRAYS)
-def test_large_arrays_match_at_every_worker_count(tmp_path, pools, name):
-    array = LARGE_ARRAYS[name]
+def test_large_arrays_match_at_every_cpu_count(tmp_path, pools, name):
+    array, most = LARGE_ARRAYS[name]
     doc = {"a": array, "b": [array[:1], 1.0]}
     expected = json_text({"a": array.tolist(), "b": [array[:1].tolist(), 1.0]}).encode("utf-8")
-    for workers in WORKERS:
+    for cpus in CPUS:
         del pools[:]
-        assert written(tmp_path, doc, workers) == expected
-        forked = workers > 1 and array.ndim > 1 and array.size >= BIG
-        # no more processes than outer rows, and only the whole array is split
-        assert pools == ([min(workers, len(array))] if forked else [])
+        assert written(tmp_path, doc, cpus) == expected
+        # no more processes than CPUs, outer rows or PER-entry shares, and only
+        # the whole array is split
+        processes = min(cpus, most)
+        assert pools == ([processes] if processes > 1 else [])
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+def test_writer_stays_in_this_process_where_it_cannot_fork(tmp_path, monkeypatch, pools):
+    monkeypatch.setattr(mc, "_START_METHOD", None)
+    array, _ = LARGE_ARRAYS["three_rows"]
+    assert written(tmp_path, {"a": array}) == json_text({"a": array.tolist()}).encode("utf-8")
+    assert pools == []
 
 
 def test_non_finite_arrays_raise_json_error(tmp_path):
@@ -136,21 +170,38 @@ def test_non_finite_arrays_raise_json_error(tmp_path):
     assert str(got.value) == str(expected.value)
 
 
-@pytest.mark.parametrize("workers", WORKERS)
-def test_failed_write_leaves_the_previous_file_and_no_temporary(tmp_path, pools, workers):
+def write_in_worker(path, array):
+    write_json(path, {"a": array})
+
+
+@pytest.mark.skipif(mc._START_METHOD is None, reason="the platform cannot fork")
+def test_writer_in_a_pool_worker_stays_in_its_process(tmp_path, monkeypatch):
+    # the worker sees three CPUs, but a daemonic process may not fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    array, _ = LARGE_ARRAYS["three_rows"]
+    path = tmp_path / "doc.json"
+    with mc._fork_pool(1, None, ()) as pool:
+        pool.apply(write_in_worker, (path, array))
+    assert path.read_bytes() == json_text({"a": array.tolist()}).encode("utf-8")
+
+
+@pytest.mark.parametrize("cpus", CPUS)
+def test_failed_write_leaves_the_previous_file_and_no_temporary(tmp_path, monkeypatch, pools, cpus):
+    monkeypatch.setattr(mc, "_fork_cpus", lambda: cpus)
     bad = np.zeros((4, BIG // 4))
-    bad[2, 7] = np.nan  # in the third task, formatted by a pool worker when workers > 1
+    bad[2, 7] = np.nan  # in the third task, formatted by a pool worker when cpus > 1
     with pytest.raises(ValueError) as expected:
         json_text(bad.tolist())
     path = tmp_path / "doc.json"
     with pytest.raises(ValueError) as got:
-        write_json(path, {"a": bad}, workers)
+        write_json(path, {"a": bad})
     assert str(got.value) == str(expected.value)
-    assert len(pools) == (workers > 1)
+    assert len(pools) == (cpus > 1)
     assert list(tmp_path.iterdir()) == []
     write_json(path, [1.0])
     with pytest.raises(ValueError):
-        write_json(path, {"a": bad}, workers)
+        write_json(path, {"a": bad})
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
     assert path.read_bytes() == json_text([1.0]).encode("utf-8")
 
@@ -171,7 +222,7 @@ def test_problem_documents_match_json_dump(tmp_path):
         assert written(tmp_path, doc) == json_text(doc).encode("utf-8")
 
 
-def check_report(tmp_path, problem, workers):
+def check_report(tmp_path, problem):
     """Run one small job and check report.json against json.dump; return the document."""
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
@@ -179,7 +230,7 @@ def check_report(tmp_path, problem, workers):
         "run": {"T": 10, "n_seeds": 3, "schedule": {"variant": "polynomial", "C": 2.0, "beta": 0.5}},
     }))
     out = tmp_path / "out"
-    assert cli.main(["run", "--config", str(config), "--out", str(out), "--workers", str(workers)]) == 0
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
     report = (out / "report.json").read_bytes()
     doc = json.loads(report)
     assert report == json_text(doc).encode("utf-8")
@@ -188,17 +239,18 @@ def check_report(tmp_path, problem, workers):
 
 
 def test_report_document_matches_json_dump(tmp_path):
-    doc = check_report(tmp_path, {"generator": "logistic", "n": 6, "d": 2, "seed": 4}, 1)
+    doc = check_report(tmp_path, {"generator": "logistic", "n": 6, "d": 2, "seed": 4})
     problem, _ = li.make_logistic(n=6, d=2, seed=4)
     embedded = {key: doc["problem"][key] for key in ("schema", "problem")}
     assert embedded == li.problem_to_doc(problem)
 
 
-def test_large_report_document_matches_json_dump(tmp_path, pools):
+def test_large_report_document_matches_json_dump(tmp_path, monkeypatch, pools):
+    monkeypatch.setattr(mc, "_fork_cpus", lambda: 3)
     n, d = 16, 64
-    assert n * d * d >= BIG  # the design is formatted on the workers
+    assert n * d * d == BIG  # the design is formatted on two forked processes
     doc = check_report(tmp_path, {"generator": "least_squares", "n": n, "d": d, "spread": 1.0,
-                                  "seed": 4}, 2)
+                                  "seed": 4})
     assert pools == [2]
     problem, _ = li.make_least_squares(n=n, d=d, spread=1.0, seed=4)
     embedded = {key: doc["problem"][key] for key in ("schema", "problem")}
