@@ -33,6 +33,7 @@ from .bounds import BoundReport, HypothesisError, build_bound_report, complexity
 from .config import ConfigError, load_lemma_plan, load_run_plan, load_sweep_plan
 from .lemmas import BATTERY_ORDER, LemmaCheckResult, run_battery
 from .montecarlo import SWEEP_COLUMNS, check_cell, sweep
+from .problems import _problem_doc
 from .reporting import fmt, timestamp, write_csv, write_json
 from .sgd import (
     ConstantStep,
@@ -145,11 +146,7 @@ def _cmd_run(args) -> int:
         "config_hash": plan.config_hash,
         "code_version": __version__,
         "generated_at": timestamp(args.deterministic_output),
-        # problem_to_doc's document with the arrays themselves, which write_json
-        # writes row by row instead of holding them as nested lists
-        "problem": {"id": plan.problem_id, "schema": "lastiter-problem/1",
-                    "problem": {"kind": problem.kind,
-                                **{name: getattr(problem, name) for name in problem.array_names}},
+        "problem": {"id": plan.problem_id, **_problem_doc(problem),
                     "certificate": dataclasses.asdict(plan.cert)},
         "run": {
             "T": template.T,

@@ -55,7 +55,9 @@ def reduce_moments(values) -> tuple[float, float]:
     deviations from the first value and the spread's over the deviations
     from the mean, so they depend on the sequence alone, not on how it was
     computed or split, and a constant sequence gives its own value and a
-    standard error of exactly 0.0.
+    standard error of exactly 0.0.  Where the squared deviations, or their
+    sum, pass the largest float, the deviations are first scaled by a power
+    of two, so huge but finite values still get a finite standard error.
     """
     values = np.asarray(values, dtype=float)
     n = values.size
@@ -65,8 +67,19 @@ def reduce_moments(values) -> tuple[float, float]:
     mean = first + math.fsum((values - first).tolist()) / n
     if n == 1:
         return mean, 0.0
-    m2 = math.fsum(((values - mean) ** 2).tolist())
-    return mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+    deviations = values - mean
+    with np.errstate(over="ignore"):
+        squares = (deviations**2).tolist()
+    try:
+        m2 = math.fsum(squares)
+    except OverflowError:  # finite squares whose sum overflows
+        m2 = math.inf
+    scale = 0
+    if m2 == math.inf:
+        # scaled by 2**-scale, the deviations are exact and below 1 in magnitude
+        scale = math.frexp(float(np.abs(deviations).max()))[1]
+        m2 = math.fsum((np.ldexp(deviations, -scale) ** 2).tolist())
+    return mean, math.ldexp(math.sqrt(m2 / (n - 1)) / math.sqrt(n), scale)
 
 
 @dataclass(frozen=True)
@@ -95,15 +108,10 @@ def _final_gaps(problem, cert, template, lo: int, hi: int) -> np.ndarray:
 
 
 # The start method of every process pool: fork where the platform has it, so
-# the workers inherit what the pool's initializer is given (a job's problems,
-# a report's array) instead of receiving it pickled, whatever the default
-# start method; elsewhere (None) the platform's default.
+# the workers inherit what the pool is given to share (a job's problems, a
+# report's array) instead of receiving it pickled, whatever the default start
+# method; elsewhere (None) the platform's default.
 _START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-
-
-def _fork_pool(processes: int, initializer, initargs):
-    """A process pool started with ``_START_METHOD``."""
-    return multiprocessing.get_context(_START_METHOD).Pool(processes, initializer, initargs)
 
 
 def _fork_cpus() -> int:
@@ -120,26 +128,39 @@ def _fork_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# The (problem, cert) pairs of the job a pool worker serves.  The pool's
-# initializer sets them once per worker (inherited under fork), so a task
-# carries an entry index instead of its problem.
-_entries: list = []
+# What a pool worker's tasks share, set once per worker by the pool's
+# initializer (inherited under fork), so a task carries only indices into it.
+_shared = None
 
 
-def _init_worker(entries):
-    global _entries
-    _entries = entries
+def _share(shared):
+    global _shared
+    _shared = shared
 
 
-def _worker_gaps(task):
-    # A divergence comes back as a value, so the driver can raise the one
-    # of the lowest seed block whatever order the workers finish in.
-    entry, template, lo, hi = task
-    problem, cert = _entries[entry]
+@contextlib.contextmanager
+def _forked(processes: int, shared):
+    """A pool of ``processes`` workers started with ``_START_METHOD``, each seeing ``shared``.
+
+    Every process pool is opened and left here.  Leaving it waits for the
+    tasks already submitted, also when the block raised: a worker killed
+    while it sends a reply leaves the pool unable to shut down.  Only
+    KeyboardInterrupt and SystemExit terminate the workers at once.
+    """
+    pool = multiprocessing.get_context(_START_METHOD).Pool(processes, _share, (shared,))
     try:
-        return _final_gaps(problem, cert, template, lo, hi)
-    except DivergenceError as exc:
-        return exc
+        yield pool
+    except (KeyboardInterrupt, SystemExit):
+        pool.terminate()
+        raise
+    finally:
+        pool.close()
+        pool.join()
+
+
+def _worker_gaps(entry, template, lo, hi):
+    problem, cert = _shared[entry]
+    return _final_gaps(problem, cert, template, lo, hi)
 
 
 def _split(lo: int, hi: int, unit: int, pieces: int) -> list:
@@ -163,7 +184,8 @@ def _pool_job(entries, cells, workers: int):
     workers instead splits each cell's seeds into ``workers`` ranges.  Tasks
     are submitted longest horizon first, since a cell's cost grows with T,
     and the pool has no more processes than tasks.  Per cell, the parts come
-    in seed order.
+    in seed order.  Leaving the job waits for every submitted task, also
+    when a join raised (see ``_forked``).
     Yields None, and opens no pool, for one worker or fewer than
     2 * workers runs in all: such a job runs in this process.
     """
@@ -178,26 +200,20 @@ def _pool_job(entries, cells, workers: int):
     tasks = [(c, k) for c, spans in enumerate(ranges) for k in range(len(spans))]
     tasks.sort(key=lambda task: -cells[task[0]][1].T)
     parts = [[None] * len(spans) for spans in ranges]
-    with _fork_pool(min(workers, len(tasks)), _init_worker, (entries,)) as pool:
+    with _forked(min(workers, len(tasks)), entries) as pool:
         for c, k in tasks:
             entry, template, _, _ = cells[c]
-            parts[c][k] = pool.apply_async(_worker_gaps, ((entry, template, *ranges[c][k]),))
+            parts[c][k] = pool.apply_async(_worker_gaps, (entry, template, *ranges[c][k]))
         yield parts
 
 
 def _join(parts) -> np.ndarray:
     """One cell's gaps from its pending parts, waited for in seed order.
 
-    The first part that diverged is raised, so the cell reports the
+    The first part that failed raises its error, so a cell reports the
     divergence of its lowest block whichever block finished first.
     """
-    gaps = []
-    for pending in parts:
-        part = pending.get()
-        if isinstance(part, DivergenceError):
-            raise part
-        gaps.append(part)
-    return np.concatenate(gaps)
+    return np.concatenate([pending.get() for pending in parts])
 
 
 # Cells a sweep has submitted to its pool, by _cell_key: estimate_gap takes
@@ -241,6 +257,8 @@ def estimate_gap(
     fewer than 2 * workers trajectories run in this process.  Inside a
     ``sweep`` the cell's blocks are already running on the sweep's pool,
     and this waits for them.  Either way the gaps are joined in seed order.
+    A pooled estimate that diverges lets its submitted blocks finish, then
+    raises the lowest diverging seed's error; Ctrl-C stops the workers at once.
     Full-batch runs (b = n) consume no randomness, so one trajectory stands
     for every seed.  Results are bitwise independent of ``workers``.
     """

@@ -557,10 +557,19 @@ def make_logistic(n: int, d: int, seed: int):
 
 # -- serialization -----------------------------------------------------------
 
+def _problem_doc(problem: FiniteSumProblem, convert=lambda array: array) -> dict:
+    """The lastiter-problem/1 document of a problem, each defining array passed through ``convert``.
+
+    Kept as ndarrays, the arrays are what ``write_json`` writes row by row,
+    as the same bytes as their nested lists, without building those lists.
+    """
+    arrays = {name: convert(getattr(problem, name)) for name in problem.array_names}
+    return {"schema": "lastiter-problem/1", "problem": {"kind": problem.kind, **arrays}}
+
+
 def problem_to_doc(problem: FiniteSumProblem) -> dict:
     """Full-fidelity JSON document of a problem: its family tag and defining arrays."""
-    arrays = {name: getattr(problem, name).tolist() for name in problem.array_names}
-    return {"schema": "lastiter-problem/1", "problem": {"kind": problem.kind, **arrays}}
+    return _problem_doc(problem, np.ndarray.tolist)
 
 
 def problem_from_doc(doc: dict):
@@ -587,7 +596,7 @@ def problem_from_doc(doc: dict):
 
 
 def save_problem(path, problem: FiniteSumProblem):
-    write_json(path, problem_to_doc(problem))
+    write_json(path, _problem_doc(problem))
 
 
 def load_problem(path):

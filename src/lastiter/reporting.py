@@ -53,7 +53,9 @@ def write_json(path, doc):
     formatted by outer rows on forked processes, one per usable CPU but no
     more than one per ``_PROCESS_ENTRIES`` entries, and written in row
     order, so the bytes do not depend on the process count.  Where the
-    platform cannot fork, it is formatted in this process.
+    platform cannot fork, it is formatted in this process.  The pool is the
+    Monte Carlo job's (``montecarlo._forked``): a write that fails lets the
+    rows in flight finish, then raises; Ctrl-C stops the workers at once.
     The text goes to a temporary file beside ``path`` that replaces ``path``
     once it is complete, so an error leaves no partial file.
     """
@@ -107,21 +109,13 @@ def _pieces(value, newline: str, fork: bool = False):
 # worker costs about 0.3 ms, 3 % of formatting this many floats.
 _TASK_ENTRIES = 1 << 13
 
-# The array a writer's pool worker formats rows of, and the rows' indent.  The
-# pool's initializer sets them once per worker (inherited under fork), so a
-# task carries only a range of row indices.
-_rows: tuple = ()
 
+def _rows_text(lo: int, hi: int) -> str:
+    """The text of rows lo .. hi - 1 of the pool's (array, indent), with the separators between them."""
+    from .montecarlo import _shared
 
-def _init_rows(array, inner):
-    global _rows
-    _rows = array, inner
-
-
-def _rows_text(span) -> str:
-    """The text of rows lo .. hi - 1 of the worker's array, with the separators between them."""
-    array, inner = _rows
-    return ("," + inner).join("".join(_pieces(row, inner)) for row in array[slice(*span)])
+    array, inner = _shared
+    return ("," + inner).join("".join(_pieces(row, inner)) for row in array[lo:hi])
 
 
 def _forked_rows(array, newline: str):
@@ -132,9 +126,10 @@ def _forked_rows(array, newline: str):
     one per ``_PROCESS_ENTRIES`` entries; with fewer than two, or where the
     platform cannot fork, the array is formatted in this process.  At most
     one task per process is in flight, and the texts are yielded in row
-    order as they arrive.
+    order as they arrive.  A write that fails or stops reading leaves the
+    pool (``montecarlo._forked``) once the tasks in flight have finished.
     """
-    from .montecarlo import _fork_cpus, _fork_pool  # montecarlo imports this module
+    from .montecarlo import _fork_cpus, _forked  # montecarlo imports this module
 
     inner, n = newline + " ", len(array)
     step = max(1, _TASK_ENTRIES // array[0].size)
@@ -143,22 +138,14 @@ def _forked_rows(array, newline: str):
     if processes < 2:
         yield from _pieces(array, newline)
         return
-    with _fork_pool(processes, _init_rows, (array, inner)) as pool:
-        pending = collections.deque(pool.apply_async(_rows_text, (span,)) for span in spans[:processes])
-        try:
-            for k in range(len(spans)):
-                text = pending.popleft().get()
-                if k + processes < len(spans):
-                    pending.append(pool.apply_async(_rows_text, (spans[k + processes],)))
-                yield ("," if k else "[") + inner
-                yield text
-        except (Exception, GeneratorExit):
-            # Leaving the block kills the workers, and one killed while sending
-            # a row's text keeps the result queue's lock, so the pool never
-            # shuts down: let the rows in flight arrive first.
-            for result in pending:
-                result.wait()
-            raise
+    with _forked(processes, (array, inner)) as pool:
+        pending = collections.deque(pool.apply_async(_rows_text, span) for span in spans[:processes])
+        for k in range(len(spans)):
+            text = pending.popleft().get()
+            if k + processes < len(spans):
+                pending.append(pool.apply_async(_rows_text, spans[k + processes]))
+            yield ("," if k else "[") + inner
+            yield text
     yield newline + "]"
 
 

@@ -6,13 +6,17 @@ status is readable at a glance even inside a long ``pytest -v`` log.
 
 The ``weight_closed_form`` fixture is the log-Gamma oracle for the
 averaging weights, kept apart from the recursion the package computes them by.
+The ``pools`` and ``busy_at_exit`` fixtures watch the package's process pools.
 """
 
+import contextlib
 import functools
 import math
 
 import numpy as np
 import pytest
+
+import lastiter.montecarlo as mc
 
 _RESULTS = {}
 _NOTES = {}
@@ -58,6 +62,57 @@ def _weight_closed_form(seq) -> np.ndarray:
 def weight_closed_form():
     """The log-Gamma closed form of a ``WeightSequence``'s alpha_0..alpha_{T-1}."""
     return _weight_closed_form
+
+
+@pytest.fixture
+def _pool_log(monkeypatch):
+    """Watch every pool ``montecarlo._forked`` opens.
+
+    A pool terminated, or left, with a task in flight fails the test: a
+    worker killed while sending its reply would leave the pool unable to
+    shut down.
+    """
+    log = {"opened": [], "busy": []}
+    real_forked = mc._forked
+
+    @contextlib.contextmanager
+    def watched(processes, shared):
+        log["opened"].append(processes)
+        submitted = []
+        try:
+            with real_forked(processes, shared) as pool:
+                submit, terminate = pool.apply_async, pool.terminate
+
+                def apply_async(*args):
+                    submitted.append(submit(*args))
+                    return submitted[-1]
+
+                def checked_terminate():
+                    assert all(result.ready() for result in submitted), "terminated with a task in flight"
+                    terminate()
+
+                pool.apply_async, pool.terminate = apply_async, checked_terminate
+                try:
+                    yield pool
+                finally:
+                    log["busy"].append(sum(not result.ready() for result in submitted))
+        finally:
+            assert all(result.ready() for result in submitted), "left with a task in flight"
+
+    monkeypatch.setattr(mc, "_forked", watched)
+    return log
+
+
+@pytest.fixture
+def pools(_pool_log):
+    """The process counts of the pools opened, in order."""
+    return _pool_log["opened"]
+
+
+@pytest.fixture
+def busy_at_exit(_pool_log):
+    """Per pool opened, the tasks still in flight when the block using it was left."""
+    return _pool_log["busy"]
 
 
 def pytest_configure(config):

@@ -257,6 +257,17 @@ def test_run_divergence_exits_one(tmp_path, capsys, monkeypatch):
     assert "diverged at step 7" in capsys.readouterr().err
 
 
+def test_run_with_huge_finite_gaps_writes_a_complete_report(tmp_path):
+    # gaps near 1e180: their squared deviations pass the largest float
+    doc = run_config_doc(T=5, n_seeds=50, x0={"policy": "explicit", "values": [1e90, -1e90]})
+    doc["problem"] = {"generator": "least_squares", "n": 10, "d": 2, "spread": 1.0, "seed": 3}
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", write_config(tmp_path, "run.json", doc), "--out", str(out)])
+    assert code in (0, 2)
+    estimate = json.loads((out / "report.json").read_text())["estimate"]
+    assert 0 < estimate["std_error"] < estimate["ci95_upper"] < float("inf")
+
+
 def test_untyped_value_error_is_a_bug_and_propagates(tmp_path, monkeypatch):
     import lastiter.montecarlo as mc
 

@@ -1,8 +1,11 @@
 """Moment reduction, gap estimation, cell checks, and sweeps."""
 
+import contextlib
 import dataclasses
 import itertools
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,6 +43,16 @@ def test_reduce_moments_matches_numpy(size):
 def test_reduce_moments_of_a_constant_sequence_is_exact(value, size):
     # a plain sum / n misses these: sum([0.1] * 3) / 3 == 0.10000000000000002
     assert li.reduce_moments(np.full(size, value)) == (value, 0.0)
+
+
+def test_reduce_moments_of_huge_gaps_is_finite():
+    # each squared deviation is 1e360, past the largest float
+    values = [1e180, 3e180, 2e180]
+    mean, std_error = li.reduce_moments(values)
+    exact_mean = sum(map(Fraction, values)) / len(values)
+    exact_sq_error = sum((Fraction(v) - exact_mean) ** 2 for v in values) / (2 * 3)
+    assert abs(Fraction(mean) / exact_mean - 1) < 2.0**-52
+    assert abs(Fraction(std_error) ** 2 / exact_sq_error - 1) < 2.0**-50
 
 
 # -- gap estimation -------------------------------------------------------------
@@ -154,6 +167,65 @@ def test_divergence_reports_lowest_seed_for_any_worker_count():
         with pytest.raises(li.DivergenceError) as info:
             li.estimate_gap(problem, cert, config, n_seeds=60, base_seed=0, workers=workers)
         assert (info.value.seed, info.value.step) == (lowest, first_bad[lowest])
+
+
+class SlowUpperFlipPair(SignFlipPair):
+    """SignFlipPair whose gradient sleeps on blocks of two seeds.
+
+    With blocks of three seeds, five seeds split into a lower part of three
+    and an upper part of two, so the upper part is still running when the
+    lower one diverges.
+    """
+
+    def component_grads_at(self, idx, x):
+        if x.shape[0] == 2:
+            time.sleep(0.03)
+        return super().component_grads_at(idx, x)
+
+
+def flip_certificate():
+    return li.SolutionCertificate(
+        x_star=np.zeros(1), inf_f=0.0, sigma_star_sq=0.0,
+        grad_norm_residual=0.0, provenance="closed_form", tol=1e-8,
+    )
+
+
+def diverging_lower_part(config):
+    """(base seed, its first bad step): the base diverges and the next four seeds do not."""
+    first_bad = {}
+    for seed in range(100):
+        try:
+            li.sgd_run(SignFlipPair(), flip_certificate(), dataclasses.replace(config, seed=seed))
+        except li.DivergenceError as exc:
+            first_bad[seed] = exc.step
+    base = next(s for s in sorted(first_bad) if not any(s + k in first_bad for k in range(1, 5)))
+    return base, first_bad[base]
+
+
+def test_pooled_divergence_leaves_the_pool_after_its_tasks(monkeypatch, pools, busy_at_exit):
+    config = li.RunConfig(T=40, seed=0, schedule=li.ConstantStep(0.5), x0=np.array([2.0]))
+    base, step = diverging_lower_part(config)
+    monkeypatch.setattr(li.sgd, "_BLOCK_ROWS", 3)
+    with pytest.raises(li.DivergenceError) as info:
+        li.estimate_gap(SlowUpperFlipPair(), flip_certificate(), config, n_seeds=5,
+                        base_seed=base, workers=2)
+    assert (info.value.seed, info.value.step) == (base, step)
+    # the upper part was still running when the lower part's error arrived
+    assert pools == [2] and busy_at_exit == [1]
+
+
+def test_sweep_leaves_its_pool_after_a_diverging_last_cell(monkeypatch, pools, busy_at_exit):
+    config = li.RunConfig(T=40, seed=0, schedule=li.ConstantStep(0.5), x0=np.array([2.0]))
+    base, step = diverging_lower_part(config)
+    monkeypatch.setattr(li.sgd, "_BLOCK_ROWS", 3)
+    grid = ([4, 40], [config.schedule], [1])
+    rows = li.sweep([("flip", SlowUpperFlipPair(), flip_certificate(), config.x0)], *grid,
+                    n_seeds=5, base_seed=base, workers=2)
+    assert rows[-1].error == f"DivergenceError: {li.DivergenceError(step, base)}"
+    assert rows[0].error is None
+    assert pools == [2] and busy_at_exit == [1]
+    assert rows == li.sweep([("flip", SignFlipPair(), flip_certificate(), config.x0)], *grid,
+                            n_seeds=5, base_seed=base)
 
 
 def test_estimate_rejects_bad_seed_counts():
@@ -457,23 +529,13 @@ def test_sweep_satisfied_checks_every_applicable_bound(monkeypatch):
     assert row_at(report.polynomial).satisfied is True
 
 
-def test_sweep_opens_one_pool_for_all_cells(monkeypatch):
-    import lastiter.montecarlo as mc
-
-    opened = []
-    real_pool = mc._fork_pool
-
-    def counting_pool(processes, *args):
-        opened.append(processes)
-        return real_pool(processes, *args)
-
-    monkeypatch.setattr(mc, "_fork_pool", counting_pool)
+def test_sweep_opens_one_pool_for_all_cells(pools):
     problem = two_quadratics()
     cert = li.closed_form_certificate(problem)
     entries = [("twoq", problem, cert, np.array([1.0]))]
     schedule = [li.PolynomialStep(2.0, 0.5)]
     pooled = li.sweep(entries, [4, 8], schedule, [1, 2], n_seeds=6, base_seed=0, workers=2)
-    assert opened == [2]
+    assert pools == [2]
     assert pooled == li.sweep(entries, [4, 8], schedule, [1, 2], n_seeds=6, base_seed=0)
 
 
@@ -558,21 +620,22 @@ def test_pool_gets_each_problem_once_and_no_more_processes_than_tasks(monkeypatc
     import lastiter.montecarlo as mc
 
     opened, submitted = [], []
-    real_pool = mc._fork_pool
+    real_forked = mc._forked
 
-    def counting_pool(processes, *args):
-        pool = real_pool(processes, *args)
-        real_submit = pool.apply_async
+    @contextlib.contextmanager
+    def counting_pool(processes, shared):
+        with real_forked(processes, shared) as pool:
+            real_submit = pool.apply_async
 
-        def submit(*args, **kw):
-            submitted.append(args)
-            return real_submit(*args, **kw)
+            def submit(*args, **kw):
+                submitted.append(args)
+                return real_submit(*args, **kw)
 
-        pool.apply_async = submit
-        opened.append(processes)
-        return pool
+            pool.apply_async = submit
+            opened.append(processes)
+            yield pool
 
-    monkeypatch.setattr(mc, "_fork_pool", counting_pool)
+    monkeypatch.setattr(mc, "_forked", counting_pool)
     base, cert = li.make_least_squares(n=4, d=2, spread=1.0, seed=5)
     problem = PickleCountingLeastSquares(base.design, base.offsets)
     entries = [("ls", problem, cert, np.zeros(2))]

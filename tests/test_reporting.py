@@ -96,36 +96,6 @@ def test_arrays_write_as_their_lists(tmp_path, array):
         assert written(tmp_path, doc, cpus) == json_text(listed).encode("utf-8")
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """The process counts of the pools the writer opens.
-
-    A pool terminated with a task in flight fails the test: a worker killed
-    while sending its text would leave the pool unable to shut down.
-    """
-    opened = []
-    real_pool = mc._fork_pool
-
-    def counting_pool(processes, *args):
-        opened.append(processes)
-        pool = real_pool(processes, *args)
-        submitted, submit, terminate = [], pool.apply_async, pool.terminate
-
-        def apply_async(*args):
-            submitted.append(submit(*args))
-            return submitted[-1]
-
-        def checked_terminate():
-            assert all(result.ready() for result in submitted), "terminated with a task in flight"
-            terminate()
-
-        pool.apply_async, pool.terminate = apply_async, checked_terminate
-        return pool
-
-    monkeypatch.setattr(mc, "_fork_pool", counting_pool)
-    return opened
-
-
 # Each array, and the most processes the writer may fork for it (under 2: none).
 LARGE_ARRAYS = {
     "below": (np.random.default_rng(4).standard_normal((2, PER - 1)), 1),
@@ -181,7 +151,7 @@ def test_writer_in_a_pool_worker_stays_in_its_process(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     array, _ = LARGE_ARRAYS["three_rows"]
     path = tmp_path / "doc.json"
-    with mc._fork_pool(1, None, ()) as pool:
+    with mc._forked(1, None) as pool:
         pool.apply(write_in_worker, (path, array))
     assert path.read_bytes() == json_text({"a": array.tolist()}).encode("utf-8")
 
@@ -220,6 +190,17 @@ def test_problem_documents_match_json_dump(tmp_path):
                        li.make_logistic(n=7, d=2, seed=2)):
         doc = li.problem_to_doc(problem)
         assert written(tmp_path, doc) == json_text(doc).encode("utf-8")
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_saved_large_problem_matches_json_dump(tmp_path, monkeypatch, pools, cpus):
+    monkeypatch.setattr(mc, "_fork_cpus", lambda: cpus)
+    problem, _ = li.make_least_squares(n=16, d=64, spread=1.0, seed=4)
+    assert problem.design.size == BIG  # formatted on two forked processes at 3 CPUs
+    path = tmp_path / "problem.json"
+    li.save_problem(path, problem)
+    assert path.read_bytes() == json_text(li.problem_to_doc(problem)).encode("utf-8")
+    assert pools == ([2] if cpus > 1 else [])
 
 
 def check_report(tmp_path, problem):
