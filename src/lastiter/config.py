@@ -269,7 +269,8 @@ def resolve_x0(policy, problem: FiniteSumProblem, cert: SolutionCertificate) -> 
 
     Policies: {"policy": "zeros"}, {"policy": "offset", "distance": r,
     "seed": s} (x* plus r times a seeded unit direction), or
-    {"policy": "explicit", "values": [...]}.
+    {"policy": "explicit", "values": [...]}.  An offset point that leaves
+    the float range is a ConfigError.
     """
     explicit = _Field(lambda v: _list_of(_is_num)(v) and len(v) == problem.dimension,
                       f"need a list of length {problem.dimension} of finite numbers")
@@ -286,7 +287,11 @@ def resolve_x0(policy, problem: FiniteSumProblem, cert: SolutionCertificate) -> 
             direction = np.zeros(problem.dimension)
             direction[0] = 1.0
             norm = 1.0
-        return cert.x_star + (values["distance"] / norm) * direction
+        with np.errstate(over="ignore", invalid="ignore"):
+            x0 = cert.x_star + (values["distance"] / norm) * direction
+        if not np.all(np.isfinite(x0)):
+            raise ConfigError([f"x0.distance: {values['distance']!r} from x* leaves the float range"])
+        return x0
     if values["policy"] == "explicit":
         return np.asarray(values["values"], dtype=float)
     return np.zeros(problem.dimension)

@@ -16,12 +16,11 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import multiprocessing
-import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import reporting
 from .bounds import BoundReport, HypothesisError, build_bound_report, effective_constants
 # Unused here, but the benchmark tracer (perfbench/child.py) wraps these names on this module.
 from .bounds import (  # noqa: F401
@@ -55,9 +54,9 @@ def reduce_moments(values) -> tuple[float, float]:
     deviations from the first value and the spread's over the deviations
     from the mean, so they depend on the sequence alone, not on how it was
     computed or split, and a constant sequence gives its own value and a
-    standard error of exactly 0.0.  Where the squared deviations, or their
-    sum, pass the largest float, the deviations are first scaled by a power
-    of two, so huge but finite values still get a finite standard error.
+    standard error of exactly 0.0.  The deviations are scaled by the power
+    of two that brings the largest below 1 before they are squared, so huge
+    and tiny gaps alike keep their standard error.
     """
     values = np.asarray(values, dtype=float)
     n = values.size
@@ -68,17 +67,8 @@ def reduce_moments(values) -> tuple[float, float]:
     if n == 1:
         return mean, 0.0
     deviations = values - mean
-    with np.errstate(over="ignore"):
-        squares = (deviations**2).tolist()
-    try:
-        m2 = math.fsum(squares)
-    except OverflowError:  # finite squares whose sum overflows
-        m2 = math.inf
-    scale = 0
-    if m2 == math.inf:
-        # scaled by 2**-scale, the deviations are exact and below 1 in magnitude
-        scale = math.frexp(float(np.abs(deviations).max()))[1]
-        m2 = math.fsum((np.ldexp(deviations, -scale) ** 2).tolist())
+    scale = math.frexp(float(np.abs(deviations).max()))[1]
+    m2 = math.fsum((np.ldexp(deviations, -scale) ** 2).tolist())
     return mean, math.ldexp(math.sqrt(m2 / (n - 1)) / math.sqrt(n), scale)
 
 
@@ -107,59 +97,8 @@ def _final_gaps(problem, cert, template, lo: int, hi: int) -> np.ndarray:
     return np.concatenate(gaps)
 
 
-# The start method of every process pool: fork where the platform has it, so
-# the workers inherit what the pool is given to share (a job's problems, a
-# report's array) instead of receiving it pickled, whatever the default start
-# method; elsewhere (None) the platform's default.
-_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-
-
-def _fork_cpus() -> int:
-    """The processes a pool may fork: the CPUs this process may run on.
-
-    1 where the platform cannot fork, and in a daemonic process (such as a
-    pool worker), which may not have children.
-    """
-    if _START_METHOD is None or multiprocessing.current_process().daemon:
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-# What a pool worker's tasks share, set once per worker by the pool's
-# initializer (inherited under fork), so a task carries only indices into it.
-_shared = None
-
-
-def _share(shared):
-    global _shared
-    _shared = shared
-
-
-@contextlib.contextmanager
-def _forked(processes: int, shared):
-    """A pool of ``processes`` workers started with ``_START_METHOD``, each seeing ``shared``.
-
-    Every process pool is opened and left here.  Leaving it waits for the
-    tasks already submitted, also when the block raised: a worker killed
-    while it sends a reply leaves the pool unable to shut down.  Only
-    KeyboardInterrupt and SystemExit terminate the workers at once.
-    """
-    pool = multiprocessing.get_context(_START_METHOD).Pool(processes, _share, (shared,))
-    try:
-        yield pool
-    except (KeyboardInterrupt, SystemExit):
-        pool.terminate()
-        raise
-    finally:
-        pool.close()
-        pool.join()
-
-
 def _worker_gaps(entry, template, lo, hi):
-    problem, cert = _shared[entry]
+    problem, cert = reporting._shared[entry]
     return _final_gaps(problem, cert, template, lo, hi)
 
 
@@ -185,7 +124,7 @@ def _pool_job(entries, cells, workers: int):
     are submitted longest horizon first, since a cell's cost grows with T,
     and the pool has no more processes than tasks.  Per cell, the parts come
     in seed order.  Leaving the job waits for every submitted task, also
-    when a join raised (see ``_forked``).
+    when a join raised (see ``reporting._forked``).
     Yields None, and opens no pool, for one worker or fewer than
     2 * workers runs in all: such a job runs in this process.
     """
@@ -200,7 +139,7 @@ def _pool_job(entries, cells, workers: int):
     tasks = [(c, k) for c, spans in enumerate(ranges) for k in range(len(spans))]
     tasks.sort(key=lambda task: -cells[task[0]][1].T)
     parts = [[None] * len(spans) for spans in ranges]
-    with _forked(min(workers, len(tasks)), entries) as pool:
+    with reporting._forked(min(workers, len(tasks)), entries) as pool:
         for c, k in tasks:
             entry, template, _, _ = cells[c]
             parts[c][k] = pool.apply_async(_worker_gaps, (entry, template, *ranges[c][k]))
@@ -253,14 +192,15 @@ def estimate_gap(
     The template's own seed is ignored.  A diverging run aborts the whole
     estimate with the lowest diverging seed in the error.
 
-    ``workers`` worker processes run the seed blocks (see ``_pool_job``);
-    fewer than 2 * workers trajectories run in this process.  Inside a
-    ``sweep`` the cell's blocks are already running on the sweep's pool,
-    and this waits for them.  Either way the gaps are joined in seed order.
-    A pooled estimate that diverges lets its submitted blocks finish, then
-    raises the lowest diverging seed's error; Ctrl-C stops the workers at once.
-    Full-batch runs (b = n) consume no randomness, so one trajectory stands
-    for every seed.  Results are bitwise independent of ``workers``.
+    ``workers`` worker processes of a ``reporting._forked`` pool run the
+    seed blocks (see ``_pool_job``); fewer than 2 * workers trajectories
+    run in this process.  Inside a ``sweep`` the cell's blocks are already
+    running on the sweep's pool, and this waits for them.  Either way the
+    gaps are joined in seed order.  A pooled estimate that diverges lets
+    its submitted blocks finish, then raises the lowest diverging seed's
+    error; Ctrl-C stops the workers at once.  Full-batch runs (b = n)
+    consume no randomness, so one trajectory stands for every seed.
+    Results are bitwise independent of ``workers``.
     """
     n_seeds = int(n_seeds)
     if n_seeds < 1:

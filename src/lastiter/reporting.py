@@ -14,6 +14,7 @@ import datetime
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -53,9 +54,9 @@ def write_json(path, doc):
     formatted by outer rows on forked processes, one per usable CPU but no
     more than one per ``_PROCESS_ENTRIES`` entries, and written in row
     order, so the bytes do not depend on the process count.  Where the
-    platform cannot fork, it is formatted in this process.  The pool is the
-    Monte Carlo job's (``montecarlo._forked``): a write that fails lets the
-    rows in flight finish, then raises; Ctrl-C stops the workers at once.
+    platform cannot fork, it is formatted in this process.  The pool is a
+    ``_forked`` one: a write that fails lets the rows in flight finish,
+    then raises; Ctrl-C stops the workers at once.
     The text goes to a temporary file beside ``path`` that replaces ``path``
     once it is complete, so an error leaves no partial file.
     """
@@ -105,6 +106,57 @@ def _pieces(value, newline: str, fork: bool = False):
         yield _encode(value)
 
 
+# The start method of every process pool: fork where the platform has it, so
+# the workers inherit what the pool is given to share (a job's problems, a
+# report's array) instead of receiving it pickled, whatever the default start
+# method; elsewhere (None) the platform's default.
+_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+
+
+def _fork_cpus() -> int:
+    """The processes a pool may fork: the CPUs this process may run on.
+
+    1 where the platform cannot fork, and in a daemonic process (such as a
+    pool worker), which may not have children.
+    """
+    if _START_METHOD is None or multiprocessing.current_process().daemon:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# What a pool worker's tasks share, set once per worker by the pool's
+# initializer (inherited under fork), so a task carries only indices into it.
+_shared = None
+
+
+def _share(shared):
+    global _shared
+    _shared = shared
+
+
+@contextlib.contextmanager
+def _forked(processes: int, shared):
+    """A pool of ``processes`` workers started with ``_START_METHOD``, each seeing ``shared``.
+
+    Every process pool is opened and left here.  Leaving it waits for the
+    tasks already submitted, also when the block raised: a worker killed
+    while it sends a reply leaves the pool unable to shut down.  Only
+    KeyboardInterrupt and SystemExit terminate the workers at once.
+    """
+    pool = multiprocessing.get_context(_START_METHOD).Pool(processes, _share, (shared,))
+    try:
+        yield pool
+    except (KeyboardInterrupt, SystemExit):
+        pool.terminate()
+        raise
+    finally:
+        pool.close()
+        pool.join()
+
+
 # Entries a writer task formats at the least: a task's round trip to a pool
 # worker costs about 0.3 ms, 3 % of formatting this many floats.
 _TASK_ENTRIES = 1 << 13
@@ -112,8 +164,6 @@ _TASK_ENTRIES = 1 << 13
 
 def _rows_text(lo: int, hi: int) -> str:
     """The text of rows lo .. hi - 1 of the pool's (array, indent), with the separators between them."""
-    from .montecarlo import _shared
-
     array, inner = _shared
     return ("," + inner).join("".join(_pieces(row, inner)) for row in array[lo:hi])
 
@@ -127,10 +177,8 @@ def _forked_rows(array, newline: str):
     platform cannot fork, the array is formatted in this process.  At most
     one task per process is in flight, and the texts are yielded in row
     order as they arrive.  A write that fails or stops reading leaves the
-    pool (``montecarlo._forked``) once the tasks in flight have finished.
+    pool (``_forked``) once the tasks in flight have finished.
     """
-    from .montecarlo import _fork_cpus, _forked  # montecarlo imports this module
-
     inner, n = newline + " ", len(array)
     step = max(1, _TASK_ENTRIES // array[0].size)
     spans = [(lo, min(lo + step, n)) for lo in range(0, n, step)]

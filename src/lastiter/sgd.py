@@ -285,24 +285,24 @@ def _block_rows(problem: FiniteSumProblem, b: int, T: int) -> int:
     return max(1, rows)
 
 
-def _run(problem: FiniteSumProblem, config: RunConfig, seeds, record=None):
+def _run(problem: FiniteSumProblem, config: RunConfig, seeds, observe=None):
     """Run one trajectory per seed in lockstep; returns (gamma, final iterates (S, d)).
 
-    ``config.seed`` is ignored in favour of ``seeds``.  ``record(t, X)``, if
-    given, sees the iterates at t = 0, at every record stride and at T.  A
-    block that diverges raises DivergenceError for its lowest diverging
-    seed at that seed's first bad step, as seed-by-seed runs would.
+    ``config.seed`` is ignored in favour of ``seeds``.  ``observe(t, X)``, if
+    given, sees the iterates at t = 0 and after every step t = 1 .. T; after
+    a row diverges, X keeps only the rows before it.  A block that
+    diverges raises DivergenceError for its lowest diverging seed at that
+    seed's first bad step, as seed-by-seed runs would.
     """
     b = config.batch_size
     L_b = problem.batch_smoothness(b)  # raises for an undefined sampling mode
     x0 = problem.check_point(config.x0)
     T = config.T
     gamma = resolve_schedule(config.schedule, L_b, T)
-    stride = config.record_stride if config.record_stride > 0 else max(1, T // 100)
     seeds = list(seeds)
     X = np.tile(x0, (len(seeds), 1))
-    if record is not None:
-        record(0, X)
+    if observe is not None:
+        observe(0, X)
     draw = _sampler(problem, b)
     rngs, chunk, idx, diverged = [], None, None, None
     if _takes_pass(problem, len(seeds), b, T):
@@ -333,22 +333,24 @@ def _run(problem: FiniteSumProblem, config: RunConfig, seeds, record=None):
                 if first == 0:
                     raise diverged
                 X, rngs = X[:first], rngs[:first]
-            if record is not None and t != T and t % stride == 0:
-                record(t, X)
+            if observe is not None:
+                observe(t, X)
     if diverged is not None:
         raise diverged
-    if record is not None:
-        record(T, X)
     return gamma, X
 
 
 def _trajectory(problem: FiniteSumProblem, cert: SolutionCertificate, config: RunConfig) -> Trajectory:
+    """One seed's run, its gap recorded at t = 0, at every record stride and at T."""
+    T = config.T
+    stride = config.record_stride or max(1, T // 100)
     records = []
 
-    def record(t, X):
-        records.append(StepRecord(t=t, gap=float(problem.value(X[0]) - cert.inf_f)))
+    def observe(t, X):
+        if t % stride == 0 or t == T:
+            records.append(StepRecord(t=t, gap=float(problem.value(X[0]) - cert.inf_f)))
 
-    gamma, X = _run(problem, config, (config.seed,), record)
+    gamma, X = _run(problem, config, (config.seed,), observe)
     return Trajectory(
         records=tuple(records),
         final_iterate=X[0].copy(),

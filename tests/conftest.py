@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-import lastiter.montecarlo as mc
+import lastiter.reporting as reporting
 
 _RESULTS = {}
 _NOTES = {}
@@ -66,14 +66,14 @@ def weight_closed_form():
 
 @pytest.fixture
 def _pool_log(monkeypatch):
-    """Watch every pool ``montecarlo._forked`` opens.
+    """Watch every pool ``reporting._forked`` opens.
 
     A pool terminated, or left, with a task in flight fails the test: a
     worker killed while sending its reply would leave the pool unable to
     shut down.
     """
     log = {"opened": [], "busy": []}
-    real_forked = mc._forked
+    real_forked = reporting._forked
 
     @contextlib.contextmanager
     def watched(processes, shared):
@@ -99,7 +99,7 @@ def _pool_log(monkeypatch):
         finally:
             assert all(result.ready() for result in submitted), "left with a task in flight"
 
-    monkeypatch.setattr(mc, "_forked", watched)
+    monkeypatch.setattr(reporting, "_forked", watched)
     return log
 
 

@@ -1,5 +1,6 @@
 """The public surface: one declaration per module, re-exported whole by the package."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -135,3 +136,39 @@ def test_verify_lemmas_imports_no_numpy_ma(tmp_path):
         str(config), str(tmp_path / "out"),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def package_imports():
+    """{module: modules of the package it imports}, from every relative import at any depth."""
+    package = ROOT / "src" / "lastiter"
+    modules = {path.stem for path in package.glob("*.py")}
+    graph = {}
+    for name in modules:
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        targets = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+                targets.update(n.split(".")[0] for n in names if n.split(".")[0] in modules)
+        graph[name] = targets
+    return graph
+
+
+def test_package_imports_point_down():
+    """No module imports, directly or through others, a module that imports it."""
+    graph = package_imports()
+    assert graph["montecarlo"] >= {"reporting", "sgd"}
+    done, path = set(), []
+
+    def visit(name):
+        assert name not in path, " -> ".join(path[path.index(name):] + [name])
+        if name in done:
+            return
+        path.append(name)
+        for target in sorted(graph[name]):
+            visit(target)
+        path.pop()
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name)

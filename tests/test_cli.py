@@ -206,6 +206,17 @@ def test_integer_beyond_the_float_range_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_offset_x0_past_the_float_range_is_a_config_error(tmp_path, capsys):
+    doc = run_config_doc(x0={"policy": "offset", "distance": 1.7e308, "seed": 1})
+    doc["problem"].update(n=10, seed=3)
+    config = write_config(tmp_path, "far.json", doc)
+    code = cli.main(["run", "--config", config, "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "run.x0.distance: 1.7e+308 from x* leaves the float range" in err
+    assert "Traceback" not in err
+
+
 def test_run_refuses_a_file_with_a_forged_certificate(tmp_path, capsys):
     """A certificate comes from the arrays: a file that carries its own is refused, not trusted."""
     problem, cert = li.make_least_squares(n=10, d=2, spread=1.0, seed=101)
@@ -335,7 +346,7 @@ def test_run_forks_its_pools_whatever_the_start_method(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     # two workers for the estimate, and two for the writer where two CPUs are usable
-    assert proc.stderr.count("forked") == 2 + (2 if li.montecarlo._fork_cpus() > 1 else 0)
+    assert proc.stderr.count("forked") == 2 + (2 if li.reporting._fork_cpus() > 1 else 0)
     assert (tmp_path / "spawn" / "report.json").read_bytes() == \
         (tmp_path / "here" / "report.json").read_bytes()
 

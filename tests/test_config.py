@@ -282,6 +282,17 @@ def test_resolve_x0_explicit_and_errors():
         li.resolve_x0({}, problem, cert)
 
 
+def test_offset_x0_past_the_float_range_is_a_config_error():
+    policy = {"policy": "offset", "distance": 1.7e308, "seed": 1}
+    problem = {"generator": "least_squares", "n": 10, "d": 2, "seed": 3}
+    with pytest.raises(li.ConfigError) as info:
+        li.load_run_plan({**run_doc(x0=policy), "problem": problem})
+    assert info.value.errors == ["run.x0.distance: 1.7e+308 from x* leaves the float range"]
+    with pytest.raises(li.ConfigError) as info:
+        li.load_sweep_plan({**sweep_doc(x0=policy), "problems": [problem]})
+    assert info.value.errors == ["sweep.x0.distance: 1.7e+308 from x* leaves the float range"]
+
+
 # -- run plans --------------------------------------------------------------------
 
 

@@ -55,6 +55,16 @@ def test_reduce_moments_of_huge_gaps_is_finite():
     assert abs(Fraction(std_error) ** 2 / exact_sq_error - 1) < 2.0**-50
 
 
+def test_reduce_moments_of_tiny_gaps_keeps_its_spread():
+    # each squared deviation is 1e-400, below the smallest float
+    values = [1e-200, 3e-200]
+    mean, std_error = li.reduce_moments(values)
+    assert mean == 2e-200
+    exact_sq_error = sum((Fraction(v) - Fraction(mean)) ** 2 for v in values) / 2
+    assert std_error > 0.0
+    assert abs(Fraction(std_error) ** 2 / exact_sq_error - 1) < 2.0**-50
+
+
 # -- gap estimation -------------------------------------------------------------
 
 
@@ -543,21 +553,21 @@ def test_pools_fork_where_the_platform_can(monkeypatch):
     import multiprocessing
     import os
 
-    import lastiter.montecarlo as mc
+    import lastiter.reporting as reporting
 
     can_fork = "fork" in multiprocessing.get_all_start_methods()
-    assert mc._START_METHOD == ("fork" if can_fork else None)
+    assert reporting._START_METHOD == ("fork" if can_fork else None)
     if can_fork and hasattr(os, "sched_getaffinity"):
-        assert mc._fork_cpus() == len(os.sched_getaffinity(0))
+        assert reporting._fork_cpus() == len(os.sched_getaffinity(0))
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert mc._fork_cpus() == (3 if can_fork else 1)
+    assert reporting._fork_cpus() == (3 if can_fork else 1)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert mc._fork_cpus() == 1
+    assert reporting._fork_cpus() == 1
     # where the platform cannot fork: no forked writer, and pools of the default start method
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(mc, "_START_METHOD", None)
-    assert mc._fork_cpus() == 1
+    monkeypatch.setattr(reporting, "_START_METHOD", None)
+    assert reporting._fork_cpus() == 1
     methods, real_context = [], multiprocessing.get_context
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method=None: methods.append(method) or real_context(method))
@@ -617,10 +627,10 @@ class PickleCountingLeastSquares(li.LeastSquaresProblem):
 
 
 def test_pool_gets_each_problem_once_and_no_more_processes_than_tasks(monkeypatch):
-    import lastiter.montecarlo as mc
+    import lastiter.reporting as reporting
 
     opened, submitted = [], []
-    real_forked = mc._forked
+    real_forked = reporting._forked
 
     @contextlib.contextmanager
     def counting_pool(processes, shared):
@@ -635,7 +645,7 @@ def test_pool_gets_each_problem_once_and_no_more_processes_than_tasks(monkeypatc
             opened.append(processes)
             yield pool
 
-    monkeypatch.setattr(mc, "_forked", counting_pool)
+    monkeypatch.setattr(reporting, "_forked", counting_pool)
     base, cert = li.make_least_squares(n=4, d=2, spread=1.0, seed=5)
     problem = PickleCountingLeastSquares(base.design, base.offsets)
     entries = [("ls", problem, cert, np.zeros(2))]

@@ -8,7 +8,6 @@ import pytest
 
 import lastiter as li
 import lastiter.cli as cli
-import lastiter.montecarlo as mc
 import lastiter.reporting as reporting
 from lastiter.reporting import write_json
 
@@ -26,7 +25,7 @@ def written(tmp_path, doc, cpus=None) -> bytes:
     path = tmp_path / "doc.json"
     with pytest.MonkeyPatch.context() as patch:
         if cpus is not None:
-            patch.setattr(mc, "_fork_cpus", lambda: cpus)
+            patch.setattr(reporting, "_fork_cpus", lambda: cpus)
         write_json(path, doc)
     return path.read_bytes()
 
@@ -125,7 +124,7 @@ def test_large_arrays_match_at_every_cpu_count(tmp_path, pools, name):
 
 
 def test_writer_stays_in_this_process_where_it_cannot_fork(tmp_path, monkeypatch, pools):
-    monkeypatch.setattr(mc, "_START_METHOD", None)
+    monkeypatch.setattr(reporting, "_START_METHOD", None)
     array, _ = LARGE_ARRAYS["three_rows"]
     assert written(tmp_path, {"a": array}) == json_text({"a": array.tolist()}).encode("utf-8")
     assert pools == []
@@ -144,21 +143,21 @@ def write_in_worker(path, array):
     write_json(path, {"a": array})
 
 
-@pytest.mark.skipif(mc._START_METHOD is None, reason="the platform cannot fork")
+@pytest.mark.skipif(reporting._START_METHOD is None, reason="the platform cannot fork")
 def test_writer_in_a_pool_worker_stays_in_its_process(tmp_path, monkeypatch):
     # the worker sees three CPUs, but a daemonic process may not fork
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     array, _ = LARGE_ARRAYS["three_rows"]
     path = tmp_path / "doc.json"
-    with mc._forked(1, None) as pool:
+    with reporting._forked(1, None) as pool:
         pool.apply(write_in_worker, (path, array))
     assert path.read_bytes() == json_text({"a": array.tolist()}).encode("utf-8")
 
 
 @pytest.mark.parametrize("cpus", CPUS)
 def test_failed_write_leaves_the_previous_file_and_no_temporary(tmp_path, monkeypatch, pools, cpus):
-    monkeypatch.setattr(mc, "_fork_cpus", lambda: cpus)
+    monkeypatch.setattr(reporting, "_fork_cpus", lambda: cpus)
     bad = np.zeros((4, BIG // 4))
     bad[2, 7] = np.nan  # in the third task, formatted by a pool worker when cpus > 1
     with pytest.raises(ValueError) as expected:
@@ -194,7 +193,7 @@ def test_problem_documents_match_json_dump(tmp_path):
 
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_saved_large_problem_matches_json_dump(tmp_path, monkeypatch, pools, cpus):
-    monkeypatch.setattr(mc, "_fork_cpus", lambda: cpus)
+    monkeypatch.setattr(reporting, "_fork_cpus", lambda: cpus)
     problem, _ = li.make_least_squares(n=16, d=64, spread=1.0, seed=4)
     assert problem.design.size == BIG  # formatted on two forked processes at 3 CPUs
     path = tmp_path / "problem.json"
@@ -227,7 +226,7 @@ def test_report_document_matches_json_dump(tmp_path):
 
 
 def test_large_report_document_matches_json_dump(tmp_path, monkeypatch, pools):
-    monkeypatch.setattr(mc, "_fork_cpus", lambda: 3)
+    monkeypatch.setattr(reporting, "_fork_cpus", lambda: 3)
     n, d = 16, 64
     assert n * d * d == BIG  # the design is formatted on two forked processes
     doc = check_report(tmp_path, {"generator": "least_squares", "n": n, "d": d, "spread": 1.0,

@@ -56,6 +56,17 @@ def test_record_stride_auto():
     assert 50 <= len(ts) <= 120
 
 
+def test_engine_observes_every_step_whatever_the_record_stride():
+    problem, _ = li.make_least_squares(n=5, d=2, spread=1.0, seed=5)
+    config = li.RunConfig(T=30, seed=0, schedule=li.PolynomialStep(2.0, 0.5), x0=np.ones(2),
+                          record_stride=7)
+    seen = []
+    _, X = sgd._run(problem, config, (3, 4), lambda t, X: seen.append((t, X.copy())))
+    assert [t for t, _ in seen] == list(range(config.T + 1))
+    assert np.array_equal(seen[0][1], np.ones((2, 2)))
+    assert np.array_equal(seen[-1][1], X)
+
+
 def test_run_purity():
     problem, cert = li.make_least_squares(n=5, d=2, spread=1.0, seed=5)
     x0 = np.array([1.0, -1.0])
