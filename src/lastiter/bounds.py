@@ -59,7 +59,11 @@ def _require(condition: bool, message: str):
 
 
 def _as_horizon(T, minimum: int) -> int:
-    t = int(T)
+    try:
+        t = int(T)
+        float(t)
+    except OverflowError:
+        raise HypothesisError("T must fit the float range") from None
     _require(t == T, f"T must be an integer, got {T!r}")
     _require(t >= minimum, f"T must be >= {minimum}, got {t}")
     return t

@@ -22,6 +22,7 @@ import numpy as np
 
 from .lemmas import LEMMA_GRIDS, _sorted_unique, check_grid
 from .problems import (
+    MEMORY_BUDGET_ENTRIES,
     CertificationError,
     FiniteSumProblem,
     GenerationError,
@@ -88,6 +89,11 @@ def _at_least(lowest: int) -> Callable:
     return lambda value: _is_int(value) and value >= lowest
 
 
+def _horizon(value) -> bool:
+    """An integer T >= 3, the floor of the bound comparison, that fits the float range."""
+    return _at_least(3)(value) and _is_num(value)
+
+
 def _list_of(check: Callable) -> Callable:
     return lambda value: isinstance(value, list) and bool(value) and all(map(check, value))
 
@@ -137,11 +143,11 @@ _SCHEDULES = {"constant": {"gamma": _NUMBER}, "polynomial": {"C": _NUMBER, "beta
 _SEED_FIELDS = {"n_seeds": _POSITIVE_INT,
                 "base_seed": _Field(_at_least(0), "must be a nonnegative integer", 0)}
 _RUN_FIELDS = {
-    "T": _Field(_at_least(3), "bound comparison requires an integer T >= 3"), **_SEED_FIELDS,
+    "T": _Field(_horizon, "bound comparison requires an integer T >= 3 that fits a float"), **_SEED_FIELDS,
     "batch_size": _POSITIVE_INT._replace(default=1), "schedule": _ANY, "x0": _X0,
 }
 _SWEEP_FIELDS = {
-    "T_grid": _Field(_list_of(_at_least(3)), "must be a nonempty list of integers >= 3"),
+    "T_grid": _Field(_list_of(_horizon), "must be a nonempty list of integers >= 3 that fit a float"),
     "schedules": _Field(_list_of(_ANY.check), "must be a nonempty list of schedule objects"),
     "b_grid": _Field(_list_of(_at_least(1)), "must be a nonempty list of integers >= 1", [1]),
     **_SEED_FIELDS, "x0": _X0,
@@ -473,17 +479,49 @@ class LemmaPlan:
     grids: dict
 
 
+# Arrays of the battery whose size a lemma config sets, as the keys whose
+# sizes multiply into it: each grid alone, the two two-grid checks, and the
+# (points x eps) and (gamma L x pairs) slack tables.
+_LEMMA_ARRAYS = ([(key,) for key in LEMMA_GRIDS if key != "point_radius"] + [
+    ("exponent_t_grid", "exponent_theta_grid"), ("gautschi_x_grid", "gautschi_c_grid"),
+    ("n_points", "eps_grid"), ("gamma_l_grid", "n_pairs"),
+])
+
+
+def _declared_size(value) -> int:
+    """Entries a lemma count, grid list or grid object asks for (at most, for a log-int grid)."""
+    if isinstance(value, list):
+        return len(value)
+    if isinstance(value, dict):
+        value = value.get("count")
+    return value if _is_int(value) and value > 0 else 1
+
+
+def _over_budget(label: str, sizes: list, errors: list) -> bool:
+    """Add a ``{label}: ...`` error if the product of ``sizes`` exceeds MEMORY_BUDGET_ENTRIES."""
+    if math.prod(sizes) <= MEMORY_BUDGET_ENTRIES:
+        return False
+    errors.append(f"{label}: asks for an array over the {MEMORY_BUDGET_ENTRIES}-entry memory budget")
+    return True
+
+
 def _check_lemmas(lemma_doc, errors: list) -> dict | None:
     """A lemma section's values over the defaults, each key of LEMMA_GRIDS resolved and held to its domain.
 
-    Adds ``lemmas...`` errors and leaves out every value that breaks its rule;
+    Adds ``lemmas...`` errors and leaves out every value that breaks its rule,
+    and every grid of an array over the memory budget, before it is built;
     returns None for a non-object.
     """
     merged = _check_object(lemma_doc, _LEMMA_FIELDS, "lemmas", errors)
     if merged is None:
         return None
+    for keys in _LEMMA_ARRAYS:
+        if all(key in merged for key in keys) and _over_budget(
+                "lemmas." + " with ".join(keys), [_declared_size(merged[key]) for key in keys], errors):
+            for key in keys:
+                merged.pop(key)
     for key in LEMMA_GRIDS:
-        if key not in merged:  # broke its field rule
+        if key not in merged:  # broke its field rule or the memory budget
             continue
         value = merged.pop(key)
         try:
@@ -505,6 +543,12 @@ def load_lemma_plan(source=None) -> LemmaPlan:
     grids = _check_lemmas(sections["lemmas"], errors)
     problems_spec = grids.pop("problems", [])
     entries = _check_entries(problems_spec, None, "lemmas", errors)
+    for i, (_, problem, _, _) in enumerate(entries):
+        # each problem's point cloud (with a split slack per point and component) and pair cloud
+        for key, sizes in (("n_points", [max(problem.dimension, problem.n + 1)]),
+                           ("n_pairs", [2, problem.dimension])):
+            if key in grids:
+                _over_budget(f"lemmas.{key} at problem[{i}]", [grids[key], *sizes], errors)
     if errors:
         raise ConfigError(errors)
     if "problems" in sections["lemmas"]:

@@ -14,6 +14,7 @@ exactly rounded sums over that sequence, so the estimate is too.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, fields
@@ -112,7 +113,7 @@ def _split(lo: int, hi: int, unit: int, pieces: int) -> list:
 
 @contextlib.contextmanager
 def _pool_job(entries, cells, workers: int):
-    """Submit every cell's seed ranges to one pool; yield each cell's pending parts.
+    """Submit every cell's seed ranges to one pool; yield one gaps function per cell.
 
     ``cells`` holds one (entry, template, lo, hi) per cell, where ``entry``
     indexes the (problem, cert) pairs of ``entries`` and lo .. hi - 1 are the
@@ -122,14 +123,16 @@ def _pool_job(entries, cells, workers: int):
     task costs a round trip to a worker.  A job with fewer blocks than
     workers instead splits each cell's seeds into ``workers`` ranges.  Tasks
     are submitted longest horizon first, since a cell's cost grows with T,
-    and the pool has no more processes than tasks.  Per cell, the parts come
-    in seed order.  Leaving the job waits for every submitted task, also
-    when a join raised (see ``reporting._forked``).
-    Yields None, and opens no pool, for one worker or fewer than
-    2 * workers runs in all: such a job runs in this process.
+    and the pool has no more processes than tasks.  A cell's function takes
+    no argument and joins its parts in seed order: the first part that
+    failed raises its error, whichever block finished first.  Leaving the
+    job waits for every submitted task, also when a join raised (see
+    ``reporting._forked``).  For one worker or fewer than 2 * workers runs
+    in all, no pool opens: each function is the cell's ``_final_gaps``.
     """
     if workers < 2 or sum(hi - lo for _, _, lo, hi in cells) < 2 * workers:
-        yield None
+        yield [functools.partial(_final_gaps, *entries[entry], template, lo, hi)
+               for entry, template, lo, hi in cells]
         return
     units = [_block_rows(entries[entry][0], template.batch_size, template.T)
              for entry, template, _, _ in cells]
@@ -143,20 +146,18 @@ def _pool_job(entries, cells, workers: int):
         for c, k in tasks:
             entry, template, _, _ = cells[c]
             parts[c][k] = pool.apply_async(_worker_gaps, (entry, template, *ranges[c][k]))
-        yield parts
+        yield [lambda pending=pending: np.concatenate([part.get() for part in pending])
+               for pending in parts]
 
 
-def _join(parts) -> np.ndarray:
-    """One cell's gaps from its pending parts, waited for in seed order.
-
-    The first part that failed raises its error, so a cell reports the
-    divergence of its lowest block whichever block finished first.
-    """
-    return np.concatenate([pending.get() for pending in parts])
+def _cell(entry: int, problem, template: RunConfig, n_seeds: int, base_seed: int) -> tuple:
+    """A cell's (entry, template, lo, hi); a full-batch run (b = n) draws no randomness, so runs one seed."""
+    runs = 1 if template.batch_size == problem.n else n_seeds
+    return entry, template, base_seed, base_seed + runs
 
 
-# Cells a sweep has submitted to its pool, by _cell_key: estimate_gap takes
-# a cell's pending parts from here instead of simulating the cell itself.
+# The gaps functions of a sweep's cells, by _cell_key: estimate_gap calls a
+# cell's function from here instead of starting a job of its own.
 _submitted: dict = {}
 
 
@@ -192,35 +193,25 @@ def estimate_gap(
     The template's own seed is ignored.  A diverging run aborts the whole
     estimate with the lowest diverging seed in the error.
 
-    ``workers`` worker processes of a ``reporting._forked`` pool run the
-    seed blocks (see ``_pool_job``); fewer than 2 * workers trajectories
-    run in this process.  Inside a ``sweep`` the cell's blocks are already
-    running on the sweep's pool, and this waits for them.  Either way the
-    gaps are joined in seed order.  A pooled estimate that diverges lets
-    its submitted blocks finish, then raises the lowest diverging seed's
-    error; Ctrl-C stops the workers at once.  Full-batch runs (b = n)
-    consume no randomness, so one trajectory stands for every seed.
-    Results are bitwise independent of ``workers``.
+    The gaps come from one call of the cell's gaps function: inside a
+    ``sweep``, the one the sweep registered for the cell, else that of a
+    one-cell ``_pool_job`` on ``workers`` worker processes (fewer than
+    2 * workers trajectories run in this process).  Either way they come in
+    seed order.  A pooled estimate that diverges lets its submitted blocks
+    finish, then raises the lowest diverging seed's error; Ctrl-C stops the
+    workers at once.  A full-batch run's one trajectory stands for every
+    seed (see ``_cell``).  Results are bitwise independent of ``workers``.
     """
     n_seeds = int(n_seeds)
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     base_seed = check_seed(base_seed)
     check_seed(base_seed + n_seeds - 1)
-    full_batch = template.batch_size == problem.n
-    runs = 1 if full_batch else n_seeds
     submitted = _submitted.get(_cell_key(problem, cert, template, n_seeds, base_seed))
-    if submitted is not None:
-        values = _join(submitted)
-    else:
-        cell = (0, template, base_seed, base_seed + runs)
-        with _pool_job([(problem, cert)], [cell], int(workers)) as parts:
-            if parts is None:
-                values = _final_gaps(problem, cert, template, base_seed, base_seed + runs)
-            else:
-                values = _join(parts[0])
-    if full_batch:
-        values = np.full(n_seeds, values[0])
+    job = (contextlib.nullcontext([submitted]) if submitted is not None else
+           _pool_job([(problem, cert)], [_cell(0, problem, template, n_seeds, base_seed)], int(workers)))
+    with job as (gaps,):
+        values = np.resize(gaps(), n_seeds)  # repeats a full-batch cell's one gap
     mean, std_error = reduce_moments(values)
     return MonteCarloEstimate(
         n_seeds=n_seeds,
@@ -243,6 +234,15 @@ class CellCheck:
     satisfied: bool
 
 
+def _bound_half(problem, cert, x0, T: int, schedule, b: int) -> tuple[BoundReport, float, RunConfig]:
+    """A cell's bound report (constants at b, D^2), tightest bound and run template, or its typed error."""
+    x0 = problem.check_point(x0)
+    effective = effective_constants(problem, b, cert)
+    d_sq = float(np.sum((x0 - cert.x_star) ** 2))
+    bounds = build_bound_report(schedule, effective.L_b, d_sq, effective.sigma_b_sq, T)
+    return bounds, float(bounds.tightest()), RunConfig(T=T, seed=0, schedule=schedule, x0=x0, batch_size=b)
+
+
 def check_cell(
     problem: FiniteSumProblem,
     cert: SolutionCertificate,
@@ -257,22 +257,18 @@ def check_cell(
     """Estimate the gap of one (problem, x0, T, schedule, b) cell and check it.
 
     The bounds take the constants for batch size b (``effective_constants``)
-    and D^2 = ||x0 - x*||^2; the cell is satisfied when ci95_upper is at most
-    the tightest applicable bound.  slack_ratio is bound / ci95_upper, or None
-    when that is not a finite positive number (ci95_upper <= 0, as rounding
-    noise on a converged run can give).
+    and D^2 = ||x0 - x*||^2 (see ``_bound_half``); the cell is satisfied when
+    ci95_upper is at most the tightest applicable bound.  slack_ratio is
+    bound / ci95_upper, or None when that is not a finite positive number
+    (ci95_upper <= 0, as rounding noise on a converged run can give).  A
+    cell whose bounds fail raises before it is simulated.
 
     Raises:
         HypothesisError: an applicable bound is not finite.
         ScheduleError, UnsupportedSamplingError, DivergenceError: from the
             bounds or the estimate.
     """
-    x0 = problem.check_point(x0)
-    effective = effective_constants(problem, b, cert)
-    d_sq = float(np.sum((x0 - cert.x_star) ** 2))
-    bounds = build_bound_report(schedule, effective.L_b, d_sq, effective.sigma_b_sq, T)
-    bound_value = float(bounds.tightest())
-    template = RunConfig(T=T, seed=0, schedule=schedule, x0=x0, batch_size=b)
+    bounds, bound_value, template = _bound_half(problem, cert, x0, T, schedule, b)
     estimate = estimate_gap(problem, cert, template, n_seeds, base_seed, workers=workers)
     ratio = bound_value / estimate.ci95_upper if estimate.ci95_upper > 0 else math.nan
     return CellCheck(
@@ -333,12 +329,15 @@ def sweep(
             up front, longest horizon first, and each cell's gaps are
             joined in seed order, so the rows do not depend on ``workers``.
 
-    Each cell is one ``check_cell``, in grid order, at the step size and
-    bound constants for its batch size b; its ``estimate_gap`` waits for the
-    cell's blocks on the pool.  A cell that fails with a domain error
-    (invalid schedule, undefined sampling, divergence, violated hypothesis,
-    non-finite bound) does not abort the sweep; its row carries the error
-    message and empty numeric fields.  Any other exception propagates.
+    A pre-pass evaluates every cell's bounds (``_bound_half``) and submits
+    each distinct cell whose bounds hold to one ``_pool_job``; no other cell
+    is simulated.  Each cell is one ``check_cell``, in grid order, at the
+    step size and bound constants for its batch size b; its ``estimate_gap``
+    calls the gaps function the sweep registered for it.  A cell that fails
+    with a domain error (invalid schedule, undefined sampling, divergence,
+    violated hypothesis, non-finite bound) does not abort the sweep; its row
+    carries the error message and empty numeric fields.  Any other exception
+    propagates.
     """
     workers, n_seeds = max(1, int(workers)), int(n_seeds)
     grid = [(entry, int(T), schedule, int(b)) for entry, T, schedule, b
@@ -347,16 +346,15 @@ def sweep(
     for entry, T, schedule, b in grid:
         _, problem, cert, x0 = problem_entries[entry]
         try:
-            template = RunConfig(T=T, seed=0, schedule=schedule, x0=problem.check_point(x0), batch_size=b)
-        except ValueError:
-            continue  # the cell's check_cell raises this again, before estimate_gap
-        runs = 1 if b == problem.n else n_seeds
+            template = _bound_half(problem, cert, x0, T, schedule, b)[2]
+        except _CELL_ERRORS:
+            continue  # the cell's check_cell raises this again and makes it the row
         cells.setdefault(_cell_key(problem, cert, template, n_seeds, base_seed),
-                         (entry, template, base_seed, base_seed + runs))
+                         _cell(entry, problem, template, n_seeds, base_seed))
     entries = [(problem, cert) for _, problem, cert, _ in problem_entries]
     rows = []
-    with _pool_job(entries, list(cells.values()), workers) as parts:
-        _submitted.update(zip(cells, parts or ()))
+    with _pool_job(entries, list(cells.values()), workers) as gaps:
+        _submitted.update(zip(cells, gaps))
         try:
             for entry, T, schedule, b in grid:
                 problem_id, problem, cert, x0 = problem_entries[entry]

@@ -133,10 +133,14 @@ def resolve_schedule(schedule: StepSizeSchedule, L: float, T: int) -> float:
         raise ScheduleError(f"smoothness constant must be positive, got {L!r}")
     if int(T) < 1:
         raise ScheduleError(f"horizon must be >= 1, got {T!r}")
+    try:
+        horizon = float(T)
+    except OverflowError:
+        raise ScheduleError("horizon must fit the float range") from None
     if isinstance(schedule, ConstantStep):
         gamma = schedule.gamma
     elif isinstance(schedule, PolynomialStep):
-        gamma = 1.0 / (schedule.C * L * float(T) ** schedule.beta)
+        gamma = 1.0 / (schedule.C * L * horizon ** schedule.beta)
     else:
         raise ScheduleError(f"unknown schedule {schedule!r}")
     gl = gamma * L

@@ -314,3 +314,11 @@ def test_corollaries_dominate_generic_on_grid():
         assert report.generic <= report.polynomial * (1 + 1e-12)
         if report.sqrt_general is not None:
             assert report.generic <= report.sqrt_general * (1 + 1e-12)
+
+
+def test_horizon_past_the_float_range_is_a_hypothesis_error():
+    for schedule in (li.ConstantStep(0.1), li.PolynomialStep(2.0, 0.5)):
+        with pytest.raises(li.HypothesisError, match="T must fit the float range"):
+            li.build_bound_report(schedule, 1.0, 1.0, 0.0, 10**400)
+    with pytest.raises(li.HypothesisError, match="T must fit the float range"):
+        li.last_iterate_bound(0.1, 1.0, 1.0, 0.0, math.inf)

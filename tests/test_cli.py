@@ -217,6 +217,28 @@ def test_offset_x0_past_the_float_range_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, error", [
+    (["run"], "run.T: bound comparison requires an integer T >= 3 that fits a float"),
+    (["sweep"], "sweep.T_grid: must be a nonempty list of integers >= 3 that fit a float"),
+    (["bound", "--C", "2"], "T must fit the float range"),
+    (["bound", "--gamma", "0.1"], "T must fit the float range"),
+])
+def test_horizon_past_the_float_range_is_an_input_error(tmp_path, capsys, command, error):
+    if command == ["run"]:
+        argv = ["--config", write_config(tmp_path, "run.json", run_config_doc(T=10**400))]
+    elif command == ["sweep"]:
+        doc = sweep_config_doc()
+        doc["sweep"]["T_grid"] = [5, 10**400]
+        argv = ["--config", write_config(tmp_path, "sweep.json", doc)]
+    else:
+        argv = ["--horizon", str(10**400), "--smoothness", "1", "--distance-sq", "1"]
+    code = cli.main([*command, *argv, "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"lastiter {command[0]}: error:", f"  {error}"]
+    assert "Traceback" not in err
+
+
 def test_run_refuses_a_file_with_a_forged_certificate(tmp_path, capsys):
     """A certificate comes from the arrays: a file that carries its own is refused, not trusted."""
     problem, cert = li.make_least_squares(n=10, d=2, spread=1.0, seed=101)
@@ -498,6 +520,28 @@ def test_verify_lemmas_rejects_horizons_past_the_memory_budget(tmp_path, capsys,
         "lastiter verify-lemmas: error:",
         f"  lemmas.weight_T_grid: entries must lie in [1, {li.MEMORY_BUDGET_ENTRIES}]",
     ]
+
+
+@pytest.mark.parametrize("lemmas, label", [
+    ({"exponent_t_grid": {"min": 1, "max": 10, "count": 10**12, "spacing": "log"}},
+     "lemmas.exponent_t_grid"),
+    ({"gautschi_x_grid": {"min": 0.1, "max": 1e4, "count": 30_000, "spacing": "log"},
+      "gautschi_c_grid": {"min": 0.0, "max": 1.0, "count": 30_000}},
+     "lemmas.gautschi_x_grid with gautschi_c_grid"),
+    ({"n_points": 10**7}, "lemmas.n_points with eps_grid"),
+    ({"n_pairs": 10**7}, "lemmas.gamma_l_grid with n_pairs"),
+    ({"n_points": 10**6, "eps_grid": [1.0]}, "lemmas.n_points at problem[0]"),
+])
+def test_verify_lemmas_refuses_arrays_past_the_memory_budget(tmp_path, capsys, lemmas, label):
+    config = write_config(tmp_path, "lem.json", {"lemmas": lemmas})
+    code = cli.main(["verify-lemmas", "--config", config, "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[:2] == [
+        "lastiter verify-lemmas: error:",
+        f"  {label}: asks for an array over the {li.MEMORY_BUDGET_ENTRIES}-entry memory budget",
+    ]
+    assert "Traceback" not in err
 
 
 def test_verify_lemmas_filter(tmp_path):

@@ -466,6 +466,18 @@ def test_load_sweep_plan_rejects_small_T():
         li.load_sweep_plan(sweep_doc(T_grid=[2, 10]))
 
 
+def test_horizons_must_fit_the_float_range():
+    with pytest.raises(li.ConfigError) as info:
+        li.load_run_plan(run_doc(T=10**400))
+    assert info.value.errors == ["run.T: bound comparison requires an integer T >= 3 that fits a float"]
+    with pytest.raises(li.ConfigError) as info:
+        li.load_run_plan(run_doc(T=10**400, schedule={"variant": "constant", "gamma": 0.01}))
+    assert info.value.errors == ["run.T: bound comparison requires an integer T >= 3 that fits a float"]
+    with pytest.raises(li.ConfigError) as info:
+        li.load_sweep_plan(sweep_doc(T_grid=[10, 10**400]))
+    assert info.value.errors == ["sweep.T_grid: must be a nonempty list of integers >= 3 that fit a float"]
+
+
 def test_load_sweep_plan_reports_bad_schedule_position():
     bad = sweep_doc(
         schedules=[
@@ -559,6 +571,40 @@ def test_lemma_grids_reject_domain_violations():
         li.load_lemma_plan({"lemmas": {"n_points": 1}})
     with pytest.raises(li.ConfigError, match="unknown keys"):
         li.load_lemma_plan({"lemmas": {"mystery_grid": [1.0]}})
+
+
+# Lemma configs that ask for arrays over the memory budget, and the one error each gets.
+OVERSIZED_LEMMAS = [
+    ({"exponent_t_grid": {"min": 1, "max": 10, "count": 10**12, "spacing": "log"}},
+     "lemmas.exponent_t_grid"),
+    ({"eps_grid": [1.0] * (li.MEMORY_BUDGET_ENTRIES + 1)}, "lemmas.eps_grid"),
+    ({"gautschi_x_grid": {"min": 0.1, "max": 1e4, "count": 30_000, "spacing": "log"},
+      "gautschi_c_grid": {"min": 0.0, "max": 1.0, "count": 30_000}},
+     "lemmas.gautschi_x_grid with gautschi_c_grid"),
+    ({"exponent_theta_grid": {"min": 1e-3, "max": 2.0, "count": 30_000, "spacing": "log"}},
+     "lemmas.exponent_t_grid with exponent_theta_grid"),
+    ({"n_points": 2**21}, "lemmas.n_points with eps_grid"),
+    ({"gamma_l_grid": {"min": 0.1, "max": 0.9, "count": 100}, "n_pairs": 100_000},
+     "lemmas.gamma_l_grid with n_pairs"),
+    ({"n_points": 2**20, "eps_grid": [1.0]}, "lemmas.n_points at problem[0]"),
+    ({"n_pairs": 2**21, "gamma_l_grid": [0.5]}, "lemmas.n_pairs at problem[0]"),
+]
+
+
+@pytest.mark.parametrize("lemmas, label", OVERSIZED_LEMMAS)
+def test_lemma_arrays_past_the_memory_budget_are_refused_before_they_are_built(monkeypatch, lemmas, label):
+    import lastiter.config as config
+
+    resolved, real_resolve = [], config.resolve_grid
+    monkeypatch.setattr(config, "resolve_grid",
+                        lambda spec, name="grid": resolved.append(name) or real_resolve(spec, name))
+    problems = [{"generator": "least_squares", "n": 4, "d": 16, "spread": 1.0, "seed": 1}]
+    with pytest.raises(li.ConfigError) as info:
+        li.load_lemma_plan({"lemmas": {"problems": problems, **lemmas}})
+    budget = li.MEMORY_BUDGET_ENTRIES
+    assert info.value.errors == [f"{label}: asks for an array over the {budget}-entry memory budget"]
+    # no grid of the refused array was built
+    assert not any(f"lemmas.{key}" in resolved for key in lemmas if key in label)
 
 
 def test_lemma_plan_collects_grid_and_every_problem_error():

@@ -549,6 +549,58 @@ def test_sweep_opens_one_pool_for_all_cells(pools):
     assert pooled == li.sweep(entries, [4, 8], schedule, [1, 2], n_seeds=6, base_seed=0)
 
 
+def recording_pool_job(monkeypatch):
+    """Wrap montecarlo._pool_job; return (cells per job, calls per yielded gaps function)."""
+    import lastiter.montecarlo as mc
+
+    jobs, calls = [], []
+    real_job = mc._pool_job
+
+    @contextlib.contextmanager
+    def recording(entries, cells, workers):
+        jobs.append(list(cells))
+        with real_job(entries, cells, workers) as gaps:
+            def counted(c, fn):
+                def call():
+                    calls[c] += 1
+                    return fn()
+                return call
+
+            start = len(calls)
+            calls.extend(0 for _ in gaps or ())
+            yield gaps and [counted(start + c, fn) for c, fn in enumerate(gaps)]
+
+    monkeypatch.setattr(mc, "_pool_job", recording)
+    return jobs, calls
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_never_simulates_a_cell_whose_bounds_fail(monkeypatch, workers):
+    jobs, _ = recording_pool_job(monkeypatch)
+    good = li.PolynomialStep(2.0, 0.5)
+    # gamma L >= 1 fails the schedule; a subnormal gamma's bound overflows
+    schedules = [li.ConstantStep(10.0), li.ConstantStep(1e-320), good]
+    rows = li.sweep(sweep_entries(), [4, 8], schedules, [1], n_seeds=6, base_seed=0, workers=workers)
+    assert [r.error.split(":")[0] for r in rows if r.error] == ["ScheduleError", "HypothesisError"] * 2
+    assert [template.schedule for job in jobs for _, template, _, _ in job] == [good, good]
+
+
+def test_sweep_reads_each_cell_through_its_registered_gaps_function(monkeypatch):
+    import lastiter.montecarlo as mc
+
+    jobs, calls = recording_pool_job(monkeypatch)
+    entries = sweep_entries()
+    schedule = [li.PolynomialStep(2.0, 0.5)]
+    rows = li.sweep(entries, [4, 8], schedule, [1, 2], n_seeds=5, base_seed=3)
+    # one job for the whole sweep, and one call of each of its four cells' functions
+    assert [len(job) for job in jobs] == [4] and calls == [1, 1, 1, 1]
+    assert mc._submitted == {}
+    _, problem, cert, x0 = entries[0]
+    for row in rows:
+        template = li.RunConfig(T=row.T, seed=0, schedule=schedule[0], x0=x0, batch_size=row.b)
+        assert row.mean_gap == li.estimate_gap(problem, cert, template, 5, 3).mean_gap
+
+
 def test_pools_fork_where_the_platform_can(monkeypatch):
     import multiprocessing
     import os

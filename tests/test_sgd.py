@@ -246,6 +246,9 @@ def test_resolve_schedule_values_and_window():
     assert "(0, 1)" in str(info.value)
     with pytest.raises(li.ScheduleError):
         li.resolve_schedule(li.ConstantStep(0.1), L=-1.0, T=10)
+    for schedule in (li.ConstantStep(0.1), li.PolynomialStep(2.0, 0.5)):
+        with pytest.raises(li.ScheduleError, match="horizon must fit the float range"):
+            li.resolve_schedule(schedule, L=1.0, T=10**400)
 
 
 def test_schedule_doc_round_trip():
