@@ -33,7 +33,7 @@ from .bounds import (  # noqa: F401
 from .problems import FiniteSumProblem, SolutionCertificate, UnsupportedSamplingError
 from .reporting import doc_hash
 from .rng import check_seed
-from .sgd import DivergenceError, RunConfig, ScheduleError, _block_rows, _run, schedule_to_doc
+from .sgd import DivergenceError, RunConfig, ScheduleError, _block_rows, run, schedule_to_doc
 
 __all__ = [
     "CellCheck",
@@ -93,7 +93,7 @@ def _final_gaps(problem, cert, template, lo: int, hi: int) -> np.ndarray:
     rows = _block_rows(problem, template.batch_size, template.T)
     gaps = []
     for start in range(lo, hi, rows):
-        _, X = _run(problem, template, range(start, min(start + rows, hi)))
+        _, X = run(problem, template, range(start, min(start + rows, hi)))
         gaps.append(problem.value(X) - cert.inf_f)
     return np.concatenate(gaps)
 
@@ -128,10 +128,12 @@ def _pool_job(entries, cells, workers: int):
     failed raises its error, whichever block finished first.  Leaving the
     job waits for every submitted task, also when a join raised (see
     ``reporting._forked``).  For one worker or fewer than 2 * workers runs
-    in all, no pool opens: each function is the cell's ``_final_gaps``.
+    in all, no pool opens: each function is the cell's ``_final_gaps``,
+    cached, so a cell that a sweep repeats is simulated once here too (every
+    call returns the same array; ``estimate_gap`` copies it).
     """
     if workers < 2 or sum(hi - lo for _, _, lo, hi in cells) < 2 * workers:
-        yield [functools.partial(_final_gaps, *entries[entry], template, lo, hi)
+        yield [functools.cache(functools.partial(_final_gaps, *entries[entry], template, lo, hi))
                for entry, template, lo, hi in cells]
         return
     units = [_block_rows(entries[entry][0], template.batch_size, template.T)

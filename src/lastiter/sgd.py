@@ -16,12 +16,17 @@ A block of many seeds with short uniform single-sample streams draws all
 its indices in one vectorized Philox pass (``rng._block_integers``) instead
 of one generator per seed.  The pass gives the generators' draws bit for
 bit; a row in which numpy would have rejected a draw is drawn again from
-its seed's generator.  Single runs, long streams, weighted sampling and
-mini-batches keep the generators.
+its seed's generator.  Blocks of fewer than _PASS_ROWS seeds (a single
+seed among them), long streams, weighted sampling and mini-batches keep the
+generators.
 Batch gradients are summed over ascending component indices and divided
 once (``FiniteSumProblem.batch_grad``); a batch covering every component
 is the full-batch gradient itself, so batch size n reproduces
 deterministic gradient descent bit for bit.
+
+``run`` is the engine's one entry.  It returns the final iterates, and its
+``observe(t, X)`` hook sees the iterates at t = 0 and after every step, so a
+gap curve, a record stride or any other per-step quantity is an observer.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import FiniteSumProblem, SolutionCertificate, UnsupportedSamplingError
+from .problems import FiniteSumProblem, UnsupportedSamplingError
 from .rng import RUN_STREAM, _block_integers, check_seed, stream
 
 __all__ = [
@@ -39,14 +44,11 @@ __all__ = [
     "PolynomialStep",
     "RunConfig",
     "ScheduleError",
-    "StepRecord",
-    "Trajectory",
     "UnsupportedSamplingError",
-    "minibatch_run",
     "resolve_schedule",
+    "run",
     "schedule_from_doc",
     "schedule_to_doc",
-    "sgd_run",
 ]
 
 _DIVERGENCE_LIMIT = 1e100
@@ -63,7 +65,7 @@ _BLOCK_ROWS = 1024
 # pass (rng._block_integers) instead of through one generator per seed; the
 # pass holds up to _PASS_ENTRIES uint64 temporaries per draw, counting the
 # draws up to a multiple of 8 (one Philox counter gives 8).  Crossover on
-# a 2-CPU x86-64 machine, whole _run of n=16, d=4 least-squares and logistic
+# a 2-CPU x86-64 machine, whole run() of n=16, d=4 least-squares and logistic
 # and n=10, d=2 least-squares blocks, pass against generators (medians of
 # 60 alternating runs): 16 rows break even; 32 rows take 0.36-0.68 against
 # 0.65-1.20 ms at T=5, 4.0-5.0 against 4.3-5.3 ms at T=200 and 5.1-6.2
@@ -171,9 +173,12 @@ def schedule_from_doc(doc: dict) -> StepSizeSchedule:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One SGD run: horizon, seed, schedule, initial iterate, batch size, record stride.
+    """One SGD run: horizon, seed, schedule, initial iterate, batch size.
 
-    ``record_stride = 0`` means automatic: max(1, T // 100).
+    Nothing reads ``record_stride``: a caller that wants the gap every k
+    steps computes it in ``run``'s observer.  The field and its check stay
+    only because the benchmark's probes (perfbench/child.py) still build
+    ``RunConfig(..., record_stride=T)``; they go with ``sgd_run`` below.
     """
 
     T: int
@@ -200,29 +205,6 @@ class RunConfig:
         object.__setattr__(self, "T", int(self.T))
         object.__setattr__(self, "batch_size", int(self.batch_size))
         object.__setattr__(self, "record_stride", int(self.record_stride))
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """The gap f(x_t) - inf f after step t."""
-
-    t: int
-    gap: float
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Recorded gaps of one run plus the final iterate and resolved step."""
-
-    records: tuple[StepRecord, ...]
-    final_iterate: np.ndarray
-    seed: int
-    gamma_used: float
-    batch_size: int = 1
-
-    @property
-    def final_gap(self) -> float:
-        return self.records[-1].gap
 
 
 def _sampler(problem: FiniteSumProblem, b: int):
@@ -289,21 +271,27 @@ def _block_rows(problem: FiniteSumProblem, b: int, T: int) -> int:
     return max(1, rows)
 
 
-def _run(problem: FiniteSumProblem, config: RunConfig, seeds, observe=None):
+def run(problem: FiniteSumProblem, config: RunConfig, seeds, observe=None):
     """Run one trajectory per seed in lockstep; returns (gamma, final iterates (S, d)).
 
-    ``config.seed`` is ignored in favour of ``seeds``.  ``observe(t, X)``, if
-    given, sees the iterates at t = 0 and after every step t = 1 .. T; after
-    a row diverges, X keeps only the rows before it.  A block that
-    diverges raises DivergenceError for its lowest diverging seed at that
-    seed's first bad step, as seed-by-seed runs would.
+    Row s is the final iterate of seed ``seeds[s]``, bit for bit the same
+    in any block, so ``run(problem, config, (seed,))`` is a single run.
+    ``config.seed`` is ignored in favour of ``seeds``, which must not be
+    empty.  ``observe(t, X)``, if given, sees the iterates at t = 0 and
+    after every step t = 1 .. T; a gap curve is an observer that records
+    ``problem.value(X) - cert.inf_f``.  After a row diverges, X keeps only
+    the rows before it.  A block that diverges raises DivergenceError for
+    its lowest diverging seed at that seed's first bad step, as seed-by-seed
+    runs would.
     """
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("run needs a nonempty seed block, got no seeds")
     b = config.batch_size
     L_b = problem.batch_smoothness(b)  # raises for an undefined sampling mode
     x0 = problem.check_point(config.x0)
     T = config.T
     gamma = resolve_schedule(config.schedule, L_b, T)
-    seeds = list(seeds)
     X = np.tile(x0, (len(seeds), 1))
     if observe is not None:
         observe(0, X)
@@ -344,34 +332,9 @@ def _run(problem: FiniteSumProblem, config: RunConfig, seeds, observe=None):
     return gamma, X
 
 
-def _trajectory(problem: FiniteSumProblem, cert: SolutionCertificate, config: RunConfig) -> Trajectory:
-    """One seed's run, its gap recorded at t = 0, at every record stride and at T."""
-    T = config.T
-    stride = config.record_stride or max(1, T // 100)
-    records = []
-
-    def observe(t, X):
-        if t % stride == 0 or t == T:
-            records.append(StepRecord(t=t, gap=float(problem.value(X[0]) - cert.inf_f)))
-
-    gamma, X = _run(problem, config, (config.seed,), observe)
-    return Trajectory(
-        records=tuple(records),
-        final_iterate=X[0].copy(),
-        seed=config.seed,
-        gamma_used=gamma,
-        batch_size=config.batch_size,
-    )
+# Not part of the API: the benchmark's probes (perfbench/child.py) call these two names.
+def sgd_run(problem, cert, config):
+    return run(problem, config, (config.seed,))
 
 
-def sgd_run(problem: FiniteSumProblem, cert: SolutionCertificate, config: RunConfig) -> Trajectory:
-    """Single-sample SGD for exactly T updates."""
-    if config.batch_size != 1:
-        raise UnsupportedSamplingError("sgd_run is the batch_size = 1 engine")
-    return _trajectory(problem, cert, config)
-
-
-def minibatch_run(problem: FiniteSumProblem, cert: SolutionCertificate, config: RunConfig) -> Trajectory:
-    """Mini-batch SGD over uniform size-b subsets drawn without replacement."""
-    return _trajectory(problem, cert, config)
-
+minibatch_run = sgd_run

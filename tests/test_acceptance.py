@@ -197,22 +197,26 @@ def test_criterion_6_reduction_identities():
     gamma = 0.8 / problem.L
     x0 = cert.x_star + 0.7
     for seed in (0, 1, 2):
-        cfg = li.RunConfig(
-            T=60, seed=seed, schedule=li.ConstantStep(gamma), x0=x0,
-            batch_size=1, record_stride=1,
-        )
-        single = li.sgd_run(problem, cert, cfg)
-        batched = li.minibatch_run(problem, cert, cfg)
-        assert np.array_equal(single.final_iterate, batched.final_iterate)
-        assert [r.gap for r in single.records] == [r.gap for r in batched.records]
+        cfg = li.RunConfig(T=60, seed=seed, schedule=li.ConstantStep(gamma), x0=x0, batch_size=1)
+        gaps = []
+        _, X = li.run(problem, cfg, (seed,),
+                      lambda t, X: gaps.append(float(problem.value(X[0]) - cert.inf_f)))
+        # the single-sample loop written out, its gap recorded at every step
+        x = x0.copy()
+        loop_gaps = [float(problem.value(x) - cert.inf_f)]
+        for i in li.stream(seed, li.RUN_STREAM).integers(0, problem.n, size=cfg.T):
+            x = x - gamma * problem.component_grads_at(np.array([i]), x)[0]
+            loop_gaps.append(float(problem.value(x) - cert.inf_f))
+        assert np.array_equal(X[0], x)
+        assert gaps == loop_gaps
     gd_cfg = li.RunConfig(
         T=40, seed=123, schedule=li.ConstantStep(gamma), x0=x0, batch_size=problem.n
     )
-    full = li.minibatch_run(problem, cert, gd_cfg)
+    _, full = li.run(problem, gd_cfg, (123,))
     x = x0.copy()
     for _ in range(40):
         x = x - gamma * problem.grad(x)
-    assert np.array_equal(full.final_iterate, x)
+    assert np.array_equal(full[0], x)
     eff_one = li.effective_constants(problem, 1, cert)
     eff_full = li.effective_constants(problem, problem.n, cert)
     assert eff_full.sigma_b_sq == 0.0

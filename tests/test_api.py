@@ -23,6 +23,10 @@ REMOVED = (
     "suggested_step_interpolation",
     "sigma_star_sq",
     "resolve_lemma_grids",
+    "sgd_run",
+    "minibatch_run",
+    "Trajectory",
+    "StepRecord",
 )
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -58,7 +62,6 @@ def test_removed_names_are_gone():
         for module in MODULES:
             assert name not in module_all(module)
     assert "record_iterates" not in li.RunConfig.__dataclass_fields__
-    assert set(li.StepRecord.__dataclass_fields__) == {"t", "gap"}
     assert "effective" not in li.CellCheck.__dataclass_fields__
     assert "epsilon" not in li.AbcConstants.__dataclass_fields__
     assert not hasattr(li.FiniteSumProblem, "to_doc")

@@ -239,6 +239,63 @@ def test_horizon_past_the_float_range_is_an_input_error(tmp_path, capsys, comman
     assert "Traceback" not in err
 
 
+def one_input_error(capsys, command, argv, error):
+    """The command exits 1 and prints exactly its error header and one error line."""
+    assert cli.main([command, *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"lastiter {command}: error:", f"  {error}"]
+    assert "Traceback" not in err
+
+
+NAN = float("nan")
+# A field of a saved n=4, d=2 problem document, replaced by a value its family refuses.
+BAD_PROBLEM_FILES = {
+    "weights-sum-to-half": ("least_squares", "weights", [0.125] * 4, "weights must sum to 1, got 0.5"),
+    "negative-weight": ("least_squares", "weights", [0.5, 0.5, 0.25, -0.25],
+                        "weights must be finite and strictly positive"),
+    "offsets-shape": ("least_squares", "offsets", [[0.0, 0.0]] * 3,
+                      "offsets must have shape (4, 2), got (3, 2)"),
+    "nonfinite-design": ("least_squares", "design", [[[NAN, NAN]] * 2] * 4,
+                         "design and offsets must be finite"),
+    "2d-design": ("least_squares", "design", [[1.0, 0.0]] * 4, "design must have shape (n, m, d)"),
+    "label-not-sign": ("logistic", "labels", [0.5, 1.0, -1.0, 1.0],
+                       "labels must be a length-n vector of +/-1"),
+    "zero-feature-row": ("logistic", "features", [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                         "zero feature row makes a component constant"),
+    "unknown-schema": ("least_squares", "schema", "lastiter-problem/2",
+                       "unrecognized problem schema 'lastiter-problem/2'"),
+    "unknown-kind": ("least_squares", "kind", "hinge", "unrecognized problem kind 'hinge'"),
+}
+
+
+@pytest.mark.parametrize("kind, field, value, reason", BAD_PROBLEM_FILES.values(), ids=BAD_PROBLEM_FILES)
+def test_problem_file_that_breaks_its_family_rules_is_an_input_error(tmp_path, capsys, kind, field,
+                                                                     value, reason):
+    problem = (li.make_least_squares(n=4, d=2, spread=1.0, seed=5) if kind == "least_squares"
+               else li.make_logistic(n=4, d=2, seed=1))[0]
+    saved = li.problem_to_doc(problem)
+    (saved if field == "schema" else saved["problem"])[field] = value
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(saved))
+    doc = run_config_doc()
+    doc["problem"] = {"file": str(path)}
+    argv = ["--config", write_config(tmp_path, "run.json", doc), "--out", str(tmp_path / "out")]
+    one_input_error(capsys, "run", argv, f"problem[0]: cannot load {str(path)!r}: {reason}")
+
+
+@pytest.mark.parametrize("command, content, reason", [
+    ("run", b"{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("sweep", b"{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("verify-lemmas", b"{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("run", b'{"run": "\xff"}', "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
+], ids=["run", "sweep", "verify-lemmas", "run-not-utf8"])
+def test_config_that_is_not_json_is_an_input_error(tmp_path, capsys, command, content, reason):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    one_input_error(capsys, command, ["--config", str(path), "--out", str(tmp_path / "out")],
+                    f"config: invalid JSON ({reason})")
+
+
 def test_run_refuses_a_file_with_a_forged_certificate(tmp_path, capsys):
     """A certificate comes from the arrays: a file that carries its own is refused, not trusted."""
     problem, cert = li.make_least_squares(n=10, d=2, spread=1.0, seed=101)

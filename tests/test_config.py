@@ -495,11 +495,16 @@ BAD_SCHEDULES = [
     ({"variant": "polynomial", "C": 2.0, "beta": True}, ".beta: must be a finite number"),
     ({"variant": "constant", "gamma": 0.1, "typo": 1}, ": unknown keys ['typo']"),
     ({"variant": "polynomial", "C": 2.0, "beta": 0.5, "typo": 1}, ": unknown keys ['typo']"),
+    # well-typed fields that break the schedule's own rule
+    ({"variant": "polynomial", "C": 1.0, "beta": 0.5}, ": C must be finite and >= 2, got 1.0"),
+    ({"variant": "polynomial", "C": 2.0, "beta": 1.0}, ": beta must lie in (0, 1), got 1.0"),
+    ({"variant": "constant", "gamma": -1.0}, ": gamma must be finite and positive, got -1.0"),
 ]
 
 
 @pytest.mark.parametrize("schedule, message", BAD_SCHEDULES, ids=[
-    "string-gamma", "string-C", "bool-beta", "constant-unknown-key", "polynomial-unknown-key"])
+    "string-gamma", "string-C", "bool-beta", "constant-unknown-key", "polynomial-unknown-key",
+    "C-below-2", "beta-at-1", "negative-gamma"])
 def test_schedule_objects_are_checked_like_every_other_object(schedule, message):
     with pytest.raises(li.ConfigError) as info:
         li.load_run_plan(run_doc(schedule=schedule))

@@ -75,13 +75,18 @@ def estimate_template(T=5):
     return problem, cert, config
 
 
+def single_gap(problem, cert, config, seed):
+    """f(x_T) - inf f of one seed's run."""
+    return problem.value(li.run(problem, config, (seed,))[1][0]) - cert.inf_f
+
+
 def test_estimate_single_seed_has_zero_spread():
     problem, cert, config = estimate_template()
     est = li.estimate_gap(problem, cert, config, n_seeds=1, base_seed=17)
     assert est.n_seeds == 1
     assert est.std_error == 0.0
     assert est.ci95_upper == est.mean_gap
-    direct = li.minibatch_run(problem, cert, dataclasses.replace(config, seed=17)).final_gap
+    direct = single_gap(problem, cert, config, 17)
     assert est.mean_gap == direct
     assert est.per_seed_gaps.tolist() == [direct]
 
@@ -91,8 +96,7 @@ def test_estimate_keeps_per_seed_gaps_in_seed_order():
     est = li.estimate_gap(problem, cert, config, n_seeds=6, base_seed=3)
     assert est.per_seed_gaps.shape == (6,)
     for offset, gap in enumerate(est.per_seed_gaps):
-        run = li.minibatch_run(problem, cert, dataclasses.replace(config, seed=3 + offset))
-        assert gap == run.final_gap
+        assert gap == single_gap(problem, cert, config, 3 + offset)
     assert (est.mean_gap, est.std_error) == li.reduce_moments(est.per_seed_gaps)
 
 
@@ -131,8 +135,7 @@ def test_full_batch_estimate_simulates_one_trajectory():
     assert problem.rows_seen == [1] * config.T
     assert est.std_error == 0.0
     for offset, gap in enumerate(est.per_seed_gaps):
-        run = li.minibatch_run(base, cert, dataclasses.replace(config, seed=30 + offset))
-        assert gap == run.final_gap
+        assert gap == single_gap(base, cert, config, 30 + offset)
     assert est.mean_gap == est.per_seed_gaps[0]
 
 
@@ -167,7 +170,7 @@ def test_divergence_reports_lowest_seed_for_any_worker_count():
     first_bad = {}
     for seed in range(60):
         try:
-            li.sgd_run(problem, cert, dataclasses.replace(config, seed=seed))
+            li.run(problem, config, (seed,))
         except li.DivergenceError as exc:
             first_bad[seed] = exc.step
     lowest = min(first_bad)
@@ -205,7 +208,7 @@ def diverging_lower_part(config):
     first_bad = {}
     for seed in range(100):
         try:
-            li.sgd_run(SignFlipPair(), flip_certificate(), dataclasses.replace(config, seed=seed))
+            li.run(SignFlipPair(), config, (seed,))
         except li.DivergenceError as exc:
             first_bad[seed] = exc.step
     base = next(s for s in sorted(first_bad) if not any(s + k in first_bad for k in range(1, 5)))
@@ -589,16 +592,26 @@ def test_sweep_reads_each_cell_through_its_registered_gaps_function(monkeypatch)
     import lastiter.montecarlo as mc
 
     jobs, calls = recording_pool_job(monkeypatch)
+    simulated = []
+    final_gaps = mc._final_gaps
+    monkeypatch.setattr(mc, "_final_gaps", lambda *args: simulated.append(1) or final_gaps(*args))
     entries = sweep_entries()
     schedule = [li.PolynomialStep(2.0, 0.5)]
-    rows = li.sweep(entries, [4, 8], schedule, [1, 2], n_seeds=5, base_seed=3)
-    # one job for the whole sweep, and one call of each of its four cells' functions
-    assert [len(job) for job in jobs] == [4] and calls == [1, 1, 1, 1]
-    assert mc._submitted == {}
-    _, problem, cert, x0 = entries[0]
-    for row in rows:
-        template = li.RunConfig(T=row.T, seed=0, schedule=schedule[0], x0=x0, batch_size=row.b)
-        assert row.mean_gap == li.estimate_gap(problem, cert, template, 5, 3).mean_gap
+    # [10, 10] repeats each of its two cells
+    for T_grid, cells, repeats in (([4, 8], 4, 1), ([10, 10], 2, 2)):
+        jobs.clear()
+        calls.clear()
+        simulated.clear()
+        rows = li.sweep(entries, T_grid, schedule, [1, 2], n_seeds=5, base_seed=3)
+        # one job for the whole sweep, one call of a cell's function per row,
+        # and one simulation per distinct cell
+        assert [len(job) for job in jobs] == [cells] and calls == [repeats] * cells
+        assert len(simulated) == cells
+        assert mc._submitted == {}
+        _, problem, cert, x0 = entries[0]
+        for row in rows:
+            template = li.RunConfig(T=row.T, seed=0, schedule=schedule[0], x0=x0, batch_size=row.b)
+            assert row.mean_gap == li.estimate_gap(problem, cert, template, 5, 3).mean_gap
 
 
 def test_pools_fork_where_the_platform_can(monkeypatch):
@@ -659,7 +672,7 @@ def test_sweep_rows_are_worker_independent(monkeypatch):
     first_bad = {}
     for seed in range(8):
         try:
-            li.sgd_run(flip, flip_cert, dataclasses.replace(config, seed=seed))
+            li.run(flip, config, (seed,))
         except li.DivergenceError as exc:
             first_bad[seed] = exc.step
     lowest = min(first_bad)

@@ -1,6 +1,5 @@
 """SGD engine: exactness oracles, sampling laws, determinism, failure modes."""
 
-import dataclasses
 import math
 import pickle
 import tracemalloc
@@ -27,44 +26,45 @@ def coordinate_problem(n):
     return problem, li.closed_form_certificate(problem)
 
 
+def final_iterate(problem, config, seed):
+    """The final iterate of one seed's run."""
+    return li.run(problem, config, (seed,))[1][0]
+
+
+def gap_curve(problem, cert, config, seeds):
+    """(final iterates, gaps f(x_t) - inf f of each row at t = 0 .. T), the gaps by an observer."""
+    gaps = []
+    _, X = li.run(problem, config, seeds, lambda t, X: gaps.append(problem.value(X) - cert.inf_f))
+    return X, np.array(gaps)
+
+
 def test_gradient_descent_exact_oracle():
     problem, cert = single_quadratic()
     config = li.RunConfig(T=2, seed=1, schedule=li.ConstantStep(0.5), x0=np.array([1.0]))
-    traj = li.sgd_run(problem, cert, config)
-    assert traj.final_iterate[0] == 0.25
-    assert traj.final_gap == 0.03125
-    assert traj.gamma_used == 0.5
+    gamma, X = li.run(problem, config, (1,))
+    assert X[0, 0] == 0.25
+    assert problem.value(X[0]) - cert.inf_f == 0.03125
+    assert gamma == 0.5
 
 
-def test_trajectory_record_layout():
-    problem, cert = single_quadratic()
-    config = li.RunConfig(T=40, seed=2, schedule=li.ConstantStep(0.1),
-                          x0=np.array([1.0]), record_stride=10)
-    traj = li.sgd_run(problem, cert, config)
-    assert [r.t for r in traj.records] == [0, 10, 20, 30, 40]
-    assert traj.records[0].gap == 0.5
-    assert traj.records[-1].gap == traj.final_gap
-
-
-def test_record_stride_auto():
-    problem, cert = single_quadratic()
-    config = li.RunConfig(T=500, seed=2, schedule=li.ConstantStep(0.1), x0=np.array([1.0]))
-    traj = li.sgd_run(problem, cert, config)
-    ts = [r.t for r in traj.records]
-    assert ts[0] == 0 and ts[-1] == 500
-    assert ts == sorted(ts)
-    assert 50 <= len(ts) <= 120
-
-
-def test_engine_observes_every_step_whatever_the_record_stride():
+def test_run_observes_every_step():
     problem, _ = li.make_least_squares(n=5, d=2, spread=1.0, seed=5)
-    config = li.RunConfig(T=30, seed=0, schedule=li.PolynomialStep(2.0, 0.5), x0=np.ones(2),
-                          record_stride=7)
+    config = li.RunConfig(T=30, seed=0, schedule=li.PolynomialStep(2.0, 0.5), x0=np.ones(2))
     seen = []
-    _, X = sgd._run(problem, config, (3, 4), lambda t, X: seen.append((t, X.copy())))
+    _, X = li.run(problem, config, (3, 4), lambda t, X: seen.append((t, X.copy())))
     assert [t for t, _ in seen] == list(range(config.T + 1))
     assert np.array_equal(seen[0][1], np.ones((2, 2)))
     assert np.array_equal(seen[-1][1], X)
+
+
+@pytest.mark.parametrize("seeds", [[], range(40, 40)], ids=["list", "range"])
+def test_run_refuses_an_empty_seed_block(seeds):
+    problem, _ = li.make_least_squares(n=5, d=2, spread=1.0, seed=5)
+    config = li.RunConfig(T=30, seed=0, schedule=li.PolynomialStep(2.0, 0.5), x0=np.ones(2))
+    seen = []
+    with pytest.raises(ValueError, match="^run needs a nonempty seed block, got no seeds$"):
+        li.run(problem, config, seeds, lambda t, X: seen.append(t))
+    assert seen == []  # refused before any work
 
 
 def test_run_purity():
@@ -72,57 +72,58 @@ def test_run_purity():
     x0 = np.array([1.0, -1.0])
     keep = x0.copy()
     config = li.RunConfig(T=50, seed=3, schedule=li.PolynomialStep(2.0, 0.5), x0=x0)
-    first = li.sgd_run(problem, cert, config)
+    first, first_gaps = gap_curve(problem, cert, config, (3,))
     assert np.array_equal(x0, keep)
-    second = li.sgd_run(problem, cert, config)
-    assert np.array_equal(first.final_iterate, second.final_iterate)
-    assert [r.gap for r in first.records] == [r.gap for r in second.records]
+    second, second_gaps = gap_curve(problem, cert, config, (3,))
+    assert np.array_equal(first, second)
+    assert first_gaps.shape == (config.T + 1, 1)
+    assert np.array_equal(first_gaps, second_gaps)
 
 
 def test_seed_changes_trajectory():
-    problem, cert = li.make_least_squares(n=6, d=2, spread=1.0, seed=6)
-    base = dict(T=30, schedule=li.ConstantStep(0.05), x0=np.zeros(2))
-    a = li.sgd_run(problem, cert, li.RunConfig(seed=10, **base))
-    b = li.sgd_run(problem, cert, li.RunConfig(seed=11, **base))
-    assert not np.array_equal(a.final_iterate, b.final_iterate)
+    problem, _ = li.make_least_squares(n=6, d=2, spread=1.0, seed=6)
+    config = li.RunConfig(T=30, seed=0, schedule=li.ConstantStep(0.05), x0=np.zeros(2))
+    a = final_iterate(problem, config, 10)
+    b = final_iterate(problem, config, 11)
+    assert not np.array_equal(a, b)
 
 
 def test_minibatch_b1_equals_single_sample():
+    """The engine at b = 1 is the single-sample loop written out here."""
     problem, cert = li.make_least_squares(n=7, d=3, spread=1.0, seed=7)
+    gamma = 0.02
     for seed in (0, 5, 99):
-        cfg1 = li.RunConfig(T=64, seed=seed, schedule=li.ConstantStep(0.02),
+        cfg1 = li.RunConfig(T=64, seed=seed, schedule=li.ConstantStep(gamma),
                             x0=np.zeros(3), batch_size=1)
-        a = li.sgd_run(problem, cert, cfg1)
-        b = li.minibatch_run(problem, cert, cfg1)
-        assert np.array_equal(a.final_iterate, b.final_iterate)
-        assert a.final_gap == b.final_gap
+        x = final_iterate(problem, cfg1, seed)
+        single = np.zeros(3)
+        for i in li.stream(seed, li.RUN_STREAM).integers(0, problem.n, size=cfg1.T):
+            single = single - gamma * problem.component_grads_at(np.array([i]), single)[0]
+        assert np.array_equal(x, single)
+        assert problem.value(x) - cert.inf_f == problem.value(single) - cert.inf_f
 
 
 def test_minibatch_full_batch_is_gradient_descent():
-    problem, cert = li.make_least_squares(n=6, d=2, spread=1.0, seed=8)
+    problem, _ = li.make_least_squares(n=6, d=2, spread=1.0, seed=8)
     gamma = 0.1 / problem.L
     cfg = li.RunConfig(T=25, seed=4, schedule=li.ConstantStep(gamma),
                        x0=np.ones(2), batch_size=problem.n)
-    traj = li.minibatch_run(problem, cert, cfg)
+    final = final_iterate(problem, cfg, 4)
     x = np.ones(2)
     for _ in range(25):
         x = x - gamma * problem.grad(x)
-    assert np.array_equal(traj.final_iterate, x)
+    assert np.array_equal(final, x)
     # no randomness consumed: every seed gives the identical iterate
-    other = li.minibatch_run(problem, cert,
-                             li.RunConfig(T=25, seed=991, schedule=li.ConstantStep(gamma),
-                                          x0=np.ones(2), batch_size=problem.n))
-    assert np.array_equal(other.final_iterate, traj.final_iterate)
+    assert np.array_equal(final_iterate(problem, cfg, 991), final)
 
 
 def test_single_sample_frequencies_uniform():
     n, T = 4, 8000
-    problem, cert = coordinate_problem(n)
+    problem, _ = coordinate_problem(n)
     gamma = 0.125
     cfg = li.RunConfig(T=T, seed=123, schedule=li.ConstantStep(gamma), x0=np.ones(n))
-    traj = li.sgd_run(problem, cert, cfg)
     # coordinate i shrinks by (1 - gamma) once per visit
-    counts = np.log(traj.final_iterate) / math.log1p(-gamma)
+    counts = np.log(final_iterate(problem, cfg, 123)) / math.log1p(-gamma)
     assert abs(counts.sum() - T) < 1e-6
     expected = T / n
     sd = math.sqrt(T * (1 / n) * (1 - 1 / n))
@@ -136,11 +137,9 @@ def test_single_sample_frequencies_weighted():
         design[i, 0, i] = 1.0
     weights = np.array([0.5, 0.25, 0.125, 0.125])
     problem = li.LeastSquaresProblem(design, np.zeros((n, 1)), weights=weights)
-    cert = li.closed_form_certificate(problem)
     gamma = 0.125
     cfg = li.RunConfig(T=T, seed=321, schedule=li.ConstantStep(gamma), x0=np.ones(n))
-    traj = li.sgd_run(problem, cert, cfg)
-    counts = np.log(traj.final_iterate) / math.log1p(-gamma)
+    counts = np.log(final_iterate(problem, cfg, 321)) / math.log1p(-gamma)
     assert abs(counts.sum() - T) < 1e-6
     for i, w in enumerate(weights):
         sd = math.sqrt(T * w * (1 - w))
@@ -149,13 +148,12 @@ def test_single_sample_frequencies_weighted():
 
 def test_minibatch_subsets_uniform_without_replacement():
     n, b, T = 6, 3, 4000
-    problem, cert = coordinate_problem(n)
+    problem, _ = coordinate_problem(n)
     gamma = 0.3
     cfg = li.RunConfig(T=T, seed=777, schedule=li.ConstantStep(gamma),
                        x0=np.ones(n), batch_size=b)
-    traj = li.minibatch_run(problem, cert, cfg)
     # a visited coordinate shrinks by (1 - gamma/b); counts must total b T
-    counts = np.log(traj.final_iterate) / math.log1p(-gamma / b)
+    counts = np.log(final_iterate(problem, cfg, 777)) / math.log1p(-gamma / b)
     assert abs(counts.sum() - b * T) < 1e-5
     p = b / n
     sd = math.sqrt(T * p * (1 - p))
@@ -168,27 +166,18 @@ def test_minibatch_rejects_nonuniform_weights():
         design[i, 0, i] = 1.0
     problem = li.LeastSquaresProblem(design, np.zeros((3, 1)),
                                      weights=np.array([0.5, 0.3, 0.2]))
-    cert = li.closed_form_certificate(problem)
     cfg = li.RunConfig(T=5, seed=1, schedule=li.ConstantStep(0.1),
                        x0=np.zeros(3), batch_size=2)
     with pytest.raises(li.UnsupportedSamplingError):
-        li.minibatch_run(problem, cert, cfg)
+        li.run(problem, cfg, (1,))
 
 
 def test_batch_size_larger_than_family_rejected():
-    problem, cert = single_quadratic()
+    problem, _ = single_quadratic()
     cfg = li.RunConfig(T=5, seed=1, schedule=li.ConstantStep(0.1),
                        x0=np.zeros(1), batch_size=2)
     with pytest.raises(ValueError):
-        li.minibatch_run(problem, cert, cfg)
-
-
-def test_sgd_run_requires_batch_size_one():
-    problem, cert = coordinate_problem(3)
-    cfg = li.RunConfig(T=5, seed=1, schedule=li.ConstantStep(0.1),
-                       x0=np.zeros(3), batch_size=2)
-    with pytest.raises(ValueError):
-        li.sgd_run(problem, cert, cfg)
+        li.run(problem, cfg, (1,))
 
 
 class UnderstatedQuadratic(li.FiniteSumProblem):
@@ -206,13 +195,9 @@ class UnderstatedQuadratic(li.FiniteSumProblem):
 
 def test_divergence_reports_step_and_seed():
     problem = UnderstatedQuadratic()
-    cert = li.SolutionCertificate(
-        x_star=np.zeros(1), inf_f=0.0, sigma_star_sq=0.0,
-        grad_norm_residual=0.0, provenance="closed_form", tol=1e-8,
-    )
     cfg = li.RunConfig(T=10000, seed=42, schedule=li.ConstantStep(5.0), x0=np.array([1.0]))
     with pytest.raises(li.DivergenceError) as info:
-        li.sgd_run(problem, cert, cfg)
+        li.run(problem, cfg, (42,))
     assert info.value.seed == 42
     assert info.value.step >= 1
     assert "42" in str(info.value)
@@ -249,6 +234,10 @@ def test_resolve_schedule_values_and_window():
     for schedule in (li.ConstantStep(0.1), li.PolynomialStep(2.0, 0.5)):
         with pytest.raises(li.ScheduleError, match="horizon must fit the float range"):
             li.resolve_schedule(schedule, L=1.0, T=10**400)
+        with pytest.raises(li.ScheduleError, match=r"^horizon must be >= 1, got 0$"):
+            li.resolve_schedule(schedule, L=1.0, T=0)
+    with pytest.raises(li.ScheduleError, match=r"^unknown schedule '0.1'$"):
+        li.resolve_schedule("0.1", L=1.0, T=10)
 
 
 def test_schedule_doc_round_trip():
@@ -257,6 +246,8 @@ def test_schedule_doc_round_trip():
         assert back == schedule
     with pytest.raises(li.ScheduleError):
         li.schedule_from_doc({"variant": "mystery"})
+    with pytest.raises(li.ScheduleError, match=r"^unknown schedule 0.1$"):
+        li.schedule_to_doc(0.1)
 
 
 def test_run_config_validation():
@@ -276,11 +267,11 @@ def test_run_config_validation():
 
 
 def test_polynomial_schedule_resolved_against_problem_smoothness():
-    problem, cert = li.make_least_squares(n=4, d=2, spread=0.5, seed=12)
+    problem, _ = li.make_least_squares(n=4, d=2, spread=0.5, seed=12)
     T = 49
     cfg = li.RunConfig(T=T, seed=2, schedule=li.PolynomialStep(2.0, 0.5), x0=np.zeros(2))
-    traj = li.sgd_run(problem, cert, cfg)
-    assert abs(traj.gamma_used - 1.0 / (2.0 * problem.L * 7.0)) < 1e-15
+    gamma, _ = li.run(problem, cfg, (2,))
+    assert abs(gamma - 1.0 / (2.0 * problem.L * 7.0)) < 1e-15
 
 
 def weighted_least_squares():
@@ -293,17 +284,17 @@ def weighted_least_squares():
 def single_runs(problem, config, seeds):
     """Final iterates of seed-by-seed runs; single runs keep the per-seed generator."""
     assert not sgd._takes_pass(problem, 1, config.batch_size, config.T)
-    return np.stack([sgd._run(problem, config, (seed,))[1][0] for seed in seeds])
+    return np.stack([final_iterate(problem, config, seed) for seed in seeds])
 
 
 @pytest.mark.parametrize("family", ["least_squares", "logistic", "weighted_least_squares"])
 def test_seed_blocks_reproduce_single_seed_runs_bitwise(family):
     if family == "least_squares":
-        problem, cert = li.make_least_squares(n=6, d=3, spread=1.0, seed=14)
+        problem, _ = li.make_least_squares(n=6, d=3, spread=1.0, seed=14)
     elif family == "logistic":
-        problem, cert = li.make_logistic(n=6, d=3, seed=15)
+        problem, _ = li.make_logistic(n=6, d=3, seed=15)
     else:
-        problem, cert = weighted_least_squares()
+        problem, _ = weighted_least_squares()
     S = sgd._PASS_ROWS + 16
     for b in (1, 3, problem.n) if problem.uniform_weights else (1,):
         config = li.RunConfig(T=40, seed=0, schedule=li.PolynomialStep(2.0, 0.5),
@@ -311,12 +302,9 @@ def test_seed_blocks_reproduce_single_seed_runs_bitwise(family):
         # for uniform b = 1 the whole block takes the Philox pass, blocks of seven the generators
         assert sgd._takes_pass(problem, S, b, config.T) == (b == 1 and problem.uniform_weights)
         assert not sgd._takes_pass(problem, 7, b, config.T)
-        singles = np.stack([
-            li.minibatch_run(problem, cert, dataclasses.replace(config, seed=100 + s)).final_iterate
-            for s in range(S)
-        ])
-        _, whole = sgd._run(problem, config, range(100, 100 + S))
-        sevens = np.concatenate([sgd._run(problem, config, range(lo, min(lo + 7, 100 + S)))[1]
+        singles = single_runs(problem, config, range(100, 100 + S))
+        _, whole = li.run(problem, config, range(100, 100 + S))
+        sevens = np.concatenate([li.run(problem, config, range(lo, min(lo + 7, 100 + S)))[1]
                                  for lo in range(100, 100 + S, 7)])
         assert np.array_equal(whole, singles), b
         assert np.array_equal(sevens, singles), b
@@ -339,7 +327,7 @@ def test_pass_rows_flagged_for_redraw_come_from_their_generators(monkeypatch):
     monkeypatch.setattr(sgd, "_block_integers", forced)
     streams = []
     monkeypatch.setattr(sgd, "stream", lambda seed, purpose: streams.append(seed) or li.stream(seed, purpose))
-    _, block = sgd._run(problem, config, seeds)
+    _, block = li.run(problem, config, seeds)
     assert streams == [seeds[row] for row in flagged]
     assert np.array_equal(block, single_runs(problem, config, seeds))
 
@@ -367,14 +355,14 @@ def test_diverging_pass_block_reports_its_lowest_seed_at_its_first_bad_step():
     first_bad = {}
     for seed in seeds:
         try:
-            sgd._run(problem, config, (seed,))
+            li.run(problem, config, (seed,))
         except li.DivergenceError as exc:
             first_bad[seed] = exc.step
     lowest = min(first_bad)
     # a higher seed goes bad first, so the block must keep running past it
     assert min(first_bad.values()) < first_bad[lowest] and lowest != seeds[0]
     with pytest.raises(li.DivergenceError) as info:
-        sgd._run(problem, config, seeds)
+        li.run(problem, config, seeds)
     assert (info.value.seed, info.value.step) == (lowest, first_bad[lowest])
 
 
@@ -382,13 +370,13 @@ def test_pass_block_with_the_largest_seed_matches_single_runs():
     problem, cert = li.make_least_squares(n=6, d=3, spread=1.0, seed=14)
     config = li.RunConfig(T=20, seed=0, schedule=li.PolynomialStep(2.0, 0.5), x0=np.ones(3))
     seeds = range(2**64 - sgd._PASS_ROWS - 3, 2**64)
-    assert np.array_equal(sgd._run(problem, config, seeds)[1], single_runs(problem, config, seeds))
+    assert np.array_equal(li.run(problem, config, seeds)[1], single_runs(problem, config, seeds))
 
 
 def test_blocks_take_the_pass_only_where_it_is_cheaper(monkeypatch):
     """The pass serves blocks of many seeds with short uniform single-sample streams."""
-    problem, cert = li.make_least_squares(n=10, d=2, spread=1.0, seed=19)
-    weighted, weighted_cert = weighted_least_squares()
+    problem, _ = li.make_least_squares(n=10, d=2, spread=1.0, seed=19)
+    weighted, _ = weighted_least_squares()
     streams = []
     monkeypatch.setattr(sgd, "stream", lambda seed, purpose: streams.append(seed) or li.stream(seed, purpose))
 
@@ -396,10 +384,7 @@ def test_blocks_take_the_pass_only_where_it_is_cheaper(monkeypatch):
         streams.clear()
         config = li.RunConfig(T=T, seed=0, schedule=li.PolynomialStep(2.0, 0.5),
                               x0=np.zeros(family.dimension), batch_size=b)
-        if S == 1:
-            li.minibatch_run(family, cert if family is problem else weighted_cert, config)
-        else:
-            sgd._run(family, config, range(S))
+        li.run(family, config, range(S))
         return len(streams)
 
     assert stream_calls(1000, 5) == 0
@@ -461,7 +446,7 @@ def test_single_sample_seed_mapping_past_many_draw_chunks():
     problem, cert = li.make_least_squares(n=5, d=2, spread=1.0, seed=16)
     T, gamma = 9000, 0.01 / problem.L
     config = li.RunConfig(T=T, seed=0, schedule=li.ConstantStep(gamma), x0=np.zeros(2))
-    _, block = sgd._run(problem, config, (21, 22))
+    _, block = li.run(problem, config, (21, 22))
     for row, seed in zip(block, (21, 22)):
         x = np.zeros(2)
         for i in li.stream(seed, li.RUN_STREAM).integers(0, problem.n, size=T):
@@ -475,10 +460,10 @@ def test_minibatch_seed_mapping_past_a_draw_chunk(monkeypatch):
     n, b, T, gamma = problem.n, 3, 2100, 0.05 / problem.L
     config = li.RunConfig(T=T, seed=0, schedule=li.ConstantStep(gamma), x0=np.zeros(2),
                           batch_size=b)
-    _, block = sgd._run(problem, config, (5, 6, 7))
+    _, block = li.run(problem, config, (5, 6, 7))
     # a tiny budget shuffles a few steps' permutations at a time: same subsets
     monkeypatch.setattr(sgd, "_BLOCK_ENTRIES", 50)
-    assert np.array_equal(sgd._run(problem, config, (5, 6, 7))[1], block)
+    assert np.array_equal(li.run(problem, config, (5, 6, 7))[1], block)
     for row, seed in zip(block, (5, 6, 7)):
         rng = li.stream(seed, li.RUN_STREAM)
         x = np.zeros(2)
