@@ -2,9 +2,9 @@
 
 Generates a least-squares family that is noisy at its minimizer, a spread-0
 least-squares family that interpolates (every component is minimized at x*),
-both certified in closed form, and a logistic family certified by the
-iterative solver, then round-trips two of them through a JSON file in a
-temporary directory that is removed afterwards.  A file holds the arrays
+and a logistic family, each certified by the package's one certifier (damped
+Newton steps from the origin), then round-trips two of them through a JSON
+file in a temporary directory that is removed afterwards.  A file holds the arrays
 only; loading it certifies the family again, and the re-derived certificate
 is the generator's bit for bit.
 """
@@ -26,7 +26,7 @@ def describe(name, problem, cert):
     print(f"  x*                             = {np.array2string(cert.x_star, precision=4)}")
     print(f"  inf f                          = {cert.inf_f:.6e}")
     print(f"  sigma*^2 at x*                 = {cert.sigma_star_sq:.6e}")
-    print(f"  grad residual / provenance     = {cert.grad_norm_residual:.2e} / {cert.provenance}")
+    print(f"  grad residual / tol            = {cert.grad_norm_residual:.2e} / {cert.tol:.0e}")
     print()
 
 
@@ -42,7 +42,7 @@ def main():
     describe("least squares, spread 0 (interpolation)", interp, interp_cert)
 
     logi, logi_cert = li.make_logistic(n=10, d=3, seed=args.seed + 1)
-    describe("logistic, separable with paired opposite labels", logi, logi_cert)
+    describe("logistic, each direction carrying both labels (not separable)", logi, logi_cert)
 
     # one component's oracle agrees with a finite difference
     three = np.array([3])

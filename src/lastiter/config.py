@@ -239,7 +239,7 @@ def build_problem(spec: dict, index: int = 0):
     """Build (problem_id, problem, certificate) from a problem spec object.
 
     Specs name a generator with its parameters, or a "file" with a problem
-    document saved by ``save_problem``; either way the family's certifier
+    document saved by ``save_problem``; either way ``certify_solution``
     derives the certificate from the arrays.
 
     Raises:

@@ -128,7 +128,7 @@ def test_criterion_2_weight_dual_representation(acceptance_note, weight_closed_f
 )
 def test_criterion_3_exact_oracle(acceptance_note):
     problem = two_quadratics()
-    cert = li.closed_form_certificate(problem)
+    cert = li.certify_solution(problem)
     start = time.monotonic()
     margins = []
     for T in (1, 2, 5, 10):

@@ -27,6 +27,7 @@ REMOVED = (
     "minibatch_run",
     "Trajectory",
     "StepRecord",
+    "closed_form_certificate",
 )
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -64,6 +65,7 @@ def test_removed_names_are_gone():
     assert "record_iterates" not in li.RunConfig.__dataclass_fields__
     assert "effective" not in li.CellCheck.__dataclass_fields__
     assert "epsilon" not in li.AbcConstants.__dataclass_fields__
+    assert "provenance" not in li.SolutionCertificate.__dataclass_fields__
     assert not hasattr(li.FiniteSumProblem, "to_doc")
     assert not hasattr(importlib.import_module("lastiter.reporting"), "jsonable")
 

@@ -234,7 +234,7 @@ def test_effective_constants_formula_and_errors():
             li.effective_constants(problem, b, cert)
     # n = 1 at b = 1 is plain single-sample SGD
     single = li.LeastSquaresProblem(np.ones((1, 1, 1)), np.zeros((1, 1)))
-    single_cert = li.closed_form_certificate(single)
+    single_cert = li.certify_solution(single)
     eff = li.effective_constants(single, 1, single_cert)
     assert eff.L_b == single.L == 1.0
     assert eff.sigma_b_sq == single_cert.sigma_star_sq

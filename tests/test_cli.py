@@ -6,7 +6,9 @@ import json
 import multiprocessing
 import subprocess
 import sys
+import time
 
+import numpy as np
 import pytest
 
 import lastiter as li
@@ -138,18 +140,19 @@ def test_run_exit_two_on_violated_bound(tmp_path, capsys, monkeypatch):
 
 
 def test_run_writes_null_slack_ratio_when_ci95_upper_is_not_positive(tmp_path, capsys):
-    """An interpolating family converges at 0.9/L until rounding noise leaves ci95_upper < 0."""
+    """f_i = x^2/2 has x* = 0 and inf f = 0 exactly; at gamma 0.9 the iterates underflow to 0."""
+    li.save_problem(tmp_path / "p.json", li.LeastSquaresProblem(np.ones((4, 1, 1)), np.zeros((4, 1))))
     doc = {
-        "problem": {"generator": "least_squares", "n": 8, "d": 3, "spread": 0.0, "seed": 5},
+        "problem": {"file": str(tmp_path / "p.json")},
         "run": {"T": 3000, "n_seeds": 20, "base_seed": 0,
-                "schedule": {"variant": "constant", "gamma": 0.3032392823445212},
+                "schedule": {"variant": "constant", "gamma": 0.9},
                 "x0": {"policy": "offset", "distance": 1.0, "seed": 1}},
     }
     config = write_config(tmp_path, "run.json", doc)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", config, "--out", str(out), "--deterministic-output"]) == 0
     verdict = json.loads((out / "report.json").read_text())["verdict"]
-    assert verdict["ci95_upper"] <= 0 < verdict["bound_value"]
+    assert verdict["ci95_upper"] == 0.0 < verdict["bound_value"]
     assert verdict["slack_ratio"] is None
     assert verdict["satisfied"] is True
     assert "slack_ratio=n/a satisfied" in capsys.readouterr().out
@@ -301,8 +304,7 @@ def test_run_refuses_a_file_with_a_forged_certificate(tmp_path, capsys):
     problem, cert = li.make_least_squares(n=10, d=2, spread=1.0, seed=101)
     forged = {**li.problem_to_doc(problem), "certificate": {
         "x_star": (cert.x_star + 3.0).tolist(), "inf_f": cert.inf_f - 5.0,
-        "sigma_star_sq": cert.sigma_star_sq * 1e6, "grad_norm_residual": 0.0,
-        "provenance": "closed_form", "tol": 1e-8,
+        "sigma_star_sq": cert.sigma_star_sq * 1e6, "grad_norm_residual": 0.0, "tol": 1e-10,
     }}
     path = tmp_path / "forged.json"
     path.write_text(json.dumps(forged))
@@ -331,7 +333,28 @@ def test_report_certificate_of_a_file_is_the_generators(tmp_path):
     assert loaded["certificate"] == generated["certificate"]
     assert loaded["problem"] == generated["problem"]
     assert set(generated["certificate"]) == {
-        "x_star", "inf_f", "sigma_star_sq", "grad_norm_residual", "provenance", "tol"}
+        "x_star", "inf_f", "sigma_star_sq", "grad_norm_residual", "tol"}
+
+
+@pytest.mark.parametrize("features, labels", [
+    ([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+    ([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [1.0, -1.0, 1.0]),
+], ids=["separable", "separable-along-one-direction"])
+def test_run_refuses_a_logistic_file_whose_mean_has_no_minimizer(tmp_path, capsys, features, labels):
+    """Separable data drive the loss toward 0 without a minimizer; Newton steps see it in milliseconds."""
+    li.save_problem(tmp_path / "p.json", li.LogisticProblem(features, labels))
+    doc = run_config_doc()
+    doc["problem"] = {"file": str(tmp_path / "p.json")}
+    start = time.perf_counter()
+    assert cli.main(["run", "--config", write_config(tmp_path, "run.json", doc),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert time.perf_counter() - start < 2.0  # a gradient-descent certifier took 5-7 s to give up
+    err = capsys.readouterr().err
+    header, line = err.splitlines()
+    assert header == "lastiter run: error:"
+    assert line.startswith("  problem[0]: ") and line.endswith("the mean has no minimizer")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_divergence_exits_one(tmp_path, capsys, monkeypatch):

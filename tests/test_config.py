@@ -237,7 +237,7 @@ def test_numbers_must_fit_the_float_range():
     # Integers past int64 but inside the float range are numbers like any other.
     assert np.array_equal(li.resolve_grid({"min": 10**20, "max": 10**22, "count": 3, "spacing": "log"}),
                           np.logspace(20.0, 22.0, 3))
-    with pytest.raises(li.ConfigError, match=r"problem\[0\]: normal-equations residual"):
+    with pytest.raises(li.ConfigError, match=r"problem\[0\]: Newton steps stopped at residual .* above tol 1e-10"):
         li.load_run_plan({**run_doc(), "problem": {**spec, "spread": 2**70}})
 
 

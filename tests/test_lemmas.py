@@ -54,7 +54,7 @@ def small_grids(**overrides):
 def test_variance_transfer_single_point_oracle():
     """Recompute both sides by hand at one (point, eps) pair."""
     problem = two_quadratics()
-    cert = li.closed_form_certificate(problem)
+    cert = li.certify_solution(problem)
     x = np.array([1.5])
     eps = 0.5
     # component grads: f_1' = x, f_2' = 2x
@@ -86,14 +86,14 @@ def test_variance_transfer_holds_on_random_clouds():
 
 def test_non_finite_slack_raises_instead_of_passing():
     problem = two_quadratics()
-    cert = li.closed_form_certificate(problem)
+    cert = li.certify_solution(problem)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError, match="not finite"):
         li.check_variance_transfer(problem, cert, np.full((1, 1), 1e200), np.array([1.0]))
 
 
 def test_variance_transfer_rejects_nonpositive_eps():
     problem = two_quadratics()
-    cert = li.closed_form_certificate(problem)
+    cert = li.certify_solution(problem)
     with pytest.raises(ValueError):
         li.check_variance_transfer(problem, cert, np.ones((2, 1)), np.array([0.0, 1.0]))
 
@@ -104,7 +104,7 @@ def test_variance_transfer_rejects_nonpositive_eps():
 def test_one_step_single_pair_oracle():
     """Recompute the energy identity by hand for one (x, z) pair."""
     problem = two_quadratics()
-    cert = li.closed_form_certificate(problem)
+    cert = li.certify_solution(problem)
     gamma = 0.25
     x = np.array([2.0])
     z = np.array([-1.0])
@@ -151,7 +151,7 @@ def test_one_step_is_exact_at_small_step():
 
 def test_one_step_rejects_mismatched_shapes():
     problem = two_quadratics()
-    cert = li.closed_form_certificate(problem)
+    cert = li.certify_solution(problem)
     with pytest.raises(ValueError):
         li.check_one_step_inequality(
             problem, cert, 0.1, np.ones((3, 1)), np.ones((2, 1))
@@ -379,7 +379,7 @@ def test_gautschi_grid_validation():
 def test_second_moment_split_oracle():
     """Recompute the split inequality componentwise for a fixed pair."""
     problem = two_quadratics()
-    cert = li.closed_form_certificate(problem)
+    cert = li.certify_solution(problem)
     points = np.array([[1.0], [3.0]])
     res = li.check_second_moment_transfer(problem, cert, points)
     # grads at x=1: (1, 2); at y=3: (3, 6)
@@ -401,7 +401,7 @@ def test_second_moment_tight_along_top_eigenvector():
     design[0, 0, 0] = 2.0  # single component, Hessian diag(4, 1)
     design[0, 1, 1] = 1.0
     problem = li.LeastSquaresProblem(design, np.zeros((1, 2)))
-    cert = li.closed_form_certificate(problem)
+    cert = li.certify_solution(problem)
     points = np.array([[1.0, 0.0], [2.0, 0.0]])
     res = li.check_second_moment_transfer(problem, cert, points)
     assert res.worst_slack == pytest.approx(0.0, abs=1e-12)
@@ -419,7 +419,7 @@ def test_second_moment_holds_on_random_clouds():
 
 def test_second_moment_needs_two_points():
     problem = two_quadratics()
-    cert = li.closed_form_certificate(problem)
+    cert = li.certify_solution(problem)
     with pytest.raises(ValueError):
         li.check_second_moment_transfer(problem, cert, np.ones((1, 1)))
 
@@ -492,7 +492,7 @@ def oracle_family(kind):
     weights = np.random.default_rng(5).uniform(0.5, 2.0, problem.n)
     weighted = li.LeastSquaresProblem(problem.design, problem.offsets, weights / weights.sum())
     assert not weighted.uniform_weights
-    return weighted, li.closed_form_certificate(weighted)
+    return weighted, li.certify_solution(weighted)
 
 
 def assert_same(result, reference):

@@ -70,7 +70,7 @@ def test_reduce_moments_of_tiny_gaps_keeps_its_spread():
 
 def estimate_template(T=5):
     problem = two_quadratics()
-    cert = li.closed_form_certificate(problem)
+    cert = li.certify_solution(problem)
     config = li.RunConfig(T=T, seed=0, schedule=li.ConstantStep(0.25), x0=np.array([1.0]))
     return problem, cert, config
 
@@ -164,7 +164,7 @@ def test_divergence_reports_lowest_seed_for_any_worker_count():
     problem = SignFlipPair()
     cert = li.SolutionCertificate(
         x_star=np.zeros(1), inf_f=0.0, sigma_star_sq=0.0,
-        grad_norm_residual=0.0, provenance="closed_form", tol=1e-8,
+        grad_norm_residual=0.0, tol=1e-10,
     )
     config = li.RunConfig(T=40, seed=0, schedule=li.ConstantStep(0.5), x0=np.array([2.0]))
     first_bad = {}
@@ -199,7 +199,7 @@ class SlowUpperFlipPair(SignFlipPair):
 def flip_certificate():
     return li.SolutionCertificate(
         x_star=np.zeros(1), inf_f=0.0, sigma_star_sq=0.0,
-        grad_norm_residual=0.0, provenance="closed_form", tol=1e-8,
+        grad_norm_residual=0.0, tol=1e-10,
     )
 
 
@@ -364,7 +364,7 @@ def test_sweep_turns_a_nonfinite_bound_into_an_error_row(monkeypatch):
 
 def sweep_entries():
     problem = two_quadratics()
-    cert = li.closed_form_certificate(problem)
+    cert = li.certify_solution(problem)
     return [("twoq", problem, cert, np.array([1.0]))]
 
 
@@ -413,7 +413,7 @@ def test_sweep_corollary_bounds_by_schedule_kind():
     )
     constant, c2, c3, beta_q = rows
     problem = two_quadratics()
-    cert = li.closed_form_certificate(problem)
+    cert = li.certify_solution(problem)
     d_sq = 1.0
     assert constant.corollary_bound is None
     assert constant.C is None and constant.beta is None
@@ -448,7 +448,7 @@ def test_sweep_error_rows_do_not_abort():
 
 def test_sweep_batch_cells_use_effective_constants():
     problem = two_quadratics()
-    cert = li.closed_form_certificate(problem)
+    cert = li.certify_solution(problem)
     rows = li.sweep(
         [("twoq", problem, cert, np.array([1.0]))],
         T_grid=[8],
@@ -467,7 +467,7 @@ def test_sweep_batch_cells_use_effective_constants():
 
 def test_sweep_estimates_match_direct_estimator():
     problem = two_quadratics()
-    cert = li.closed_form_certificate(problem)
+    cert = li.certify_solution(problem)
     rows = li.sweep(
         [("twoq", problem, cert, np.array([1.0]))],
         T_grid=[6],
@@ -520,7 +520,7 @@ def test_sweep_satisfied_checks_every_applicable_bound(monkeypatch):
 
     monkeypatch.setattr(mc, "build_bound_report", polynomial_tightest)
     problem = two_quadratics()
-    cert = li.closed_form_certificate(problem)
+    cert = li.certify_solution(problem)
     schedule = li.PolynomialStep(2.0, 0.5)
     report = polynomial_tightest(schedule, problem.L, 1.0, cert.sigma_star_sq, 10)
 
@@ -544,7 +544,7 @@ def test_sweep_satisfied_checks_every_applicable_bound(monkeypatch):
 
 def test_sweep_opens_one_pool_for_all_cells(pools):
     problem = two_quadratics()
-    cert = li.closed_form_certificate(problem)
+    cert = li.certify_solution(problem)
     entries = [("twoq", problem, cert, np.array([1.0]))]
     schedule = [li.PolynomialStep(2.0, 0.5)]
     pooled = li.sweep(entries, [4, 8], schedule, [1, 2], n_seeds=6, base_seed=0, workers=2)
@@ -637,7 +637,7 @@ def test_pools_fork_where_the_platform_can(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method=None: methods.append(method) or real_context(method))
     problem = two_quadratics()
-    cert = li.closed_form_certificate(problem)
+    cert = li.certify_solution(problem)
     config = li.RunConfig(T=4, seed=0, schedule=li.PolynomialStep(2.0, 0.5), x0=np.array([1.0]))
     pooled = li.estimate_gap(problem, cert, config, n_seeds=4, base_seed=0, workers=2)
     assert methods == [None]
@@ -649,9 +649,9 @@ def test_sweep_rows_are_worker_independent(monkeypatch):
     flip = SignFlipPair()
     flip_cert = li.SolutionCertificate(
         x_star=np.zeros(1), inf_f=0.0, sigma_star_sq=0.0,
-        grad_norm_residual=0.0, provenance="closed_form", tol=1e-8,
+        grad_norm_residual=0.0, tol=1e-10,
     )
-    entries = [("twoq", problem, li.closed_form_certificate(problem), np.array([1.0])),
+    entries = [("twoq", problem, li.certify_solution(problem), np.array([1.0])),
                ("flip", flip, flip_cert, np.array([2.0]))]
     schedules = [li.ConstantStep(10.0), li.ConstantStep(0.5), li.PolynomialStep(2.0, 0.5)]
     # blocks of 2 seeds: every b < n cell is 4 blocks; b = 2 is full batch, b = 3 > n

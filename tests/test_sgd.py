@@ -14,7 +14,7 @@ from lastiter import sgd
 def single_quadratic():
     """f(x) = x^2 / 2 with one component: SGD is exact gradient descent."""
     problem = li.LeastSquaresProblem(np.ones((1, 1, 1)), np.zeros((1, 1)))
-    return problem, li.closed_form_certificate(problem)
+    return problem, li.certify_solution(problem)
 
 
 def coordinate_problem(n):
@@ -23,7 +23,7 @@ def coordinate_problem(n):
     for i in range(n):
         design[i, 0, i] = 1.0
     problem = li.LeastSquaresProblem(design, np.zeros((n, 1)))
-    return problem, li.closed_form_certificate(problem)
+    return problem, li.certify_solution(problem)
 
 
 def final_iterate(problem, config, seed):
@@ -278,7 +278,7 @@ def weighted_least_squares():
     base, _ = li.make_least_squares(n=6, d=3, spread=1.0, seed=14)
     weights = np.arange(1.0, 7.0) / 21.0
     problem = li.LeastSquaresProblem(base.design, base.offsets, weights=weights)
-    return problem, li.closed_form_certificate(problem)
+    return problem, li.certify_solution(problem)
 
 
 def single_runs(problem, config, seeds):
