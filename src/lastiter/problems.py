@@ -109,8 +109,9 @@ class FiniteSumProblem:
     The component hooks take ``idx`` = None (every component), an index
     vector (k,), or one index row per point (S, k), and ``x`` of shape (d,)
     or (S, d); they return values of shape (..., k) and gradients of shape
-    (..., k, d).  Each row is computed by the same per-row BLAS calls
-    whatever S is, so a row's result never depends on the rows beside it.
+    (..., k, d).  Each point is computed by the same BLAS calls whatever S
+    is (one matrix-vector product over all of its selected components), so
+    a point's result never depends on the points beside it.
     """
 
     kind = "abstract"
@@ -263,7 +264,7 @@ class LeastSquaresProblem(FiniteSumProblem):
     array_names = ("design", "offsets", "weights")
 
     def __init__(self, design, offsets, weights=None):
-        A = np.asarray(design, dtype=float)
+        A = np.ascontiguousarray(design, dtype=float)
         b = np.asarray(offsets, dtype=float)
         if A.ndim != 3:
             raise GenerationError("design must have shape (n, m, d)")
@@ -291,13 +292,13 @@ class LeastSquaresProblem(FiniteSumProblem):
     def component_values_at(self, idx, x):
         A = self.design if idx is None else self.design[idx]
         b = self.offsets if idx is None else self.offsets[idx]
-        r = np.matmul(A, x[..., None, :, None])[..., 0] - b
+        r = _stacked_product(A, x) - b
         return 0.5 * np.einsum("...nm,...nm->...n", r, r)
 
     def component_grads_at(self, idx, x):
         H = self._hess if idx is None else self._hess[idx]
         c = self._atb if idx is None else self._atb[idx]
-        return np.matmul(H, x[..., None, :, None])[..., 0] - c
+        return _stacked_product(H, x) - c
 
     def hessian(self, x):
         return self.mean_hessian
@@ -305,6 +306,17 @@ class LeastSquaresProblem(FiniteSumProblem):
     def component_entries(self):
         # a gathered Hessian for the gradient, a residual for the value
         return max(self.dimension * self.dimension, self.offsets.shape[1])
+
+
+def _stacked_product(M, x):
+    """M_i x for each matrix of a contiguous stack M (..., k, r, d), as (..., k, r).
+
+    The k matrices of a point are one (k r, d) matrix, so each point takes a
+    single BLAS matrix-vector product however many components it selects.
+    """
+    k, r, d = M.shape[-3:]
+    out = np.matmul(M.reshape(*M.shape[:-3], k * r, d), x[..., :, None])
+    return out.reshape(*out.shape[:-2], k, r)
 
 
 class LogisticProblem(FiniteSumProblem):

@@ -1,8 +1,11 @@
 """Canonical serialization helpers shared by reports, sweeps, and the CLI.
 
 JSON documents are dumped with sorted keys and fixed separators so equal
-documents are equal bytes; CSV files are written through the csv module
-with its RFC-4180 quoting and CRLF rows, always with a header row.
+documents are equal bytes.  CSV files always have a header row and are the
+bytes the csv module writes, with its RFC-4180 quoting and CRLF rows; rows
+whose cells are all str and need no quoting are joined directly.  Both
+kinds of file are written to a temporary file beside their path that
+replaces it once complete.
 """
 
 from __future__ import annotations
@@ -12,9 +15,9 @@ import contextlib
 import csv
 import datetime
 import hashlib
+import itertools
 import json
 import math
-import multiprocessing
 import os
 
 import numpy as np
@@ -57,16 +60,26 @@ def write_json(path, doc):
     platform cannot fork, it is formatted in this process.  The pool is a
     ``_forked`` one: a write that fails lets the rows in flight finish,
     then raises; Ctrl-C stops the workers at once.
-    The text goes to a temporary file beside ``path`` that replaces ``path``
-    once it is complete, so an error leaves no partial file.
+    The text goes to a ``_replacing`` file, so an error leaves no partial file.
+    """
+    with _replacing(path) as fh:
+        for piece in _pieces(doc, "\n", True):
+            fh.write(piece)
+        fh.write("\n")
+
+
+@contextlib.contextmanager
+def _replacing(path, newline=None):
+    """A text file open for writing beside ``path`` that replaces ``path`` once the block completes.
+
+    If the block raises, the temporary file is removed and ``path`` is left
+    as it was.
     """
     head, name = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for piece in _pieces(doc, "\n", True):
-                fh.write(piece)
-            fh.write("\n")
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -109,8 +122,9 @@ def _pieces(value, newline: str, fork: bool = False):
 # The start method of every process pool: fork where the platform has it, so
 # the workers inherit what the pool is given to share (a job's problems, a
 # report's array) instead of receiving it pickled, whatever the default start
-# method; elsewhere (None) the platform's default.
-_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+# method; elsewhere (None) the platform's default.  multiprocessing is
+# imported only where a pool may open, so a command that opens none skips it.
+_START_METHOD = "fork" if hasattr(os, "fork") else None
 
 
 def _fork_cpus() -> int:
@@ -119,6 +133,8 @@ def _fork_cpus() -> int:
     1 where the platform cannot fork, and in a daemonic process (such as a
     pool worker), which may not have children.
     """
+    import multiprocessing
+
     if _START_METHOD is None or multiprocessing.current_process().daemon:
         return 1
     try:
@@ -146,6 +162,8 @@ def _forked(processes: int, shared):
     while it sends a reply leaves the pool unable to shut down.  Only
     KeyboardInterrupt and SystemExit terminate the workers at once.
     """
+    import multiprocessing
+
     pool = multiprocessing.get_context(_START_METHOD).Pool(processes, _share, (shared,))
     try:
         yield pool
@@ -206,12 +224,49 @@ def _key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
+# Rows write_csv joins at a time: a chunk's rows and text are all it holds.
+_CSV_CHUNK_ROWS = 1 << 12
+
+
 def write_csv(path, header, rows):
-    """CSV with a mandatory header row; values are stringified verbatim."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """CSV with a mandatory header row; values are stringified verbatim.
+
+    The bytes are exactly those of ``csv.writer`` (excel dialect) writing
+    ``header`` and then ``rows``.  Rows are taken ``_CSV_CHUNK_ROWS`` at a
+    time; a chunk whose cells are all str and need no quoting is written
+    as one joined string, any other chunk through ``csv.writer``.  The text
+    goes to a ``_replacing`` file, so an error leaves no partial file.
+    """
+    rows = itertools.chain([header], rows)
+    with _replacing(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(header))
-        writer.writerows(rows)
+        while chunk := list(map(tuple, itertools.islice(rows, _CSV_CHUNK_ROWS))):
+            text = _joined_rows(chunk)
+            if text is None:
+                writer.writerows(chunk)
+            else:
+                fh.write(text)
+
+
+def _joined_rows(chunk):
+    """The CSV text of rows of str cells that need no quoting, else None.
+
+    csv quotes a cell holding a comma, a quote, CR or LF, and a row of one
+    empty cell (written ``""``); such a cell adds a separator to the text
+    beyond the one per cell boundary and row end, or leaves an empty line.
+    """
+    try:
+        lines = list(map(",".join, chunk))
+    except TypeError:  # a cell that is not a str
+        return None
+    if "" in lines:
+        return None
+    text = "\r\n".join(lines) + "\r\n"
+    count = len(lines)
+    if (text.count(",") != sum(map(len, chunk)) - count or text.count("\r") != count
+            or text.count("\n") != count or '"' in text):
+        return None
+    return text
 
 
 def fmt(value) -> str:

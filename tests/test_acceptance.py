@@ -359,13 +359,18 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     """--deterministic-output files are byte-identical at 1 and 2 OpenBLAS threads.
 
     The families are sized so that their BLAS calls (the Hessian stack,
-    the mean offsets, the weighted gradient and the logistic margins) are
-    large enough for OpenBLAS to split them across threads.
+    the mean offsets, the weighted gradient, the logistic margins and each
+    point's one matrix-vector product over its components) are large enough
+    for OpenBLAS to split them across threads.  The tall family's component
+    values at a point are one (303, 40) product, a row count that is not a
+    multiple of the kernels' unrolling.
     """
     design = np.random.default_rng(11).standard_normal((160, 1, 64))
     weights = np.random.default_rng(12).uniform(0.5, 1.5, 160)
     li.save_problem(tmp_path / "weighted-problem.json", li.LeastSquaresProblem(
         design, design[:, :, 0] + 0.5, weights=weights / math.fsum(weights)))
+    tall = np.random.default_rng(13).standard_normal((101, 3, 40))
+    li.save_problem(tmp_path / "tall-problem.json", li.LeastSquaresProblem(tall, tall[:, :, 0] + 0.5))
 
     def run_doc(problem, b):
         return {"problem": problem, "run": {
@@ -379,6 +384,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         "ls-b1": ("run", run_doc(wide, 1)),
         "ls-b4": ("run", run_doc(wide, 4)),
         "weighted": ("run", run_doc({"file": str(tmp_path / "weighted-problem.json")}, 1)),
+        "tall": ("run", run_doc({"file": str(tmp_path / "tall-problem.json")}, 8)),
         "logistic": ("run", run_doc({"generator": "logistic", "n": 1000, "d": 50, "seed": 3}, 8)),
         "criterion-8-run": ("run", DETERMINISM_RUN_DOC),
         "criterion-8-sweep": ("sweep", DETERMINISM_SWEEP_DOC),
@@ -398,7 +404,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs[threads] = {p.relative_to(tmp_path / threads).as_posix(): p.read_bytes()
                             for p in sorted((tmp_path / threads).rglob("*")) if p.is_file()}
-    assert len(outputs["1"]) == 2 * 5 + 3
+    assert len(outputs["1"]) == 2 * 6 + 3
     moved = sorted(name for name in outputs["1"] if outputs["1"][name] != outputs["2"][name])
     assert moved == []
 

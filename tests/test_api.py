@@ -125,6 +125,35 @@ def test_command_line_imports_no_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_commands_that_open_no_pool_import_no_multiprocessing(tmp_path):
+    """multiprocessing is imported only where a pool may open: not by a one-worker run or the battery."""
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps({
+        "problem": {"generator": "least_squares", "n": 5, "d": 2, "spread": 1.0, "seed": 1},
+        "run": {"T": 5, "n_seeds": 8, "schedule": {"variant": "polynomial", "C": 2.0, "beta": 0.5}},
+    }))
+    lemmas = tmp_path / "lemmas.json"
+    lemmas.write_text(json.dumps({"lemmas": {
+        "problems": [{"generator": "least_squares", "n": 5, "d": 2, "spread": 1.0, "seed": 1}],
+        "n_points": 8,
+        "n_pairs": 4,
+    }}))
+    proc = run_python(
+        "import sys, lastiter.cli\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+        "run, lemmas, out = sys.argv[1:]\n"
+        "code = lastiter.cli.main(['run', '--config', run, '--out', out + '/run', '--workers', '1',\n"
+        "                          '--dump-seeds'])\n"
+        "assert code == 0, code\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+        "code = lastiter.cli.main(['verify-lemmas', '--config', lemmas, '--out', out + '/lemmas'])\n"
+        "assert code == 0, code\n"
+        "assert 'multiprocessing' not in sys.modules\n",
+        str(run), str(lemmas), str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_lemmas_imports_no_numpy_ma(tmp_path):
     """np.unique imports numpy.ma (12-20 ms); the log-int grids and the chord check avoid it."""
     config = tmp_path / "lemmas.json"

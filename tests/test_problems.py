@@ -457,6 +457,22 @@ def test_component_view_matches_problem():
             problem.component_grads_at(np.array([5]), x)
 
 
+@pytest.mark.parametrize("m, d", [(1, 8), (2, 10), (10, 10), (3, 64)])
+def test_block_rows_equal_single_point_calls(m, d):
+    """A point's components share one matrix-vector product, the same in a block as alone."""
+    rng = np.random.default_rng(100 * m + d)
+    n, S = 7, 9
+    problem = li.LeastSquaresProblem(rng.standard_normal((n, m, d)), rng.standard_normal((n, m)))
+    X = rng.standard_normal((S, d))
+    rows = rng.integers(0, n, size=(S, 4))
+    for hook in (problem.component_values_at, problem.component_grads_at):
+        every, shared, gathered = hook(None, X), hook(rows[0], X), hook(rows, X)
+        for s in range(S):
+            assert np.array_equal(every[s], hook(None, X[s]))
+            assert np.array_equal(shared[s], hook(rows[0], X[s]))
+            assert np.array_equal(gathered[s], hook(rows[s], X[s]))
+
+
 def test_generation_is_seed_deterministic():
     a1, c1 = li.make_least_squares(n=6, d=3, spread=1.0, seed=500)
     a2, c2 = li.make_least_squares(n=6, d=3, spread=1.0, seed=500)

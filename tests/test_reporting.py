@@ -1,5 +1,7 @@
-"""The JSON writer: byte-identical to json.dump, with json's errors."""
+"""The writers: JSON byte-identical to json.dump with json's errors, CSV to csv.writer."""
 
+import csv
+import io
 import json
 import os
 
@@ -9,7 +11,7 @@ import pytest
 import lastiter as li
 import lastiter.cli as cli
 import lastiter.reporting as reporting
-from lastiter.reporting import write_json
+from lastiter.reporting import write_csv, write_json
 
 CPUS = (1, 2, 3)
 PER = reporting._PROCESS_ENTRIES
@@ -173,6 +175,69 @@ def test_failed_write_leaves_the_previous_file_and_no_temporary(tmp_path, monkey
         write_json(path, {"a": bad})
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
     assert path.read_bytes() == json_text([1.0]).encode("utf-8")
+
+
+class Unprintable:
+    def __str__(self):
+        raise RuntimeError("no text")
+
+
+@pytest.mark.parametrize("chunk_rows", [2, reporting._CSV_CHUNK_ROWS])
+def test_failed_csv_write_leaves_the_previous_file_and_no_temporary(tmp_path, monkeypatch, chunk_rows):
+    monkeypatch.setattr(reporting, "_CSV_CHUNK_ROWS", chunk_rows)
+    rows = [("1", "2"), ("3", "4"), ("5", "6"), ("7", Unprintable())]  # the bad cell after a written chunk
+    path = tmp_path / "table.csv"
+    with pytest.raises(RuntimeError, match="no text"):
+        write_csv(path, ("a", "b"), rows)
+    assert list(tmp_path.iterdir()) == []
+    write_csv(path, ("a", "b"), rows[:1])
+    with pytest.raises(RuntimeError, match="no text"):
+        write_csv(path, ("a", "b"), iter(rows))
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+    assert path.read_bytes() == b"a,b\r\n1,2\r\n"
+
+
+# (header, rows, joined): joined says whether the rows need no csv quoting,
+# so that write_csv writes them, header included, as one joined string.
+CSV_CORPUS = [
+    (("seed",), [("0",), ("1",), ("17",)], True),
+    (("seed",), [("0",), ("",), ("2",)], False),  # a row of one empty cell is written ""
+    (("note",), [("with,comma",)], False),
+    (("seed", "gap"), [("0", "0.1"), ("1", "-2.5e-300"), ("2", "nan")], True),
+    (("a", "b"), [("", ""), ("x", "")], True),
+    (("a", "b"), [(" spaced ", "ünïcödé"), ["日本", "tab\there"]], True),
+    (("a", "b"), [("with,comma", "x")], False),
+    (("a", "b"), [('say "hi"', "x")], False),
+    (("a", "b"), [("cr\rhere", "x")], False),
+    (("a", "b"), [("x", "lf\nhere")], False),
+    (("a", "b"), [("x", "crlf\r\n")], False),
+    (("a", "b"), [(1, 2.5), (None, True), (np.float64(0.1), -0.0)], False),
+    (("a", "b"), [("x", None)], False),
+    (("a", "b"), [("1", "2", "3"), ("4",)], True),
+    (("a", "b"), [("1", "2", "3"), ("4",), ()], False),  # an empty row is an empty line
+    (("a,b", "c"), [("1", "2")], False),
+    (("a", "b"), [], True),
+]
+
+
+def csv_writer_text(header, rows) -> str:
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("header, rows, joined", CSV_CORPUS, ids=range(len(CSV_CORPUS)))
+def test_csv_writer_matches_csv_module(tmp_path, monkeypatch, header, rows, joined):
+    assert (reporting._joined_rows([tuple(header), *map(tuple, rows)]) is not None) == joined
+    expected = csv_writer_text(header, rows).encode("utf-8")
+    path = tmp_path / "table.csv"
+    for chunk_rows in (1, 2, reporting._CSV_CHUNK_ROWS):
+        monkeypatch.setattr(reporting, "_CSV_CHUNK_ROWS", chunk_rows)
+        write_csv(path, header, iter(rows))
+        assert path.read_bytes() == expected
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
 
 @pytest.mark.parametrize("bad", [{(1, 2): 3}, [np.int64(3)], {"a": object()}, {1: "x", "b": 2}])
