@@ -61,6 +61,8 @@ _CERTIFY_TOL = 1e-10
 _NEWTON_STEP_CAP = 100
 # Eigenvalues and curvatures below this fraction of hessian(0)'s largest count as zero.
 _SINGULAR_RATIO = 1e-12
+# Below this many gradients, batch_grad adds them slice by slice.
+_SLICE_SUM_MAX = 8
 
 
 class UnsupportedSamplingError(ValueError):
@@ -225,14 +227,24 @@ class FiniteSumProblem:
     def batch_grad(self, idx, x) -> np.ndarray:
         """Average of the component gradients over idx (every component when None).
 
-        Gradients are summed in ascending position along the batch axis and
-        divided once; with idx = None this is the gradient of a uniformly
-        weighted mean, so the full-batch SGD step and :meth:`grad` are the
-        same computation.  A batch of one is its gradient, exactly.
+        The k gradients are summed and divided once.  Fewer than
+        _SLICE_SUM_MAX are added one slice at a time in ascending position;
+        from _SLICE_SUM_MAX on, ``sum(axis=-2)`` adds in numpy's own order
+        (pairwise at d = 1).  Either way a row's sum does not depend on the
+        block.  With idx = None this is the gradient of a uniformly weighted
+        mean, so the full-batch SGD step and :meth:`grad` are the same
+        computation.  A batch of one is its gradient, exactly.
         """
         grads = self.component_grads_at(idx, x)
         k = grads.shape[-2]
-        return grads[..., 0, :] if k == 1 else grads.sum(axis=-2) / k
+        if k == 1:
+            return grads[..., 0, :]
+        if k >= _SLICE_SUM_MAX:
+            return grads.sum(axis=-2) / k
+        total = grads[..., 0, :] + grads[..., 1, :]
+        for j in range(2, k):
+            total += grads[..., j, :]
+        return total / k
 
     def grad(self, x) -> np.ndarray:
         """Gradient of the weighted mean."""
@@ -290,14 +302,14 @@ class LeastSquaresProblem(FiniteSumProblem):
         self.mean_hessian = mean_hess
 
     def component_values_at(self, idx, x):
-        A = self.design if idx is None else self.design[idx]
-        b = self.offsets if idx is None else self.offsets[idx]
+        A = self.design if idx is None else self.design.take(idx, axis=0)
+        b = self.offsets if idx is None else self.offsets.take(idx, axis=0)
         r = _stacked_product(A, x) - b
         return 0.5 * np.einsum("...nm,...nm->...n", r, r)
 
     def component_grads_at(self, idx, x):
-        H = self._hess if idx is None else self._hess[idx]
-        c = self._atb if idx is None else self._atb[idx]
+        H = self._hess if idx is None else self._hess.take(idx, axis=0)
+        c = self._atb if idx is None else self._atb.take(idx, axis=0)
         return _stacked_product(H, x) - c
 
     def hessian(self, x):
@@ -348,8 +360,8 @@ class LogisticProblem(FiniteSumProblem):
         super().__init__(w, l_components, float(self._mean_eigs[-1]), d)
 
     def _margins(self, idx, x):
-        F = self.features if idx is None else self.features[idx]
-        y = self.labels if idx is None else self.labels[idx]
+        F = self.features if idx is None else self.features.take(idx, axis=0)
+        y = self.labels if idx is None else self.labels.take(idx, axis=0)
         return F, y, y * np.matmul(F, x[..., :, None])[..., 0]
 
     def component_values_at(self, idx, x):

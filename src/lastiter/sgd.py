@@ -19,10 +19,10 @@ bit; a row in which numpy would have rejected a draw is drawn again from
 its seed's generator.  Blocks of fewer than _PASS_ROWS seeds (a single
 seed among them), long streams, weighted sampling and mini-batches keep the
 generators.
-Batch gradients are summed over ascending component indices and divided
-once (``FiniteSumProblem.batch_grad``); a batch covering every component
-is the full-batch gradient itself, so batch size n reproduces
-deterministic gradient descent bit for bit.
+A batch's component indices are sorted, and its gradients are summed and
+divided once, in the order ``FiniteSumProblem.batch_grad`` states.  A batch
+covering every component is the full-batch gradient itself, so batch size n
+reproduces deterministic gradient descent bit for bit.
 
 ``run`` is the engine's one entry.  It returns the final iterates, and its
 ``observe(t, X)`` hook sees the iterates at t = 0 and after every step, so a
@@ -238,12 +238,13 @@ def _subsets(n: int, draws: np.ndarray) -> np.ndarray:
     permutation form a uniform size-b subset.
     """
     steps, b = draws.shape
-    rows = np.arange(steps)
     pool = np.tile(np.arange(n), (steps, 1))
+    flat = pool.reshape(-1)  # a view: the swaps go through flat indices
+    starts = np.arange(0, steps * n, n)
     for k in range(b):
-        j = k + draws[:, k]
-        picked = pool[rows, j]
-        pool[rows, j] = pool[:, k]
+        lin = starts + (k + draws[:, k])
+        picked = flat.take(lin)
+        flat[lin] = pool[:, k]
         pool[:, k] = picked
     return np.sort(pool[:, :b], axis=1)
 

@@ -1,5 +1,6 @@
 """Problem families: oracles, certificates, invariants, serialization."""
 
+import copy
 import pickle
 
 import numpy as np
@@ -455,6 +456,67 @@ def test_component_view_matches_problem():
         assert np.array_equal(problem.value(X), [problem.value(row) for row in X])
         with pytest.raises(IndexError):
             problem.component_grads_at(np.array([5]), x)
+
+
+class _FancyTake(np.ndarray):
+    """An array whose ``take(idx, axis=0)`` gathers by fancy indexing instead, counting calls."""
+
+    calls = []
+
+    def take(self, idx, axis=None, out=None, mode="raise"):
+        assert axis == 0 and out is None and mode == "raise"
+        self.calls.append(1)
+        return np.asarray(self)[idx]
+
+
+def fancy_indexed(problem):
+    """A copy of problem whose component hooks gather every array by fancy indexing."""
+    twin = copy.copy(problem)
+    for name, value in vars(problem).items():
+        if isinstance(value, np.ndarray):
+            setattr(twin, name, value.view(_FancyTake))
+    return twin
+
+
+def test_hook_gathers_match_fancy_indexing():
+    """The hooks gather with ndarray.take: the same bits as fancy indexing, the same IndexError."""
+    rng = np.random.default_rng(94)
+    X = rng.standard_normal((3, 3))
+    for problem, _ in (li.make_least_squares(n=5, d=3, spread=1.0, seed=95),
+                       li.make_logistic(n=5, d=3, seed=96)):
+        twin = fancy_indexed(problem)
+        cases = [([3, 0, 3], X[0]), (np.array([-1, 2, -5]), X[1]), ([-2], X),
+                 (np.array([[4, 1], [0, -1], [2, 2]]), X)]
+        for hook in ("component_values_at", "component_grads_at"):
+            for idx, x in cases:
+                _FancyTake.calls.clear()
+                expected = getattr(twin, hook)(idx, x)
+                assert _FancyTake.calls  # the twin did gather through take
+                assert np.array_equal(getattr(problem, hook)(idx, x), expected)
+            for bad, x in (([5], X[0]), (np.array([[0, -6]]), X[:1])):
+                with pytest.raises(IndexError):
+                    getattr(problem, hook)(bad, x)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_small_batch_grad_is_the_ascending_slice_sum(d):
+    """Below 8 gradients a batch adds them in ascending position; from 8 on it is numpy's sum."""
+    rng = np.random.default_rng(97 + d)
+    for problem, _ in (li.make_least_squares(n=12, d=d, spread=1.0, seed=98),
+                       li.make_logistic(n=12, d=d, seed=99)):
+        for S in (7, 300):
+            X = rng.standard_normal((S, d))
+            for k in range(2, 13):
+                idx = rng.integers(0, 12, size=(S, k))
+                grads = problem.component_grads_at(idx, X)
+                if k < 8:
+                    total = grads[:, 0]
+                    for j in range(1, k):
+                        total = total + grads[:, j]
+                else:
+                    total = grads.sum(axis=-2)
+                assert np.array_equal(problem.batch_grad(idx, X), total / k)
+                assert np.array_equal(problem.batch_grad(idx[0], X[0]), (total / k)[0])
 
 
 @pytest.mark.parametrize("m, d", [(1, 8), (2, 10), (10, 10), (3, 64)])

@@ -454,6 +454,31 @@ def test_single_sample_seed_mapping_past_many_draw_chunks():
         assert np.array_equal(row, x)
 
 
+def partial_fisher_yates(n, draws):
+    """Each step's sorted b-subset of range(n), by list swaps: column k swaps k with k + draw."""
+    subsets = []
+    for step_draws in draws:
+        pool = list(range(n))
+        for k, draw in enumerate(step_draws):
+            j = k + int(draw)
+            pool[k], pool[j] = pool[j], pool[k]
+        subsets.append(sorted(pool[:len(step_draws)]))
+    return subsets
+
+
+@pytest.mark.parametrize("block_entries", [sgd._BLOCK_ENTRIES, 40])
+@pytest.mark.parametrize("n, b", [(3, 2), (7, 3), (16, 4), (16, 15), (64, 8)])
+def test_subset_draws_are_a_partial_fisher_yates(monkeypatch, n, b, block_entries):
+    """A mini-batch draw is a list-based partial Fisher-Yates per step, in any span split."""
+    monkeypatch.setattr(sgd, "_BLOCK_ENTRIES", block_entries)
+    problem, _ = li.make_least_squares(n=n, d=1, spread=1.0, seed=n)
+    drawn = sgd._sampler(problem, b)(li.stream(3, li.RUN_STREAM), 50)
+    rng = li.stream(3, li.RUN_STREAM)
+    draws = np.stack([rng.integers(0, n - k, size=50) for k in range(b)], axis=1)
+    assert drawn.shape == (50, b) and drawn.tolist() == partial_fisher_yates(n, draws)
+    assert np.array_equal(sgd._subsets(n, draws), drawn)
+
+
 def test_minibatch_seed_mapping_past_a_draw_chunk(monkeypatch):
     """b > 1 draws 1024 steps at a time, one partial Fisher-Yates column after another."""
     problem, cert = li.make_least_squares(n=7, d=2, spread=1.0, seed=17)
@@ -470,11 +495,6 @@ def test_minibatch_seed_mapping_past_a_draw_chunk(monkeypatch):
         for start in range(0, T, 1024):
             steps = min(1024, T - start)
             draws = np.stack([rng.integers(0, n - k, size=steps) for k in range(b)], axis=1)
-            for step_draws in draws:
-                pool = list(range(n))
-                for k in range(b):
-                    j = k + int(step_draws[k])
-                    pool[k], pool[j] = pool[j], pool[k]
-                batch = np.array(sorted(pool[:b]))
+            for batch in map(np.array, partial_fisher_yates(n, draws)):
                 x = x - gamma * (problem.component_grads_at(batch, x).sum(axis=0) / b)
         assert np.array_equal(row, x)
