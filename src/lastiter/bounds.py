@@ -21,6 +21,7 @@ raise HypothesisError.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import asdict, dataclass
 
@@ -295,15 +296,7 @@ def complexity_horizon(epsilon: float, L: float, D_sq: float, sigma_star_sq: flo
         hi *= 2
         if hi > 2**62:
             raise HypothesisError("complexity horizon exceeds 2**62 steps; lower the accuracy demand")
-    lo = hi // 2
-    # invariant: score(lo) < target <= score(hi); the score is increasing.
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _horizon_score(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return hi // 2 + bisect.bisect_left(range(hi // 2, hi + 1), target, key=_horizon_score)
 
 
 @dataclass(frozen=True)
@@ -312,7 +305,6 @@ class EffectiveConstants:
 
     L_b: float
     sigma_b_sq: float
-    batch_size: int
 
 
 def effective_constants(problem: FiniteSumProblem, b: int, cert: SolutionCertificate) -> EffectiveConstants:
@@ -333,7 +325,7 @@ def effective_constants(problem: FiniteSumProblem, b: int, cert: SolutionCertifi
     if b > 1:
         n = problem.n
         sigma_b = (n - b) / (b * (n - 1)) * sigma_b
-    return EffectiveConstants(L_b=float(l_b), sigma_b_sq=float(sigma_b), batch_size=b)
+    return EffectiveConstants(L_b=float(l_b), sigma_b_sq=float(sigma_b))
 
 
 # Every bound a report can carry, in report and table order.

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import datetime
 import math
 import os
 import sys
@@ -34,7 +35,7 @@ from .config import ConfigError, load_lemma_plan, load_run_plan, load_sweep_plan
 from .lemmas import BATTERY_ORDER, LemmaCheckResult, run_battery
 from .montecarlo import SWEEP_COLUMNS, check_cell, sweep
 from .problems import _problem_doc
-from .reporting import fmt, timestamp, write_csv, write_json
+from .reporting import fmt, write_csv, write_json
 from .sgd import (
     ConstantStep,
     DivergenceError,
@@ -130,6 +131,17 @@ def _ensure_out(args) -> str:
     return args.out
 
 
+def _document(schema: str, args, **body) -> dict:
+    """``body`` under the head every output JSON file shares; no time under --deterministic-output."""
+    now = datetime.datetime.now(datetime.timezone.utc)
+    return {
+        "schema": schema,
+        "code_version": __version__,
+        "generated_at": None if args.deterministic_output else now.isoformat(),
+        **body,
+    }
+
+
 def _cmd_run(args) -> int:
     plan = load_run_plan(args.config)
     workers = _resolve_workers(args)
@@ -141,14 +153,12 @@ def _cmd_run(args) -> int:
         plan.n_seeds, plan.base_seed, workers=workers,
     )
     estimate, report = check.estimate, check.bounds
-    doc = {
-        "schema": "lastiter-report/1",
-        "config_hash": plan.config_hash,
-        "code_version": __version__,
-        "generated_at": timestamp(args.deterministic_output),
-        "problem": {"id": plan.problem_id, **_problem_doc(problem),
-                    "certificate": dataclasses.asdict(plan.cert)},
-        "run": {
+    doc = _document(
+        "lastiter-report/1", args,
+        config_hash=plan.config_hash,
+        problem={"id": plan.problem_id, **_problem_doc(problem),
+                 "certificate": dataclasses.asdict(plan.cert)},
+        run={
             "T": template.T,
             "batch_size": b,
             "n_seeds": plan.n_seeds,
@@ -158,20 +168,20 @@ def _cmd_run(args) -> int:
             "gamma_used": report.gamma,
             "effective": {"L": report.L, "sigma_sq": report.sigma_star_sq},
         },
-        "estimate": {
+        estimate={
             "mean_gap": estimate.mean_gap,
             "std_error": estimate.std_error,
             "ci95_upper": estimate.ci95_upper,
             "fingerprint": estimate.fingerprint,
         },
-        "bounds": report.to_doc(),
-        "verdict": {
+        bounds=report.to_doc(),
+        verdict={
             "bound_value": check.bound_value,
             "ci95_upper": estimate.ci95_upper,
             "slack_ratio": check.slack_ratio,
             "satisfied": check.satisfied,
         },
-    }
+    )
     report_path = os.path.join(out_dir, "report.json")
     write_json(report_path, doc)
     if args.dump_seeds:
@@ -215,17 +225,15 @@ def _cmd_sweep(args) -> int:
     loglog_header = ("problem_id", "b", "C", "beta", *(f"log10_{name}" for name in _LOGLOG_COLUMNS))
     write_csv(os.path.join(out_dir, "sweep_loglog.csv"), loglog_header, loglog_rows)
     n_errors = sum(1 for row in rows if row.error is not None)
-    meta = {
-        "schema": "lastiter-sweep-meta/1",
-        "config_hash": plan.config_hash,
-        "code_version": __version__,
-        "generated_at": timestamp(args.deterministic_output),
-        "columns": list(SWEEP_COLUMNS),
-        "n_rows": len(rows),
-        "n_errors": n_errors,
-        "n_seeds": plan.n_seeds,
-        "base_seed": plan.base_seed,
-    }
+    meta = _document(
+        "lastiter-sweep-meta/1", args,
+        config_hash=plan.config_hash,
+        columns=list(SWEEP_COLUMNS),
+        n_rows=len(rows),
+        n_errors=n_errors,
+        n_seeds=plan.n_seeds,
+        base_seed=plan.base_seed,
+    )
     write_json(os.path.join(out_dir, "sweep_meta.json"), meta)
     print(f"sweep: {len(rows)} rows ({n_errors} errors) -> {csv_path}")
     if rows and n_errors == len(rows):
@@ -268,11 +276,9 @@ def _cmd_bound(args) -> int:
         print(f"{name:<{width}}  {text}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        doc = {
-            "schema": "lastiter-bound/1",
-            "code_version": __version__,
-            "generated_at": timestamp(args.deterministic_output),
-            "inputs": {
+        doc = _document(
+            "lastiter-bound/1", args,
+            inputs={
                 "T": args.horizon,
                 "L": args.smoothness,
                 "D_sq": args.distance_sq,
@@ -280,10 +286,10 @@ def _cmd_bound(args) -> int:
                 "schedule": schedule_to_doc(schedule),
                 "target_accuracy": args.target_accuracy,
             },
-            "bounds": report.to_doc(),
-            "tightest": report.tightest(),
-            "horizon_for_target": horizon_needed,
-        }
+            bounds=report.to_doc(),
+            tightest=report.tightest(),
+            horizon_for_target=horizon_needed,
+        )
         write_json(os.path.join(args.out, "bound.json"), doc)
         row = [fmt(getattr(report, name)) for name in _BOUND_COLUMNS] + [fmt(report.tightest())]
         write_csv(os.path.join(args.out, "bound.csv"), (*_BOUND_COLUMNS, "tightest"), [row])
@@ -309,13 +315,11 @@ def _cmd_verify_lemmas(args) -> int:
     csv_path = os.path.join(out_dir, "lemmas.csv")
     write_csv(csv_path, _LEMMA_COLUMNS,
               [[_lemma_cell(row[col]) for col in _LEMMA_COLUMNS] for row in rows])
-    doc = {
-        "schema": "lastiter-lemmas/1",
-        "config_hash": plan.config_hash,
-        "code_version": __version__,
-        "generated_at": timestamp(args.deterministic_output),
-        "results": rows,
-    }
+    doc = _document(
+        "lastiter-lemmas/1", args,
+        config_hash=plan.config_hash,
+        results=rows,
+    )
     write_json(os.path.join(out_dir, "lemmas.json"), doc)
     gate_failed = False
     for r in results:

@@ -505,16 +505,13 @@ def _over_budget(label: str, sizes: list, errors: list) -> bool:
     return True
 
 
-def _check_lemmas(lemma_doc, errors: list) -> dict | None:
+def _check_lemmas(lemma_doc, errors: list) -> dict:
     """A lemma section's values over the defaults, each key of LEMMA_GRIDS resolved and held to its domain.
 
     Adds ``lemmas...`` errors and leaves out every value that breaks its rule,
-    and every grid of an array over the memory budget, before it is built;
-    returns None for a non-object.
+    and every grid of an array over the memory budget, before it is built.
     """
     merged = _check_object(lemma_doc, _LEMMA_FIELDS, "lemmas", errors)
-    if merged is None:
-        return None
     for keys in _LEMMA_ARRAYS:
         if all(key in merged for key in keys) and _over_budget(
                 "lemmas." + " with ".join(keys), [_declared_size(merged[key]) for key in keys], errors):

@@ -278,8 +278,8 @@ class LeastSquaresProblem(FiniteSumProblem):
     def __init__(self, design, offsets, weights=None):
         A = np.ascontiguousarray(design, dtype=float)
         b = np.asarray(offsets, dtype=float)
-        if A.ndim != 3:
-            raise GenerationError("design must have shape (n, m, d)")
+        if A.ndim != 3 or A.size == 0:
+            raise GenerationError("design must have shape (n, m, d), each at least 1")
         n, m, d = A.shape
         _check_budget(n * max(m, d) * d)  # the design, or the Hessian stack (n, d, d)
         if b.shape != (n, m):
@@ -340,8 +340,8 @@ class LogisticProblem(FiniteSumProblem):
     def __init__(self, features, labels, weights=None):
         F = np.asarray(features, dtype=float)
         y = np.asarray(labels, dtype=float)
-        if F.ndim != 2:
-            raise GenerationError("features must have shape (n, d)")
+        if F.ndim != 2 or F.size == 0:
+            raise GenerationError("features must have shape (n, d), each at least 1")
         n, d = F.shape
         _check_budget(max(n, d) * d)  # the features, or the Gram matrix (d, d)
         if y.shape != (n,) or not np.all(np.isin(y, (-1.0, 1.0))):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import collections
 import contextlib
 import csv
-import datetime
 import hashlib
 import itertools
 import json
@@ -278,10 +277,3 @@ def fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def timestamp(deterministic: bool):
-    """ISO-8601 UTC now, or None when deterministic output is requested."""
-    if deterministic:
-        return None
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()

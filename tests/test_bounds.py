@@ -228,7 +228,6 @@ def test_effective_constants_formula_and_errors():
         assert eff.L_b == problem.batch_smoothness(b)
         assert abs(eff.L_b - (w1 * problem.L + w2 * problem.L_f)) < 1e-14
         assert abs(eff.sigma_b_sq - w1 * cert.sigma_star_sq) < 1e-14
-        assert eff.batch_size == b
     for b in (0, 7):
         with pytest.raises(li.UnsupportedSamplingError):
             li.effective_constants(problem, b, cert)

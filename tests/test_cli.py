@@ -2,11 +2,14 @@
 
 import csv
 import dataclasses
+import datetime
 import json
 import multiprocessing
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,7 +263,16 @@ BAD_PROBLEM_FILES = {
                       "offsets must have shape (4, 2), got (3, 2)"),
     "nonfinite-design": ("least_squares", "design", [[[NAN, NAN]] * 2] * 4,
                          "design and offsets must be finite"),
-    "2d-design": ("least_squares", "design", [[1.0, 0.0]] * 4, "design must have shape (n, m, d)"),
+    "weights-shape": ("least_squares", "weights", [1 / 3] * 3, "weights must have shape (4,)"),
+    "2d-design": ("least_squares", "design", [[1.0, 0.0]] * 4,
+                  "design must have shape (n, m, d), each at least 1"),
+    "empty-design": ("least_squares", "design", [[[], []]] * 4,
+                     "design must have shape (n, m, d), each at least 1"),
+    "constant-components": ("least_squares", "design", [[[0.0, 0.0]] * 2] * 4,
+                            "all components are constant; max smoothness must be positive"),
+    "1d-features": ("logistic", "features", [1.0, 0.0, 0.0, 1.0],
+                    "features must have shape (n, d), each at least 1"),
+    "nonfinite-features": ("logistic", "features", [[NAN, 0.0]] * 4, "features must be finite"),
     "label-not-sign": ("logistic", "labels", [0.5, 1.0, -1.0, 1.0],
                        "labels must be a length-n vector of +/-1"),
     "zero-feature-row": ("logistic", "features", [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
@@ -664,6 +676,38 @@ def test_verify_lemmas_flagged_failure_does_not_gate(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_battery", flagged_battery)
     assert cli.main(["verify-lemmas", "--out", str(tmp_path / "out")]) == 0
+
+
+# -- the head every JSON document shares --------------------------------------------------
+
+
+def readme_schemas():
+    """{file name: schema} from README's output-file table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return dict(re.findall(r"`(\w+\.json)` \(schema `([^`]+)`\)", readme))
+
+
+@pytest.mark.parametrize("deterministic", [True, False], ids=["deterministic", "timed"])
+@pytest.mark.parametrize("command, name", [
+    ("run", "report.json"), ("sweep", "sweep_meta.json"), ("bound", "bound.json"),
+    ("verify-lemmas", "lemmas.json")])
+def test_every_json_document_has_the_shared_head(tmp_path, command, name, deterministic):
+    configs = {"run": run_config_doc(n_seeds=2), "sweep": sweep_config_doc(),
+               "verify-lemmas": lemma_config_doc()}
+    if command == "bound":
+        argv = ["--horizon", "10", "--smoothness", "1.0", "--distance-sq", "1.0", "--gamma", "0.1"]
+    else:
+        argv = ["--config", write_config(tmp_path, "config.json", configs[command])]
+    argv += ["--out", str(tmp_path / "out")] + ["--deterministic-output"] * deterministic
+    assert cli.main([command, *argv]) == 0
+    doc = json.loads((tmp_path / "out" / name).read_text())
+    assert doc["schema"] == readme_schemas()[name]
+    assert doc["code_version"] == li.__version__
+    if deterministic:
+        assert doc["generated_at"] is None
+    else:
+        stamp = datetime.datetime.fromisoformat(doc["generated_at"])
+        assert stamp.utcoffset() == datetime.timedelta(0)
 
 
 # -- parser level ------------------------------------------------------------------------

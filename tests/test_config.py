@@ -132,6 +132,12 @@ def test_build_problem_custom_id_passes_through():
     assert pid == "tiny"
 
 
+def test_build_problem_rejects_a_spec_that_is_not_an_object():
+    with pytest.raises(li.ConfigError) as info:
+        li.build_problem(5)
+    assert info.value.errors == ["problem[0]: expected an object"]
+
+
 def test_build_problem_rejects_unknown_generator_and_keys():
     with pytest.raises(li.ConfigError, match="generator"):
         li.build_problem({"generator": "cubic", "n": 3, "d": 2, "seed": 0})

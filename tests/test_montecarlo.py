@@ -45,6 +45,11 @@ def test_reduce_moments_of_a_constant_sequence_is_exact(value, size):
     assert li.reduce_moments(np.full(size, value)) == (value, 0.0)
 
 
+def test_reduce_moments_refuses_an_empty_sequence():
+    with pytest.raises(ValueError, match="^reduce_moments needs at least one value$"):
+        li.reduce_moments([])
+
+
 def test_reduce_moments_of_huge_gaps_is_finite():
     # each squared deviation is 1e360, past the largest float
     values = [1e180, 3e180, 2e180]

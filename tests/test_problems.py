@@ -167,6 +167,44 @@ def test_bad_weights_rejected():
         li.LeastSquaresProblem(design, np.zeros((2, 1)), weights=np.array([1.2, -0.2]))
 
 
+@pytest.mark.parametrize("weights, smoothness, reason", [
+    ([], [], "weights must be a nonempty 1-d array"),
+    ([[1.0]], [[1.0]], "weights must be a nonempty 1-d array"),
+    ([0.5, 0.5], [1.0], "per-component smoothness constants must be finite and >= 0"),
+    ([0.5, 0.5], [1.0, np.inf], "per-component smoothness constants must be finite and >= 0"),
+    ([0.5, 0.5], [1.0, -1.0], "per-component smoothness constants must be finite and >= 0"),
+    ([0.5, 0.5], [0.0, 0.0], "all components are constant; max smoothness must be positive"),
+])
+def test_family_constructor_refusals(weights, smoothness, reason):
+    with pytest.raises(li.GenerationError) as info:
+        li.FiniteSumProblem(weights, smoothness, 1.0, 2)
+    assert str(info.value) == reason
+
+
+@pytest.mark.parametrize("family, arrays, reason", [
+    (li.LeastSquaresProblem, (np.zeros((0, 1, 1)), np.zeros((0, 1))), "design must have shape (n, m, d)"),
+    (li.LeastSquaresProblem, (np.zeros((2, 1, 0)), np.zeros((2, 1))), "design must have shape (n, m, d)"),
+    (li.LogisticProblem, (np.zeros((0, 2)), np.zeros(0)), "features must have shape (n, d)"),
+], ids=["no-components", "no-dimensions", "no-rows"])
+def test_empty_families_are_refused(family, arrays, reason):
+    with pytest.raises(li.GenerationError) as info:
+        family(*arrays)
+    assert str(info.value) == f"{reason}, each at least 1"
+
+
+@pytest.mark.parametrize("make, args, reason", [
+    (li.make_least_squares, (0, 2, 1.0, 0), "need n >= 1 and d >= 1, got n=0, d=2"),
+    (li.make_least_squares, (3, 0, 1.0, 0), "need n >= 1 and d >= 1, got n=3, d=0"),
+    (li.make_least_squares, (3, 2, float("nan"), 0), "spread must be finite and >= 0, got nan"),
+    (li.make_least_squares, (3, 2, -0.5, 0), "spread must be finite and >= 0, got -0.5"),
+    (li.make_logistic, (4, 0, 0), "need d >= 1, got d=0"),
+])
+def test_generator_argument_refusals(make, args, reason):
+    with pytest.raises(li.GenerationError) as info:
+        make(*args)
+    assert str(info.value) == reason
+
+
 def test_singular_least_squares_certifies_the_least_norm_minimizer():
     """A singular mean Hessian certifies on its range, at the minimum-norm least-squares solution."""
     rng = np.random.default_rng(7)
@@ -244,6 +282,23 @@ def test_certification_refuses_a_vanishing_curvature():
     problem = li.LogisticProblem(1e-3 * np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]), np.array([1.0, -1.0, 1.0]))
     with pytest.raises(li.CertificationError, match="curvature vanishes .*: the mean has no minimizer"):
         li.certify_solution(problem)
+
+
+class NegatedCurvature(li.LeastSquaresProblem):
+    """A least-squares family whose hessian hook claims -H: its Cholesky fails, so no Newton step descends."""
+
+    def hessian(self, x):
+        return -self.mean_hessian
+
+
+def test_certification_refuses_when_no_step_descends():
+    base, _ = li.make_least_squares(n=4, d=2, spread=1.0, seed=5)
+    problem = NegatedCurvature(base.design, base.offsets)
+    with pytest.raises(li.CertificationError, match=r"Newton steps stopped at residual .*, above tol") as info:
+        li.certify_solution(problem)
+    # the origin's residual: the non-finite step was never taken
+    assert np.isfinite(info.value.best_residual)
+    assert info.value.best_residual == pytest.approx(np.linalg.norm(problem.grad(np.zeros(2))), rel=1e-15)
 
 
 def newton_reference(problem):

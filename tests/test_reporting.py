@@ -3,7 +3,9 @@
 import csv
 import io
 import json
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -155,6 +157,21 @@ def test_writer_in_a_pool_worker_stays_in_its_process(tmp_path, monkeypatch):
     with reporting._forked(1, None) as pool:
         pool.apply(write_in_worker, (path, array))
     assert path.read_bytes() == json_text({"a": array.tolist()}).encode("utf-8")
+
+
+@pytest.mark.skipif(reporting._START_METHOD is None, reason="the platform cannot fork")
+def test_interrupted_pool_terminates_its_workers():
+    """Ctrl-C in a pool's block kills its workers at once, a task in flight or not, and re-raises."""
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        with reporting._forked(2, None) as pool:
+            workers = list(pool._pool)
+            pool.apply_async(time.sleep, (60,))  # leaving by close() and join() would wait for it
+            raise KeyboardInterrupt
+    assert time.monotonic() - start < 30
+    assert len(workers) == 2
+    assert all(worker.exitcode is not None for worker in workers)
+    assert not set(workers) & set(multiprocessing.active_children())
 
 
 @pytest.mark.parametrize("cpus", CPUS)
