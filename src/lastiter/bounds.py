@@ -21,7 +21,6 @@ raise HypothesisError.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import asdict, dataclass
 
@@ -110,9 +109,6 @@ class AbcConstants:
     b: float
     c: float
     v: float
-    gamma: float
-    L: float
-    sigma_star_sq: float
 
     @property
     def ratio_ab(self) -> float:
@@ -133,9 +129,6 @@ def abc_constants(gamma: float, L: float, sigma_star_sq: float) -> AbcConstants:
         b=-1.0,
         c=gl * (1.0 + eps),
         v=gamma * sigma_star_sq / (1.0 - gl),
-        gamma=gamma,
-        L=L,
-        sigma_star_sq=sigma_star_sq,
     )
 
 
@@ -274,29 +267,29 @@ def sqrt_step_bound_c2(L: float, D_sq: float, sigma_star_sq: float, T) -> float:
     return 17.0 * L * D_sq / root + 34.0 * math.log(T + 1.0) * sigma_star_sq / (L * root)
 
 
-def _horizon_score(T: int) -> float:
-    return T / (1.0 + math.log(T + 1.0)) ** 2
-
-
 def complexity_horizon(epsilon: float, L: float, D_sq: float, sigma_star_sq: float) -> int:
-    """Minimal horizon T >= 3 with T / (1 + ln(T+1))**2 >= (K / epsilon)**2.
+    """Minimal horizon T >= 3 with T >= (K / epsilon)**2 (1 + ln(T+1))**2.
 
     K = max(18 L D_sq, 67 sigma*^2 / (2 L)) matches the sqrt-step bound with
     C = 2 up to its log factor, so running this many steps drives the
-    bound below epsilon.
+    bound below epsilon.  The right side grows with T, so replacing T by
+    its ceiling, from T = 3, climbs to the minimal T and never past it.
+    ln(T+1) is taken to 60 digits, so the answer is exact and does not
+    depend on the platform's log.
     """
+    import decimal  # here, so the commands that never call this skip its import
+
     _require(np.isfinite(epsilon) and epsilon > 0, f"epsilon must be positive, got {epsilon!r}")
     _check_constants(L=L, D_sq=D_sq, sigma_star_sq=sigma_star_sq)
     K = max(18.0 * L * D_sq, 67.0 * sigma_star_sq / (2.0 * L))
-    target = (K / epsilon) ** 2
-    if _horizon_score(3) >= target:
-        return 3
-    hi = 3
-    while _horizon_score(hi) < target:
-        hi *= 2
-        if hi > 2**62:
-            raise HypothesisError("complexity horizon exceeds 2**62 steps; lower the accuracy demand")
-    return hi // 2 + bisect.bisect_left(range(hi // 2, hi + 1), target, key=_horizon_score)
+    T = 3
+    with decimal.localcontext(decimal.Context(prec=60)):
+        target = decimal.Decimal(K / epsilon) ** 2
+        while (need := target * (1 + decimal.Decimal(T + 1).ln()) ** 2) > T:
+            if need > 2**62:
+                raise HypothesisError("complexity horizon exceeds 2**62 steps; lower the accuracy demand")
+            T = math.ceil(need)
+    return T
 
 
 @dataclass(frozen=True)

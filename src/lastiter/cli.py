@@ -275,7 +275,7 @@ def _cmd_bound(args) -> int:
         text = fmt(value) if not isinstance(value, float) else f"{value:.12g}"
         print(f"{name:<{width}}  {text}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        out_dir = _ensure_out(args)
         doc = _document(
             "lastiter-bound/1", args,
             inputs={
@@ -290,9 +290,9 @@ def _cmd_bound(args) -> int:
             tightest=report.tightest(),
             horizon_for_target=horizon_needed,
         )
-        write_json(os.path.join(args.out, "bound.json"), doc)
+        write_json(os.path.join(out_dir, "bound.json"), doc)
         row = [fmt(getattr(report, name)) for name in _BOUND_COLUMNS] + [fmt(report.tightest())]
-        write_csv(os.path.join(args.out, "bound.csv"), (*_BOUND_COLUMNS, "tightest"), [row])
+        write_csv(os.path.join(out_dir, "bound.csv"), (*_BOUND_COLUMNS, "tightest"), [row])
     return 0
 
 

@@ -1,7 +1,9 @@
 """Canonical serialization helpers shared by reports, sweeps, and the CLI.
 
 JSON documents are dumped with sorted keys and fixed separators so equal
-documents are equal bytes.  CSV files always have a header row and are the
+documents are equal bytes.  ``write_json`` walks str-keyed dicts and
+ndarrays itself and hands every other value to json's own encoder, so its
+bytes are ``json.dump``'s.  CSV files always have a header row and are the
 bytes the csv module writes, with its RFC-4180 quoting and CRLF rows; rows
 whose cells are all str and need no quoting are joined directly.  Both
 kinds of file are written to a temporary file beside their path that
@@ -32,9 +34,11 @@ def doc_hash(doc) -> str:
     return hashlib.sha256(canonical_dumps(doc).encode("utf-8")).hexdigest()
 
 
-# json's encoder for scalars and errors: with an indent it is the pure-Python
-# encoder that json.dump uses, so its texts and messages are json.dump's own.
-_encode = json.JSONEncoder(indent=1, allow_nan=False).encode
+# json's encoder for every value _pieces does not walk: with an indent it is the
+# pure-Python encoder that json.dump uses, so its texts and messages are
+# json.dump's own.  Its line breaks are all the layout's (a JSON string escapes
+# its own), so a text indents by replacing them.
+_encode = json.JSONEncoder(indent=1, allow_nan=False, sort_keys=True).encode
 
 
 # Entries of an ndarray that write_json gives each forked process at the
@@ -49,10 +53,13 @@ def write_json(path, doc):
 
     The bytes are exactly those of ``json.dump(doc, fh, sort_keys=True,
     indent=1, allow_nan=False)`` plus a newline, written piece by piece as
-    they are encoded; a list of plain floats is encoded in one join.  An
-    ndarray is written as its ``.tolist()`` would be, one innermost row at a
-    time, so no nested list of the whole array is built.  An ndarray of two
-    or more dimensions and at least ``2 * _PROCESS_ENTRIES`` entries is
+    they are encoded.  Nonempty dicts whose keys are all str are walked key
+    by key; any other value but an ndarray is json's encoder's text, so an
+    ndarray stands only as the document or as a value of such a dict
+    (elsewhere json raises its TypeError).  An ndarray is written as its
+    ``.tolist()`` would be, one innermost row at a time, a float64 row in
+    one join, so no nested list of the whole array is built.  An ndarray of
+    two or more dimensions and at least ``2 * _PROCESS_ENTRIES`` entries is
     formatted by outer rows on forked processes, one per usable CPU but no
     more than one per ``_PROCESS_ENTRIES`` entries, and written in row
     order, so the bytes do not depend on the process count.  Where the
@@ -89,33 +96,31 @@ def _replacing(path, newline=None):
 def _pieces(value, newline: str, fork: bool = False):
     """JSON text of value in pieces; newline is the line break plus the current indent.
 
-    Empty containers and scalars are json's own text.  With ``fork``, large
-    ndarrays go to ``_forked_rows``.
+    Nonempty str-keyed dicts and ndarrays are walked, a nonempty 1-d float64
+    array in one join; every other value is json's own text.  With ``fork``,
+    large ndarrays go to ``_forked_rows``.
     """
-    if isinstance(value, np.ndarray):
-        if fork and value.ndim > 1 and value.size >= 2 * _PROCESS_ENTRIES:
-            yield from _forked_rows(value, newline)
-            return
-        value = value.tolist() if value.ndim < 2 else list(value)
-    if isinstance(value, (list, tuple)) and value:
-        inner = newline + " "
-        if set(map(type, value)) == {float}:
-            if not all(map(math.isfinite, value)):
-                _encode(value)  # raises json's error for the first non-finite item
-            yield "[" + inner + ("," + inner).join(map(float.__repr__, value)) + newline + "]"
-            return
-        for i, item in enumerate(value):
-            yield ("," if i else "[") + inner
-            yield from _pieces(item, inner, fork)
-        yield newline + "]"
-    elif isinstance(value, dict) and value:
-        inner = newline + " "
+    inner = newline + " "
+    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
         for i, (key, item) in enumerate(sorted(value.items())):
-            yield ("," if i else "{") + inner + _encode(_key(key)) + ": "
+            yield ("," if i else "{") + inner + _encode(key) + ": "
             yield from _pieces(item, inner, fork)
         yield newline + "}"
+    elif isinstance(value, np.ndarray) and value.ndim > 1 and len(value):
+        if fork and value.size >= 2 * _PROCESS_ENTRIES:
+            yield from _forked_rows(value, newline)
+            return
+        for i, row in enumerate(value):
+            yield ("," if i else "[") + inner
+            yield from _pieces(row, inner)
+        yield newline + "]"
+    elif isinstance(value, np.ndarray) and value.ndim == 1 and len(value) and value.dtype == np.float64:
+        items = value.tolist()
+        if not all(map(math.isfinite, items)):
+            _encode(items)  # raises json's error for the first non-finite item
+        yield "[" + inner + ("," + inner).join(map(float.__repr__, items)) + newline + "]"
     else:
-        yield _encode(value)
+        yield _encode(value.tolist() if isinstance(value, np.ndarray) else value).replace("\n", newline)
 
 
 # The start method of every process pool: fork where the platform has it, so
@@ -212,15 +217,6 @@ def _forked_rows(array, newline: str):
             yield ("," if k else "[") + inner
             yield text
     yield newline + "]"
-
-
-def _key(key) -> str:
-    """An object key as json converts it: str as is, int/float/bool/None as their JSON text."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (bool, int, float)):
-        return _encode(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 # Rows write_csv joins at a time: a chunk's rows and text are all it holds.

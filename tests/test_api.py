@@ -65,6 +65,7 @@ def test_removed_names_are_gone():
     assert "record_iterates" not in li.RunConfig.__dataclass_fields__
     assert "effective" not in li.CellCheck.__dataclass_fields__
     assert "epsilon" not in li.AbcConstants.__dataclass_fields__
+    assert "gamma" not in li.AbcConstants.__dataclass_fields__
     assert "provenance" not in li.SolutionCertificate.__dataclass_fields__
     assert not hasattr(li.FiniteSumProblem, "to_doc")
     assert not hasattr(importlib.import_module("lastiter.reporting"), "jsonable")
@@ -120,17 +121,29 @@ def run_python(code, *args):
 
 
 def test_command_line_imports_no_scipy():
-    """The package runs on numpy and the standard library; scipy is for tests only."""
-    proc = run_python("import lastiter.cli, sys; assert 'scipy' not in sys.modules")
+    """The package runs on numpy and the standard library; scipy is for tests only.
+
+    decimal is imported only by ``complexity_horizon``.
+    """
+    proc = run_python("import lastiter.cli, sys; assert not {'scipy', 'decimal'} & set(sys.modules)")
     assert proc.returncode == 0, proc.stderr
 
 
 def test_commands_that_open_no_pool_import_no_multiprocessing(tmp_path):
-    """multiprocessing is imported only where a pool may open: not by a one-worker run or the battery."""
+    """multiprocessing is imported only where a pool may open: not by a one-worker run or sweep, or the battery.
+
+    Nor is decimal, which only ``complexity_horizon`` needs.
+    """
+    schedule = {"variant": "polynomial", "C": 2.0, "beta": 0.5}
     run = tmp_path / "run.json"
     run.write_text(json.dumps({
         "problem": {"generator": "least_squares", "n": 5, "d": 2, "spread": 1.0, "seed": 1},
-        "run": {"T": 5, "n_seeds": 8, "schedule": {"variant": "polynomial", "C": 2.0, "beta": 0.5}},
+        "run": {"T": 5, "n_seeds": 8, "schedule": schedule},
+    }))
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({
+        "problems": [{"generator": "least_squares", "id": "a", "n": 5, "d": 2, "spread": 1.0, "seed": 1}],
+        "sweep": {"T_grid": [5, 10], "schedules": [schedule], "n_seeds": 4},
     }))
     lemmas = tmp_path / "lemmas.json"
     lemmas.write_text(json.dumps({"lemmas": {
@@ -140,16 +153,20 @@ def test_commands_that_open_no_pool_import_no_multiprocessing(tmp_path):
     }}))
     proc = run_python(
         "import sys, lastiter.cli\n"
-        "assert 'multiprocessing' not in sys.modules\n"
-        "run, lemmas, out = sys.argv[1:]\n"
+        "unused = {'multiprocessing', 'decimal'}\n"
+        "assert not unused & set(sys.modules)\n"
+        "run, sweep, lemmas, out = sys.argv[1:]\n"
         "code = lastiter.cli.main(['run', '--config', run, '--out', out + '/run', '--workers', '1',\n"
         "                          '--dump-seeds'])\n"
         "assert code == 0, code\n"
-        "assert 'multiprocessing' not in sys.modules\n"
+        "assert not unused & set(sys.modules)\n"
+        "code = lastiter.cli.main(['sweep', '--config', sweep, '--out', out + '/sweep', '--workers', '1'])\n"
+        "assert code == 0, code\n"
+        "assert not unused & set(sys.modules)\n"
         "code = lastiter.cli.main(['verify-lemmas', '--config', lemmas, '--out', out + '/lemmas'])\n"
         "assert code == 0, code\n"
-        "assert 'multiprocessing' not in sys.modules\n",
-        str(run), str(lemmas), str(tmp_path),
+        "assert not unused & set(sys.modules)\n",
+        str(run), str(sweep), str(lemmas), str(tmp_path),
     )
     assert proc.returncode == 0, proc.stderr
 

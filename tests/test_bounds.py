@@ -193,9 +193,26 @@ def test_complexity_horizon_minimality_and_floor():
     assert score(T) >= (K / 18.0) ** 2
     assert score(T - 1) < (K / 18.0) ** 2
     assert li.complexity_horizon(1e9, 1.0, 1.0, 1.0) == 3
+    assert li.complexity_horizon(1e-6, 1.0, 0.0, 0.0) == 3  # K = 0
     big = li.complexity_horizon(0.05, 1.0, 1.0, 0.5)
     assert score(big) >= (max(18.0, 67.0 * 0.5 / 2.0) / 0.05) ** 2
     assert score(big - 1) < (max(18.0, 67.0 * 0.5 / 2.0) / 0.05) ** 2
+
+
+def test_complexity_horizon_is_the_exact_minimum():
+    """T >= (K/eps)**2 (1 + ln(T+1))**2 > T - 1 in real arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    # the float score T / (1 + log(T+1))**2 crosses the target one step early here
+    assert li.complexity_horizon(0.003113228593088011, 1.0, 1.0, 0.0) == 20463985541
+    # horizons between 1e15 and 2**62, where that float score stops increasing
+    sample = 10.0 ** np.random.default_rng(31).uniform(math.log10(4e-7), math.log10(2e-5), 50)
+    with mpmath.workprec(256):
+        for eps in map(float, sample):
+            T = li.complexity_horizon(eps, 1.0, 1.0, 0.0)
+            assert 1e15 <= T <= 2**62, (eps, T)
+            target = mpmath.mpf(18.0 / eps) ** 2
+            assert T >= target * (1 + mpmath.log(T + 1)) ** 2, eps
+            assert T - 1 < target * (1 + mpmath.log(T)) ** 2, eps
 
 
 def test_complexity_horizon_monotone_in_accuracy():
@@ -205,6 +222,9 @@ def test_complexity_horizon_monotone_in_accuracy():
         li.complexity_horizon(0.0, 1.0, 1.0, 0.0)
     with pytest.raises(li.HypothesisError):
         li.complexity_horizon(1e-12, 1.0, 1e6, 0.0)  # > 2**62 steps
+    assert math.isinf(18.0 / 5e-324)
+    with pytest.raises(li.HypothesisError):
+        li.complexity_horizon(5e-324, 1.0, 1.0, 0.0)  # K / epsilon overflows
 
 
 def test_effective_constants_endpoints():

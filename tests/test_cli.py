@@ -700,7 +700,9 @@ def test_every_json_document_has_the_shared_head(tmp_path, command, name, determ
         argv = ["--config", write_config(tmp_path, "config.json", configs[command])]
     argv += ["--out", str(tmp_path / "out")] + ["--deterministic-output"] * deterministic
     assert cli.main([command, *argv]) == 0
-    doc = json.loads((tmp_path / "out" / name).read_text())
+    data = (tmp_path / "out" / name).read_bytes()
+    doc = json.loads(data)
+    assert data == (json.dumps(doc, sort_keys=True, indent=1, allow_nan=False) + "\n").encode("utf-8")
     assert doc["schema"] == readme_schemas()[name]
     assert doc["code_version"] == li.__version__
     if deterministic:

@@ -93,8 +93,8 @@ ARRAYS = [
 
 @pytest.mark.parametrize("array", ARRAYS, ids=range(len(ARRAYS)))
 def test_arrays_write_as_their_lists(tmp_path, array):
-    doc = {"a": array, "b": [array, 1.0]}
-    listed = {"a": array.tolist(), "b": [array.tolist(), 1.0]}
+    doc = {"a": array, "b": {"c": array, "d": 1.0}}
+    listed = {"a": array.tolist(), "b": {"c": array.tolist(), "d": 1.0}}
     for cpus in CPUS:
         assert written(tmp_path, doc, cpus) == json_text(listed).encode("utf-8")
 
@@ -115,8 +115,8 @@ LARGE_ARRAYS = {
 @pytest.mark.parametrize("name", LARGE_ARRAYS)
 def test_large_arrays_match_at_every_cpu_count(tmp_path, pools, name):
     array, most = LARGE_ARRAYS[name]
-    doc = {"a": array, "b": [array[:1], 1.0]}
-    expected = json_text({"a": array.tolist(), "b": [array[:1].tolist(), 1.0]}).encode("utf-8")
+    doc = {"a": array, "b": {"c": array[:1], "d": 1.0}}
+    expected = json_text({"a": array.tolist(), "b": {"c": array[:1].tolist(), "d": 1.0}}).encode("utf-8")
     for cpus in CPUS:
         del pools[:]
         assert written(tmp_path, doc, cpus) == expected
@@ -257,7 +257,10 @@ def test_csv_writer_matches_csv_module(tmp_path, monkeypatch, header, rows, join
     assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
 
-@pytest.mark.parametrize("bad", [{(1, 2): 3}, [np.int64(3)], {"a": object()}, {1: "x", "b": 2}])
+# An ndarray is written only as a value of a str-keyed dict.
+@pytest.mark.parametrize("bad", [
+    {(1, 2): 3}, [np.int64(3)], {"a": object()}, {1: "x", "b": 2}, {"a": [np.zeros(2)]},
+])
 def test_unencodable_values_raise_json_error(tmp_path, bad):
     with pytest.raises(TypeError) as expected:
         json_text(bad)
