@@ -26,7 +26,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .problems import FiniteSumProblem, SolutionCertificate
+from .problems import FiniteSumProblem, SolutionCertificate, UnsupportedSamplingError
+from .rng import _as_integer
 from .sgd import StepSizeSchedule, PolynomialStep, resolve_schedule, schedule_to_doc
 
 __all__ = [
@@ -60,11 +61,10 @@ def _require(condition: bool, message: str):
 
 def _as_horizon(T, minimum: int) -> int:
     try:
-        t = int(T)
+        t = _as_integer(T, "T", HypothesisError)
         float(t)
     except OverflowError:
         raise HypothesisError("T must fit the float range") from None
-    _require(t == T, f"T must be an integer, got {T!r}")
     _require(t >= minimum, f"T must be >= {minimum}, got {t}")
     return t
 
@@ -310,9 +310,9 @@ def effective_constants(problem: FiniteSumProblem, b: int, cert: SolutionCertifi
 
     Raises:
         UnsupportedSamplingError: b is not a defined sampling mode for the
-            problem (see ``batch_smoothness``).
+            problem (see ``batch_smoothness``), or not an integer.
     """
-    b = int(b)
+    b = _as_integer(b, "b", UnsupportedSamplingError)
     l_b = problem.batch_smoothness(b)
     sigma_b = cert.sigma_star_sq
     if b > 1:

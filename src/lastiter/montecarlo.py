@@ -32,7 +32,7 @@ from .bounds import (  # noqa: F401
 )
 from .problems import FiniteSumProblem, SolutionCertificate, UnsupportedSamplingError
 from .reporting import doc_hash
-from .rng import check_seed
+from .rng import _as_integer, check_seed
 from .sgd import DivergenceError, RunConfig, ScheduleError, _block_rows, run, schedule_to_doc
 
 __all__ = [
@@ -204,14 +204,15 @@ def estimate_gap(
     workers at once.  A full-batch run's one trajectory stands for every
     seed (see ``_cell``).  Results are bitwise independent of ``workers``.
     """
-    n_seeds = int(n_seeds)
+    n_seeds = _as_integer(n_seeds, "n_seeds")
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     base_seed = check_seed(base_seed)
     check_seed(base_seed + n_seeds - 1)
     submitted = _submitted.get(_cell_key(problem, cert, template, n_seeds, base_seed))
     job = (contextlib.nullcontext([submitted]) if submitted is not None else
-           _pool_job([(problem, cert)], [_cell(0, problem, template, n_seeds, base_seed)], int(workers)))
+           _pool_job([(problem, cert)], [_cell(0, problem, template, n_seeds, base_seed)],
+                     _as_integer(workers, "workers")))
     with job as (gaps,):
         values = np.resize(gaps(), n_seeds)  # repeats a full-batch cell's one gap
     mean, std_error = reduce_moments(values)
@@ -341,8 +342,8 @@ def sweep(
     carries the error message and empty numeric fields.  Any other exception
     propagates.
     """
-    workers, n_seeds = max(1, int(workers)), int(n_seeds)
-    grid = [(entry, int(T), schedule, int(b)) for entry, T, schedule, b
+    workers, n_seeds = max(1, _as_integer(workers, "workers")), _as_integer(n_seeds, "n_seeds")
+    grid = [(entry, _as_integer(T, "T"), schedule, _as_integer(b, "b")) for entry, T, schedule, b
             in itertools.product(range(len(problem_entries)), T_grid, schedule_grid, b_grid)]
     cells = {}  # by _cell_key, so a repeated cell runs once
     for entry, T, schedule, b in grid:

@@ -48,9 +48,21 @@ POINT_STREAM = 0x33
 DIRECTION_STREAM = 0x44
 
 
+def _as_integer(value, name: str, error: type[Exception] = ValueError) -> int:
+    """``value`` as an int, refusing with ``error`` one that is not equal to it.
+
+    Integral floats such as 1000.0 pass, 2.5 and "3" are refused, and NaN
+    or inf raise what ``int`` raises.
+    """
+    number = int(value)
+    if number != value:
+        raise error(f"{name} must be an integer, got {value!r}")
+    return number
+
+
 def check_seed(seed: int) -> int:
     """Validate and return a seed that fits in an unsigned 64-bit word."""
-    seed = int(seed)
+    seed = _as_integer(seed, "seed")
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
     return seed

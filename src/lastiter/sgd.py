@@ -18,7 +18,10 @@ of one generator per seed.  The pass gives the generators' draws bit for
 bit; a row in which numpy would have rejected a draw is drawn again from
 its seed's generator.  Blocks of fewer than _PASS_ROWS seeds (a single
 seed among them), long streams, weighted sampling and mini-batches keep the
-generators.
+generators.  A mini-batch small for its family (b**4 <= _ONE_PASS_SCALE * n)
+still draws its integers from each seed's generator in the same order, then
+resolves the subsets of a whole draw chunk for all the block's rows in one
+pass, each row's the same as a single-seed run's.
 A batch's component indices are sorted, and its gradients are summed and
 divided once, in the order ``FiniteSumProblem.batch_grad`` states.  A batch
 covering every component is the full-batch gradient itself, so batch size n
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import FiniteSumProblem, UnsupportedSamplingError
-from .rng import RUN_STREAM, _block_integers, check_seed, stream
+from .rng import RUN_STREAM, _as_integer, _block_integers, check_seed, stream
 
 __all__ = [
     "ConstantStep",
@@ -52,10 +55,26 @@ __all__ = [
 ]
 
 _DIVERGENCE_LIMIT = 1e100
-# Indices are drawn this many steps at a time.  A mini-batch chunk is drawn
-# one Fisher-Yates column after another, so this pattern fixes which run a
-# seed maps to; single-sample draws do not depend on it.
+# Indices are drawn this many steps at a time.  Each seed draws a mini-batch
+# chunk one Fisher-Yates column after another from its own generator, so
+# this pattern fixes which run a seed maps to, whether the subsets are then
+# resolved for the whole block or seed by seed; single-sample draws do not
+# depend on it.
 _DRAW_STEPS = 1024
+# A mini-batch resolves a chunk's subsets for the whole block in one pass
+# (_small_subsets) where b**4 <= _ONE_PASS_SCALE * n, and seed by seed
+# (_subsets) above.  The pass costs about b**2 array passes per chunk, the
+# seed-by-seed path a sort of a tiled (steps, n) pool per seed, so the
+# crossover grows with n.  Time ratios of the pass to seed by seed for one
+# 1024-step chunk, integer draws included, at the rows _block_rows gives a
+# d = 2 least-squares family, on a 2-CPU x86-64 machine (medians of 9
+# alternating runs): n=16: b=8 0.64, 13 0.86, 14 1.13; n=64: 19 0.94,
+# 20 1.00, 24 1.17; n=256: 24 0.88, 28 1.07; n=1024: 38 0.92, 40 1.31;
+# n=4096: 53 0.92, 56 1.05, 64 1.12.  Fewer rows move the crossover down
+# (at one row, n=256: b=8 0.98, 16 1.62), but so few rows come from large
+# components, whose gradients then take most of a step: a one-row,
+# 1024-step run at n=256, d=32, b=16 takes 18.9 ms either way.
+_ONE_PASS_SCALE = 2048
 # Float64 entries that the intermediates of one seed block may hold, and the
 # most rows a block needs to spread the per-step overhead thin.
 _BLOCK_ENTRIES = 2**19
@@ -133,7 +152,8 @@ def resolve_schedule(schedule: StepSizeSchedule, L: float, T: int) -> float:
     """
     if not (np.isfinite(L) and L > 0):
         raise ScheduleError(f"smoothness constant must be positive, got {L!r}")
-    if int(T) < 1:
+    T = _as_integer(T, "horizon", ScheduleError)
+    if T < 1:
         raise ScheduleError(f"horizon must be >= 1, got {T!r}")
     try:
         horizon = float(T)
@@ -189,44 +209,56 @@ class RunConfig:
     record_stride: int = 0
 
     def __post_init__(self):
-        if int(self.T) < 1:
+        for name in ("T", "batch_size", "record_stride"):
+            object.__setattr__(self, name, _as_integer(getattr(self, name), name))
+        if self.T < 1:
             raise ValueError(f"T must be a positive integer, got {self.T!r}")
         check_seed(self.seed)
         if not isinstance(self.schedule, (ConstantStep, PolynomialStep)):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if int(self.batch_size) < 1:
+        if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size!r}")
-        if int(self.record_stride) < 0:
+        if self.record_stride < 0:
             raise ValueError(f"record_stride must be >= 0, got {self.record_stride!r}")
         x0 = np.asarray(self.x0, dtype=float)
         if x0.ndim != 1 or not np.all(np.isfinite(x0)):
             raise ValueError("x0 must be a finite 1-d vector")
         object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "T", int(self.T))
-        object.__setattr__(self, "batch_size", int(self.batch_size))
-        object.__setattr__(self, "record_stride", int(self.record_stride))
 
 
 def _sampler(problem: FiniteSumProblem, b: int):
-    """draw(rng, steps) -> (steps, b) component indices, or None at b = n."""
+    """draw(rngs, steps) -> (steps, len(rngs), b) component indices, or None at b = n.
+
+    Row s of a chunk comes from ``rngs[s]`` alone, drawn as a single-seed run
+    would draw it.  A mini-batch with b**4 <= _ONE_PASS_SCALE * n is
+    resolved for the whole block in one pass (``_small_subsets``); every
+    other mode draws seed by seed.
+    """
     n = problem.n
     if b == n:
         return None  # the subset is the whole family; no randomness consumed
+    if 1 < b and b**4 <= _ONE_PASS_SCALE * n:
+        return lambda rngs, steps: _small_subsets(n, b, rngs, steps)
     if b == 1 and problem.uniform_weights:
-        return lambda rng, steps: rng.integers(0, n, size=steps)[:, None]
-    if b == 1:
+        def per_seed(rng, steps):
+            return rng.integers(0, n, size=steps)[:, None]
+    elif b == 1:
         cum_weights = problem.cum_weights
 
-        def draw(rng, steps):
+        def per_seed(rng, steps):
             picks = np.searchsorted(cum_weights, rng.random(size=steps), side="right")
             return np.minimum(picks, n - 1)[:, None]
+    else:
+        def per_seed(rng, steps):
+            draws = np.stack([rng.integers(0, n - k, size=steps) for k in range(b)], axis=1)
+            span = max(1, _BLOCK_ENTRIES // n)  # permutations held at once
+            return np.concatenate([_subsets(n, draws[lo : lo + span]) for lo in range(0, steps, span)])
 
-        return draw
-
-    def draw(rng, steps):
-        draws = np.stack([rng.integers(0, n - k, size=steps) for k in range(b)], axis=1)
-        span = max(1, _BLOCK_ENTRIES // n)  # permutations held at once
-        return np.concatenate([_subsets(n, draws[lo : lo + span]) for lo in range(0, steps, span)])
+    def draw(rngs, steps):
+        chunk = np.empty((steps, len(rngs), b), dtype=np.intp)
+        for row, rng in enumerate(rngs):
+            chunk[:, row] = per_seed(rng, steps)
+        return chunk
 
     return draw
 
@@ -249,6 +281,46 @@ def _subsets(n: int, draws: np.ndarray) -> np.ndarray:
     return np.sort(pool[:, :b], axis=1)
 
 
+def _small_subsets(n: int, b: int, rngs, steps: int) -> np.ndarray:
+    """The ``_subsets`` of every row's draws, resolved in one pass over the block.
+
+    Each row's draws are those of a single-seed run, column k by column k,
+    kept in the narrowest integer type that holds n.  No pool is built: swap
+    k of the partial Fisher-Yates puts the value at p_k = k + draw_k at
+    position k and moves the value w_k that position k held to p_k, so
+    the picked value is w_j for the latest j < k with p_j = p_k (else p_k),
+    and w_k is w_j for the latest j < k with p_j = k (else k).  An
+    insertion network of minima and maxima then sorts each step's picks,
+    as np.sort would.
+    """
+    kind = np.min_scalar_type(n)
+    pos = np.empty((b, len(rngs), steps), dtype=kind)
+    for row, rng in enumerate(rngs):
+        for k in range(b):
+            pos[k, row] = rng.integers(0, n - k, size=steps)
+    pos += np.arange(b, dtype=kind)[:, None, None]
+    picked, moved = [], []
+    for k in range(b):
+        pick = pos[k]
+        for j in range(k):
+            pick = np.where(pos[j] == pos[k], moved[j], pick)
+        picked.append(pick)
+        if k + 1 < b:  # the last swap's moved value is never read
+            held = kind.type(k)
+            for j in range(k):
+                held = np.where(pos[j] == k, moved[j], held)
+            moved.append(held)
+    del moved  # b - 2 arrays the sort does not need
+    for i in range(1, b):
+        for j in range(i, 0, -1):
+            lo, hi = picked[j - 1], picked[j]
+            picked[j - 1], picked[j] = np.minimum(lo, hi), np.maximum(lo, hi)
+    chunk = np.empty((steps, len(rngs), b), dtype=np.intp)
+    # The network left no pick a view of pos, so pos takes the sorted picks.
+    np.copyto(chunk, np.stack(picked, out=pos).transpose(2, 1, 0))
+    return chunk
+
+
 def _takes_pass(problem: FiniteSumProblem, rows: int, b: int, T: int) -> bool:
     """Whether a block of ``rows`` seeds draws its indices in one Philox pass."""
     uniform_single = b == 1 and problem.n > 1 and problem.uniform_weights
@@ -262,7 +334,13 @@ def _block_rows(problem: FiniteSumProblem, b: int, T: int) -> int:
     one draw chunk, and the n component values of its final gap.  A block
     that takes the Philox pass also holds the pass's uint64 temporaries; if
     they would leave it fewer than _PASS_ROWS rows, it stays just below
-    _PASS_ROWS and keeps the generators instead.
+    _PASS_ROWS and keeps the generators instead.  The index term also bounds
+    a mini-batch's one-pass resolution (``_small_subsets``), whose at most
+    3b narrow-integer arrays hold rows * steps entries each: rows * b *
+    steps is at most _BLOCK_ENTRIES in a block of more than one row, and in
+    a lone row while b <= 512 (n above 3 * 10**7 at the one-pass gate), so
+    they hold at most 3 * _BLOCK_ENTRIES entries, 3 MB at the 2 bytes that
+    hold n < 2**16.
     """
     per_row = (b + problem.n) * problem.component_entries() + b * min(T, _DRAW_STEPS)
     rows = min(_BLOCK_ROWS, _BLOCK_ENTRIES // per_row)
@@ -302,16 +380,14 @@ def run(problem: FiniteSumProblem, config: RunConfig, seeds, observe=None):
         draws, redraw = _block_integers(seeds, RUN_STREAM, np.full(T, problem.n))
         chunk = np.ascontiguousarray(draws.T, dtype=np.intp)[:, :, None]  # (T, S, 1)
         for row in np.flatnonzero(redraw):
-            chunk[:, row] = draw(stream(seeds[row], RUN_STREAM), T)
+            chunk[:, row] = draw([stream(seeds[row], RUN_STREAM)], T)[:, 0]
     elif draw is not None:
         rngs = [stream(seed, RUN_STREAM) for seed in seeds]
     t = 0
     while t < T:
         steps = min(_DRAW_STEPS, T - t)
         if rngs:
-            chunk = np.empty((steps, len(rngs), b), dtype=np.intp)
-            for row, rng in enumerate(rngs):
-                chunk[:, row] = draw(rng, steps)
+            chunk = draw(rngs, steps)
         for u in range(steps):
             if chunk is not None:
                 idx = chunk[u, : len(X)]

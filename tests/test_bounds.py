@@ -251,6 +251,9 @@ def test_effective_constants_formula_and_errors():
     for b in (0, 7):
         with pytest.raises(li.UnsupportedSamplingError):
             li.effective_constants(problem, b, cert)
+    with pytest.raises(li.UnsupportedSamplingError, match=r"^b must be an integer, got 2.5$"):
+        li.effective_constants(problem, 2.5, cert)
+    assert li.effective_constants(problem, 2.0, cert) == li.effective_constants(problem, 2, cert)
     # n = 1 at b = 1 is plain single-sample SGD
     single = li.LeastSquaresProblem(np.ones((1, 1, 1)), np.zeros((1, 1)))
     single_cert = li.certify_solution(single)

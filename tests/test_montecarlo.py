@@ -250,6 +250,9 @@ def test_estimate_rejects_bad_seed_counts():
     problem, cert, config = estimate_template()
     with pytest.raises(ValueError):
         li.estimate_gap(problem, cert, config, n_seeds=0, base_seed=0)
+    with pytest.raises(ValueError, match=r"^n_seeds must be an integer, got 2.5$"):
+        li.estimate_gap(problem, cert, config, n_seeds=2.5, base_seed=0)
+    assert li.estimate_gap(problem, cert, config, n_seeds=2.0, base_seed=0).n_seeds == 2
 
 
 def test_estimate_matches_interpolation_law():
@@ -400,6 +403,22 @@ def test_sweep_rows_is_deterministic():
         base_seed=0,
     )
     assert li.sweep(sweep_entries(), **kwargs) == li.sweep(sweep_entries(), **kwargs)
+
+
+@pytest.mark.parametrize("name, value", [("T_grid", [40.5]), ("b_grid", [2.7]), ("n_seeds", 3.9),
+                                         ("workers", 1.5)])
+def test_sweep_refuses_fractional_integers(name, value):
+    kwargs = dict(T_grid=[40], schedule_grid=[li.PolynomialStep(2.0, 0.5)], b_grid=[2], n_seeds=3,
+                  base_seed=0, workers=1)
+    kwargs[name] = value
+    label = {"T_grid": "T", "b_grid": "b"}.get(name, name)
+    shown = value[0] if isinstance(value, list) else value
+    with pytest.raises(ValueError, match=rf"^{label} must be an integer, got {shown}$"):
+        li.sweep(sweep_entries(), **kwargs)
+    kwargs[name] = [40.0] if name == "T_grid" else [2.0] if name == "b_grid" else float(int(shown))
+    assert li.sweep(sweep_entries(), **kwargs) == li.sweep(
+        sweep_entries(), T_grid=[40], schedule_grid=[li.PolynomialStep(2.0, 0.5)], b_grid=[2],
+        n_seeds=3, base_seed=0, workers=1)
 
 
 def test_sweep_corollary_bounds_by_schedule_kind():

@@ -93,6 +93,12 @@ def test_block_integers_rejects_bounds_it_cannot_reproduce(bound):
         rng._block_integers([0], rng.RUN_STREAM, [5, bound])
 
 
+def test_check_seed_refuses_a_fractional_seed():
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 2.5$"):
+        rng.check_seed(2.5)
+    assert rng.check_seed(2.0) == 2 and type(rng.check_seed(np.uint64(2**64 - 1))) is int
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_philox_words_reject_seeds_outside_64_bits(seed):
     with pytest.raises(ValueError):

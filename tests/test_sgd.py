@@ -236,6 +236,9 @@ def test_resolve_schedule_values_and_window():
             li.resolve_schedule(schedule, L=1.0, T=10**400)
         with pytest.raises(li.ScheduleError, match=r"^horizon must be >= 1, got 0$"):
             li.resolve_schedule(schedule, L=1.0, T=0)
+        with pytest.raises(li.ScheduleError, match=r"^horizon must be an integer, got 2.5$"):
+            li.resolve_schedule(schedule, L=1.0, T=2.5)
+        assert li.resolve_schedule(schedule, L=1.0, T=100.0) == li.resolve_schedule(schedule, L=1.0, T=100)
     with pytest.raises(li.ScheduleError, match=r"^unknown schedule '0.1'$"):
         li.resolve_schedule("0.1", L=1.0, T=10)
 
@@ -264,6 +267,13 @@ def test_run_config_validation():
         li.RunConfig(T=5, seed=1, schedule=schedule, x0=np.zeros(1), record_stride=-1)
     with pytest.raises(ValueError):
         li.RunConfig(T=5, seed=1, schedule="0.1", x0=np.zeros(1))
+    for field in ("T", "batch_size", "record_stride"):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got 2.5$"):
+            li.RunConfig(**{"T": 5, "seed": 1, "schedule": schedule, "x0": np.zeros(1), field: 2.5})
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 2.5$"):
+        li.RunConfig(T=5, seed=2.5, schedule=schedule, x0=np.zeros(1))
+    config = li.RunConfig(T=1000.0, seed=1.0, schedule=schedule, x0=np.zeros(1), batch_size=2.0)
+    assert (config.T, config.batch_size) == (1000, 2) and type(config.T) is int
 
 
 def test_polynomial_schedule_resolved_against_problem_smoothness():
@@ -333,17 +343,18 @@ def test_pass_rows_flagged_for_redraw_come_from_their_generators(monkeypatch):
 
 
 class UnderstatedPair(li.FiniteSumProblem):
-    """f_0 = 5 x^2 and f_1 = 0 claiming smoothness 0.1: each draw of f_0 multiplies x by -49."""
+    """f_0 = 5 x^2 and f_1 .. f_{n-1} = 0 claiming smoothness 0.1: a step of 5 on a batch of b
+    holding f_0 multiplies x by 1 - 50 / b, so -49 at b = 1."""
 
-    def __init__(self):
-        super().__init__(np.full(2, 0.5), np.full(2, 0.1), 0.1, 1)
+    def __init__(self, n=2):
+        super().__init__(np.full(n, 1 / n), np.full(n, 0.1), 0.1, 1)
 
     def component_values_at(self, idx, x):
-        idx = np.arange(2) if idx is None else idx
+        idx = np.arange(self.n) if idx is None else idx
         return 5.0 * x[..., :1] ** 2 * (idx == 0)
 
     def component_grads_at(self, idx, x):
-        idx = np.arange(2) if idx is None else idx
+        idx = np.arange(self.n) if idx is None else idx
         return 10.0 * x[..., None, :] * (idx == 0)[..., None]
 
 
@@ -364,6 +375,34 @@ def test_diverging_pass_block_reports_its_lowest_seed_at_its_first_bad_step():
     with pytest.raises(li.DivergenceError) as info:
         li.run(problem, config, seeds)
     assert (info.value.seed, info.value.step) == (lowest, first_bad[lowest])
+
+
+def test_diverging_minibatch_block_matches_single_runs_on_fewer_rows(monkeypatch):
+    """Rows that go bad leave the block, and later chunks are resolved for the rows left."""
+    monkeypatch.setattr(sgd, "_DRAW_STEPS", 32)  # many chunks before the first row goes bad
+    problem = UnderstatedPair(8)
+    config = li.RunConfig(T=5000, seed=0, schedule=li.ConstantStep(5.0), x0=np.array([1.0]),
+                          batch_size=2)
+    seeds = range(400, 416)
+    paths, first_bad = {}, {}
+    for seed in seeds:
+        paths[seed] = []
+        with pytest.raises(li.DivergenceError) as info:
+            li.run(problem, config, (seed,), lambda t, X: paths[seed].append(X[0].copy()))
+        first_bad[seed] = info.value.step
+    # higher seeds go bad first, so the block runs on with fewer rows
+    assert min(first_bad.values()) < first_bad[seeds[0]]
+    rows, seen = [], []
+    small_subsets = sgd._small_subsets
+    monkeypatch.setattr(sgd, "_small_subsets", lambda n, b, rngs, steps:
+                        rows.append(len(rngs)) or small_subsets(n, b, rngs, steps))
+    with pytest.raises(li.DivergenceError) as info:
+        li.run(problem, config, seeds, lambda t, X: seen.append(X.copy()))
+    assert (info.value.seed, info.value.step) == (seeds[0], first_bad[seeds[0]])
+    assert len(seen) == first_bad[seeds[0]]
+    for t, X in enumerate(seen):
+        assert np.array_equal(X[:, 0], [paths[seed][t][0] for seed in seeds[: len(X)]]), t
+    assert rows[0] == len(seeds) and rows[-1] < len(seeds) and rows == sorted(rows, reverse=True)
 
 
 def test_pass_block_with_the_largest_seed_matches_single_runs():
@@ -431,6 +470,26 @@ def test_block_rows_bound_the_memory_of_a_pass(n):
         assert peak + 8 * per_row * rows <= 8 * sgd._BLOCK_ENTRIES, (T, rows, peak)
 
 
+@pytest.mark.parametrize("n, b, T", [(16, 2, 1600), (16, 4, 1600), (16, 13, 2000), (64, 7, 500),
+                                     (64, 19, 1024), (300, 5, 1024), (70000, 3, 1024),
+                                     (70000, 100, 1024)])
+def test_block_rows_bound_the_memory_of_small_subsets(n, b, T):
+    """A one-pass resolution holds at most 3b narrow arrays, 3 MB, beside its chunk."""
+    problem = li.LeastSquaresProblem(np.ones((n, 2, 2)), np.zeros((n, 2)))
+    rows, steps = sgd._block_rows(problem, b, T), min(T, sgd._DRAW_STEPS)
+    narrow = rows * steps * np.min_scalar_type(n).itemsize  # bytes of one narrow array
+    assert 3 * b * narrow <= 6 * sgd._BLOCK_ENTRIES, rows
+    rngs = [li.stream(seed, li.RUN_STREAM) for seed in range(rows)]
+    tracemalloc.start()
+    try:
+        chunk = sgd._small_subsets(n, b, rngs, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if narrow >= 2**16:  # large enough that numpy's small per-call allocations do not count
+        assert peak <= chunk.nbytes + (3 * b + 1) * narrow, (rows, peak)  # one more for a mask
+
+
 def test_block_too_small_for_the_pass_temporaries_keeps_the_generators(monkeypatch):
     problem, _ = li.make_least_squares(n=6, d=3, spread=1.0, seed=14)
     T = sgd._PASS_DRAWS
@@ -466,23 +525,53 @@ def partial_fisher_yates(n, draws):
     return subsets
 
 
+def seed_draws(seed, n, b, steps):
+    """One seed's draws for a chunk: column k is integers(0, n - k) over the steps, column after column."""
+    rng = li.stream(seed, li.RUN_STREAM)
+    return np.stack([rng.integers(0, n - k, size=steps) for k in range(b)], axis=1)
+
+
 @pytest.mark.parametrize("block_entries", [sgd._BLOCK_ENTRIES, 40])
-@pytest.mark.parametrize("n, b", [(3, 2), (7, 3), (16, 4), (16, 15), (64, 8)])
+@pytest.mark.parametrize("n, b", [(3, 2), (7, 3), (16, 4), (16, 15), (64, 8), (64, 20)])
 def test_subset_draws_are_a_partial_fisher_yates(monkeypatch, n, b, block_entries):
     """A mini-batch draw is a list-based partial Fisher-Yates per step, in any span split."""
     monkeypatch.setattr(sgd, "_BLOCK_ENTRIES", block_entries)
     problem, _ = li.make_least_squares(n=n, d=1, spread=1.0, seed=n)
-    drawn = sgd._sampler(problem, b)(li.stream(3, li.RUN_STREAM), 50)
-    rng = li.stream(3, li.RUN_STREAM)
-    draws = np.stack([rng.integers(0, n - k, size=50) for k in range(b)], axis=1)
-    assert drawn.shape == (50, b) and drawn.tolist() == partial_fisher_yates(n, draws)
-    assert np.array_equal(sgd._subsets(n, draws), drawn)
+    drawn = sgd._sampler(problem, b)([li.stream(3, li.RUN_STREAM)], 50)
+    draws = seed_draws(3, n, b, 50)
+    assert drawn.shape == (50, 1, b) and drawn[:, 0].tolist() == partial_fisher_yates(n, draws)
+    assert np.array_equal(sgd._subsets(n, draws), drawn[:, 0])
 
 
-def test_minibatch_seed_mapping_past_a_draw_chunk(monkeypatch):
-    """b > 1 draws 1024 steps at a time, one partial Fisher-Yates column after another."""
-    problem, cert = li.make_least_squares(n=7, d=2, spread=1.0, seed=17)
-    n, b, T, gamma = problem.n, 3, 2100, 0.05 / problem.L
+@pytest.mark.parametrize("steps", [1, 7, 1023, 1024])
+@pytest.mark.parametrize("n, b", [(3, 2), (16, 4), (16, 8), (16, 13), (64, 7)])
+def test_block_subsets_are_a_partial_fisher_yates_row_by_row(n, b, steps):
+    """A small batch's chunk, resolved for the whole block at once, holds each seed's own subsets."""
+    seeds = (0, 9, 2**64 - 1)
+    chunk = sgd._small_subsets(n, b, [li.stream(seed, li.RUN_STREAM) for seed in seeds], steps)
+    assert chunk.shape == (steps, len(seeds), b) and chunk.dtype == np.intp
+    for row, seed in enumerate(seeds):
+        assert chunk[:, row].tolist() == partial_fisher_yates(n, seed_draws(seed, n, b, steps)), seed
+
+
+@pytest.mark.parametrize("b, one_pass", [(2, True), (19, True), (20, False)])
+def test_only_small_batches_resolve_subsets_for_the_whole_block(monkeypatch, b, one_pass):
+    """At n = 64 the one-pass gate b**4 <= 2048 n admits b up to 19."""
+    problem, _ = li.make_least_squares(n=64, d=2, spread=1.0, seed=21)
+    calls = []
+    for name in ("_small_subsets", "_subsets"):
+        monkeypatch.setattr(sgd, name, lambda *args, name=name, wrapped=getattr(sgd, name):
+                            calls.append(name) or wrapped(*args))
+    config = li.RunConfig(T=30, seed=0, schedule=li.ConstantStep(0.01), x0=np.zeros(2), batch_size=b)
+    li.run(problem, config, range(5))
+    # one pass for the block's one chunk, or one pool per seed
+    assert calls == (["_small_subsets"] if one_pass else ["_subsets"] * 5)
+
+
+def check_minibatch_seed_mapping_past_a_draw_chunk(monkeypatch, n, b):
+    """Seeds 5, 6 and 7 at batch size b over 2100 steps equal the list-based reference, chunk by chunk."""
+    problem, cert = li.make_least_squares(n=n, d=2, spread=1.0, seed=17)
+    T, gamma = 2100, 0.05 / problem.L
     config = li.RunConfig(T=T, seed=0, schedule=li.ConstantStep(gamma), x0=np.zeros(2),
                           batch_size=b)
     _, block = li.run(problem, config, (5, 6, 7))
@@ -498,3 +587,13 @@ def test_minibatch_seed_mapping_past_a_draw_chunk(monkeypatch):
             for batch in map(np.array, partial_fisher_yates(n, draws)):
                 x = x - gamma * (problem.component_grads_at(batch, x).sum(axis=0) / b)
         assert np.array_equal(row, x)
+
+
+def test_minibatch_seed_mapping_past_a_draw_chunk(monkeypatch):
+    """b > 1 draws 1024 steps at a time, one partial Fisher-Yates column after another."""
+    check_minibatch_seed_mapping_past_a_draw_chunk(monkeypatch, 7, 3)
+
+
+def test_large_minibatch_seed_mapping_past_a_draw_chunk(monkeypatch):
+    """Above the one-pass gate (14**4 > 2048 * 16), seed-by-seed subsets map seeds to the same runs."""
+    check_minibatch_seed_mapping_past_a_draw_chunk(monkeypatch, 16, 14)
