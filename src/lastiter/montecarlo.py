@@ -111,6 +111,14 @@ def _split(lo: int, hi: int, unit: int, pieces: int) -> list:
     return list(zip(cuts, cuts[1:]))
 
 
+def _check_workers(workers) -> int:
+    """``workers`` as an int, refusing a count below one as ``--workers`` does."""
+    workers = _as_integer(workers, "workers")
+    if workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers}")
+    return workers
+
+
 @contextlib.contextmanager
 def _pool_job(entries, cells, workers: int):
     """Submit every cell's seed ranges to one pool; yield one gaps function per cell.
@@ -204,15 +212,14 @@ def estimate_gap(
     workers at once.  A full-batch run's one trajectory stands for every
     seed (see ``_cell``).  Results are bitwise independent of ``workers``.
     """
-    n_seeds = _as_integer(n_seeds, "n_seeds")
+    n_seeds, workers = _as_integer(n_seeds, "n_seeds"), _check_workers(workers)
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     base_seed = check_seed(base_seed)
     check_seed(base_seed + n_seeds - 1)
     submitted = _submitted.get(_cell_key(problem, cert, template, n_seeds, base_seed))
     job = (contextlib.nullcontext([submitted]) if submitted is not None else
-           _pool_job([(problem, cert)], [_cell(0, problem, template, n_seeds, base_seed)],
-                     _as_integer(workers, "workers")))
+           _pool_job([(problem, cert)], [_cell(0, problem, template, n_seeds, base_seed)], workers))
     with job as (gaps,):
         values = np.resize(gaps(), n_seeds)  # repeats a full-batch cell's one gap
     mean, std_error = reduce_moments(values)
@@ -342,7 +349,7 @@ def sweep(
     carries the error message and empty numeric fields.  Any other exception
     propagates.
     """
-    workers, n_seeds = max(1, _as_integer(workers, "workers")), _as_integer(n_seeds, "n_seeds")
+    workers, n_seeds = _check_workers(workers), _as_integer(n_seeds, "n_seeds")
     grid = [(entry, _as_integer(T, "T"), schedule, _as_integer(b, "b")) for entry, T, schedule, b
             in itertools.product(range(len(problem_entries)), T_grid, schedule_grid, b_grid)]
     cells = {}  # by _cell_key, so a repeated cell runs once

@@ -51,11 +51,11 @@ DIRECTION_STREAM = 0x44
 def _as_integer(value, name: str, error: type[Exception] = ValueError) -> int:
     """``value`` as an int, refusing with ``error`` one that is not equal to it.
 
-    Integral floats such as 1000.0 pass, 2.5 and "3" are refused, and NaN
-    or inf raise what ``int`` raises.
+    Integral floats such as 1000.0 pass, 2.5, "3" and booleans are refused,
+    and NaN or inf raise what ``int`` raises.
     """
     number = int(value)
-    if number != value:
+    if number != value or isinstance(value, (bool, np.bool_)):
         raise error(f"{name} must be an integer, got {value!r}")
     return number
 

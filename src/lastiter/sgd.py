@@ -3,29 +3,35 @@
 One update is x <- x - gamma * g_t where g_t is the gradient of a single
 component drawn from the sampling weights (batch size 1) or the average of
 the component gradients over a uniformly drawn size-b subset (without
-replacement).  All index randomness comes from the run stream of the seed,
-so a trajectory is a pure function of (problem, config).  The step size
-is the schedule resolved against ``problem.batch_smoothness(b)``, the
-smoothness constant the bounds for batch size b use.
+replacement).  The step size is the schedule resolved against
+``problem.batch_smoothness(b)``, the smoothness constant the bounds for
+batch size b use.
+
+All index randomness comes from the run stream of the seed, so a
+trajectory is a pure function of (problem, config).  ``_sampler`` alone
+turns seeds into indices, _DRAW_STEPS steps at a time: positions, then a
+resolver by size.  The positions are each seed's draws from its own
+stream.  A uniform draw takes column k, the position that swap k of a
+partial Fisher-Yates shuffle exchanges with k, as k + integers(0, n - k),
+column after column, so b = 1 draws integers(0, n); a weighted single
+sample takes random() to its bucket of the cumulative weights.  A block of
+many seeds with short uniform single-sample streams computes them in one
+vectorized Philox pass (``rng._block_integers``), bit for bit the
+generators' draws; a row in which numpy would have rejected a draw takes
+its positions from its seed's generator.  A resolver then turns the whole
+block's positions into sorted subsets: without a pool where
+b**4 <= _ONE_PASS_SCALE * n (``_small_subsets``, where a single sample is
+its own position), through pools above (``_subsets``).  A batch covering
+every component draws nothing.
 
 One engine runs every sampling mode: it advances a block of seeds in
-lockstep as an (S, d) iterate matrix, each row drawing from its own seed's
-stream.  Each row's step is computed by the same per-row calls whatever S
-is, so a block of S seeds reproduces S single-seed runs bit for bit.
-A block of many seeds with short uniform single-sample streams draws all
-its indices in one vectorized Philox pass (``rng._block_integers``) instead
-of one generator per seed.  The pass gives the generators' draws bit for
-bit; a row in which numpy would have rejected a draw is drawn again from
-its seed's generator.  Blocks of fewer than _PASS_ROWS seeds (a single
-seed among them), long streams, weighted sampling and mini-batches keep the
-generators.  A mini-batch small for its family (b**4 <= _ONE_PASS_SCALE * n)
-still draws its integers from each seed's generator in the same order, then
-resolves the subsets of a whole draw chunk for all the block's rows in one
-pass, each row's the same as a single-seed run's.
-A batch's component indices are sorted, and its gradients are summed and
-divided once, in the order ``FiniteSumProblem.batch_grad`` states.  A batch
-covering every component is the full-batch gradient itself, so batch size n
-reproduces deterministic gradient descent bit for bit.
+lockstep as an (S, d) iterate matrix.  Each row's step is computed by the
+same per-row calls whatever S is, so a block of S seeds reproduces S
+single-seed runs bit for bit.  A batch's component indices are sorted, and
+its gradients are summed and divided once, in the order
+``FiniteSumProblem.batch_grad`` states.  A batch covering every component
+is the full-batch gradient itself, so batch size n reproduces deterministic
+gradient descent bit for bit.
 
 ``run`` is the engine's one entry.  It returns the final iterates, and its
 ``observe(t, X)`` hook sees the iterates at t = 0 and after every step, so a
@@ -57,15 +63,14 @@ __all__ = [
 _DIVERGENCE_LIMIT = 1e100
 # Indices are drawn this many steps at a time.  Each seed draws a mini-batch
 # chunk one Fisher-Yates column after another from its own generator, so
-# this pattern fixes which run a seed maps to, whether the subsets are then
-# resolved for the whole block or seed by seed; single-sample draws do not
-# depend on it.
+# this pattern fixes which run a seed maps to, whichever resolver then reads
+# the positions; single-sample draws do not depend on it.
 _DRAW_STEPS = 1024
-# A mini-batch resolves a chunk's subsets for the whole block in one pass
-# (_small_subsets) where b**4 <= _ONE_PASS_SCALE * n, and seed by seed
-# (_subsets) above.  The pass costs about b**2 array passes per chunk, the
-# seed-by-seed path a sort of a tiled (steps, n) pool per seed, so the
-# crossover grows with n.  Time ratios of the pass to seed by seed for one
+# A mini-batch resolves a chunk's subsets without a pool (_small_subsets)
+# where b**4 <= _ONE_PASS_SCALE * n, and through n-entry pools (_subsets)
+# above.  The pass costs about b**2 array passes per chunk, the pools a
+# sort of a tiled (steps, n) pool per seed, so the crossover grows with n.
+# Time ratios of the pass to the pools, then built seed by seed, for one
 # 1024-step chunk, integer draws included, at the rows _block_rows gives a
 # d = 2 least-squares family, on a 2-CPU x86-64 machine (medians of 9
 # alternating runs): n=16: b=8 0.64, 13 0.86, 14 1.13; n=64: 19 0.94,
@@ -226,79 +231,93 @@ class RunConfig:
         object.__setattr__(self, "x0", x0)
 
 
-def _sampler(problem: FiniteSumProblem, b: int):
-    """draw(rngs, steps) -> (steps, len(rngs), b) component indices, or None at b = n.
+def _sampler(problem: FiniteSumProblem, b: int, seeds, T: int):
+    """draw(rows, steps) -> next (steps, rows, b) indices of seeds[:rows], or None at b = n.
 
-    Row s of a chunk comes from ``rngs[s]`` alone, drawn as a single-seed run
-    would draw it.  A mini-batch with b**4 <= _ONE_PASS_SCALE * n is
-    resolved for the whole block in one pass (``_small_subsets``); every
-    other mode draws seed by seed.
+    The one place where seeds become indices: positions, then a resolver by
+    size.  Each seed fills its row of a (b, rows, steps) array of positions
+    in np.min_scalar_type(n) from its own run stream.  A uniform draw takes
+    column k, the position that swap k of a partial Fisher-Yates shuffle
+    exchanges with k, as k + integers(0, n - k), column after column; a
+    weighted single sample takes random() to its bucket of the cumulative
+    weights.  A block that ``_takes_pass`` computes its single-sample
+    positions in one Philox pass (``rng._block_integers``) instead, and a
+    row flagged for a redraw takes them from its seed's generator.  The
+    resolver turns the whole block's positions into sorted subsets, each
+    row the same as a single-seed run's: ``_small_subsets`` where
+    b**4 <= _ONE_PASS_SCALE * n (a single sample is its own position),
+    ``_subsets`` above.  ``rows`` may only shrink from call to call.
     """
     n = problem.n
     if b == n:
         return None  # the subset is the whole family; no randomness consumed
-    if 1 < b and b**4 <= _ONE_PASS_SCALE * n:
-        return lambda rngs, steps: _small_subsets(n, b, rngs, steps)
-    if b == 1 and problem.uniform_weights:
-        def per_seed(rng, steps):
-            return rng.integers(0, n, size=steps)[:, None]
-    elif b == 1:
-        cum_weights = problem.cum_weights
+    kind = np.min_scalar_type(n)
+    resolve = _small_subsets if b**4 <= _ONE_PASS_SCALE * n else _subsets
 
-        def per_seed(rng, steps):
-            picks = np.searchsorted(cum_weights, rng.random(size=steps), side="right")
-            return np.minimum(picks, n - 1)[:, None]
-    else:
-        def per_seed(rng, steps):
-            draws = np.stack([rng.integers(0, n - k, size=steps) for k in range(b)], axis=1)
-            span = max(1, _BLOCK_ENTRIES // n)  # permutations held at once
-            return np.concatenate([_subsets(n, draws[lo : lo + span]) for lo in range(0, steps, span)])
-
-    def draw(rngs, steps):
-        chunk = np.empty((steps, len(rngs), b), dtype=np.intp)
+    def positions(rngs, steps):
+        pos = np.empty((b, len(rngs), steps), dtype=kind)
         for row, rng in enumerate(rngs):
-            chunk[:, row] = per_seed(rng, steps)
-        return chunk
+            if problem.uniform_weights:
+                for k in range(b):
+                    pos[k, row] = k + rng.integers(0, n - k, size=steps)
+            else:
+                picks = np.searchsorted(problem.cum_weights, rng.random(size=steps), side="right")
+                pos[0, row] = np.minimum(picks, n - 1)
+        return pos
 
-    return draw
+    if _takes_pass(problem, len(seeds), b, T):
+        draws, redraw = _block_integers(seeds, RUN_STREAM, np.full(T, n))
+        passed = draws.astype(kind)[None]
+        flagged = np.flatnonzero(redraw)
+        passed[:, flagged] = positions([stream(seeds[row], RUN_STREAM) for row in flagged], T)
+        return lambda rows, steps: resolve(n, passed[:, :rows])  # T < _DRAW_STEPS: one chunk
+    rngs = [stream(seed, RUN_STREAM) for seed in seeds]
+    return lambda rows, steps: resolve(n, positions(rngs[:rows], steps))
 
 
-def _subsets(n: int, draws: np.ndarray) -> np.ndarray:
-    """Sorted size-b subsets of range(n), one per row of the (steps, b) draws.
+def _subsets(n: int, pos: np.ndarray) -> np.ndarray:
+    """The sorted subsets of the (b, rows, steps) positions, as (steps, rows, b) indices.
 
-    Partial Fisher-Yates: the first b entries of a uniformly random
-    permutation form a uniform size-b subset.
+    Partial Fisher-Yates: swap k exchanges the entries at k and pos_k of a
+    pool range(n), and the first b entries of the resulting uniformly
+    random permutation form a uniform size-b subset.  Each (step, row)
+    gets its own pool, _BLOCK_ENTRIES // n of them at a time.
     """
-    steps, b = draws.shape
-    pool = np.tile(np.arange(n), (steps, 1))
-    flat = pool.reshape(-1)  # a view: the swaps go through flat indices
-    starts = np.arange(0, steps * n, n)
-    for k in range(b):
-        lin = starts + (k + draws[:, k])
-        picked = flat.take(lin)
-        flat[lin] = pool[:, k]
-        pool[:, k] = picked
-    return np.sort(pool[:, :b], axis=1)
+    b, rows, steps = pos.shape
+    draws = pos.transpose(2, 1, 0).reshape(-1, b)  # one row per (step, seed)
+    chunk = np.empty((steps, rows, b), dtype=np.intp)
+    subsets = chunk.reshape(-1, b)  # a view in the same order
+    span = max(1, min(len(draws), _BLOCK_ENTRIES // n))  # permutations held at once
+    pool = np.empty((span, n), dtype=np.intp)
+    for lo in range(0, len(draws), span):
+        part = draws[lo : lo + span]
+        pool = pool[: len(part)]  # a shorter last span reuses the front rows
+        pool[:] = np.arange(n)
+        flat = pool.reshape(-1)  # a view: the swaps go through flat indices
+        starts = np.arange(0, pool.size, n)
+        for k in range(b):
+            lin = starts + part[:, k]
+            picked = flat.take(lin)
+            flat[lin] = pool[:, k]
+            pool[:, k] = picked
+        pool[:, :b].sort(axis=1)
+        subsets[lo : lo + span] = pool[:, :b]
+    return chunk
 
 
-def _small_subsets(n: int, b: int, rngs, steps: int) -> np.ndarray:
-    """The ``_subsets`` of every row's draws, resolved in one pass over the block.
+def _small_subsets(n: int, pos: np.ndarray) -> np.ndarray:
+    """The ``_subsets`` of the (b, rows, steps) positions, resolved without a pool.
 
-    Each row's draws are those of a single-seed run, column k by column k,
-    kept in the narrowest integer type that holds n.  No pool is built: swap
-    k of the partial Fisher-Yates puts the value at p_k = k + draw_k at
+    Swap k of the partial Fisher-Yates puts the value at p_k = pos_k at
     position k and moves the value w_k that position k held to p_k, so
     the picked value is w_j for the latest j < k with p_j = p_k (else p_k),
     and w_k is w_j for the latest j < k with p_j = k (else k).  An
     insertion network of minima and maxima then sorts each step's picks,
-    as np.sort would.
+    as np.sort would.  Every array is in pos's narrow type, and pos is
+    overwritten.
     """
-    kind = np.min_scalar_type(n)
-    pos = np.empty((b, len(rngs), steps), dtype=kind)
-    for row, rng in enumerate(rngs):
-        for k in range(b):
-            pos[k, row] = rng.integers(0, n - k, size=steps)
-    pos += np.arange(b, dtype=kind)[:, None, None]
+    b, rows, steps = pos.shape
+    kind = pos.dtype
     picked, moved = [], []
     for k in range(b):
         pick = pos[k]
@@ -315,8 +334,8 @@ def _small_subsets(n: int, b: int, rngs, steps: int) -> np.ndarray:
         for j in range(i, 0, -1):
             lo, hi = picked[j - 1], picked[j]
             picked[j - 1], picked[j] = np.minimum(lo, hi), np.maximum(lo, hi)
-    chunk = np.empty((steps, len(rngs), b), dtype=np.intp)
-    # The network left no pick a view of pos, so pos takes the sorted picks.
+    chunk = np.empty((steps, rows, b), dtype=np.intp)
+    # The network left no pick a view of pos but a single sample, which is pos itself.
     np.copyto(chunk, np.stack(picked, out=pos).transpose(2, 1, 0))
     return chunk
 
@@ -335,12 +354,14 @@ def _block_rows(problem: FiniteSumProblem, b: int, T: int) -> int:
     that takes the Philox pass also holds the pass's uint64 temporaries; if
     they would leave it fewer than _PASS_ROWS rows, it stays just below
     _PASS_ROWS and keeps the generators instead.  The index term also bounds
-    a mini-batch's one-pass resolution (``_small_subsets``), whose at most
-    3b narrow-integer arrays hold rows * steps entries each: rows * b *
-    steps is at most _BLOCK_ENTRIES in a block of more than one row, and in
-    a lone row while b <= 512 (n above 3 * 10**7 at the one-pass gate), so
-    they hold at most 3 * _BLOCK_ENTRIES entries, 3 MB at the 2 bytes that
-    hold n < 2**16.
+    a chunk's positions and their resolution, whose narrow-integer arrays
+    hold rows * steps entries each: rows * b * steps is at most
+    _BLOCK_ENTRIES in a block of more than one row, and in a lone row while
+    b <= 512 (n above 3 * 10**7 at the one-pass gate).  ``_small_subsets``
+    holds at most 3b of them, so at most 3 * _BLOCK_ENTRIES entries, 3 MB
+    at the 2 bytes that hold n < 2**16.  ``_subsets`` holds 2b of them,
+    fewer bytes than its chunk, beside pools of at most _BLOCK_ENTRIES
+    entries (one pool of n where n is larger).
     """
     per_row = (b + problem.n) * problem.component_entries() + b * min(T, _DRAW_STEPS)
     rows = min(_BLOCK_ROWS, _BLOCK_ENTRIES // per_row)
@@ -374,23 +395,15 @@ def run(problem: FiniteSumProblem, config: RunConfig, seeds, observe=None):
     X = np.tile(x0, (len(seeds), 1))
     if observe is not None:
         observe(0, X)
-    draw = _sampler(problem, b)
-    rngs, chunk, idx, diverged = [], None, None, None
-    if _takes_pass(problem, len(seeds), b, T):
-        draws, redraw = _block_integers(seeds, RUN_STREAM, np.full(T, problem.n))
-        chunk = np.ascontiguousarray(draws.T, dtype=np.intp)[:, :, None]  # (T, S, 1)
-        for row in np.flatnonzero(redraw):
-            chunk[:, row] = draw([stream(seeds[row], RUN_STREAM)], T)[:, 0]
-    elif draw is not None:
-        rngs = [stream(seed, RUN_STREAM) for seed in seeds]
+    draw = _sampler(problem, b, seeds, T)
+    chunk, diverged = None, None
     t = 0
     while t < T:
         steps = min(_DRAW_STEPS, T - t)
-        if rngs:
-            chunk = draw(rngs, steps)
+        if draw is not None:
+            chunk = draw(len(X), steps)
         for u in range(steps):
-            if chunk is not None:
-                idx = chunk[u, : len(X)]
+            idx = None if chunk is None else chunk[u, : len(X)]
             X = X - gamma * problem.batch_grad(idx, X)
             t += 1
             # NaN fails the comparison too, so this also catches non-finite rows.
@@ -401,7 +414,7 @@ def run(problem: FiniteSumProblem, config: RunConfig, seeds, observe=None):
                 diverged = DivergenceError(t, seeds[first])
                 if first == 0:
                     raise diverged
-                X, rngs = X[:first], rngs[:first]
+                X = X[:first]
             if observe is not None:
                 observe(t, X)
     if diverged is not None:

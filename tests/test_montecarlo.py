@@ -421,6 +421,21 @@ def test_sweep_refuses_fractional_integers(name, value):
         n_seeds=3, base_seed=0, workers=1)
 
 
+@pytest.mark.parametrize("workers, message", [(0, "a positive integer, got 0"),
+                                             (-3, "a positive integer, got -3"),
+                                             (False, "an integer, got False")])
+def test_library_refuses_the_worker_counts_the_cli_refuses(workers, message):
+    problem, cert, config = estimate_template()
+    message = rf"^workers must be {message}$"
+    with pytest.raises(ValueError, match=message):
+        li.estimate_gap(problem, cert, config, n_seeds=3, base_seed=0, workers=workers)
+    with pytest.raises(ValueError, match=message):
+        li.check_cell(problem, cert, config.x0, config.T, config.schedule, 1, 3, 0, workers=workers)
+    with pytest.raises(ValueError, match=message):
+        li.sweep(sweep_entries(), [4], [li.PolynomialStep(2.0, 0.5)], [1], n_seeds=3, base_seed=0,
+                 workers=workers)
+
+
 def test_sweep_corollary_bounds_by_schedule_kind():
     rows = li.sweep(
         sweep_entries(),

@@ -96,6 +96,9 @@ def test_block_integers_rejects_bounds_it_cannot_reproduce(bound):
 def test_check_seed_refuses_a_fractional_seed():
     with pytest.raises(ValueError, match=r"^seed must be an integer, got 2.5$"):
         rng.check_seed(2.5)
+    for flag in (True, np.True_, np.False_):
+        with pytest.raises(ValueError, match=rf"^seed must be an integer, got {flag!r}$"):
+            rng.check_seed(flag)
     assert rng.check_seed(2.0) == 2 and type(rng.check_seed(np.uint64(2**64 - 1))) is int
 
 

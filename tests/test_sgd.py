@@ -272,6 +272,13 @@ def test_run_config_validation():
             li.RunConfig(**{"T": 5, "seed": 1, "schedule": schedule, "x0": np.zeros(1), field: 2.5})
     with pytest.raises(ValueError, match=r"^seed must be an integer, got 2.5$"):
         li.RunConfig(T=5, seed=2.5, schedule=schedule, x0=np.zeros(1))
+    for field in ("T", "batch_size", "record_stride", "seed"):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got True$"):
+            li.RunConfig(**{"T": 5, "seed": 1, "schedule": schedule, "x0": np.zeros(1), field: True})
+    problem, _ = li.make_least_squares(n=4, d=1, spread=1.0, seed=12)
+    config = li.RunConfig(T=5, seed=1, schedule=li.ConstantStep(0.01 / problem.L), x0=np.zeros(1))
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got np.True_$"):
+        li.run(problem, config, [np.True_])
     config = li.RunConfig(T=1000.0, seed=1.0, schedule=schedule, x0=np.zeros(1), batch_size=2.0)
     assert (config.T, config.batch_size) == (1000, 2) and type(config.T) is int
 
@@ -394,8 +401,8 @@ def test_diverging_minibatch_block_matches_single_runs_on_fewer_rows(monkeypatch
     assert min(first_bad.values()) < first_bad[seeds[0]]
     rows, seen = [], []
     small_subsets = sgd._small_subsets
-    monkeypatch.setattr(sgd, "_small_subsets", lambda n, b, rngs, steps:
-                        rows.append(len(rngs)) or small_subsets(n, b, rngs, steps))
+    monkeypatch.setattr(sgd, "_small_subsets", lambda n, pos:
+                        rows.append(pos.shape[1]) or small_subsets(n, pos))
     with pytest.raises(li.DivergenceError) as info:
         li.run(problem, config, seeds, lambda t, X: seen.append(X.copy()))
     assert (info.value.seed, info.value.step) == (seeds[0], first_bad[seeds[0]])
@@ -470,23 +477,32 @@ def test_block_rows_bound_the_memory_of_a_pass(n):
         assert peak + 8 * per_row * rows <= 8 * sgd._BLOCK_ENTRIES, (T, rows, peak)
 
 
-@pytest.mark.parametrize("n, b, T", [(16, 2, 1600), (16, 4, 1600), (16, 13, 2000), (64, 7, 500),
-                                     (64, 19, 1024), (300, 5, 1024), (70000, 3, 1024),
-                                     (70000, 100, 1024)])
+@pytest.mark.parametrize("n, b, T", [(16, 1, 1600), (300, 1, 1024), (16, 2, 1600), (16, 4, 1600),
+                                     (16, 13, 2000), (64, 7, 500), (64, 19, 1024), (300, 5, 1024),
+                                     (70000, 3, 1024), (70000, 100, 1024), (16, 14, 1600),
+                                     (64, 20, 1024), (70000, 300, 1024)])
 def test_block_rows_bound_the_memory_of_small_subsets(n, b, T):
-    """A one-pass resolution holds at most 3b narrow arrays, 3 MB, beside its chunk."""
+    """A chunk's draw holds at most 3b narrow arrays, 3 MB, beside its chunk in one pass, or
+    its positions twice and _BLOCK_ENTRIES pool entries above the one-pass gate."""
     problem = li.LeastSquaresProblem(np.ones((n, 2, 2)), np.zeros((n, 2)))
     rows, steps = sgd._block_rows(problem, b, T), min(T, sgd._DRAW_STEPS)
     narrow = rows * steps * np.min_scalar_type(n).itemsize  # bytes of one narrow array
-    assert 3 * b * narrow <= 6 * sgd._BLOCK_ENTRIES, rows
-    rngs = [li.stream(seed, li.RUN_STREAM) for seed in range(rows)]
+    one_pass = b**4 <= sgd._ONE_PASS_SCALE * n
+    assert 3 * b * narrow <= 6 * sgd._BLOCK_ENTRIES or not one_pass, rows
+    draw = sgd._sampler(problem, b, range(rows), T)
     tracemalloc.start()
     try:
-        chunk = sgd._small_subsets(n, b, rngs, steps)
+        chunk = draw(rows, steps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    if narrow >= 2**16:  # large enough that numpy's small per-call allocations do not count
+    assert chunk.shape == (steps, rows, b)
+    if not one_pass:
+        # the positions and their (step, seed) copy, a span of pools and a few span-long indices
+        span = max(1, min(rows * steps, sgd._BLOCK_ENTRIES // n))
+        assert 2 * b * narrow <= chunk.nbytes
+        assert peak <= chunk.nbytes + 2 * b * narrow + 8 * span * (n + 8), (rows, peak)
+    elif narrow >= 2**16:  # large enough that numpy's small per-call allocations do not count
         assert peak <= chunk.nbytes + (3 * b + 1) * narrow, (rows, peak)  # one more for a mask
 
 
@@ -500,17 +516,27 @@ def test_block_too_small_for_the_pass_temporaries_keeps_the_generators(monkeypat
     assert sgd._block_rows(problem, 1, T) == sgd._PASS_ROWS - 1
 
 
+def single_sample_indices(problem, seed, T):
+    """A seed's T single-sample indices, written out: integers(0, n), or random() bucketed by the weights."""
+    rng = li.stream(seed, li.RUN_STREAM)
+    if problem.uniform_weights:
+        return rng.integers(0, problem.n, size=T)
+    picks = np.searchsorted(problem.cum_weights, rng.random(size=T), side="right")
+    return np.minimum(picks, problem.n - 1)
+
+
 def test_single_sample_seed_mapping_past_many_draw_chunks():
-    """b = 1 draws all T indices from the seed's run stream in order."""
-    problem, cert = li.make_least_squares(n=5, d=2, spread=1.0, seed=16)
-    T, gamma = 9000, 0.01 / problem.L
-    config = li.RunConfig(T=T, seed=0, schedule=li.ConstantStep(gamma), x0=np.zeros(2))
-    _, block = li.run(problem, config, (21, 22))
-    for row, seed in zip(block, (21, 22)):
-        x = np.zeros(2)
-        for i in li.stream(seed, li.RUN_STREAM).integers(0, problem.n, size=T):
-            x = x - gamma * problem.component_grads_at(np.array([i]), x)[0]
-        assert np.array_equal(row, x)
+    """b = 1 draws all T indices from the seed's run stream in order, uniform or weighted."""
+    uniform, _ = li.make_least_squares(n=5, d=2, spread=1.0, seed=16)
+    for problem in (uniform, weighted_least_squares()[0]):
+        T, gamma, d = 9000, 0.01 / problem.L, problem.dimension
+        config = li.RunConfig(T=T, seed=0, schedule=li.ConstantStep(gamma), x0=np.zeros(d))
+        _, block = li.run(problem, config, (21, 22))
+        for row, seed in zip(block, (21, 22)):
+            x = np.zeros(d)
+            for i in single_sample_indices(problem, seed, T):
+                x = x - gamma * problem.component_grads_at(np.array([i]), x)[0]
+            assert np.array_equal(row, x)
 
 
 def partial_fisher_yates(n, draws):
@@ -531,16 +557,23 @@ def seed_draws(seed, n, b, steps):
     return np.stack([rng.integers(0, n - k, size=steps) for k in range(b)], axis=1)
 
 
+def positions(n, seeds_draws):
+    """The (b, rows, steps) swap positions k + draw of each seed's (steps, b) draws, in the narrowest type for n."""
+    b = seeds_draws[0].shape[1]
+    pos = np.stack([draws.T + np.arange(b)[:, None] for draws in seeds_draws], axis=1)
+    return pos.astype(np.min_scalar_type(n))
+
+
 @pytest.mark.parametrize("block_entries", [sgd._BLOCK_ENTRIES, 40])
 @pytest.mark.parametrize("n, b", [(3, 2), (7, 3), (16, 4), (16, 15), (64, 8), (64, 20)])
 def test_subset_draws_are_a_partial_fisher_yates(monkeypatch, n, b, block_entries):
     """A mini-batch draw is a list-based partial Fisher-Yates per step, in any span split."""
     monkeypatch.setattr(sgd, "_BLOCK_ENTRIES", block_entries)
     problem, _ = li.make_least_squares(n=n, d=1, spread=1.0, seed=n)
-    drawn = sgd._sampler(problem, b)([li.stream(3, li.RUN_STREAM)], 50)
+    drawn = sgd._sampler(problem, b, [3], 50)(1, 50)
     draws = seed_draws(3, n, b, 50)
     assert drawn.shape == (50, 1, b) and drawn[:, 0].tolist() == partial_fisher_yates(n, draws)
-    assert np.array_equal(sgd._subsets(n, draws), drawn[:, 0])
+    assert np.array_equal(sgd._subsets(n, positions(n, [draws])), drawn)
 
 
 @pytest.mark.parametrize("steps", [1, 7, 1023, 1024])
@@ -548,10 +581,13 @@ def test_subset_draws_are_a_partial_fisher_yates(monkeypatch, n, b, block_entrie
 def test_block_subsets_are_a_partial_fisher_yates_row_by_row(n, b, steps):
     """A small batch's chunk, resolved for the whole block at once, holds each seed's own subsets."""
     seeds = (0, 9, 2**64 - 1)
-    chunk = sgd._small_subsets(n, b, [li.stream(seed, li.RUN_STREAM) for seed in seeds], steps)
+    pos = positions(n, [seed_draws(seed, n, b, steps) for seed in seeds])
+    pooled = sgd._subsets(n, pos)  # first: _small_subsets overwrites pos
+    chunk = sgd._small_subsets(n, pos)
     assert chunk.shape == (steps, len(seeds), b) and chunk.dtype == np.intp
     for row, seed in enumerate(seeds):
         assert chunk[:, row].tolist() == partial_fisher_yates(n, seed_draws(seed, n, b, steps)), seed
+    assert np.array_equal(pooled, chunk)  # both resolvers read the same positions alike
 
 
 @pytest.mark.parametrize("b, one_pass", [(2, True), (19, True), (20, False)])
@@ -564,8 +600,8 @@ def test_only_small_batches_resolve_subsets_for_the_whole_block(monkeypatch, b, 
                             calls.append(name) or wrapped(*args))
     config = li.RunConfig(T=30, seed=0, schedule=li.ConstantStep(0.01), x0=np.zeros(2), batch_size=b)
     li.run(problem, config, range(5))
-    # one pass for the block's one chunk, or one pool per seed
-    assert calls == (["_small_subsets"] if one_pass else ["_subsets"] * 5)
+    # one resolution of the block's one chunk, in one pass or through pools
+    assert calls == (["_small_subsets"] if one_pass else ["_subsets"])
 
 
 def check_minibatch_seed_mapping_past_a_draw_chunk(monkeypatch, n, b):
