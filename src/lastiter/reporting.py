@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 
@@ -42,9 +43,11 @@ _encode = json.JSONEncoder(indent=1, allow_nan=False, sort_keys=True).encode
 
 
 # Entries of an ndarray that write_json gives each forked process at the
-# least: a pool of two broke even at about twice this many (opening and
+# least: a pool of two breaks even at about twice this many (opening and
 # closing it costs about as much as formatting them in one process), and each
-# further process must bring as many entries again.
+# further process must bring as many entries again.  Measured with part files
+# on 2 CPUs, over 15 alternating rounds of 128-entry rows: two processes took
+# 1.48 times one process's time at 48 Ki entries and 0.81 times at 64 Ki.
 _PROCESS_ENTRIES = 1 << 15
 
 
@@ -61,15 +64,18 @@ def write_json(path, doc):
     one join, so no nested list of the whole array is built.  An ndarray of
     two or more dimensions and at least ``2 * _PROCESS_ENTRIES`` entries is
     formatted by outer rows on forked processes, one per usable CPU but no
-    more than one per ``_PROCESS_ENTRIES`` entries, and written in row
-    order, so the bytes do not depend on the process count.  Where the
-    platform cannot fork, it is formatted in this process.  The pool is a
-    ``_forked`` one: a write that fails lets the rows in flight finish,
-    then raises; Ctrl-C stops the workers at once.
-    The text goes to a ``_replacing`` file, so an error leaves no partial file.
+    more than one per ``_PROCESS_ENTRIES`` entries (``_forked_rows``): each
+    task writes its rows' text to a part file beside the temporary file,
+    and this process copies the parts into it in row order, so the bytes do
+    not depend on the process count.  Where the platform cannot fork, the
+    array is formatted in this process.  The pool is a ``_forked`` one: a
+    write that fails lets the rows in flight finish, then raises; Ctrl-C
+    stops the workers at once.  The text goes to a ``_replacing`` file, so
+    an error leaves no partial file, and the parts are removed on every way
+    out.
     """
     with _replacing(path) as fh:
-        for piece in _pieces(doc, "\n", True):
+        for piece in _pieces(doc, "\n", fh):
             fh.write(piece)
         fh.write("\n")
 
@@ -93,22 +99,23 @@ def _replacing(path, newline=None):
         raise
 
 
-def _pieces(value, newline: str, fork: bool = False):
+def _pieces(value, newline: str, into=None):
     """JSON text of value in pieces; newline is the line break plus the current indent.
 
     Nonempty str-keyed dicts and ndarrays are walked, a nonempty 1-d float64
-    array in one join; every other value is json's own text.  With ``fork``,
-    large ndarrays go to ``_forked_rows``.
+    array in one join; every other value is json's own text.  With ``into``,
+    the ``_replacing`` file the pieces are written to, large ndarrays go to
+    ``_forked_rows``, which writes their rows into it itself.
     """
     inner = newline + " "
     if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
         for i, (key, item) in enumerate(sorted(value.items())):
             yield ("," if i else "{") + inner + _encode(key) + ": "
-            yield from _pieces(item, inner, fork)
+            yield from _pieces(item, inner, into)
         yield newline + "}"
     elif isinstance(value, np.ndarray) and value.ndim > 1 and len(value):
-        if fork and value.size >= 2 * _PROCESS_ENTRIES:
-            yield from _forked_rows(value, newline)
+        if into is not None and value.size >= 2 * _PROCESS_ENTRIES:
+            yield from _forked_rows(value, newline, into)
             return
         for i, row in enumerate(value):
             yield ("," if i else "[") + inner
@@ -179,27 +186,38 @@ def _forked(processes: int, shared):
         pool.join()
 
 
-# Entries a writer task formats at the least: a task's round trip to a pool
-# worker costs about 0.3 ms, 3 % of formatting this many floats.
-_TASK_ENTRIES = 1 << 13
+# Entries a writer task formats at the least: a task costs its process about
+# 1 ms beyond the formatting (the pool's round trip and the part file).  On 2
+# CPUs, 2 Mi entries in 128-entry rows took 1.79 s at 1 Ki entries per task,
+# 0.91 s at 8 Ki and 0.82 s at 16 Ki.  32 Ki was faster still there, but
+# slower on arrays of 96 Ki and 160 Ki entries, where the odd last task
+# leaves one process idle.
+_TASK_ENTRIES = 1 << 14
 
 
-def _rows_text(lo: int, hi: int) -> str:
-    """The text of rows lo .. hi - 1 of the pool's (array, indent), with the separators between them."""
+def _write_rows(lo: int, hi: int, part: str):
+    """Write rows lo .. hi - 1 of the pool's (array, indent) to ``part``, with the separators between them."""
     array, inner = _shared
-    return ("," + inner).join("".join(_pieces(row, inner)) for row in array[lo:hi])
+    text = ("," + inner).join("".join(_pieces(row, inner)) for row in array[lo:hi])
+    with open(part, "wb") as fh:
+        fh.write(text.encode())
 
 
-def _forked_rows(array, newline: str):
-    """_pieces of a nonempty 2+-d array whose outer rows are formatted on forked processes.
+def _forked_rows(array, newline: str, into):
+    """_pieces of a nonempty 2+-d array whose outer rows forked processes format into ``into``.
 
     A task is one outer row, or as many as make ``_TASK_ENTRIES`` entries.
     The pool has one process per usable CPU, but no more than tasks or than
     one per ``_PROCESS_ENTRIES`` entries; with fewer than two, or where the
-    platform cannot fork, the array is formatted in this process.  At most
-    one task per process is in flight, and the texts are yielded in row
-    order as they arrive.  A write that fails or stops reading leaves the
-    pool (``_forked``) once the tasks in flight have finished.
+    platform cannot fork, the array is formatted in this process.  Each
+    task writes its text to a part file named after ``into`` (the open
+    ``_replacing`` file, ``.NAME.PID.tmp``) and its index, and returns
+    nothing; two tasks per process are in flight.  This process writes the
+    separators into ``into`` and copies each part after them in row order,
+    then removes it, so no row text crosses a pipe.  A write that fails or
+    stops reading leaves the pool (``_forked``) once the tasks in flight
+    have finished, or at once on Ctrl-C, and then removes the parts not
+    yet copied.
     """
     inner, n = newline + " ", len(array)
     step = max(1, _TASK_ENTRIES // array[0].size)
@@ -208,14 +226,25 @@ def _forked_rows(array, newline: str):
     if processes < 2:
         yield from _pieces(array, newline)
         return
-    with _forked(processes, (array, inner)) as pool:
-        pending = collections.deque(pool.apply_async(_rows_text, span) for span in spans[:processes])
-        for k in range(len(spans)):
-            text = pending.popleft().get()
-            if k + processes < len(spans):
-                pending.append(pool.apply_async(_rows_text, spans[k + processes]))
-            yield ("," if k else "[") + inner
-            yield text
+    tasks = [(lo, hi, f"{into.name}.{k}") for k, (lo, hi) in enumerate(spans)]
+    window, done = 2 * processes, 0
+    try:
+        with _forked(processes, (array, inner)) as pool:
+            pending = collections.deque(pool.apply_async(_write_rows, task) for task in tasks[:window])
+            for k, (_, _, part) in enumerate(tasks):
+                pending.popleft().get()
+                if k + window < len(tasks):
+                    pending.append(pool.apply_async(_write_rows, tasks[k + window]))
+                into.write(("," if k else "[") + inner)
+                into.flush()
+                with open(part, "rb") as fh:
+                    shutil.copyfileobj(fh, into.buffer)
+                os.remove(part)
+                done += 1
+    finally:
+        for _, _, part in tasks[done:]:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(part)
     yield newline + "]"
 
 

@@ -68,6 +68,23 @@ def check_seed(seed: int) -> int:
     return seed
 
 
+def _checked_seeds(seeds) -> np.ndarray:
+    """A block of seeds as uint64, every seed checked as ``check_seed`` checks it.
+
+    A block of ints (Python or numpy, not bool) needs only its extremes
+    checked, so it costs no Python step per seed; any other block is
+    checked seed by seed, so its first bad seed raises ``check_seed``'s
+    error.
+    """
+    seeds = list(seeds)
+    kinds = set(map(type, seeds))
+    if seeds and all(issubclass(kind, (int, np.integer)) and kind is not bool for kind in kinds):
+        for extreme in (min(seeds), max(seeds)):
+            check_seed(extreme)
+        return np.array(seeds, dtype=np.uint64)
+    return np.array([check_seed(seed) for seed in seeds], dtype=np.uint64)
+
+
 def stream(seed: int, purpose: int) -> np.random.Generator:
     """Independent generator for the (seed, purpose) pair."""
     key = np.array([check_seed(seed), int(purpose)], dtype=np.uint64)
@@ -93,9 +110,7 @@ def _philox_words(seeds, purpose: int, count: int) -> np.ndarray:
     numpy's Philox hands out the four words of Philox4x64-10 applied to the
     counter (c, 0, 0, 0) under the key (seed, purpose), for c = 1, 2, ...
     """
-    for extreme in (min(seeds), max(seeds)):
-        check_seed(extreme)
-    key0 = np.array(seeds, dtype=np.uint64)[:, None]
+    key0 = _checked_seeds(seeds)[:, None]
     key1 = np.array([int(purpose)], dtype=np.uint64)  # an array: wrapping adds stay silent
     zero = np.zeros((1, 1), dtype=np.uint64)
     c0, c1, c2, c3 = np.arange(1, -(-count // 4) + 1, dtype=np.uint64)[None, :], zero, zero, zero

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import FiniteSumProblem, UnsupportedSamplingError
-from .rng import RUN_STREAM, _as_integer, _block_integers, check_seed, stream
+from .rng import RUN_STREAM, _as_integer, _block_integers, _checked_seeds, check_seed, stream
 
 __all__ = [
     "ConstantStep",
@@ -246,10 +246,14 @@ def _sampler(problem: FiniteSumProblem, b: int, seeds, T: int):
     resolver turns the whole block's positions into sorted subsets, each
     row the same as a single-seed run's: ``_small_subsets`` where
     b**4 <= _ONE_PASS_SCALE * n (a single sample is its own position),
-    ``_subsets`` above.  ``rows`` may only shrink from call to call.
+    ``_subsets`` above.  ``rows`` may only shrink from call to call.  Every
+    seed is checked as ``check_seed`` checks it: by ``stream``, by the
+    Philox pass, or at b = n, where no seed is drawn from, by
+    ``rng._checked_seeds``.
     """
     n = problem.n
     if b == n:
+        _checked_seeds(seeds)
         return None  # the subset is the whole family; no randomness consumed
     kind = np.min_scalar_type(n)
     resolve = _small_subsets if b**4 <= _ONE_PASS_SCALE * n else _subsets

@@ -6,12 +6,15 @@ status is readable at a glance even inside a long ``pytest -v`` log.
 
 The ``weight_closed_form`` fixture is the log-Gamma oracle for the
 averaging weights, kept apart from the recursion the package computes them by.
-The ``pools`` and ``busy_at_exit`` fixtures watch the package's process pools.
+The ``pools`` and ``busy_at_exit`` fixtures watch the package's process pools,
+and ``pools`` also the temporary and part files its writers leave.
 """
 
 import contextlib
 import functools
+import glob
 import math
+import os
 
 import numpy as np
 import pytest
@@ -104,9 +107,25 @@ def _pool_log(monkeypatch):
 
 
 @pytest.fixture
-def pools(_pool_log):
-    """The process counts of the pools opened, in order."""
-    return _pool_log["opened"]
+def pools(_pool_log, monkeypatch):
+    """The process counts of the pools opened, in order.
+
+    A test using it also fails if a file written through
+    ``reporting._replacing`` leaves its temporary or a writer's part file
+    (``.NAME.PID.*``) beside it.
+    """
+    written = set()
+    real_replacing = reporting._replacing
+
+    def watched(path, *args, **kwargs):
+        written.add(os.path.split(os.fspath(path)))
+        return real_replacing(path, *args, **kwargs)
+
+    monkeypatch.setattr(reporting, "_replacing", watched)
+    yield _pool_log["opened"]
+    left = [found for head, name in sorted(written)
+            for found in glob.glob(glob.escape(os.path.join(head, f".{name}.{os.getpid()}.")) + "*")]
+    assert not left, f"left behind: {left}"
 
 
 @pytest.fixture

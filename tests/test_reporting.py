@@ -5,6 +5,7 @@ import io
 import json
 import multiprocessing
 import os
+import shutil
 import time
 
 import numpy as np
@@ -192,6 +193,48 @@ def test_failed_write_leaves_the_previous_file_and_no_temporary(tmp_path, monkey
         write_json(path, {"a": bad})
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
     assert path.read_bytes() == json_text([1.0]).encode("utf-8")
+
+
+@pytest.mark.skipif(reporting._START_METHOD is None, reason="the platform cannot fork")
+@pytest.mark.parametrize("outcome", ["success", "nan", "interrupt"])
+def test_forked_write_leaves_no_part_file(tmp_path, monkeypatch, outcome):
+    """However a forked write ends, the directory holds only the new or the previous file."""
+    monkeypatch.setattr(reporting, "_fork_cpus", lambda: 2)
+    array = np.random.default_rng(10).standard_normal((8, BIG // 4))  # 8 tasks, 4 in flight
+    path = tmp_path / "doc.json"
+    write_json(path, [1.0])
+    previous = path.read_bytes()
+    parts = ".doc.json.*.tmp.*"
+    seen = []
+    copy = shutil.copyfileobj
+
+    def interrupting_copy(src, dst):
+        # the second part's copy waits until later parts lie beside it, then Ctrl-C
+        deadline = time.monotonic() + 30
+        while len(list(tmp_path.glob(parts))) < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        seen.append(len(list(tmp_path.glob(parts))))
+        if len(seen) == 2:
+            raise KeyboardInterrupt
+        copy(src, dst)
+
+    before = set(multiprocessing.active_children())
+    if outcome == "success":
+        write_json(path, {"a": array})
+        assert path.read_bytes() == json_text({"a": array.tolist()}).encode("utf-8")
+    elif outcome == "nan":
+        array[1, 5] = np.nan  # the second task fails while the third and fourth are in flight
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            write_json(path, {"a": array})
+    else:
+        monkeypatch.setattr(shutil, "copyfileobj", interrupting_copy)
+        with pytest.raises(KeyboardInterrupt):
+            write_json(path, {"a": array})
+        assert seen[-1] >= 3
+    if outcome != "success":
+        assert path.read_bytes() == previous
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+    assert set(multiprocessing.active_children()) <= before
 
 
 class Unprintable:

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -281,6 +282,30 @@ def test_run_config_validation():
         li.run(problem, config, [np.True_])
     config = li.RunConfig(T=1000.0, seed=1.0, schedule=schedule, x0=np.zeros(1), batch_size=2.0)
     assert (config.T, config.batch_size) == (1000, 2) and type(config.T) is int
+
+
+@pytest.mark.parametrize("path", ["pass", "generators", "full"])
+def test_run_checks_every_seed_of_a_block(path):
+    """A bad seed anywhere in a block raises check_seed's error, whichever way the block samples."""
+    problem, _ = li.make_least_squares(n=4, d=1, spread=1.0, seed=12)
+    rows = {"pass": sgd._PASS_ROWS + 8, "generators": sgd._PASS_ROWS - 11, "full": sgd._PASS_ROWS + 8}[path]
+    config = li.RunConfig(T=5, seed=1, schedule=li.ConstantStep(0.01 / problem.L), x0=np.zeros(1),
+                          batch_size=problem.n if path == "full" else 1)
+    assert sgd._takes_pass(problem, rows, config.batch_size, config.T) == (path == "pass")
+    for bad, message in [(2.5, "seed must be an integer, got 2.5"),
+                         (True, "seed must be an integer, got True"),
+                         (np.True_, "seed must be an integer, got np.True_"),
+                         (-1, "seed must be an integer in [0, 2**64), got -1"),
+                         (2**64, "seed must be an integer in [0, 2**64), got 18446744073709551616")]:
+        seeds = list(range(rows))  # the bad seed in the middle of the block
+        seeds[rows // 2] = bad
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            li.run(problem, config, seeds)
+    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\), got -1$"):
+        li.run(problem, config, [-1, 2**70, True])
+    seeds = [100, 2**64 - 1, *range(rows - 2)]
+    as_given = [100.0, np.uint64(2**64 - 1), *seeds[2:]]  # integral floats and numpy ints pass
+    assert np.array_equal(li.run(problem, config, as_given)[1], single_runs(problem, config, seeds))
 
 
 def test_polynomial_schedule_resolved_against_problem_smoothness():
