@@ -33,7 +33,7 @@ from . import __version__
 from .bounds import BoundReport, HypothesisError, build_bound_report, complexity_horizon
 from .config import ConfigError, load_lemma_plan, load_run_plan, load_sweep_plan
 from .lemmas import BATTERY_ORDER, LemmaCheckResult, run_battery
-from .montecarlo import SWEEP_COLUMNS, check_cell, sweep
+from .montecarlo import SWEEP_COLUMNS, _run_settings, check_cell, sweep
 from .problems import _problem_doc
 from .reporting import fmt, write_csv, write_json
 from .sgd import (
@@ -159,12 +159,9 @@ def _cmd_run(args) -> int:
         problem={"id": plan.problem_id, **_problem_doc(problem),
                  "certificate": dataclasses.asdict(plan.cert)},
         run={
-            "T": template.T,
-            "batch_size": b,
+            **_run_settings(template),
             "n_seeds": plan.n_seeds,
             "base_seed": plan.base_seed,
-            "schedule": schedule_to_doc(template.schedule),
-            "x0": template.x0.tolist(),
             "gamma_used": report.gamma,
             "effective": {"L": report.L, "sigma_sq": report.sigma_star_sq},
         },

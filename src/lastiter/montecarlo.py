@@ -2,13 +2,13 @@
 
 The estimator runs seeds base_seed .. base_seed + n_seeds - 1 through the
 SGD engine in blocks of seeds advanced in lockstep, collects the final gaps
-in seed order, and reduces them once, in the driver.  With worker processes,
-one pool takes a whole job up front: the seed blocks of every cell of a
-sweep (or of the one cell of a run), longest horizon first, with no barrier
-between cells.  The driver joins each cell's gaps in seed order, and a row
-of a block does not depend on the block's other rows, so the gap sequence is
-bitwise the same for every worker count and block size; the reduction takes
-exactly rounded sums over that sequence, so the estimate is too.
+in seed order, and reduces them once, in the driver.  A job is the cells of
+a run or a sweep, each with its problem.  With worker processes, one pool
+takes a whole job up front, longest horizon first, with no barrier between
+cells.  The driver joins each cell's gaps in seed order, and a row of a
+block does not depend on the block's other rows, so the gap sequence is
+bitwise the same for every worker count and block size; the reduction
+takes exactly rounded sums over that sequence, so the estimate is too.
 """
 
 from __future__ import annotations
@@ -98,9 +98,8 @@ def _final_gaps(problem, cert, template, lo: int, hi: int) -> np.ndarray:
     return np.concatenate(gaps)
 
 
-def _worker_gaps(entry, template, lo, hi):
-    problem, cert = reporting._shared[entry]
-    return _final_gaps(problem, cert, template, lo, hi)
+def _worker_gaps(c, lo, hi):
+    return _final_gaps(*reporting._shared[c], lo, hi)
 
 
 def _split(lo: int, hi: int, unit: int, pieces: int) -> list:
@@ -111,24 +110,28 @@ def _split(lo: int, hi: int, unit: int, pieces: int) -> list:
     return list(zip(cuts, cuts[1:]))
 
 
-def _check_workers(workers) -> int:
-    """``workers`` as an int, refusing a count below one as ``--workers`` does."""
-    workers = _as_integer(workers, "workers")
+def _check_job(n_seeds, base_seed, workers) -> tuple[int, int, int]:
+    """(n_seeds, base_seed, workers) as ints, refusing counts below one and seeds ``check_seed`` refuses."""
+    n_seeds, workers = _as_integer(n_seeds, "n_seeds"), _as_integer(workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
-    return workers
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    base_seed = check_seed(base_seed)
+    check_seed(base_seed + n_seeds - 1)
+    return n_seeds, base_seed, workers
 
 
 @contextlib.contextmanager
-def _pool_job(entries, cells, workers: int):
+def _pool_job(cells, workers: int):
     """Submit every cell's seed ranges to one pool; yield one gaps function per cell.
 
-    ``cells`` holds one (entry, template, lo, hi) per cell, where ``entry``
-    indexes the (problem, cert) pairs of ``entries`` and lo .. hi - 1 are the
-    seeds to run.  A task is a run of whole seed blocks (``_block_rows``)
-    of one cell, and a cell's blocks go to at most ``workers`` tasks: a
-    block costs about as much per step at a few rows as at many, and each
-    task costs a round trip to a worker.  A job with fewer blocks than
+    ``cells`` holds one (problem, cert, template, lo, hi) per cell (see
+    ``_cell``), where lo .. hi - 1 are the seeds to run; the pool's workers
+    share each cell's first three.  A task is a run of whole seed blocks
+    (``_block_rows``) of one cell, and a cell's blocks go to at most
+    ``workers`` tasks: a block costs about as much per step at a few rows as
+    at many, and each task costs a round trip to a worker.  A job with fewer blocks than
     workers instead splits each cell's seeds into ``workers`` ranges.  Tasks
     are submitted longest horizon first, since a cell's cost grows with T,
     and the pool has no more processes than tasks.  A cell's function takes
@@ -140,30 +143,27 @@ def _pool_job(entries, cells, workers: int):
     cached, so a cell that a sweep repeats is simulated once here too (every
     call returns the same array; ``estimate_gap`` copies it).
     """
-    if workers < 2 or sum(hi - lo for _, _, lo, hi in cells) < 2 * workers:
-        yield [functools.cache(functools.partial(_final_gaps, *entries[entry], template, lo, hi))
-               for entry, template, lo, hi in cells]
+    if workers < 2 or sum(hi - lo for *_, lo, hi in cells) < 2 * workers:
+        yield [functools.cache(functools.partial(_final_gaps, *cell)) for cell in cells]
         return
-    units = [_block_rows(entries[entry][0], template.batch_size, template.T)
-             for entry, template, _, _ in cells]
-    if sum(-(-(hi - lo) // rows) for rows, (_, _, lo, hi) in zip(units, cells)) < workers:
+    units = [_block_rows(problem, template.batch_size, template.T) for problem, _, template, *_ in cells]
+    if sum(-(-(hi - lo) // rows) for rows, (*_, lo, hi) in zip(units, cells)) < workers:
         units = [1] * len(cells)
-    ranges = [_split(lo, hi, unit, workers) for unit, (_, _, lo, hi) in zip(units, cells)]
+    ranges = [_split(lo, hi, unit, workers) for unit, (*_, lo, hi) in zip(units, cells)]
     tasks = [(c, k) for c, spans in enumerate(ranges) for k in range(len(spans))]
-    tasks.sort(key=lambda task: -cells[task[0]][1].T)
+    tasks.sort(key=lambda task: -cells[task[0]][2].T)
     parts = [[None] * len(spans) for spans in ranges]
-    with reporting._forked(min(workers, len(tasks)), entries) as pool:
+    with reporting._forked(min(workers, len(tasks)), [cell[:3] for cell in cells]) as pool:
         for c, k in tasks:
-            entry, template, _, _ = cells[c]
-            parts[c][k] = pool.apply_async(_worker_gaps, (entry, template, *ranges[c][k]))
+            parts[c][k] = pool.apply_async(_worker_gaps, (c, *ranges[c][k]))
         yield [lambda pending=pending: np.concatenate([part.get() for part in pending])
                for pending in parts]
 
 
-def _cell(entry: int, problem, template: RunConfig, n_seeds: int, base_seed: int) -> tuple:
-    """A cell's (entry, template, lo, hi); a full-batch run (b = n) draws no randomness, so runs one seed."""
+def _cell(problem, cert, template: RunConfig, n_seeds: int, base_seed: int) -> tuple:
+    """(problem, cert, template, lo, hi); a full-batch run (b = n) draws no randomness, so runs one seed."""
     runs = 1 if template.batch_size == problem.n else n_seeds
-    return entry, template, base_seed, base_seed + runs
+    return problem, cert, template, base_seed, base_seed + runs
 
 
 # The gaps functions of a sweep's cells, by _cell_key: estimate_gap calls a
@@ -176,18 +176,19 @@ def _cell_key(problem, cert, template: RunConfig, n_seeds: int, base_seed: int) 
             template.x0.tobytes(), n_seeds, base_seed)
 
 
+def _run_settings(template: RunConfig) -> dict:
+    """The run settings a fingerprint hashes and ``report.json``'s run section starts from."""
+    return {
+        "T": template.T,
+        "batch_size": template.batch_size,
+        "schedule": schedule_to_doc(template.schedule),
+        "x0": template.x0.tolist(),
+    }
+
+
 def run_fingerprint(problem: FiniteSumProblem, template: RunConfig) -> str:
     """Hash of the problem's digest and the run configuration minus its seed."""
-    doc = {
-        "problem": problem.digest(),
-        "run": {
-            "T": template.T,
-            "batch_size": template.batch_size,
-            "schedule": schedule_to_doc(template.schedule),
-            "x0": template.x0.tolist(),
-        },
-    }
-    return doc_hash(doc)
+    return doc_hash({"problem": problem.digest(), "run": _run_settings(template)})
 
 
 def estimate_gap(
@@ -200,8 +201,9 @@ def estimate_gap(
 ) -> MonteCarloEstimate:
     """Estimate E[f(x_T) - inf f] over seeds base_seed .. base_seed + n_seeds - 1.
 
-    The template's own seed is ignored.  A diverging run aborts the whole
-    estimate with the lowest diverging seed in the error.
+    The template's own seed is ignored; bad seeds or workers raise first.  A
+    diverging run aborts the whole estimate with the lowest diverging seed
+    in the error.
 
     The gaps come from one call of the cell's gaps function: inside a
     ``sweep``, the one the sweep registered for the cell, else that of a
@@ -212,14 +214,10 @@ def estimate_gap(
     workers at once.  A full-batch run's one trajectory stands for every
     seed (see ``_cell``).  Results are bitwise independent of ``workers``.
     """
-    n_seeds, workers = _as_integer(n_seeds, "n_seeds"), _check_workers(workers)
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    base_seed = check_seed(base_seed)
-    check_seed(base_seed + n_seeds - 1)
+    n_seeds, base_seed, workers = _check_job(n_seeds, base_seed, workers)
     submitted = _submitted.get(_cell_key(problem, cert, template, n_seeds, base_seed))
     job = (contextlib.nullcontext([submitted]) if submitted is not None else
-           _pool_job([(problem, cert)], [_cell(0, problem, template, n_seeds, base_seed)], workers))
+           _pool_job([_cell(problem, cert, template, n_seeds, base_seed)], workers))
     with job as (gaps,):
         values = np.resize(gaps(), n_seeds)  # repeats a full-batch cell's one gap
     mean, std_error = reduce_moments(values)
@@ -253,6 +251,18 @@ def _bound_half(problem, cert, x0, T: int, schedule, b: int) -> tuple[BoundRepor
     return bounds, float(bounds.tightest()), RunConfig(T=T, seed=0, schedule=schedule, x0=x0, batch_size=b)
 
 
+def _verdict(bounds: BoundReport, bound_value: float, estimate: MonteCarloEstimate) -> CellCheck:
+    """A cell's check: satisfied when ci95_upper is at most the tightest bound, with the slack ratio."""
+    ratio = bound_value / estimate.ci95_upper if estimate.ci95_upper > 0 else math.nan
+    return CellCheck(
+        estimate=estimate,
+        bounds=bounds,
+        bound_value=bound_value,
+        slack_ratio=ratio if 0 < ratio < math.inf else None,
+        satisfied=bool(estimate.ci95_upper <= bound_value),
+    )
+
+
 def check_cell(
     problem: FiniteSumProblem,
     cert: SolutionCertificate,
@@ -267,11 +277,12 @@ def check_cell(
     """Estimate the gap of one (problem, x0, T, schedule, b) cell and check it.
 
     The bounds take the constants for batch size b (``effective_constants``)
-    and D^2 = ||x0 - x*||^2 (see ``_bound_half``); the cell is satisfied when
-    ci95_upper is at most the tightest applicable bound.  slack_ratio is
-    bound / ci95_upper, or None when that is not a finite positive number
-    (ci95_upper <= 0, as rounding noise on a converged run can give).  A
-    cell whose bounds fail raises before it is simulated.
+    and D^2 = ||x0 - x*||^2 (see ``_bound_half``); as for a sweep's cells,
+    ``_verdict`` finds it satisfied when ci95_upper is at most the tightest
+    applicable bound.  slack_ratio is bound / ci95_upper, or None when that
+    is not a finite positive number (ci95_upper <= 0, as rounding noise on a
+    converged run can give).  A cell whose bounds fail raises before it is
+    simulated.
 
     Raises:
         HypothesisError: an applicable bound is not finite.
@@ -280,14 +291,7 @@ def check_cell(
     """
     bounds, bound_value, template = _bound_half(problem, cert, x0, T, schedule, b)
     estimate = estimate_gap(problem, cert, template, n_seeds, base_seed, workers=workers)
-    ratio = bound_value / estimate.ci95_upper if estimate.ci95_upper > 0 else math.nan
-    return CellCheck(
-        estimate=estimate,
-        bounds=bounds,
-        bound_value=bound_value,
-        slack_ratio=ratio if 0 < ratio < math.inf else None,
-        satisfied=bool(estimate.ci95_upper <= bound_value),
-    )
+    return _verdict(bounds, bound_value, estimate)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -339,50 +343,51 @@ def sweep(
             up front, longest horizon first, and each cell's gaps are
             joined in seed order, so the rows do not depend on ``workers``.
 
-    A pre-pass evaluates every cell's bounds (``_bound_half``) and submits
-    each distinct cell whose bounds hold to one ``_pool_job``; no other cell
-    is simulated.  Each cell is one ``check_cell``, in grid order, at the
-    step size and bound constants for its batch size b; its ``estimate_gap``
-    calls the gaps function the sweep registered for it.  A cell that fails
-    with a domain error (invalid schedule, undefined sampling, divergence,
-    violated hypothesis, non-finite bound) does not abort the sweep; its row
-    carries the error message and empty numeric fields.  Any other exception
-    propagates.
+    Bad seeds or workers raise ``estimate_gap``'s error before any pool
+    opens.  A pre-pass evaluates each grid cell's bounds once
+    (``_bound_half``) and submits each distinct cell whose bounds hold to
+    one ``_pool_job``; no other cell is simulated.  Each such cell's
+    ``estimate_gap`` calls the gaps function the sweep registered for it,
+    and ``_verdict`` checks it.  A cell that fails with a domain error
+    (invalid schedule, undefined sampling, divergence, violated hypothesis,
+    non-finite bound) does not abort the sweep; its row carries the error
+    message and empty numeric fields.  Any other exception propagates.
     """
-    workers, n_seeds = _check_workers(workers), _as_integer(n_seeds, "n_seeds")
+    n_seeds, base_seed, workers = _check_job(n_seeds, base_seed, workers)
     grid = [(entry, _as_integer(T, "T"), schedule, _as_integer(b, "b")) for entry, T, schedule, b
-            in itertools.product(range(len(problem_entries)), T_grid, schedule_grid, b_grid)]
+            in itertools.product(problem_entries, T_grid, schedule_grid, b_grid)]
+    halves = []  # each grid cell's _bound_half, or its typed error
     cells = {}  # by _cell_key, so a repeated cell runs once
-    for entry, T, schedule, b in grid:
-        _, problem, cert, x0 = problem_entries[entry]
+    for (_, problem, cert, x0), T, schedule, b in grid:
         try:
-            template = _bound_half(problem, cert, x0, T, schedule, b)[2]
-        except _CELL_ERRORS:
-            continue  # the cell's check_cell raises this again and makes it the row
-        cells.setdefault(_cell_key(problem, cert, template, n_seeds, base_seed),
-                         _cell(entry, problem, template, n_seeds, base_seed))
-    entries = [(problem, cert) for _, problem, cert, _ in problem_entries]
+            half = _bound_half(problem, cert, x0, T, schedule, b)
+        except _CELL_ERRORS as exc:
+            half = exc
+        else:
+            cells.setdefault(_cell_key(problem, cert, half[2], n_seeds, base_seed),
+                             _cell(problem, cert, half[2], n_seeds, base_seed))
+        halves.append(half)
     rows = []
-    with _pool_job(entries, list(cells.values()), workers) as gaps:
+    with _pool_job(list(cells.values()), workers) as gaps:
         _submitted.update(zip(cells, gaps))
         try:
-            for entry, T, schedule, b in grid:
-                problem_id, problem, cert, x0 = problem_entries[entry]
+            for ((problem_id, problem, cert, _), T, schedule, b), half in zip(grid, halves):
                 row = {"problem_id": problem_id, "T": T, "b": b, "C": getattr(schedule, "C", None),
                        "beta": getattr(schedule, "beta", None), "n_seeds": n_seeds}
                 try:
-                    check = check_cell(problem, cert, x0, T, schedule, b, n_seeds, base_seed,
-                                       workers=workers)
+                    if isinstance(half, Exception):
+                        raise half
+                    bounds, bound_value, template = half
+                    estimate = estimate_gap(problem, cert, template, n_seeds, base_seed, workers=workers)
                 except _CELL_ERRORS as exc:
                     rows.append(SweepRow(**row, error=f"{type(exc).__name__}: {exc}"))
                     continue
-                bounds, estimate = check.bounds, check.estimate
                 corollaries = (bounds.sqrt_c2, bounds.sqrt_general, bounds.polynomial)  # most specialised first
                 rows.append(SweepRow(
                     **row, gamma=bounds.gamma, mean_gap=estimate.mean_gap, std_error=estimate.std_error,
                     ci95_upper=estimate.ci95_upper, theorem1_bound=bounds.generic,
                     corollary_bound=next((c for c in corollaries if c is not None), None),
-                    satisfied=check.satisfied,
+                    satisfied=_verdict(bounds, bound_value, estimate).satisfied,
                 ))
         finally:
             _submitted.clear()

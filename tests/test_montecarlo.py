@@ -599,9 +599,9 @@ def recording_pool_job(monkeypatch):
     real_job = mc._pool_job
 
     @contextlib.contextmanager
-    def recording(entries, cells, workers):
+    def recording(cells, workers):
         jobs.append(list(cells))
-        with real_job(entries, cells, workers) as gaps:
+        with real_job(cells, workers) as gaps:
             def counted(c, fn):
                 def call():
                     calls[c] += 1
@@ -624,7 +624,37 @@ def test_sweep_never_simulates_a_cell_whose_bounds_fail(monkeypatch, workers):
     schedules = [li.ConstantStep(10.0), li.ConstantStep(1e-320), good]
     rows = li.sweep(sweep_entries(), [4, 8], schedules, [1], n_seeds=6, base_seed=0, workers=workers)
     assert [r.error.split(":")[0] for r in rows if r.error] == ["ScheduleError", "HypothesisError"] * 2
-    assert [template.schedule for job in jobs for _, template, _, _ in job] == [good, good]
+    assert [template.schedule for job in jobs for _, _, template, _, _ in job] == [good, good]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n_seeds, base_seed, schedule", [
+    (200, "x", li.PolynomialStep(2.0, 0.5)),
+    (200, -3, li.PolynomialStep(2.0, 0.5)),
+    (200, 2**64 - 50, li.PolynomialStep(2.0, 0.5)),
+    (0, 0, li.ConstantStep(10.0)),  # gamma L >= 1: every cell fails its bounds
+])
+def test_sweep_refuses_bad_job_arguments_before_any_pool(pools, workers, n_seeds, base_seed, schedule):
+    problem, cert, config = estimate_template(T=4)
+    with pytest.raises(Exception) as expected:
+        li.estimate_gap(problem, cert, config, n_seeds=n_seeds, base_seed=base_seed, workers=workers)
+    with pytest.raises(type(expected.value)) as refused:
+        li.sweep(sweep_entries(), [4], [schedule], [1], n_seeds=n_seeds, base_seed=base_seed,
+                 workers=workers)
+    assert str(refused.value) == str(expected.value)
+    assert pools == []
+
+
+def test_sweep_evaluates_each_grid_cells_bounds_once(monkeypatch):
+    import lastiter.montecarlo as mc
+
+    calls, real_constants = [], mc.effective_constants
+    monkeypatch.setattr(mc, "effective_constants", lambda *args: calls.append(1) or real_constants(*args))
+    # gamma L >= 1 fails the schedule, a subnormal gamma's bound overflows, and [4, 4] repeats every cell
+    schedules = [li.PolynomialStep(2.0, 0.5), li.ConstantStep(10.0), li.ConstantStep(1e-320)]
+    rows = li.sweep(sweep_entries(), [4, 4], schedules, [1], n_seeds=3, base_seed=0)
+    assert [r.error and r.error.split(":")[0] for r in rows] == [None, "ScheduleError", "HypothesisError"] * 2
+    assert len(calls) == len(rows) == 6
 
 
 def test_sweep_reads_each_cell_through_its_registered_gaps_function(monkeypatch):
