@@ -353,6 +353,8 @@ class LogisticProblem(FiniteSumProblem):
             raise GenerationError("zero feature row makes a component constant")
         self.features = F
         self.labels = y
+        # the rows y_i a_i: with y_i = +/-1 each is a_i or -a_i exactly
+        self._signed_features = y[:, None] * F
         l_components = 0.25 * row_sq
         w = self._weights(weights, n)
         gram = np.einsum("n,ni,nj->ij", w, F, F)
@@ -360,27 +362,37 @@ class LogisticProblem(FiniteSumProblem):
         super().__init__(w, l_components, float(self._mean_eigs[-1]), d)
 
     def _margins(self, idx, x):
-        F = self.features if idx is None else self.features.take(idx, axis=0)
-        y = self.labels if idx is None else self.labels.take(idx, axis=0)
-        return F, y, y * np.matmul(F, x[..., :, None])[..., 0]
+        """(rows y_i a_i, margins y_i <a_i, x>) of the selected components.
+
+        Negation is exact and commutes with every rounding, so each product
+        and partial sum of the row -a_i is minus that of a_i: a margin is
+        y_i * <a_i, x> bit for bit, but for the sign of an exact zero (u + -u
+        rounds to +0 whatever the sign of u), which no caller sees, since
+        exp and logaddexp take -0 and +0 to the same value.
+        """
+        G = self._signed_features if idx is None else self._signed_features.take(idx, axis=0)
+        return G, np.matmul(G, x[..., :, None])[..., 0]
 
     def component_values_at(self, idx, x):
-        _, _, margins = self._margins(idx, x)
+        _, margins = self._margins(idx, x)
         return np.logaddexp(0.0, -margins)
 
     def component_grads_at(self, idx, x):
-        F, y, margins = self._margins(idx, x)
-        # the logistic sigmoid of -margins; exp overflows to inf past a margin
-        # of about 709, where the sigmoid is exactly 0 as it should be
+        G, margins = self._margins(idx, x)
+        # minus the logistic sigmoid of -margins; exp overflows to inf past a
+        # margin of about 709, where the sigmoid is exactly 0 as it should be.
+        # Negation is exact, so s * y_i a_i is -(y_i * sigmoid) * a_i bit for
+        # bit, signed zeros included.
         with np.errstate(over="ignore"):
-            s = 1.0 / (1.0 + np.exp(margins))
-        return (-(y * s))[..., None] * F
+            s = -1.0 / (1.0 + np.exp(margins))
+        return s[..., None] * G
 
     def hessian(self, x):
-        F, _, margins = self._margins(None, x)
-        # s (1 - s) for s the sigmoid of -margins, in logs so no exp overflows
+        G, margins = self._margins(None, x)
+        # s (1 - s) for s the sigmoid of -margins, in logs so no exp overflows;
+        # y_i**2 = 1, so the rows y_i a_i give each a_i a_i^T exactly
         curvature = np.exp(-np.logaddexp(0.0, margins) - np.logaddexp(0.0, -margins))
-        return np.einsum("ni,nj->ij", (self.weights * curvature)[:, None] * F, F)
+        return np.einsum("ni,nj->ij", (self.weights * curvature)[:, None] * G, G)
 
     def component_entries(self):
         return self.dimension

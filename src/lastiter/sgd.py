@@ -36,6 +36,10 @@ gradient descent bit for bit.
 ``run`` is the engine's one entry.  It returns the final iterates, and its
 ``observe(t, X)`` hook sees the iterates at t = 0 and after every step, so a
 gap curve, a record stride or any other per-step quantity is an observer.
+After every step one dot product clears the whole block when its sum of
+squares is at most half the divergence limit squared.  Where it does not,
+the exact per-entry test |x| <= _DIVERGENCE_LIMIT decides, so the clear
+never changes which seed diverges or at which step.
 """
 
 from __future__ import annotations
@@ -61,6 +65,15 @@ __all__ = [
 ]
 
 _DIVERGENCE_LIMIT = 1e100
+# A step's divergence check first clears the whole block when the sum of
+# squares of its entries, one BLAS dot product, is at most this.  The clear
+# is exact: NaN, +/-inf and squares that overflow make the sum NaN or inf,
+# which fails the test, and the computed sum of N nonnegative terms is
+# within a relative N * 2**-53 of the true one in any summation order, far
+# below the factor 2 of margin, so a cleared block has every entry finite
+# and below the limit.  Where the clear fails, the exact per-entry test
+# decides.
+_CLEAR_SQUARES = _DIVERGENCE_LIMIT**2 / 2
 # Indices are drawn this many steps at a time.  Each seed draws a mini-batch
 # chunk one Fisher-Yates column after another from its own generator, so
 # this pattern fixes which run a seed maps to, whichever resolver then reads
@@ -249,7 +262,9 @@ def _sampler(problem: FiniteSumProblem, b: int, seeds, T: int):
     ``_subsets`` above.  ``rows`` may only shrink from call to call.  Every
     seed is checked as ``check_seed`` checks it: by ``stream``, by the
     Philox pass, or at b = n, where no seed is drawn from, by
-    ``rng._checked_seeds``.
+    ``rng._checked_seeds``.  Column k is drawn as integers(k, n), which is
+    the same draw as k + integers(0, n - k): the same values, and the
+    stream left at the same place.
     """
     n = problem.n
     if b == n:
@@ -263,7 +278,7 @@ def _sampler(problem: FiniteSumProblem, b: int, seeds, T: int):
         for row, rng in enumerate(rngs):
             if problem.uniform_weights:
                 for k in range(b):
-                    pos[k, row] = k + rng.integers(0, n - k, size=steps)
+                    pos[k, row] = rng.integers(k, n, size=steps)
             else:
                 picks = np.searchsorted(problem.cum_weights, rng.random(size=steps), side="right")
                 pos[0, row] = np.minimum(picks, n - 1)
@@ -384,7 +399,11 @@ def run(problem: FiniteSumProblem, config: RunConfig, seeds, observe=None):
     empty.  ``observe(t, X)``, if given, sees the iterates at t = 0 and
     after every step t = 1 .. T; a gap curve is an observer that records
     ``problem.value(X) - cert.inf_f``.  After a row diverges, X keeps only
-    the rows before it.  A block that diverges raises DivergenceError for
+    the rows before it.  A row diverges at the first step that leaves one of
+    its entries non-finite or above _DIVERGENCE_LIMIT in magnitude.  Each
+    step first clears the whole block with one dot product (its sum of
+    squares at most _CLEAR_SQUARES), and the exact per-entry test decides
+    whenever that fails.  A block that diverges raises DivergenceError for
     its lowest diverging seed at that seed's first bad step, as seed-by-seed
     runs would.
     """
@@ -410,8 +429,8 @@ def run(problem: FiniteSumProblem, config: RunConfig, seeds, observe=None):
             idx = None if chunk is None else chunk[u, : len(X)]
             X = X - gamma * problem.batch_grad(idx, X)
             t += 1
-            # NaN fails the comparison too, so this also catches non-finite rows.
-            if not np.abs(X).max() <= _DIVERGENCE_LIMIT:
+            # NaN fails the comparisons too, so these also catch non-finite rows.
+            if not np.vdot(X, X) <= _CLEAR_SQUARES and not np.abs(X).max() <= _DIVERGENCE_LIMIT:
                 # Keep only the rows below the first bad one: a lower seed
                 # that goes bad later is the one seed-by-seed runs report.
                 first = int(np.argmin(np.abs(X).max(axis=1) <= _DIVERGENCE_LIMIT))

@@ -378,6 +378,33 @@ def test_logistic_gradient_at_extreme_margins():
     np.testing.assert_array_max_ulp(grads, expected, maxulp=4)
 
 
+@pytest.mark.parametrize("idx", [None, np.array([2, 0, 2]),
+                                 np.array([[2, 0], [1, 1], [0, 2], [1, 2], [2, 2], [0, 1], [1, 0]])],
+                         ids=["all", "k", "S-k"])
+def test_logistic_kernel_bits_are_minus_label_times_sigmoid(idx):
+    """The gradients' bits, signed zeros included, are -(y * s) * F for s = 1 / (1 + exp(m)),
+    and the values' are logaddexp(0, -m), for the margins m = y * (F x)."""
+    problem = li.LogisticProblem([[1.0, 0.0], [-1.0, 0.5], [0.5, 2.0]], [1.0, -1.0, 1.0])
+    scales = np.array([1e3, -1e3, 1e6, -1e6, 0.0, 0.75, -3.5])
+    points = scales[:, None] * np.array([1.0, 0.25])
+    for x in (points, points[0], points[-1]):
+        if idx is not None and idx.ndim == 2 and x.ndim == 1:
+            continue  # an (S, k) index takes a stack of S points
+        F = problem.features if idx is None else problem.features.take(idx, axis=0)
+        y = problem.labels if idx is None else problem.labels.take(idx, axis=0)
+        m = y * np.matmul(F, x[..., :, None])[..., 0]
+        with np.errstate(over="ignore"):
+            expected = (-(y * (1.0 / (1.0 + np.exp(m)))))[..., None] * F
+        grads = problem.component_grads_at(idx, x)
+        assert grads.shape == expected.shape
+        assert np.array_equal(grads.view(np.uint64), expected.view(np.uint64))
+        values = problem.component_values_at(idx, x)
+        assert np.array_equal(values.view(np.uint64), np.logaddexp(0.0, -m).view(np.uint64))
+    # margins past exp's overflow make s = 0, so some entries are signed zeros
+    grads = problem.component_grads_at(None, points[:4])
+    assert np.any(np.signbit(grads) & (grads == 0)) and np.any(~np.signbit(grads) & (grads == 0))
+
+
 def test_json_round_trip_is_bitwise():
     rng = np.random.default_rng(9)
     for maker, kwargs in (

@@ -437,6 +437,80 @@ def test_diverging_minibatch_block_matches_single_runs_on_fewer_rows(monkeypatch
     assert rows[0] == len(seeds) and rows[-1] < len(seeds) and rows == sorted(rows, reverse=True)
 
 
+class SetPoints(li.FiniteSumProblem):
+    """f_i(x) = ||x - p_i||^2 / 2 claiming smoothness 0.5: a step of 1 on f_i moves x to p_i,
+    exactly where every point holds 0, +/-v or one bad value in each coordinate."""
+
+    def __init__(self, points):
+        self.points = np.asarray(points, dtype=float)
+        n, d = self.points.shape
+        super().__init__(np.full(n, 1 / n), np.full(n, 0.5), 0.5, d)
+
+    def component_grads_at(self, idx, x):
+        p = self.points if idx is None else self.points.take(idx, axis=0)
+        return x[..., None, :] - p
+
+
+def exact_rule_run(problem, config, seeds):
+    """(iterates at t = 0 .. T, each bad seed's first bad step) of the block's b = 1 steps on the
+    engine's own draws, judged by the per-entry rule |x| <= _DIVERGENCE_LIMIT alone."""
+    seeds = list(seeds)
+    chunk = sgd._sampler(problem, 1, seeds, config.T)(len(seeds), config.T)
+    X = np.tile(config.x0, (len(seeds), 1))
+    path, first_bad = [X], {}
+    for t in range(config.T):
+        with np.errstate(invalid="ignore"):  # bad rows run on here
+            X = X - config.schedule.gamma * problem.batch_grad(chunk[t], X)
+        for row in np.flatnonzero(~np.all(np.abs(X) <= sgd._DIVERGENCE_LIMIT, axis=1)):
+            first_bad.setdefault(seeds[row], t + 1)
+        path.append(X)
+    return path, first_bad
+
+
+def limit_config(x0):
+    return li.RunConfig(T=60, seed=0, schedule=li.ConstantStep(1.0), x0=np.asarray(x0, float))
+
+
+WITHIN_LIMIT = {
+    "at-limit": (1e100 * np.array([[1, -1, 0, 0], [-1, 1, 1, -1], [0, 0, 0, 0], [0, 0, -1, 1]]),
+                 np.zeros(4)),
+    "large-sum": (0.9e100 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [-1, -1, 1, 1], [1, 1, -1, -1]]),
+                  np.full(4, 0.9e100)),
+}
+
+
+@pytest.mark.parametrize("case", WITHIN_LIMIT)
+def test_divergence_check_lets_every_entry_within_the_limit_through(case):
+    """Entries at +/-_DIVERGENCE_LIMIT, or d = 4 entries of 0.9e100: every step's sum of squares
+    is above the dot-product clear, and the exact rule lets every step through."""
+    points, x0 = WITHIN_LIMIT[case]
+    problem, config, seeds = SetPoints(points), limit_config(x0), range(40)
+    path, first_bad = exact_rule_run(problem, config, seeds)
+    assert first_bad == {} and all(np.vdot(X, X) > sgd._CLEAR_SQUARES for X in path[1:])
+    assert max(np.abs(X).max() for X in path) == np.abs(points).max()
+    seen = []
+    _, X = li.run(problem, config, seeds, lambda t, X: seen.append(X.copy()))
+    assert np.array_equal(X, path[-1])
+    assert all(np.array_equal(a, b) for a, b in zip(seen, path, strict=True))
+
+
+@pytest.mark.parametrize("bad", [np.nextafter(1e100, np.inf), np.nan, np.inf, -np.inf])
+def test_divergence_check_reports_the_lowest_bad_seed_at_its_first_bad_step(bad):
+    v = sgd._DIVERGENCE_LIMIT
+    points = np.zeros((64, 4))
+    points[1] = [v, -v, 0, 0]
+    points[2] = [0, 0, bad, 0]
+    problem = SetPoints(points)
+    config, seeds = limit_config(np.zeros(4)), range(600, 640)
+    _, first_bad = exact_rule_run(problem, config, seeds)
+    lowest = min(first_bad)
+    # a higher seed goes bad first, so the block must keep running past it
+    assert min(first_bad.values()) < first_bad[lowest] and lowest != seeds[0]
+    with pytest.raises(li.DivergenceError) as info:
+        li.run(problem, config, seeds)
+    assert (info.value.seed, info.value.step) == (lowest, first_bad[lowest])
+
+
 def test_pass_block_with_the_largest_seed_matches_single_runs():
     problem, cert = li.make_least_squares(n=6, d=3, spread=1.0, seed=14)
     config = li.RunConfig(T=20, seed=0, schedule=li.PolynomialStep(2.0, 0.5), x0=np.ones(3))
