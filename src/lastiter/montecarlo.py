@@ -2,13 +2,18 @@
 
 The estimator runs seeds base_seed .. base_seed + n_seeds - 1 through the
 SGD engine in blocks of seeds advanced in lockstep, collects the final gaps
-in seed order, and reduces them once, in the driver.  A job is the cells of
-a run or a sweep, each with its problem.  With worker processes, one pool
-takes a whole job up front, longest horizon first, with no barrier between
-cells.  The driver joins each cell's gaps in seed order, and a row of a
-block does not depend on the block's other rows, so the gap sequence is
-bitwise the same for every worker count and block size; the reduction
-takes exactly rounded sums over that sequence, so the estimate is too.
+in seed order, and reduces them once, in the main process.  A job is the
+cells of a run or a sweep, each with its problem.  Cells that draw the same
+indices from the same seeds (the same n, weights, b < n and T) form a draw
+group, which steps through each index chunk once (``sgd._run_group``), so a
+sweep's same-n families run on common random numbers.  With worker
+processes, one pool takes a whole job up front, a task per group and seed
+range, longest horizon first, with no barrier between cells.  The main
+process joins each cell's gaps in seed order, and a row of a block does not
+depend on the block's other rows or on the group's other members, so the
+gap sequence is bitwise the same for every worker count, block size and
+grouping; the reduction takes exactly rounded sums over that sequence, so
+the estimate is too.
 """
 
 from __future__ import annotations
@@ -33,7 +38,16 @@ from .bounds import (  # noqa: F401
 from .problems import FiniteSumProblem, SolutionCertificate, UnsupportedSamplingError
 from .reporting import doc_hash
 from .rng import _as_integer, check_seed
-from .sgd import DivergenceError, RunConfig, ScheduleError, _block_rows, run, schedule_to_doc
+from .sgd import (
+    _BLOCK_ENTRIES,
+    DivergenceError,
+    RunConfig,
+    ScheduleError,
+    _block_rows,
+    _draw_key,
+    _run_group,
+    schedule_to_doc,
+)
 
 __all__ = [
     "CellCheck",
@@ -88,18 +102,54 @@ class MonteCarloEstimate:
     per_seed_gaps: np.ndarray = field(compare=False)
 
 
-def _final_gaps(problem, cert, template, lo: int, hi: int) -> np.ndarray:
-    """Final gaps of seeds lo .. hi - 1, simulated a block of seeds at a time."""
-    rows = _block_rows(problem, template.batch_size, template.T)
-    gaps = []
+def _group_rows(members) -> int:
+    """Seeds per block of a draw group: the fewest that any member's ``_block_rows`` allows."""
+    return min(_block_rows(problem, template.batch_size, template.T) for problem, _, template in members)
+
+
+def _gaps(problem, cert, X) -> np.ndarray:
+    """f(x) - inf f per row of X, a few rows at a time, so their n component values fit _BLOCK_ENTRIES."""
+    rows = max(1, _BLOCK_ENTRIES // (problem.n * problem.component_entries()))
+    return np.concatenate([problem.value(X[lo : lo + rows]) - cert.inf_f for lo in range(0, len(X), rows)])
+
+
+def _final_gaps(members, lo: int, hi: int) -> list:
+    """Per (problem, cert, template) member of a draw group, the final gaps of seeds lo .. hi - 1.
+
+    The seeds run a block (``_group_rows``) at a time through
+    ``sgd._run_group``, in seed order.  A member that diverges in a block
+    gets that block's DivergenceError, the one of its lowest diverging
+    seed, in place of its gaps, and runs no later block.
+    """
+    rows = _group_rows(members)
+    results = [[] for _ in members]
     for start in range(lo, hi, rows):
-        _, X = run(problem, template, range(start, min(start + rows, hi)))
-        gaps.append(problem.value(X) - cert.inf_f)
+        live = [m for m, result in enumerate(results) if isinstance(result, list)]
+        if not live:
+            break
+        outcomes = _run_group([(members[m][0], members[m][2], None) for m in live],
+                              range(start, min(start + rows, hi)))
+        for m, outcome in zip(live, outcomes):
+            if isinstance(outcome, DivergenceError):
+                results[m] = outcome
+            else:
+                results[m].append(_gaps(members[m][0], members[m][1], outcome[1]))
+    return [np.concatenate(result) if isinstance(result, list) else result for result in results]
+
+
+def _worker_gaps(g, lo, hi):
+    return _final_gaps(reporting._shared[g], lo, hi)
+
+
+def _joined(parts, m: int) -> np.ndarray:
+    """Member m's gaps from its group's parts in seed order; the first part where it diverged raises."""
+    gaps = []
+    for part in parts:
+        result = part()[m]
+        if isinstance(result, DivergenceError):
+            raise result
+        gaps.append(result)
     return np.concatenate(gaps)
-
-
-def _worker_gaps(c, lo, hi):
-    return _final_gaps(*reporting._shared[c], lo, hi)
 
 
 def _split(lo: int, hi: int, unit: int, pieces: int) -> list:
@@ -124,40 +174,52 @@ def _check_job(n_seeds, base_seed, workers) -> tuple[int, int, int]:
 
 @contextlib.contextmanager
 def _pool_job(cells, workers: int):
-    """Submit every cell's seed ranges to one pool; yield one gaps function per cell.
+    """Submit every draw group's seed ranges to one pool; yield one gaps function per cell.
 
     ``cells`` holds one (problem, cert, template, lo, hi) per cell (see
-    ``_cell``), where lo .. hi - 1 are the seeds to run; the pool's workers
-    share each cell's first three.  A task is a run of whole seed blocks
-    (``_block_rows``) of one cell, and a cell's blocks go to at most
-    ``workers`` tasks: a block costs about as much per step at a few rows as
-    at many, and each task costs a round trip to a worker.  A job with fewer blocks than
-    workers instead splits each cell's seeds into ``workers`` ranges.  Tasks
-    are submitted longest horizon first, since a cell's cost grows with T,
-    and the pool has no more processes than tasks.  A cell's function takes
-    no argument and joins its parts in seed order: the first part that
-    failed raises its error, whichever block finished first.  Leaving the
-    job waits for every submitted task, also when a join raised (see
-    ``reporting._forked``).  For one worker or fewer than 2 * workers runs
-    in all, no pool opens: each function is the cell's ``_final_gaps``,
-    cached, so a cell that a sweep repeats is simulated once here too (every
-    call returns the same array; ``estimate_gap`` copies it).
+    ``_cell``), where lo .. hi - 1 are the seeds to run.  Cells with equal
+    ``sgd._draw_key`` and seeds form a draw group, whose members step
+    through one index draw (``sgd._run_group``); a full batch is a group of
+    its own.  The pool's workers share each group's members' first three
+    fields.  A task is a run of whole seed blocks (``_group_rows``) of one
+    group, and a group's blocks go to at most ``workers`` tasks: a block
+    costs about as much per step at a few rows as at many, and each task
+    costs a round trip to a worker.  A job with fewer blocks than workers,
+    counted over its groups, instead splits each group's seeds into
+    ``workers`` ranges.  Tasks are submitted longest horizon first, since a
+    group's cost grows with T, and the pool has no more processes than
+    tasks.  A cell's function takes no argument and joins its parts in seed
+    order: the first part in which it diverged raises its error, whichever
+    block finished first.  Leaving the job waits for every submitted task,
+    also when a join raised (see ``reporting._forked``).  For one worker or
+    fewer than 2 * workers runs in all, no pool opens: each group's
+    ``_final_gaps`` is cached, so a group that a sweep repeats is simulated
+    once here too, and each cell's function reads its member's gaps from it
+    (``estimate_gap`` copies them).
     """
+    groups = {}  # cell indices by draw key and seeds; a full batch keys on its own index
+    for c, (problem, _, template, lo, hi) in enumerate(cells):
+        key = _draw_key(problem, template.batch_size, template.T)
+        groups.setdefault(c if key is None else (key, lo, hi), []).append(c)
+    members = [[cells[c][:3] for c in group] for group in groups.values()]
+    spans = [cells[group[0]][3:] for group in groups.values()]
+    places = sorted((c, g, m) for g, group in enumerate(groups.values()) for m, c in enumerate(group))
     if workers < 2 or sum(hi - lo for *_, lo, hi in cells) < 2 * workers:
-        yield [functools.cache(functools.partial(_final_gaps, *cell)) for cell in cells]
+        parts = [[functools.cache(functools.partial(_final_gaps, group, lo, hi))]
+                 for group, (lo, hi) in zip(members, spans)]
+        yield [functools.partial(_joined, parts[g], m) for _, g, m in places]
         return
-    units = [_block_rows(problem, template.batch_size, template.T) for problem, _, template, *_ in cells]
-    if sum(-(-(hi - lo) // rows) for rows, (*_, lo, hi) in zip(units, cells)) < workers:
-        units = [1] * len(cells)
-    ranges = [_split(lo, hi, unit, workers) for unit, (*_, lo, hi) in zip(units, cells)]
-    tasks = [(c, k) for c, spans in enumerate(ranges) for k in range(len(spans))]
-    tasks.sort(key=lambda task: -cells[task[0]][2].T)
+    units = [_group_rows(group) for group in members]
+    if sum(-(-(hi - lo) // rows) for rows, (lo, hi) in zip(units, spans)) < workers:
+        units = [1] * len(members)
+    ranges = [_split(lo, hi, unit, workers) for unit, (lo, hi) in zip(units, spans)]
+    tasks = [(g, k) for g, spans in enumerate(ranges) for k in range(len(spans))]
+    tasks.sort(key=lambda task: -members[task[0]][0][2].T)
     parts = [[None] * len(spans) for spans in ranges]
-    with reporting._forked(min(workers, len(tasks)), [cell[:3] for cell in cells]) as pool:
-        for c, k in tasks:
-            parts[c][k] = pool.apply_async(_worker_gaps, (c, *ranges[c][k]))
-        yield [lambda pending=pending: np.concatenate([part.get() for part in pending])
-               for pending in parts]
+    with reporting._forked(min(workers, len(tasks)), members) as pool:
+        for g, k in tasks:
+            parts[g][k] = pool.apply_async(_worker_gaps, (g, *ranges[g][k])).get
+        yield [functools.partial(_joined, parts[g], m) for _, g, m in places]
 
 
 def _cell(problem, cert, template: RunConfig, n_seeds: int, base_seed: int) -> tuple:

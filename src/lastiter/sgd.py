@@ -33,9 +33,15 @@ its gradients are summed and divided once, in the order
 is the full-batch gradient itself, so batch size n reproduces deterministic
 gradient descent bit for bit.
 
-``run`` is the engine's one entry.  It returns the final iterates, and its
-``observe(t, X)`` hook sees the iterates at t = 0 and after every step, so a
-gap curve, a record stride or any other per-step quantity is an observer.
+``run`` is the engine's public entry.  It returns the final iterates, and
+its ``observe(t, X)`` hook sees the iterates at t = 0 and after every step,
+so a gap curve, a record stride or any other per-step quantity is an
+observer.  It is the one-member case of ``_run_group``, whose members are
+runs that draw alike: the same n, weights, b < n and T (``_draw_key``) over
+the same seeds.  A group draws and resolves each chunk once, and each
+member advances its own block over it with its own step size, so each
+member's result is its ``run`` bit for bit, and families that a Monte Carlo
+sweep steps together see common random numbers.
 After every step one dot product clears the whole block when its sum of
 squares is at most half the divergence limit squared.  Where it does not,
 the exact per-entry test |x| <= _DIVERGENCE_LIMIT decides, so the clear
@@ -244,6 +250,18 @@ class RunConfig:
         object.__setattr__(self, "x0", x0)
 
 
+def _draw_key(problem: FiniteSumProblem, b: int, T: int):
+    """What ``_sampler`` reads besides the seeds: n, the weights, b and T; None at b = n.
+
+    Runs with equal keys draw the same indices from the same seeds, so
+    ``_run_group`` may step them through one draw.  A full batch draws
+    nothing and has no key.
+    """
+    if b == problem.n:
+        return None
+    return problem.n, None if problem.uniform_weights else problem.weights.tobytes(), b, T
+
+
 def _sampler(problem: FiniteSumProblem, b: int, seeds, T: int):
     """draw(rows, steps) -> next (steps, rows, b) indices of seeds[:rows], or None at b = n.
 
@@ -350,9 +368,9 @@ def _small_subsets(n: int, pos: np.ndarray) -> np.ndarray:
             moved.append(held)
     del moved  # b - 2 arrays the sort does not need
     for i in range(1, b):
-        for j in range(i, 0, -1):
-            lo, hi = picked[j - 1], picked[j]
-            picked[j - 1], picked[j] = np.minimum(lo, hi), np.maximum(lo, hi)
+        for j in range(i, 0, -1):  # no name holds a replaced pair, so a swap frees it
+            picked[j - 1], picked[j] = (np.minimum(picked[j - 1], picked[j]),
+                                        np.maximum(picked[j - 1], picked[j]))
     chunk = np.empty((steps, rows, b), dtype=np.intp)
     # The network left no pick a view of pos but a single sample, which is pos itself.
     np.copyto(chunk, np.stack(picked, out=pos).transpose(2, 1, 0))
@@ -369,25 +387,101 @@ def _block_rows(problem: FiniteSumProblem, b: int, T: int) -> int:
     """Seeds per block, so that one block's intermediates fit _BLOCK_ENTRIES.
 
     A row holds the b gathered components of a step and their indices for
-    one draw chunk, and the n component values of its final gap.  A block
-    that takes the Philox pass also holds the pass's uint64 temporaries; if
-    they would leave it fewer than _PASS_ROWS rows, it stays just below
-    _PASS_ROWS and keeps the generators instead.  The index term also bounds
-    a chunk's positions and their resolution, whose narrow-integer arrays
-    hold rows * steps entries each: rows * b * steps is at most
-    _BLOCK_ENTRIES in a block of more than one row, and in a lone row while
-    b <= 512 (n above 3 * 10**7 at the one-pass gate).  ``_small_subsets``
-    holds at most 3b of them, so at most 3 * _BLOCK_ENTRIES entries, 3 MB
-    at the 2 bytes that hold n < 2**16.  ``_subsets`` holds 2b of them,
-    fewer bytes than its chunk, beside pools of at most _BLOCK_ENTRIES
-    entries (one pool of n where n is larger).
+    one draw chunk, counted in 2-byte units of its positions; its final gap
+    is evaluated apart, a few rows at a time (``montecarlo._gaps``).  A
+    block that takes the Philox pass also holds the pass's uint64
+    temporaries; if they would leave it fewer than _PASS_ROWS rows, it
+    stays just below _PASS_ROWS and keeps the generators instead.  The
+    index term also bounds a chunk's positions and their resolution, whose
+    narrow-integer arrays hold rows * steps entries each: their bytes times
+    b / 2 are at most _BLOCK_ENTRIES in a block of more than one row, and
+    in a lone row while b <= 512 (n above 3 * 10**7 at the one-pass gate).
+    ``_small_subsets`` holds at most 3b of them, so at most 3 MB.
+    ``_subsets`` holds 2b of them, fewer bytes than its chunk, beside pools
+    of at most _BLOCK_ENTRIES entries (one pool of n where n is larger).
     """
-    per_row = (b + problem.n) * problem.component_entries() + b * min(T, _DRAW_STEPS)
+    units = max(1, np.min_scalar_type(problem.n).itemsize // 2)  # 2 at n >= 2**16
+    per_row = b * problem.component_entries() + b * min(T, _DRAW_STEPS) * units
     rows = min(_BLOCK_ROWS, _BLOCK_ENTRIES // per_row)
     if _takes_pass(problem, rows, b, T):
         with_pass = min(rows, _BLOCK_ENTRIES // (per_row + _PASS_ENTRIES * 8 * -(-T // 8)))
         rows = with_pass if with_pass >= _PASS_ROWS else _PASS_ROWS - 1
     return max(1, rows)
+
+
+class _Member:
+    """One run of a draw group: its block of iterates and its lowest diverging seed's error so far.
+
+    A plain class: a dataclass would build its methods at every import, about 0.3 ms.
+    """
+
+    __slots__ = ("problem", "gamma", "X", "observe", "diverged")
+
+    def __init__(self, problem: FiniteSumProblem, gamma: float, X: np.ndarray, observe):
+        self.problem, self.gamma, self.X, self.observe = problem, gamma, X, observe
+        self.diverged = None
+
+
+def _run_group(members, seeds) -> list:
+    """Step each (problem, config, observe) member through one index draw; per member (gamma, X) or its error.
+
+    The members' runs draw the same indices: they share ``_draw_key``, or
+    are one full-batch run, which draws nothing.  Each _DRAW_STEPS chunk is
+    drawn and resolved once, for the most rows a member still holds, and
+    then each member advances its own block over the chunk with its own
+    step size, as ``run`` describes; a row's indices do not depend on the
+    rows drawn beside it, so every member's result is bit for bit its
+    ``run``.  A member whose block diverges gets the DivergenceError ``run``
+    raises, and one with no row left takes no further step, while the
+    others go on.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("run needs a nonempty seed block, got no seeds")
+    group = []
+    for problem, config, observe in members:
+        L_b = problem.batch_smoothness(config.batch_size)  # raises for an undefined sampling mode
+        x0 = problem.check_point(config.x0)
+        gamma = resolve_schedule(config.schedule, L_b, config.T)
+        group.append(_Member(problem, gamma, np.tile(x0, (len(seeds), 1)), observe))
+        if observe is not None:
+            observe(0, group[-1].X)
+    problem, config, _ = members[0]
+    T = config.T
+    draw = _sampler(problem, config.batch_size, seeds, T)
+    live, chunk = group, None
+    t = 0
+    while t < T and live:
+        steps = min(_DRAW_STEPS, T - t)
+        if draw is not None:
+            chunk = draw(max(len(member.X) for member in live), steps)
+        for member in live:
+            _advance(member, chunk, t, steps, seeds)
+        live = [member for member in live if len(member.X)]
+        t += steps
+    return [(member.gamma, member.X) if member.diverged is None else member.diverged
+            for member in group]
+
+
+def _advance(member: _Member, chunk, t: int, steps: int, seeds):
+    """Advance a member's block over ``steps`` steps from t, by ``chunk``'s indices (None: every component)."""
+    problem, gamma, X, observe = member.problem, member.gamma, member.X, member.observe
+    for u in range(steps):
+        idx = None if chunk is None else chunk[u, : len(X)]
+        X = X - gamma * problem.batch_grad(idx, X)
+        t += 1
+        # NaN fails the comparisons too, so these also catch non-finite rows.
+        if not np.vdot(X, X) <= _CLEAR_SQUARES and not np.abs(X).max() <= _DIVERGENCE_LIMIT:
+            # Keep only the rows below the first bad one: a lower seed
+            # that goes bad later is the one seed-by-seed runs report.
+            first = int(np.argmin(np.abs(X).max(axis=1) <= _DIVERGENCE_LIMIT))
+            member.diverged = DivergenceError(t, seeds[first])
+            X = X[:first]
+            if first == 0:
+                break
+        if observe is not None:
+            observe(t, X)
+    member.X = X
 
 
 def run(problem: FiniteSumProblem, config: RunConfig, seeds, observe=None):
@@ -405,44 +499,12 @@ def run(problem: FiniteSumProblem, config: RunConfig, seeds, observe=None):
     squares at most _CLEAR_SQUARES), and the exact per-entry test decides
     whenever that fails.  A block that diverges raises DivergenceError for
     its lowest diverging seed at that seed's first bad step, as seed-by-seed
-    runs would.
+    runs would.  This is the one-member case of ``_run_group``.
     """
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("run needs a nonempty seed block, got no seeds")
-    b = config.batch_size
-    L_b = problem.batch_smoothness(b)  # raises for an undefined sampling mode
-    x0 = problem.check_point(config.x0)
-    T = config.T
-    gamma = resolve_schedule(config.schedule, L_b, T)
-    X = np.tile(x0, (len(seeds), 1))
-    if observe is not None:
-        observe(0, X)
-    draw = _sampler(problem, b, seeds, T)
-    chunk, diverged = None, None
-    t = 0
-    while t < T:
-        steps = min(_DRAW_STEPS, T - t)
-        if draw is not None:
-            chunk = draw(len(X), steps)
-        for u in range(steps):
-            idx = None if chunk is None else chunk[u, : len(X)]
-            X = X - gamma * problem.batch_grad(idx, X)
-            t += 1
-            # NaN fails the comparisons too, so these also catch non-finite rows.
-            if not np.vdot(X, X) <= _CLEAR_SQUARES and not np.abs(X).max() <= _DIVERGENCE_LIMIT:
-                # Keep only the rows below the first bad one: a lower seed
-                # that goes bad later is the one seed-by-seed runs report.
-                first = int(np.argmin(np.abs(X).max(axis=1) <= _DIVERGENCE_LIMIT))
-                diverged = DivergenceError(t, seeds[first])
-                if first == 0:
-                    raise diverged
-                X = X[:first]
-            if observe is not None:
-                observe(t, X)
-    if diverged is not None:
-        raise diverged
-    return gamma, X
+    (result,) = _run_group([(problem, config, observe)], seeds)
+    if isinstance(result, DivergenceError):
+        raise result
+    return result
 
 
 # Not part of the API: the benchmark's probes (perfbench/child.py) call these two names.

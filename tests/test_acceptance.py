@@ -247,9 +247,11 @@ DETERMINISM_RUN_DOC = {
         "x0": {"policy": "offset", "distance": 1.0, "seed": 3},
     },
 }
+# Two n = 6 families, so each b < n cell of one steps through the draws of the other's.
 DETERMINISM_SWEEP_DOC = {
     "problems": [
-        {"generator": "least_squares", "n": 6, "d": 2, "spread": 1.0, "seed": 7, "id": "p"}
+        {"generator": "least_squares", "n": 6, "d": 2, "spread": 1.0, "seed": 7, "id": "p"},
+        {"generator": "logistic", "n": 6, "d": 2, "seed": 8, "id": "q"},
     ],
     "sweep": {
         "T_grid": [10, 20],
@@ -307,7 +309,7 @@ def test_criterion_8_determinism(tmp_path, acceptance_note):
     assert run_outs[0] == run_outs[1] == run_outs[2]
 
     sweep_outs = []
-    for label, workers in (("s1", "1"), ("s2", "2")):
+    for label, workers in (("s1", "1"), ("s2", "2"), ("s3", "3")):
         out = tmp_path / label
         code = cli.main([
             "sweep", "--config", str(sweep_cfg), "--out", str(out),
@@ -316,7 +318,7 @@ def test_criterion_8_determinism(tmp_path, acceptance_note):
         assert code == 0
         sweep_outs.append(files_of(out))
     assert set(sweep_outs[0]) == {"sweep.csv", "sweep_loglog.csv", "sweep_meta.json"}
-    assert sweep_outs[0] == sweep_outs[1]
+    assert sweep_outs[0] == sweep_outs[1] == sweep_outs[2]
 
     lemma_outs = []
     for label in ("l1", "l2"):
@@ -466,18 +468,19 @@ def test_b1_outputs_use_single_sample_constants(tmp_path):
                      "--deterministic-output"]) == 0
     with open(tmp_path / "s" / "sweep.csv", encoding="utf-8", newline="") as fh:
         rows = [r for r in csv.DictReader(fh) if r["b"] == "1"]
-    _, problem, cert = li.build_problem(DETERMINISM_SWEEP_DOC["problems"][0])
+    specs = {spec["id"]: spec for spec in DETERMINISM_SWEEP_DOC["problems"]}
     spec = DETERMINISM_SWEEP_DOC["sweep"]
-    x0 = np.zeros(problem.dimension)
-    assert [int(r["T"]) for r in rows] == spec["T_grid"]
+    assert [(r["problem_id"], int(r["T"])) for r in rows] == [(p, T) for p in specs for T in spec["T_grid"]]
     for row in rows:
+        _, problem, cert = li.build_problem(specs[row["problem_id"]])
+        x0 = np.zeros(problem.dimension)
         T = int(row["T"])
         bounds = _sqrt_c2_bounds(problem, cert, float(np.sum(cert.x_star ** 2)), T)
         mean, se, ci95 = _single_sample_statistics(problem, cert, x0, T, bounds["gamma"],
                                                    spec["n_seeds"], spec["base_seed"])
         tightest = min(bounds[k] for k in ("generic", "polynomial", "sqrt_general", "sqrt_c2"))
         assert row == {
-            "problem_id": "p", "T": str(T), "b": "1", "C": "2.0", "beta": "0.5",
+            "problem_id": row["problem_id"], "T": str(T), "b": "1", "C": "2.0", "beta": "0.5",
             "gamma": repr(bounds["gamma"]), "n_seeds": str(spec["n_seeds"]),
             "mean_gap": repr(mean), "std_error": repr(se), "ci95_upper": repr(ci95),
             "theorem1_bound": repr(bounds["generic"]), "corollary_bound": repr(bounds["sqrt_c2"]),

@@ -797,3 +797,63 @@ def test_pool_gets_each_problem_once_and_no_more_processes_than_tasks(monkeypatc
     li.estimate_gap(problem, cert, config, n_seeds=6, base_seed=0, workers=3)
     assert (opened[1:], len(submitted)) == ([3], 3)
     assert len(problem.pickles) <= 2 + 3
+
+
+def test_only_cells_that_draw_alike_share_a_group(monkeypatch):
+    import lastiter.montecarlo as mc
+
+    lsq6, lsq6_cert = li.make_least_squares(n=6, d=2, spread=1.0, seed=40)
+    log6, log6_cert = li.make_logistic(n=6, d=2, seed=41)
+    weighted = li.LeastSquaresProblem(lsq6.design, lsq6.offsets, weights=np.arange(1.0, 7.0) / 21.0)
+    lsq8, lsq8_cert = li.make_least_squares(n=8, d=2, spread=1.0, seed=42)
+    entries = [("lsq6", lsq6, lsq6_cert, np.zeros(2)), ("log6", log6, log6_cert, np.zeros(2)),
+               ("weighted", weighted, li.certify_solution(weighted), np.zeros(2)),
+               ("lsq8", lsq8, lsq8_cert, np.zeros(2))]
+    names = {id(problem): name for name, problem, *_ in entries}
+    groups, final_gaps = [], mc._final_gaps
+    monkeypatch.setattr(mc, "_final_gaps", lambda members, lo, hi: groups.append(
+        [(names[id(problem)], template.batch_size) for problem, _, template in members])
+        or final_gaps(members, lo, hi))
+    grid = ([7], [li.PolynomialStep(2.0, 0.5)], [1, 6])
+    rows = li.sweep(entries, *grid, n_seeds=5, base_seed=9)
+    # b = 6 is a full batch at n = 6, and the weighted family's error row at b = 6 runs nothing
+    assert sorted(groups) == sorted([[("lsq6", 1), ("log6", 1)], [("weighted", 1)], [("lsq8", 1)],
+                                     [("lsq6", 6)], [("log6", 6)], [("lsq8", 6)]])
+    assert [row.error is None for row in rows] == [True] * 5 + [False] + [True] * 2
+    assert rows == [row for entry in entries for row in li.sweep([entry], *grid, n_seeds=5, base_seed=9)]
+
+
+def test_a_one_group_job_with_fewer_blocks_than_workers_splits_its_seeds(monkeypatch, pools):
+    import lastiter.reporting as reporting
+
+    submitted, real_forked = [], reporting._forked
+
+    @contextlib.contextmanager
+    def counting_pool(processes, shared):
+        with real_forked(processes, shared) as pool:
+            real_submit = pool.apply_async
+            pool.apply_async = lambda *args: submitted.append(args) or real_submit(*args)
+            yield pool
+
+    lsq, lsq_cert = li.make_least_squares(n=6, d=2, spread=1.0, seed=40)
+    log, log_cert = li.make_logistic(n=6, d=2, seed=41)
+    entries = [("lsq", lsq, lsq_cert, np.zeros(2)), ("log", log, log_cert, np.zeros(2))]
+    grid = ([7], [li.PolynomialStep(2.0, 0.5)], [2])
+    serial = li.sweep(entries, *grid, n_seeds=6, base_seed=0)
+    monkeypatch.setattr(reporting, "_forked", counting_pool)
+    assert li.sweep(entries, *grid, n_seeds=6, base_seed=0, workers=3) == serial
+    # one group of one block: three tasks of two seeds, each running both members
+    assert pools == [3] and [args[1][1:] for args in submitted] == [(0, 2), (2, 4), (4, 6)]
+
+
+def test_cells_that_run_different_seeds_draw_apart():
+    import lastiter.montecarlo as mc
+
+    problem, cert = li.make_least_squares(n=6, d=2, spread=1.0, seed=40)
+    template = li.RunConfig(T=7, seed=0, schedule=li.PolynomialStep(2.0, 0.5), x0=np.zeros(2), batch_size=1)
+    cells = [(problem, cert, template, 0, 5), (problem, cert, template, 3, 9)]
+    with mc._pool_job(cells, 1) as gaps:
+        joined = [cell_gaps() for cell_gaps in gaps]
+    for cell, got in zip(cells, joined):
+        with mc._pool_job([cell], 1) as (alone,):
+            assert np.array_equal(got, alone())

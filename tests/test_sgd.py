@@ -437,6 +437,73 @@ def test_diverging_minibatch_block_matches_single_runs_on_fewer_rows(monkeypatch
     assert rows[0] == len(seeds) and rows[-1] < len(seeds) and rows == sorted(rows, reverse=True)
 
 
+# -- draw groups ----------------------------------------------------------------
+
+
+def assert_same_run(result, expected):
+    """Equal step sizes and bitwise-equal final iterates."""
+    assert result[0] == expected[0] and np.array_equal(result[1], expected[1])
+
+
+@pytest.mark.parametrize("b, rows, T", [
+    (1, 7, 40),  # generators
+    (1, sgd._PASS_ROWS + 8, 200),  # the Philox pass
+    (4, 9, 1500),  # _small_subsets, over two draw chunks
+    (14, 5, 300),  # _subsets: 14**4 > _ONE_PASS_SCALE * 16
+])
+def test_a_draw_group_reproduces_each_members_run_bitwise(b, rows, T):
+    lsq, _ = li.make_least_squares(n=16, d=3, spread=1.0, seed=30)
+    logistic, _ = li.make_logistic(n=16, d=3, seed=31)
+    seeds = range(50, 50 + rows)
+    assert sgd._draw_key(lsq, b, T) == sgd._draw_key(logistic, b, T) is not None
+    assert sgd._takes_pass(lsq, rows, b, T) == (rows > sgd._PASS_ROWS)
+    members = [(problem, li.RunConfig(T=T, seed=0, schedule=li.PolynomialStep(C, 0.5), x0=x0, batch_size=b))
+               for problem, C, x0 in ((lsq, 2.0, np.ones(3)), (logistic, 2.0, np.ones(3)),
+                                      (lsq, 3.0, np.arange(3.0)))]
+    seen = [[] for _ in members]
+    results = sgd._run_group([(problem, config, lambda t, X, seen=seen[m]: seen.append((t, X.copy())))
+                              for m, (problem, config) in enumerate(members)], seeds)
+    for (problem, config), result, path in zip(members, results, seen):
+        alone = []
+        assert_same_run(result, li.run(problem, config, seeds, lambda t, Y: alone.append((t, Y.copy()))))
+        assert [t for t, _ in path] == list(range(T + 1))
+        assert all(np.array_equal(Y, Z) for (_, Y), (_, Z) in zip(path, alone))
+
+
+@pytest.mark.parametrize("bad_first", [True, False])
+def test_a_diverging_member_raises_its_own_error_while_the_others_finish(monkeypatch, bad_first):
+    """The bad member's rows leave over many chunks, its lowest seed last; the others keep all theirs."""
+    monkeypatch.setattr(sgd, "_DRAW_STEPS", 32)
+    bad, good = UnderstatedPair(8), li.make_least_squares(n=8, d=1, spread=1.0, seed=32)[0]
+    assert sgd._draw_key(bad, 2, 5000) == sgd._draw_key(good, 2, 5000)
+    seeds = range(400, 416)
+    bad_config = li.RunConfig(T=5000, seed=0, schedule=li.ConstantStep(5.0), x0=np.array([1.0]),
+                              batch_size=2)
+    good_config = li.RunConfig(T=5000, seed=0, schedule=li.PolynomialStep(2.0, 0.5),
+                               x0=np.array([1.0]), batch_size=2)
+    with pytest.raises(li.DivergenceError) as alone:
+        li.run(bad, bad_config, seeds)
+    members = [(bad, bad_config, None), (good, good_config, None)]
+    results = sgd._run_group(members if bad_first else members[::-1], seeds)
+    error, result = results if bad_first else results[::-1]
+    assert isinstance(error, li.DivergenceError)
+    assert (error.seed, error.step) == (alone.value.seed, alone.value.step) == (400, alone.value.step)
+    assert_same_run(result, li.run(good, good_config, seeds))
+
+
+def test_only_runs_that_draw_alike_share_a_draw_key():
+    lsq6, _ = li.make_least_squares(n=6, d=3, spread=1.0, seed=14)
+    log6, _ = li.make_logistic(n=6, d=3, seed=15)
+    lsq8, _ = li.make_least_squares(n=8, d=3, spread=1.0, seed=14)
+    weighted, _ = weighted_least_squares()
+    assert sgd._draw_key(lsq6, 2, 40) == sgd._draw_key(log6, 2, 40)
+    assert sgd._draw_key(weighted, 1, 40) == sgd._draw_key(
+        li.LogisticProblem(log6.features, log6.labels, weights=weighted.weights), 1, 40)
+    assert len({sgd._draw_key(lsq6, 1, 40), sgd._draw_key(weighted, 1, 40), sgd._draw_key(lsq8, 1, 40),
+                sgd._draw_key(lsq6, 2, 40), sgd._draw_key(lsq6, 1, 41)}) == 5
+    assert sgd._draw_key(lsq6, 6, 40) is None and sgd._draw_key(lsq8, 6, 40) is not None
+
+
 class SetPoints(li.FiniteSumProblem):
     """f_i(x) = ||x - p_i||^2 / 2 claiming smoothness 0.5: a step of 1 on f_i moves x to p_i,
     exactly where every point holds 0, +/-v or one bad value in each coordinate."""
@@ -543,8 +610,8 @@ def test_blocks_take_the_pass_only_where_it_is_cheaper(monkeypatch):
 
 
 def parent_block_rows(problem, b, T):
-    """Seeds per block without the pass: the gathered components, a chunk of indices, the final gap."""
-    per_row = (b + problem.n) * problem.component_entries() + b * min(T, sgd._DRAW_STEPS)
+    """Seeds per block without the pass: a step's gathered components and a chunk of indices."""
+    per_row = b * problem.component_entries() + b * min(T, sgd._DRAW_STEPS)
     return max(1, min(sgd._BLOCK_ROWS, sgd._BLOCK_ENTRIES // per_row))
 
 
@@ -572,7 +639,7 @@ def test_block_rows_bound_the_memory_of_a_pass(n):
             tracemalloc.stop()
         assert peak <= 8 * sgd._PASS_ENTRIES * 8 * -(-T // 8) * rows, (T, rows, peak)
         # the pass's temporaries fit beside the rest of the block's intermediates
-        per_row = (1 + n) * problem.component_entries() + T
+        per_row = problem.component_entries() + T
         assert peak + 8 * per_row * rows <= 8 * sgd._BLOCK_ENTRIES, (T, rows, peak)
 
 
@@ -608,7 +675,7 @@ def test_block_rows_bound_the_memory_of_small_subsets(n, b, T):
 def test_block_too_small_for_the_pass_temporaries_keeps_the_generators(monkeypatch):
     problem, _ = li.make_least_squares(n=6, d=3, spread=1.0, seed=14)
     T = sgd._PASS_DRAWS
-    per_row = (1 + problem.n) * problem.component_entries() + T
+    per_row = problem.component_entries() + T
     monkeypatch.setattr(sgd, "_BLOCK_ENTRIES", sgd._PASS_ROWS * per_row)
     # the block without the temporaries would take the pass, with them it could not
     assert parent_block_rows(problem, 1, T) == sgd._PASS_ROWS
