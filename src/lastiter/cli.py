@@ -106,8 +106,8 @@ def _build_parser() -> _Parser:
                          help="constant step size")
     p_bound.add_argument("--C", type=float, default=None, metavar="C", dest="C",
                          help="polynomial step scale (step 1/(C L T^beta))")
-    p_bound.add_argument("--beta", type=float, default=0.5, metavar="B",
-                         help="polynomial step exponent (default 0.5)")
+    p_bound.add_argument("--beta", type=float, default=None, metavar="B",
+                         help="polynomial step exponent, with --C only (default 0.5)")
     p_bound.add_argument("--target-accuracy", type=float, default=None, metavar="EPS",
                          help="also print the minimal horizon reaching this accuracy")
     common(p_bound, out_default=None)
@@ -246,10 +246,12 @@ _BOUND_COLUMNS = tuple(f.name for f in dataclasses.fields(BoundReport) if f.name
 def _cmd_bound(args) -> int:
     if (args.gamma is None) == (args.C is None):
         raise ConfigError(["bound: give exactly one of --gamma or --C"])
+    if args.beta is not None and args.C is None:
+        raise ConfigError(["bound: --beta sets the polynomial step, so it needs --C"])
     if args.gamma is not None:
         schedule = ConstantStep(args.gamma)
     else:
-        schedule = PolynomialStep(C=args.C, beta=args.beta)
+        schedule = PolynomialStep(C=args.C, beta=0.5 if args.beta is None else args.beta)
     report = build_bound_report(
         schedule, args.smoothness, args.distance_sq, args.noise, args.horizon,
     )

@@ -206,7 +206,8 @@ def resolve_grid(spec, name: str = "grid") -> np.ndarray:
 
     Accepts an explicit nonempty list of numbers or a
     {"min", "max", "count", "spacing"} object with spacing "linear", "log",
-    or "log-int" (log-spaced, rounded to unique integers).
+    or "log-int" (log-spaced, rounded to unique integers and clamped to
+    [ceil(min), floor(max)], so a log-int range must hold an integer).
     """
     if isinstance(spec, list):
         if not spec or not all(_is_num(v) for v in spec):
@@ -224,6 +225,8 @@ def resolve_grid(spec, name: str = "grid") -> np.ndarray:
         errors.append(f"{name}: spacing must be linear, log, or log-int")
     if not errors and spacing in ("log", "log-int") and lo <= 0:
         errors.append(f"{name}: log spacing needs min > 0")
+    if not errors and spacing == "log-int" and math.ceil(lo) > math.floor(hi):
+        errors.append(f"{name}: a log-int grid needs an integer in [min, max], got [{lo!r}, {hi!r}]")
     if errors:
         raise ConfigError(errors)
     lo, hi = float(lo), float(hi)  # numpy ufuncs reject Python integers beyond int64
@@ -231,7 +234,7 @@ def resolve_grid(spec, name: str = "grid") -> np.ndarray:
         return np.linspace(lo, hi, count)
     values = np.logspace(np.log10(lo), np.log10(hi), count)
     if spacing == "log-int":
-        return _sorted_unique(np.maximum(np.rint(values), np.ceil(lo)))
+        return _sorted_unique(np.clip(np.rint(values), np.ceil(lo), np.floor(hi)))
     return values
 
 

@@ -181,8 +181,10 @@ def _pool_job(cells, workers: int):
     ``sgd._draw_key`` and seeds form a draw group, whose members step
     through one index draw (``sgd._run_group``); a full batch is a group of
     its own.  The pool's workers share each group's members' first three
-    fields.  A task is a run of whole seed blocks (``_group_rows``) of one
-    group, and a group's blocks go to at most ``workers`` tasks: a block
+    fields, and with them the ``subset_quadratics`` tables that sizing the
+    blocks built before the fork.  A task is a run of whole seed blocks
+    (``_group_rows``) of one group, and a group's blocks go to at most
+    ``workers`` tasks: a block
     costs about as much per step at a few rows as at many, and each task
     costs a round trip to a worker.  A job with fewer blocks than workers,
     counted over its groups, instead splits each group's seeds into

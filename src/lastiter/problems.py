@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,18 @@ _NEWTON_STEP_CAP = 100
 _SINGULAR_RATIO = 1e-12
 # Below this many gradients, batch_grad adds them slice by slice.
 _SLICE_SUM_MAX = 8
+# A least-squares family tabulates its size-b subsets' quadratics
+# (subset_quadratics) only where the table's C(n, b) * (d*d + d) entries are
+# at most this.  The build costs about 4-9 ns an entry, and a step's gather
+# slows as the table outgrows the caches, most where d is small and a
+# per-component step is cheap.  Time ratios of the build plus one tabled run
+# to the per-component run, 96 seeds of 1024 steps, on a 2-CPU x86-64
+# machine with 4 MiB of L2 (medians of 9): d=1, b=2: 1.0 MB 0.87, 2.0 MB
+# 1.01, 4.0 MB 1.15, 8.0 MB 1.55; d=2, b=3: 0.9 MB 0.76, 1.9 MB 0.87,
+# 3.9 MB 0.97, 8.1 MB 1.20; d=4, b=4: 1.9 MB 0.72, 4.2 MB 0.83, 8.0 MB 0.98;
+# d=8, b=3: 2.0 MB 0.67, 3.9 MB 0.72, 18.8 MB 1.07.  A cached table serves
+# every later block and cell of its (problem, b), so a sweep gains more.
+_SUBSET_TABLE_ENTRIES = 2**18
 
 
 class UnsupportedSamplingError(ValueError):
@@ -167,6 +180,10 @@ class FiniteSumProblem:
         """Float64 entries the kernels hold per point and component; sizes seed blocks."""
         return self.dimension * self.dimension
 
+    def subset_quadratics(self, b: int):
+        """A table of the size-b subsets' gradients (see ``LeastSquaresProblem``), or None: none here."""
+        return None
+
     def digest(self) -> str:
         """Hex SHA-256 over the family tag and each defining array's dtype, shape and raw bytes.
 
@@ -233,7 +250,9 @@ class FiniteSumProblem:
         (pairwise at d = 1).  Either way a row's sum does not depend on the
         block.  With idx = None this is the gradient of a uniformly weighted
         mean, so the full-batch SGD step and :meth:`grad` are the same
-        computation.  A batch of one is its gradient, exactly.
+        computation.  A batch of one is its gradient, exactly.  The SGD
+        engine steps a mini-batch of a family that has ``subset_quadratics``
+        by that table instead, which rounds apart from this sum.
         """
         grads = self.component_grads_at(idx, x)
         k = grads.shape[-2]
@@ -270,7 +289,16 @@ class FiniteSumProblem:
 
 
 class LeastSquaresProblem(FiniteSumProblem):
-    """f_i(x) = 0.5 ||A_i x - b_i||^2 with stacked designs A (n, m, d)."""
+    """f_i(x) = 0.5 ||A_i x - b_i||^2 with stacked designs A (n, m, d).
+
+    The gradient of f_i is H_i x - c_i with H_i = A_i^T A_i and c_i = A_i^T b_i,
+    so under uniform size-b sampling the family is again a least-squares
+    family, whose components are its C(n, b) subsets S with H_S and c_S the
+    means of H_i and c_i over S (Gower et al., SGD: General Analysis and
+    Improved Rates, ICML 2019).  ``subset_quadratics`` tabulates them where
+    the table is small, and a mini-batch step then gathers one H_S per point,
+    as a single-sample step gathers one H_i.
+    """
 
     kind = "least_squares"
     array_names = ("design", "offsets", "weights")
@@ -300,6 +328,7 @@ class LeastSquaresProblem(FiniteSumProblem):
         self._mean_eigs = np.linalg.eigvalsh(mean_hess)
         super().__init__(w, l_components, float(self._mean_eigs[-1]), d)
         self.mean_hessian = mean_hess
+        self._subset_tables = {}
 
     def component_values_at(self, idx, x):
         A = self.design if idx is None else self.design.take(idx, axis=0)
@@ -318,6 +347,71 @@ class LeastSquaresProblem(FiniteSumProblem):
     def component_entries(self):
         # a gathered Hessian for the gradient, a residual for the value
         return max(self.dimension * self.dimension, self.offsets.shape[1])
+
+    def subset_quadratics(self, b: int):
+        """(H_S (C, d, d), c_S (C, d)) of every size-b subset S at its ``_subset_ranks`` row, or None.
+
+        H_S x - c_S is the mean of the gradients over S: each of H_S and c_S
+        is summed over S in ascending index order and divided by b once.  Its
+        rounding is therefore not that of ``batch_grad``, which divides the
+        summed gradients, at about 1e-16 relative.  There is a table only
+        for uniform weights and 1 < b < n, where the stock
+        ``component_grads_at`` gives the gradients (a subclass that
+        overrides it has none), and where its C(n, b) (d*d + d) entries are
+        at most _SUBSET_TABLE_ENTRIES.  The answer for b is computed once and
+        cached on the instance, as ``digest`` is, so forked workers inherit
+        a table built before the fork.
+        """
+        if b not in self._subset_tables:
+            n, d = self.n, self.dimension
+            stock = type(self).component_grads_at is LeastSquaresProblem.component_grads_at
+            tabled = (stock and self.uniform_weights and 1 < b < n
+                      and math.comb(n, b) * (d * d + d) <= _SUBSET_TABLE_ENTRIES)
+            self._subset_tables[b] = self._tabulate(b) if tabled else None
+        return self._subset_tables[b]
+
+    def _tabulate(self, b: int):
+        """The table of ``subset_quadratics``, level by level: size-k sums from size-(k-1) ones.
+
+        In colexicographic order the k-subsets of range(m) come first, so
+        those whose largest index is m take ranks C(m, k) .. C(m + 1, k) - 1,
+        in the order of the (k-1)-subsets of range(m) that they extend.
+        Level k holds the k-subsets of range(n - b + k), the prefixes that
+        level k + 1 extends.  Each H_S and c_S is thus its predecessor plus
+        its largest index's term, summed in ascending index order.
+        """
+        n, d = self.n, self.dimension
+        H, c = self._hess, self._atb  # level 1: the subset {i} has rank i
+        for k in range(2, b + 1):
+            top = n - b + k
+            H_k, c_k = np.empty((math.comb(top, k), d, d)), np.empty((math.comb(top, k), d))
+            for m in range(k - 1, top):
+                lo, hi = math.comb(m, k), math.comb(m + 1, k)
+                np.add(H[: hi - lo], self._hess[m], out=H_k[lo:hi])
+                np.add(c[: hi - lo], self._atb[m], out=c_k[lo:hi])
+            H, c = H_k, c_k
+        H /= b
+        c /= b
+        return H, c
+
+
+def _subset_ranks(subsets, n: int) -> np.ndarray:
+    """Colexicographic rank sum_k C(s_k, k + 1) of each sorted size-b subset of range(n), over the last axis.
+
+    The ranks of the C(n, b) subsets are 0 .. C(n, b) - 1.  A term takes
+    one gather from a (b, n) table of binomials, which holds C(s, k + 1)
+    only where s_k = s can occur (k <= s <= n - b + k): those terms are at
+    most the rank, so none overflows where the ranks fit.
+    """
+    subsets = np.asarray(subsets)
+    b = subsets.shape[-1]
+    binomials = np.zeros((b, n), dtype=np.intp)
+    for k in range(b):
+        binomials[k, k : n - b + k + 1] = [math.comb(s, k + 1) for s in range(k, n - b + k + 1)]
+    ranks = binomials[0].take(subsets[..., 0])
+    for k in range(1, b):
+        ranks += binomials[k].take(subsets[..., k])
+    return ranks
 
 
 def _stacked_product(M, x):

@@ -27,11 +27,17 @@ every component draws nothing.
 One engine runs every sampling mode: it advances a block of seeds in
 lockstep as an (S, d) iterate matrix.  Each row's step is computed by the
 same per-row calls whatever S is, so a block of S seeds reproduces S
-single-seed runs bit for bit.  A batch's component indices are sorted, and
-its gradients are summed and divided once, in the order
-``FiniteSumProblem.batch_grad`` states.  A batch covering every component
-is the full-batch gradient itself, so batch size n reproduces deterministic
-gradient descent bit for bit.
+single-seed runs bit for bit.  A batch's component indices are sorted.
+Where the problem has ``subset_quadratics`` at b (a uniform least-squares
+family with 1 < b < n whose table fits its budget), a step reads each row's
+H_S and c_S by the subset's colexicographic rank (``_subset_ranks``,
+computed once per chunk for the whole draw group) and takes one gather and
+one matrix-vector product per row, as a single-sample step does.  Any other
+batch's gradients are summed and divided once, in the order
+``FiniteSumProblem.batch_grad`` states; the two round apart by about 1e-16
+relative.  A batch covering every component is the full-batch gradient
+itself, so batch size n reproduces deterministic gradient descent bit for
+bit.
 
 ``run`` is the engine's public entry.  It returns the final iterates, and
 its ``observe(t, X)`` hook sees the iterates at t = 0 and after every step,
@@ -50,11 +56,12 @@ never changes which seed diverges or at which step.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import FiniteSumProblem, UnsupportedSamplingError
+from .problems import FiniteSumProblem, UnsupportedSamplingError, _subset_ranks
 from .rng import RUN_STREAM, _as_integer, _block_integers, _checked_seeds, check_seed, stream
 
 __all__ = [
@@ -386,22 +393,27 @@ def _takes_pass(problem: FiniteSumProblem, rows: int, b: int, T: int) -> bool:
 def _block_rows(problem: FiniteSumProblem, b: int, T: int) -> int:
     """Seeds per block, so that one block's intermediates fit _BLOCK_ENTRIES.
 
-    A row holds the b gathered components of a step and their indices for
-    one draw chunk, counted in 2-byte units of its positions; its final gap
-    is evaluated apart, a few rows at a time (``montecarlo._gaps``).  A
-    block that takes the Philox pass also holds the pass's uint64
-    temporaries; if they would leave it fewer than _PASS_ROWS rows, it
-    stays just below _PASS_ROWS and keeps the generators instead.  The
-    index term also bounds a chunk's positions and their resolution, whose
-    narrow-integer arrays hold rows * steps entries each: their bytes times
-    b / 2 are at most _BLOCK_ENTRIES in a block of more than one row, and
-    in a lone row while b <= 512 (n above 3 * 10**7 at the one-pass gate).
+    A row holds the gathered components of a step and the indices of its
+    b components for one draw chunk, counted in 2-byte units of its
+    positions.  A step gathers b components, or one subset's quadratic
+    where the problem has ``subset_quadratics`` at b: asking builds that
+    table, so a pool forked after the blocks are sized inherits it.  A
+    row's final gap is evaluated apart, a few rows at a time
+    (``montecarlo._gaps``).  A block that takes the Philox pass also holds
+    the pass's uint64 temporaries; if they would leave it fewer than
+    _PASS_ROWS rows, it stays just below _PASS_ROWS and keeps the
+    generators instead.  The index term also bounds a chunk's positions
+    and their resolution, whose narrow-integer arrays hold rows * steps
+    entries each: their bytes times b / 2 are at most _BLOCK_ENTRIES in a
+    block of more than one row, and in a lone row while b <= 512 (n above
+    3 * 10**7 at the one-pass gate).
     ``_small_subsets`` holds at most 3b of them, so at most 3 MB.
     ``_subsets`` holds 2b of them, fewer bytes than its chunk, beside pools
     of at most _BLOCK_ENTRIES entries (one pool of n where n is larger).
     """
     units = max(1, np.min_scalar_type(problem.n).itemsize // 2)  # 2 at n >= 2**16
-    per_row = b * problem.component_entries() + b * min(T, _DRAW_STEPS) * units
+    gathered = 1 if problem.subset_quadratics(b) is not None else b
+    per_row = gathered * problem.component_entries() + b * min(T, _DRAW_STEPS) * units
     rows = min(_BLOCK_ROWS, _BLOCK_ENTRIES // per_row)
     if _takes_pass(problem, rows, b, T):
         with_pass = min(rows, _BLOCK_ENTRIES // (per_row + _PASS_ENTRIES * 8 * -(-T // 8)))
@@ -410,16 +422,27 @@ def _block_rows(problem: FiniteSumProblem, b: int, T: int) -> int:
 
 
 class _Member:
-    """One run of a draw group: its block of iterates and its lowest diverging seed's error so far.
+    """One run of a draw group: its step's gradient, block of iterates and lowest diverging seed's error so far.
 
-    A plain class: a dataclass would build its methods at every import, about 0.3 ms.
+    A member whose problem has ``subset_quadratics`` at the run's batch
+    size is tabled: its gradient ``grad(ranks, X)`` reads each row's subset
+    by its rank.  Any other's is ``batch_grad(subsets, X)``.  A plain class:
+    a dataclass would build its methods at every import, about 0.3 ms.
     """
 
-    __slots__ = ("problem", "gamma", "X", "observe", "diverged")
+    __slots__ = ("tabled", "grad", "gamma", "X", "observe", "diverged")
 
-    def __init__(self, problem: FiniteSumProblem, gamma: float, X: np.ndarray, observe):
-        self.problem, self.gamma, self.X, self.observe = problem, gamma, X, observe
+    def __init__(self, problem: FiniteSumProblem, b: int, gamma: float, X: np.ndarray, observe):
+        table = problem.subset_quadratics(b)
+        self.tabled = table is not None
+        self.grad = problem.batch_grad if table is None else functools.partial(_table_grad, *table)
+        self.gamma, self.X, self.observe = gamma, X, observe
         self.diverged = None
+
+
+def _table_grad(H, c, ranks, X):
+    """H_S x - c_S for each row x of X and its subset's rank: one gather and one gemv per row, as at b = 1."""
+    return np.matmul(H.take(ranks, axis=0), X[:, :, None])[:, :, 0] - c.take(ranks, axis=0)
 
 
 def _run_group(members, seeds) -> list:
@@ -428,12 +451,13 @@ def _run_group(members, seeds) -> list:
     The members' runs draw the same indices: they share ``_draw_key``, or
     are one full-batch run, which draws nothing.  Each _DRAW_STEPS chunk is
     drawn and resolved once, for the most rows a member still holds, and
-    then each member advances its own block over the chunk with its own
-    step size, as ``run`` describes; a row's indices do not depend on the
-    rows drawn beside it, so every member's result is bit for bit its
-    ``run``.  A member whose block diverges gets the DivergenceError ``run``
-    raises, and one with no row left takes no further step, while the
-    others go on.
+    ranked once if any member is tabled (see ``_Member``).  Then each
+    member advances its own block over the chunk, or over its ranks, with
+    its own step size, as ``run`` describes; a row's indices do not depend
+    on the rows drawn beside it, so every member's result is bit for bit
+    its ``run``.  A member whose block diverges gets the DivergenceError
+    ``run`` raises, and one with no row left takes no further step, while
+    the others go on.
     """
     seeds = list(seeds)
     if not seeds:
@@ -443,20 +467,23 @@ def _run_group(members, seeds) -> list:
         L_b = problem.batch_smoothness(config.batch_size)  # raises for an undefined sampling mode
         x0 = problem.check_point(config.x0)
         gamma = resolve_schedule(config.schedule, L_b, config.T)
-        group.append(_Member(problem, gamma, np.tile(x0, (len(seeds), 1)), observe))
+        group.append(_Member(problem, config.batch_size, gamma, np.tile(x0, (len(seeds), 1)), observe))
         if observe is not None:
             observe(0, group[-1].X)
     problem, config, _ = members[0]
     T = config.T
     draw = _sampler(problem, config.batch_size, seeds, T)
-    live, chunk = group, None
+    tabled = any(member.tabled for member in group)
+    live, chunk, ranks = group, None, None
     t = 0
     while t < T and live:
         steps = min(_DRAW_STEPS, T - t)
         if draw is not None:
             chunk = draw(max(len(member.X) for member in live), steps)
+            if tabled:
+                ranks = _subset_ranks(chunk, problem.n)
         for member in live:
-            _advance(member, chunk, t, steps, seeds)
+            _advance(member, ranks if member.tabled else chunk, t, steps, seeds)
         live = [member for member in live if len(member.X)]
         t += steps
     return [(member.gamma, member.X) if member.diverged is None else member.diverged
@@ -464,11 +491,15 @@ def _run_group(members, seeds) -> list:
 
 
 def _advance(member: _Member, chunk, t: int, steps: int, seeds):
-    """Advance a member's block over ``steps`` steps from t, by ``chunk``'s indices (None: every component)."""
-    problem, gamma, X, observe = member.problem, member.gamma, member.X, member.observe
+    """Advance a member's block over ``steps`` steps from t, by ``chunk``'s indices (None: every component).
+
+    A tabled member's chunk holds each step's subset ranks (steps, rows),
+    any other's the subsets themselves (steps, rows, b).
+    """
+    grad, gamma, X, observe = member.grad, member.gamma, member.X, member.observe
     for u in range(steps):
         idx = None if chunk is None else chunk[u, : len(X)]
-        X = X - gamma * problem.batch_grad(idx, X)
+        X = X - gamma * grad(idx, X)
         t += 1
         # NaN fails the comparisons too, so these also catch non-finite rows.
         if not np.vdot(X, X) <= _CLEAR_SQUARES and not np.abs(X).max() <= _DIVERGENCE_LIMIT:

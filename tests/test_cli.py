@@ -566,6 +566,19 @@ def test_bound_requires_exactly_one_step_spec(capsys):
     assert neither == 1
 
 
+def test_bound_refuses_beta_without_C(capsys):
+    base = ["bound", "--horizon", "10", "--smoothness", "1.0", "--distance-sq", "1.0"]
+    assert cli.main([*base, "--gamma", "0.1", "--beta", "0.3"]) == 1
+    assert "--beta sets the polynomial step, so it needs --C" in capsys.readouterr().err
+    # under --C, beta defaults to 0.5
+    assert cli.main([*base, "--C", "2"]) == 0
+    default = capsys.readouterr().out
+    assert cli.main([*base, "--C", "2", "--beta", "0.5"]) == 0
+    assert capsys.readouterr().out == default
+    assert cli.main([*base, "--C", "2", "--beta", "0.3"]) == 0
+    assert capsys.readouterr().out != default
+
+
 def test_bound_invalid_window_exits_one(capsys):
     code = cli.main(["bound", "--horizon", "10", "--smoothness", "1.0",
                      "--distance-sq", "1.0", "--gamma", "1.0"])

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 import warnings
 
 import numpy as np
@@ -72,6 +73,34 @@ def test_resolve_grid_log_int_past_int64_does_not_wrap():
         grid = li.resolve_grid({"min": 1, "max": 1e21, "count": 3, "spacing": "log-int"})
     assert np.array_equal(grid, np.rint(np.logspace(0.0, 21.0, 3)))
     assert grid[0] == 1.0 and grid[-1] == 1e21
+
+
+@pytest.mark.parametrize("lo, hi, count, grid", [
+    (2.2, 7.9, 2, [3.0, 7.0]),  # rounding took the top point to 8
+    (2.5, 3.6, 3, [3.0]),
+    (2, 5000, 48, None),  # the default weight_T_grid: unchanged, 2 .. 5000
+])
+def test_resolve_grid_log_int_stays_inside_its_range(lo, hi, count, grid):
+    spec = {"min": lo, "max": hi, "count": count, "spacing": "log-int"}
+    got = li.resolve_grid(spec)
+    assert math.ceil(lo) <= got[0] and got[-1] <= math.floor(hi)
+    if grid is None:
+        assert np.array_equal(got, np.unique(np.maximum(np.rint(np.logspace(np.log10(lo), np.log10(hi), count)), lo)))
+        assert got[0] == 2 and got[-1] == 5000
+    else:
+        assert got.tolist() == grid
+    plan = li.load_lemma_plan({"lemmas": {"weight_T_grid": spec}})
+    assert np.array_equal(plan.grids["weight_T_grid"], got)
+
+
+def test_resolve_grid_log_int_refuses_a_range_without_an_integer():
+    with pytest.raises(li.ConfigError, match=r"T: a log-int grid needs an integer in \[min, max\]"):
+        li.resolve_grid({"min": 2.5, "max": 2.6, "count": 3, "spacing": "log-int"}, "T")
+    with pytest.raises(li.ConfigError, match="weight_T_grid"):
+        li.load_lemma_plan({"lemmas": {"weight_T_grid": {"min": 2.5, "max": 2.6, "count": 3,
+                                                          "spacing": "log-int"}}})
+    # a range of one integer is a one-point grid
+    assert li.resolve_grid({"min": 2.5, "max": 3.0, "count": 3, "spacing": "log-int"}).tolist() == [3.0]
 
 
 @pytest.mark.parametrize(

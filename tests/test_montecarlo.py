@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import itertools
 import math
+import os
 import time
 from fractions import Fraction
 
@@ -545,6 +546,26 @@ def test_sweep_propagates_non_domain_errors():
                 base_seed=0,
                 workers=workers,
             )
+
+
+class TableLoggingLeastSquares(li.LeastSquaresProblem):
+    """Least squares that appends the id of the process building each subset table to ``log``."""
+
+    def _tabulate(self, b):
+        with open(self.log, "a") as fh:
+            fh.write(f"{os.getpid()} {b}\n")
+        return super()._tabulate(b)
+
+
+def test_a_pooled_sweep_builds_each_subset_table_before_its_workers_fork(tmp_path):
+    base, cert = li.make_least_squares(n=8, d=2, spread=1.0, seed=35)
+    problem = TableLoggingLeastSquares(base.design, base.offsets)
+    problem.log = tmp_path / "tables"
+    args = ([li.PolynomialStep(2.0, 0.5)], [1, 2, 3, 8], 8, 0)
+    pooled = li.sweep([("p", problem, cert, np.zeros(2))], [20, 30], *args, workers=2)
+    # one table per mini-batch size, built here and inherited by the forked workers
+    assert sorted(problem.log.read_text().split("\n")[:-1]) == [f"{os.getpid()} 2", f"{os.getpid()} 3"]
+    assert pooled == li.sweep([("p", base, cert, np.zeros(2))], [20, 30], *args, workers=1)
 
 
 def test_sweep_satisfied_checks_every_applicable_bound(monkeypatch):

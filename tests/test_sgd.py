@@ -1,5 +1,6 @@
 """SGD engine: exactness oracles, sampling laws, determinism, failure modes."""
 
+import itertools
 import math
 import pickle
 import re
@@ -770,25 +771,65 @@ def test_only_small_batches_resolve_subsets_for_the_whole_block(monkeypatch, b, 
     assert calls == (["_small_subsets"] if one_pass else ["_subsets"])
 
 
+def subset_quadratic(problem, subset):
+    """H_S and c_S of a least-squares family written out: each summed in ascending index order, divided once."""
+    H, c = problem._hess[subset[0]], problem._atb[subset[0]]
+    for i in subset[1:]:
+        H, c = H + problem._hess[i], c + problem._atb[i]
+    return H / len(subset), c / len(subset)
+
+
+def untabled(problem):
+    """A copy of a least-squares family built with no room for a subset table."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(li.problems, "_SUBSET_TABLE_ENTRIES", 0)
+        copy = li.LeastSquaresProblem(problem.design, problem.offsets)
+        for b in range(2, problem.n):
+            assert copy.subset_quadratics(b) is None  # cached as such
+    return copy
+
+
+def minibatch_references(problem, gamma, T, b, seed):
+    """A seed's final iterates from x = 0 by list-based draws, chunk by chunk: (per-component, tabled).
+
+    The per-component step sums the component gradients and divides once;
+    the tabled step reads H_S and c_S.  Both take the same subsets.
+    """
+    n, d = problem.n, problem.dimension
+    rng = li.stream(seed, li.RUN_STREAM)
+    x, y = np.zeros(d), np.zeros(d)
+    for start in range(0, T, 1024):
+        steps = min(1024, T - start)
+        draws = np.stack([rng.integers(0, n - k, size=steps) for k in range(b)], axis=1)
+        for batch in map(np.array, partial_fisher_yates(n, draws)):
+            x = x - gamma * (problem.component_grads_at(batch, x).sum(axis=0) / b)
+            H, c = subset_quadratic(problem, batch)
+            y = y - gamma * (H @ y - c)
+    return x, y
+
+
 def check_minibatch_seed_mapping_past_a_draw_chunk(monkeypatch, n, b):
-    """Seeds 5, 6 and 7 at batch size b over 2100 steps equal the list-based reference, chunk by chunk."""
+    """Seeds 5, 6 and 7 at batch size b over 2100 steps equal the list-based references, chunk by chunk.
+
+    The per-component reference holds with the subset table gated off, the
+    tabled one with it.
+    """
     problem, cert = li.make_least_squares(n=n, d=2, spread=1.0, seed=17)
+    per_component = untabled(problem)
+    assert problem.subset_quadratics(b) is not None
     T, gamma = 2100, 0.05 / problem.L
     config = li.RunConfig(T=T, seed=0, schedule=li.ConstantStep(gamma), x0=np.zeros(2),
                           batch_size=b)
-    _, block = li.run(problem, config, (5, 6, 7))
+    _, block = li.run(per_component, config, (5, 6, 7))
+    _, tabled = li.run(problem, config, (5, 6, 7))
     # a tiny budget shuffles a few steps' permutations at a time: same subsets
     monkeypatch.setattr(sgd, "_BLOCK_ENTRIES", 50)
-    assert np.array_equal(li.run(problem, config, (5, 6, 7))[1], block)
-    for row, seed in zip(block, (5, 6, 7)):
-        rng = li.stream(seed, li.RUN_STREAM)
-        x = np.zeros(2)
-        for start in range(0, T, 1024):
-            steps = min(1024, T - start)
-            draws = np.stack([rng.integers(0, n - k, size=steps) for k in range(b)], axis=1)
-            for batch in map(np.array, partial_fisher_yates(n, draws)):
-                x = x - gamma * (problem.component_grads_at(batch, x).sum(axis=0) / b)
+    assert np.array_equal(li.run(per_component, config, (5, 6, 7))[1], block)
+    assert np.array_equal(li.run(problem, config, (5, 6, 7))[1], tabled)
+    for row, tabled_row, seed in zip(block, tabled, (5, 6, 7)):
+        x, y = minibatch_references(problem, gamma, T, b, seed)
         assert np.array_equal(row, x)
+        assert np.array_equal(tabled_row, y)
 
 
 def test_minibatch_seed_mapping_past_a_draw_chunk(monkeypatch):
@@ -799,3 +840,87 @@ def test_minibatch_seed_mapping_past_a_draw_chunk(monkeypatch):
 def test_large_minibatch_seed_mapping_past_a_draw_chunk(monkeypatch):
     """Above the one-pass gate (14**4 > 2048 * 16), seed-by-seed subsets map seeds to the same runs."""
     check_minibatch_seed_mapping_past_a_draw_chunk(monkeypatch, 16, 14)
+
+
+# -- subset tables ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, b", [(3, 2), (7, 3), (9, 8), (16, 4), (16, 14)])
+def test_subset_ranks_are_colexicographic_and_index_the_table(n, b):
+    problem, _ = li.make_least_squares(n=n, d=3, spread=1.0, seed=n + b)
+    subsets = list(itertools.combinations(range(n), b))
+    colex = {subset: rank for rank, subset in enumerate(sorted(subsets, key=lambda s: s[::-1]))}
+    ranks = li.problems._subset_ranks(np.array(subsets), n)
+    assert ranks.tolist() == [colex[subset] for subset in subsets]
+    H, c = problem.subset_quadratics(b)
+    assert H.shape == (math.comb(n, b), 3, 3) and c.shape == (math.comb(n, b), 3)
+    for subset, rank in zip(subsets, ranks):
+        H_S, c_S = subset_quadratic(problem, subset)
+        assert np.array_equal(H[rank], H_S) and np.array_equal(c[rank], c_S), subset
+    # a drawn (steps, rows, b) chunk ranks step by step and row by row
+    chunk = np.array(subsets[::-1]).reshape(-1, 1, b)
+    assert np.array_equal(li.problems._subset_ranks(chunk, n), ranks[::-1].reshape(-1, 1))
+
+
+class CountingLeastSquares(li.LeastSquaresProblem):
+    """Stock least-squares gradients through an override: such a family keeps the per-component path."""
+
+    def component_grads_at(self, idx, x):
+        self.calls = getattr(self, "calls", 0) + 1
+        return super().component_grads_at(idx, x)
+
+
+def test_only_uniform_stock_least_squares_minibatches_are_tabled():
+    problem, _ = li.make_least_squares(n=6, d=3, spread=1.0, seed=14)
+    assert problem.subset_quadratics(1) is None and problem.subset_quadratics(6) is None
+    table = problem.subset_quadratics(3)
+    assert table is not None and problem.subset_quadratics(3) is table  # built once, cached
+    assert li.make_logistic(n=6, d=3, seed=15)[0].subset_quadratics(3) is None
+    assert weighted_least_squares()[0].subset_quadratics(3) is None
+    assert CountingLeastSquares(problem.design, problem.offsets).subset_quadratics(3) is None
+
+
+def test_a_family_over_the_table_budget_takes_the_per_component_path(monkeypatch):
+    """A table of exactly the budget is built; one entry more, and the run sums its components."""
+    problem, _ = li.make_least_squares(n=7, d=3, spread=1.0, seed=33)
+    b, T, gamma, seeds = 3, 1100, 0.05 / problem.L, (3, 4)
+    config = li.RunConfig(T=T, seed=0, schedule=li.ConstantStep(gamma), x0=np.zeros(3), batch_size=b)
+    references = [minibatch_references(problem, gamma, T, b, seed) for seed in seeds]
+    size = math.comb(7, 3) * (3 * 3 + 3)
+    monkeypatch.setattr(li.problems, "_SUBSET_TABLE_ENTRIES", size - 1)
+    _, over = li.run(li.LeastSquaresProblem(problem.design, problem.offsets), config, seeds)
+    monkeypatch.setattr(li.problems, "_SUBSET_TABLE_ENTRIES", size)
+    _, within = li.run(li.LeastSquaresProblem(problem.design, problem.offsets), config, seeds)
+    assert np.array_equal(over, [x for x, _ in references])
+    assert np.array_equal(within, [y for _, y in references])
+    assert not np.array_equal(over, within)  # the two paths round apart
+
+
+def test_tabled_rows_are_the_same_in_any_block_and_seed_by_seed():
+    problem, _ = li.make_least_squares(n=16, d=4, spread=1.0, seed=34)
+    b, T, gamma = 4, 1100, 0.05 / problem.L
+    config = li.RunConfig(T=T, seed=0, schedule=li.ConstantStep(gamma), x0=np.zeros(4), batch_size=b)
+    seeds = range(60, 71)
+    _, whole = li.run(problem, config, seeds)
+    pieces = np.concatenate([li.run(problem, config, seeds[:4])[1], li.run(problem, config, seeds[4:])[1]])
+    singles = np.stack([li.run(problem, config, (seed,))[1][0] for seed in seeds])
+    assert np.array_equal(whole, pieces) and np.array_equal(whole, singles)
+    for row, seed in zip(whole[:2], seeds):
+        assert np.array_equal(row, minibatch_references(problem, gamma, T, b, seed)[1])
+
+
+def test_a_draw_group_mixes_tabled_and_per_component_members_bitwise():
+    lsq, _ = li.make_least_squares(n=16, d=3, spread=1.0, seed=30)
+    logistic, _ = li.make_logistic(n=16, d=3, seed=31)
+    counting = CountingLeastSquares(lsq.design, lsq.offsets)
+    b, T, seeds = 4, 1100, range(80, 89)
+    members = [(problem, li.RunConfig(T=T, seed=0, schedule=li.PolynomialStep(2.0, 0.5), x0=np.ones(3),
+                                      batch_size=b))
+               for problem in (lsq, logistic, counting)]
+    assert [sgd._Member(problem, b, 0.1, np.zeros((1, 3)), None).tabled
+            for problem, _ in members] == [True, False, False]
+    results = sgd._run_group([(problem, config, None) for problem, config in members], seeds)
+    alone = [li.run(problem, config, seeds) for problem, config in members]
+    for result, expected in zip(results, alone):
+        assert_same_run(result, expected)
+    assert counting.calls == 2 * T  # every step of both runs took the per-component gradient
