@@ -117,6 +117,10 @@ _NONNEGATIVE = _Field(lambda value: _is_num(value) and value >= 0, "must be a fi
 _NUMBER = _Field(_is_num, "must be a finite number")
 _NONEMPTY_LIST = _Field(_list_of(_ANY.check), "must be a nonempty list")
 _X0 = _Field(lambda value: isinstance(value, dict), "expected an object", {"policy": "zeros"})
+# A problem id, where the spec gives one; build_problem names a problem without one.
+_UNNAMED = object()
+_ID = _Field(lambda value: value is _UNNAMED or (isinstance(value, str) and value != ""),
+             "must be a nonempty string", _UNNAMED)
 
 
 class _Generator(NamedTuple):
@@ -138,7 +142,7 @@ _GENERATORS = {
     "logistic": _Generator("make_logistic", {"n": _POSITIVE_INT, "d": _POSITIVE_INT, "seed": _SEED},
                            "logistic-n{n}-d{d}-seed{seed}"),
 }
-_FILE_SPEC = {"file": _Field(lambda value: isinstance(value, str), "must be a path string"), "id": _ANY}
+_FILE_SPEC = {"file": _Field(lambda value: isinstance(value, str), "must be a path string"), "id": _ID}
 _SCHEDULES = {"constant": {"gamma": _NUMBER}, "polynomial": {"C": _NUMBER, "beta": _NUMBER}}
 _SEED_FIELDS = {"n_seeds": _POSITIVE_INT,
                 "base_seed": _Field(_at_least(0), "must be a nonnegative integer", 0)}
@@ -243,7 +247,9 @@ def build_problem(spec: dict, index: int = 0):
 
     Specs name a generator with its parameters, or a "file" with a problem
     document saved by ``save_problem``; either way ``certify_solution``
-    derives the certificate from the arrays.
+    derives the certificate from the arrays.  An "id", where given, must be a
+    nonempty string; a spec without one is named by its generator's id
+    format, or "file:PATH".
 
     Raises:
         ConfigError: the spec is malformed, or its file cannot be loaded.
@@ -263,7 +269,7 @@ def build_problem(spec: dict, index: int = 0):
         except (AttributeError, OSError, TypeError, ValueError) as exc:
             raise ConfigError([f"{label}: cannot load {spec['file']!r}: {exc}"]) from None
         return spec.get("id", f"file:{spec['file']}"), problem, cert
-    kinds = {name: {**generator.fields, "id": _ANY} for name, generator in _GENERATORS.items()}
+    kinds = {name: {**generator.fields, "id": _ID} for name, generator in _GENERATORS.items()}
     values = _check_object(spec, kinds, label, errors, select="generator")
     if errors:
         raise ConfigError(errors)

@@ -4,9 +4,10 @@ The estimator runs seeds base_seed .. base_seed + n_seeds - 1 through the
 SGD engine in blocks of seeds advanced in lockstep, collects the final gaps
 in seed order, and reduces them once, in the main process.  A job is the
 cells of a run or a sweep, each with its problem.  Cells that draw the same
-indices from the same seeds (the same n, weights, b < n and T) form a draw
+indices from the same seeds (the same n, weights, b and T) form a draw
 group, which steps through each index chunk once (``sgd._run_group``), so a
-sweep's same-n families run on common random numbers.  With worker
+sweep's same-n families run on common random numbers; full-batch cells of
+equal n and T, which draw nothing, form one group.  With worker
 processes, one pool takes a whole job up front, a task per group and seed
 range, longest horizon first, with no barrier between cells.  The main
 process joins each cell's gaps in seed order, and a row of a block does not
@@ -179,12 +180,11 @@ def _pool_job(cells, workers: int):
     ``cells`` holds one (problem, cert, template, lo, hi) per cell (see
     ``_cell``), where lo .. hi - 1 are the seeds to run.  Cells with equal
     ``sgd._draw_key`` and seeds form a draw group, whose members step
-    through one index draw (``sgd._run_group``); a full batch is a group of
-    its own.  The pool's workers share each group's members' first three
-    fields, and with them the ``subset_quadratics`` tables that sizing the
-    blocks built before the fork.  A task is a run of whole seed blocks
-    (``_group_rows``) of one group, and a group's blocks go to at most
-    ``workers`` tasks: a block
+    through one index draw (``sgd._run_group``).  The pool's workers share
+    each group's members' first three fields, and with them the
+    ``subset_quadratics`` tables that sizing the blocks built before the
+    fork.  A task is a run of whole seed blocks (``_group_rows``) of one
+    group, and a group's blocks go to at most ``workers`` tasks: a block
     costs about as much per step at a few rows as at many, and each task
     costs a round trip to a worker.  A job with fewer blocks than workers,
     counted over its groups, instead splits each group's seeds into
@@ -195,14 +195,13 @@ def _pool_job(cells, workers: int):
     block finished first.  Leaving the job waits for every submitted task,
     also when a join raised (see ``reporting._forked``).  For one worker or
     fewer than 2 * workers runs in all, no pool opens: each group's
-    ``_final_gaps`` is cached, so a group that a sweep repeats is simulated
-    once here too, and each cell's function reads its member's gaps from it
+    ``_final_gaps`` is cached, so the group is simulated once for all its
+    members, and each cell's function reads its member's gaps from it
     (``estimate_gap`` copies them).
     """
-    groups = {}  # cell indices by draw key and seeds; a full batch keys on its own index
+    groups = {}  # cell indices by draw key and seeds
     for c, (problem, _, template, lo, hi) in enumerate(cells):
-        key = _draw_key(problem, template.batch_size, template.T)
-        groups.setdefault(c if key is None else (key, lo, hi), []).append(c)
+        groups.setdefault((_draw_key(problem, template.batch_size, template.T), lo, hi), []).append(c)
     members = [[cells[c][:3] for c in group] for group in groups.values()]
     spans = [cells[group[0]][3:] for group in groups.values()]
     places = sorted((c, g, m) for g, group in enumerate(groups.values()) for m, c in enumerate(group))

@@ -21,8 +21,8 @@ generators' draws; a row in which numpy would have rejected a draw takes
 its positions from its seed's generator.  A resolver then turns the whole
 block's positions into sorted subsets: without a pool where
 b**4 <= _ONE_PASS_SCALE * n (``_small_subsets``, where a single sample is
-its own position), through pools above (``_subsets``).  A batch covering
-every component draws nothing.
+its own position), through pools above (``_subsets``).  At b = n every
+call gives None: a batch covering every component draws nothing.
 
 One engine runs every sampling mode: it advances a block of seeds in
 lockstep as an (S, d) iterate matrix.  Each row's step is computed by the
@@ -43,11 +43,12 @@ bit.
 its ``observe(t, X)`` hook sees the iterates at t = 0 and after every step,
 so a gap curve, a record stride or any other per-step quantity is an
 observer.  It is the one-member case of ``_run_group``, whose members are
-runs that draw alike: the same n, weights, b < n and T (``_draw_key``) over
-the same seeds.  A group draws and resolves each chunk once, and each
-member advances its own block over it with its own step size, so each
-member's result is its ``run`` bit for bit, and families that a Monte Carlo
-sweep steps together see common random numbers.
+runs that draw alike: the same n, weights, b and T (``_draw_key``) over the
+same seeds.  A group draws and resolves each chunk once, and each member
+advances its own block over it with its own step size, so each member's
+result is its ``run`` bit for bit, and families that a Monte Carlo sweep
+steps together see common random numbers.  Full batches of equal n and T
+form a group too, whose draw is None at every chunk.
 After every step one dot product clears the whole block when its sum of
 squares is at most half the divergence limit squared.  Where it does not,
 the exact per-entry test |x| <= _DIVERGENCE_LIMIT decides, so the clear
@@ -94,17 +95,26 @@ _CLEAR_SQUARES = _DIVERGENCE_LIMIT**2 / 2
 _DRAW_STEPS = 1024
 # A mini-batch resolves a chunk's subsets without a pool (_small_subsets)
 # where b**4 <= _ONE_PASS_SCALE * n, and through n-entry pools (_subsets)
-# above.  The pass costs about b**2 array passes per chunk, the pools a
-# sort of a tiled (steps, n) pool per seed, so the crossover grows with n.
-# Time ratios of the pass to the pools, then built seed by seed, for one
-# 1024-step chunk, integer draws included, at the rows _block_rows gives a
-# d = 2 least-squares family, on a 2-CPU x86-64 machine (medians of 9
-# alternating runs): n=16: b=8 0.64, 13 0.86, 14 1.13; n=64: 19 0.94,
-# 20 1.00, 24 1.17; n=256: 24 0.88, 28 1.07; n=1024: 38 0.92, 40 1.31;
-# n=4096: 53 0.92, 56 1.05, 64 1.12.  Fewer rows move the crossover down
-# (at one row, n=256: b=8 0.98, 16 1.62), but so few rows come from large
-# components, whose gradients then take most of a step: a one-row,
-# 1024-step run at n=256, d=32, b=16 takes 18.9 ms either way.
+# above.  The pass costs about b**2 array passes over a chunk's positions,
+# the pools an n-entry fill, b swaps and a b-entry sort per step and row,
+# so the crossover grows with n.  Time ratios of the pass to the pools on a
+# 2-CPU x86-64 machine shared with other jobs (the ranges of 3 repeats):
+# - one 1024-step chunk, integer draws included, at the rows _block_rows
+#   gives a d = 2 least-squares family (medians of 21 alternating runs):
+#   n=16: b=8 0.58-0.68, 13 0.87-0.98, 14 0.89-1.02; n=64: 19 0.82-0.85,
+#   20 0.87-0.93, 24 1.01-1.16; n=256: 24 0.96-1.13, 28 1.11-1.28;
+#   n=1024: 38 1.14-1.31, 40 1.19-1.40; n=4096: 53 1.01-1.15,
+#   56 1.11-1.29, 64 1.33-1.65;
+# - a whole 1024-step run() of a d = 2 logistic family at those rows, at
+#   most 96 (medians of 11): n=64: b=20 0.90-0.98, 32 1.11-1.22; n=200:
+#   50 1.47-1.78, 100 2.51-2.74; n=1000: 100 1.97-2.39.
+# So the crossover sits a little above the gate at n <= 64 and below it at
+# n >= 256.  Fewer rows move it down (at one row, n=256: b=8 0.98-1.06,
+# 16 1.97-2.16), but so few rows come from large components, whose
+# gradients then take most of a step: a one-row, 1024-step run at n=256,
+# d=32, b=16 takes about 22 ms either way.  No benchmark workload draws
+# above the gate, so neither its placement nor _subsets is measured end
+# to end.
 _ONE_PASS_SCALE = 2048
 # Float64 entries that the intermediates of one seed block may hold, and the
 # most rows a block needs to spread the per-step overhead thin.
@@ -257,15 +267,13 @@ class RunConfig:
         object.__setattr__(self, "x0", x0)
 
 
-def _draw_key(problem: FiniteSumProblem, b: int, T: int):
-    """What ``_sampler`` reads besides the seeds: n, the weights, b and T; None at b = n.
+def _draw_key(problem: FiniteSumProblem, b: int, T: int) -> tuple:
+    """What ``_sampler`` reads besides the seeds: n, the weights (None where uniform), b and T.
 
     Runs with equal keys draw the same indices from the same seeds, so
-    ``_run_group`` may step them through one draw.  A full batch draws
-    nothing and has no key.
+    ``_run_group`` may step them through one draw; full batches of equal n
+    and T, which draw nothing, share a key too.
     """
-    if b == problem.n:
-        return None
     return problem.n, None if problem.uniform_weights else problem.weights.tobytes(), b, T
 
 
@@ -284,9 +292,10 @@ def _sampler(problem: FiniteSumProblem, b: int, seeds, T: int):
     resolver turns the whole block's positions into sorted subsets, each
     row the same as a single-seed run's: ``_small_subsets`` where
     b**4 <= _ONE_PASS_SCALE * n (a single sample is its own position),
-    ``_subsets`` above.  ``rows`` may only shrink from call to call.  Every
-    seed is checked as ``check_seed`` checks it: by ``stream``, by the
-    Philox pass, or at b = n, where no seed is drawn from, by
+    ``_subsets`` above.  At b = n every call returns None (every component)
+    and touches no stream.  ``rows`` may only shrink from call to call.
+    Every seed is checked as ``check_seed`` checks it: by ``stream``, by
+    the Philox pass, or at b = n, where no seed is drawn from, by
     ``rng._checked_seeds``.  Column k is drawn as integers(k, n), which is
     the same draw as k + integers(0, n - k): the same values, and the
     stream left at the same place.
@@ -294,7 +303,7 @@ def _sampler(problem: FiniteSumProblem, b: int, seeds, T: int):
     n = problem.n
     if b == n:
         _checked_seeds(seeds)
-        return None  # the subset is the whole family; no randomness consumed
+        return lambda rows, steps: None  # the subset is the whole family; no randomness consumed
     kind = np.min_scalar_type(n)
     resolve = _small_subsets if b**4 <= _ONE_PASS_SCALE * n else _subsets
 
@@ -448,9 +457,9 @@ def _table_grad(H, c, ranks, X):
 def _run_group(members, seeds) -> list:
     """Step each (problem, config, observe) member through one index draw; per member (gamma, X) or its error.
 
-    The members' runs draw the same indices: they share ``_draw_key``, or
-    are one full-batch run, which draws nothing.  Each _DRAW_STEPS chunk is
-    drawn and resolved once, for the most rows a member still holds, and
+    The members' runs draw the same indices: they share ``_draw_key``.
+    Each _DRAW_STEPS chunk is drawn and resolved once, for the most rows a
+    member still holds (None for a full batch, which draws nothing), and
     ranked once if any member is tabled (see ``_Member``).  Then each
     member advances its own block over the chunk, or over its ranks, with
     its own step size, as ``run`` describes; a row's indices do not depend
@@ -474,14 +483,13 @@ def _run_group(members, seeds) -> list:
     T = config.T
     draw = _sampler(problem, config.batch_size, seeds, T)
     tabled = any(member.tabled for member in group)
-    live, chunk, ranks = group, None, None
+    live, ranks = group, None
     t = 0
     while t < T and live:
         steps = min(_DRAW_STEPS, T - t)
-        if draw is not None:
-            chunk = draw(max(len(member.X) for member in live), steps)
-            if tabled:
-                ranks = _subset_ranks(chunk, problem.n)
+        chunk = draw(max(len(member.X) for member in live), steps)
+        if tabled:
+            ranks = _subset_ranks(chunk, problem.n)
         for member in live:
             _advance(member, ranks if member.tabled else chunk, t, steps, seeds)
         live = [member for member in live if len(member.X)]

@@ -161,6 +161,17 @@ def test_build_problem_custom_id_passes_through():
     assert pid == "tiny"
 
 
+@pytest.mark.parametrize("bad_id", [None, 7, {"a": [1, 2]}, ""])
+def test_a_problem_id_that_is_not_a_nonempty_string_is_a_collected_error(tmp_path, bad_id):
+    path = tmp_path / "prob.json"
+    li.save_problem(path, li.make_least_squares(n=5, d=2, spread=1.0, seed=3)[0])
+    for spec in ({"generator": "logistic", "n": 4, "d": 2, "seed": 1, "id": bad_id},
+                 {"file": str(path), "id": bad_id}):
+        with pytest.raises(li.ConfigError) as info:
+            li.load_sweep_plan({**sweep_doc(), "problems": [sweep_doc()["problems"][0], spec]})
+        assert info.value.errors == ["problem[1].id: must be a nonempty string"]
+
+
 def test_build_problem_rejects_a_spec_that_is_not_an_object():
     with pytest.raises(li.ConfigError) as info:
         li.build_problem(5)

@@ -839,7 +839,7 @@ def test_only_cells_that_draw_alike_share_a_group(monkeypatch):
     rows = li.sweep(entries, *grid, n_seeds=5, base_seed=9)
     # b = 6 is a full batch at n = 6, and the weighted family's error row at b = 6 runs nothing
     assert sorted(groups) == sorted([[("lsq6", 1), ("log6", 1)], [("weighted", 1)], [("lsq8", 1)],
-                                     [("lsq6", 6)], [("log6", 6)], [("lsq8", 6)]])
+                                     [("lsq6", 6), ("log6", 6)], [("lsq8", 6)]])
     assert [row.error is None for row in rows] == [True] * 5 + [False] + [True] * 2
     assert rows == [row for entry in entries for row in li.sweep([entry], *grid, n_seeds=5, base_seed=9)]
 
@@ -865,6 +865,29 @@ def test_a_one_group_job_with_fewer_blocks_than_workers_splits_its_seeds(monkeyp
     assert li.sweep(entries, *grid, n_seeds=6, base_seed=0, workers=3) == serial
     # one group of one block: three tasks of two seeds, each running both members
     assert pools == [3] and [args[1][1:] for args in submitted] == [(0, 2), (2, 4), (4, 6)]
+
+
+def test_full_batch_cells_of_one_n_share_a_pool_task(monkeypatch):
+    import lastiter.reporting as reporting
+
+    submitted, real_forked = [], reporting._forked
+
+    @contextlib.contextmanager
+    def counting_pool(processes, shared):
+        with real_forked(processes, shared) as pool:
+            real_submit = pool.apply_async
+            pool.apply_async = lambda *args: submitted.append(args) or real_submit(*args)
+            yield pool
+
+    lsq, lsq_cert = li.make_least_squares(n=6, d=2, spread=1.0, seed=40)
+    log, log_cert = li.make_logistic(n=6, d=2, seed=41)
+    entries = [("lsq", lsq, lsq_cert, np.zeros(2)), ("log", log, log_cert, np.zeros(2))]
+    grid = ([7], [li.PolynomialStep(2.0, 0.5)], [1, 6])
+    serial = li.sweep(entries, *grid, n_seeds=5, base_seed=0)
+    monkeypatch.setattr(reporting, "_forked", counting_pool)
+    assert li.sweep(entries, *grid, n_seeds=5, base_seed=0, workers=2) == serial
+    # one task for the b = 1 group and one for the two full-batch cells, each a single block
+    assert len(submitted) == 2
 
 
 def test_cells_that_run_different_seeds_draw_apart():

@@ -502,7 +502,29 @@ def test_only_runs_that_draw_alike_share_a_draw_key():
         li.LogisticProblem(log6.features, log6.labels, weights=weighted.weights), 1, 40)
     assert len({sgd._draw_key(lsq6, 1, 40), sgd._draw_key(weighted, 1, 40), sgd._draw_key(lsq8, 1, 40),
                 sgd._draw_key(lsq6, 2, 40), sgd._draw_key(lsq6, 1, 41)}) == 5
-    assert sgd._draw_key(lsq6, 6, 40) is None and sgd._draw_key(lsq8, 6, 40) is not None
+    # a full batch draws nothing: full batches of equal n and T share a key, whatever the family
+    assert sgd._draw_key(lsq6, 6, 40) == sgd._draw_key(log6, 6, 40)
+    assert len({sgd._draw_key(lsq6, 6, 40), *(sgd._draw_key(lsq6, b, 40) for b in range(1, 6)),
+                sgd._draw_key(lsq8, 8, 40), sgd._draw_key(lsq6, 6, 41)}) == 8
+
+
+def test_full_batch_members_of_different_families_step_as_one_group(monkeypatch):
+    """Each full-batch member is its own run; the diverging one gets its error while the other finishes."""
+    monkeypatch.setattr(sgd, "_DRAW_STEPS", 32)
+    bad, good = UnderstatedPair(8), li.make_least_squares(n=8, d=1, spread=1.0, seed=32)[0]
+    assert sgd._draw_key(bad, 8, 300) == sgd._draw_key(good, 8, 300)
+    seeds = range(500, 504)
+    bad_config = li.RunConfig(T=300, seed=0, schedule=li.ConstantStep(5.0), x0=np.array([1.0]),
+                              batch_size=8)
+    good_config = li.RunConfig(T=300, seed=0, schedule=li.PolynomialStep(2.0, 0.5),
+                               x0=np.array([1.0]), batch_size=8)
+    with pytest.raises(li.DivergenceError) as alone:
+        li.run(bad, bad_config, seeds)
+    assert 32 < alone.value.step < 300  # past the first draw chunk
+    error, result = sgd._run_group([(bad, bad_config, None), (good, good_config, None)], seeds)
+    assert isinstance(error, li.DivergenceError)
+    assert (error.seed, error.step) == (alone.value.seed, alone.value.step) == (500, alone.value.step)
+    assert_same_run(result, li.run(good, good_config, seeds))
 
 
 class SetPoints(li.FiniteSumProblem):
